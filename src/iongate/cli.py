@@ -112,7 +112,8 @@ their sign.
 
 [trajectory]      trajectory scenario
   branch          collective-spin eigenvalue             (default 2)
-  points          number of time samples                 (default 1200)
+  points          uniform time samples, >= 20 per detuning period
+                  (default: 20 per fastest period of each segment)
 
 [numerics]        optional tolerances for quantum scenarios
   steps_per_period  propagator steps per drive period    (default 50)
@@ -517,10 +518,12 @@ def _plan_walsh_compare(cfg: _Config, seed: int):
 def _plan_trajectory(cfg: _Config, seed: int):
     schedule = _scenario_schedule(cfg)
     branch = cfg.number("trajectory", "branch", 2.0) if cfg.has("trajectory") else 2.0
-    points = cfg.integer("trajectory", "points", 1200) if cfg.has("trajectory") else 1200
-    if points < 2:
-        raise ConfigError(f"{cfg.path}: trajectory needs at least two points")
-    t_eval = np.linspace(0.0, schedule.duration, points)
+    points = cfg.integer("trajectory", "points", None) if cfg.has("trajectory") else None
+    t_eval = None
+    if points is not None:
+        if points < 2:
+            raise ConfigError(f"{cfg.path}: trajectory needs at least two points")
+        t_eval = np.linspace(0.0, schedule.duration, points)
     traj = propagate_displacement(schedule, branch_eigenvalue=branch, t_eval=t_eval)
     return {None: traj.to_table()}, {"branch": f"{branch:g}"}
 
@@ -561,16 +564,10 @@ def _load_config(path: str) -> tuple[_Config, str, bytes]:
     return cfg, name, raw
 
 
-def _validate(cfg: _Config, name: str) -> None:
-    _VALIDATORS[name](cfg)
-    _PLANNERS[name]  # scenario known by construction
-
-
 def run_scenario(config_path: str, output_dir: str = ".", seed: int | None = None,
                  quiet: bool = False) -> list[str]:
     """Execute one scenario; returns the list of files written."""
     cfg, name, raw = _load_config(config_path)
-    _validate(cfg, name)
     effective_seed = seed if seed is not None else cfg.integer("scenario", "seed", 0)
     output_name = cfg.text("scenario", "output", required=True)
 
@@ -625,8 +622,6 @@ def main(argv=None) -> int:
     run_p.add_argument("--output-dir", default=".")
     run_p.add_argument("--seed", type=int, default=None,
                        help="override the seed in the config")
-    run_p.add_argument("--threads", type=int, default=1,
-                       help="reserved; scenarios are single-threaded")
     run_p.add_argument("--quiet", action="store_true")
 
     val_p = sub.add_parser("validate", help="parse and check a config, run nothing")
@@ -643,12 +638,10 @@ def main(argv=None) -> int:
             return 0
         if args.command == "validate":
             cfg, name, _ = _load_config(args.config)
-            _validate(cfg, name)
+            _VALIDATORS[name](cfg)
             if not args.quiet:
                 print(f"ok: {name}")
             return 0
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
         run_scenario(args.config, output_dir=args.output_dir, seed=args.seed,
                      quiet=args.quiet)
         return 0

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, expm
@@ -225,14 +226,18 @@ def _segment_steps(seg, steps_per_period: int):
     """
     if seg.is_constant:
         return np.array([seg.duration / 2.0]), np.array([seg.duration])
-    t = np.linspace(0.0, seg.duration, 2049)
-    rate = np.maximum(np.abs(seg.delta(t)), np.abs(seg.omega(t)))
-    budget = np.concatenate(([0.0], np.cumsum((rate[1:] + rate[:-1]) / 2.0 * np.diff(t))))
-    if budget[-1] == 0.0:
-        return np.array([seg.duration / 2.0]), np.array([seg.duration])
-    n_steps = max(2, int(np.ceil(budget[-1] * steps_per_period / (2.0 * np.pi))))
-    edges = np.interp(np.linspace(0.0, budget[-1], n_steps + 1), budget, t)
+    edges = seg.phase_edges(steps_per_period, min_pieces=2)
     return (edges[1:] + edges[:-1]) / 2.0, np.diff(edges)
+
+
+@lru_cache(maxsize=64)
+def _schedule_eta(schedule: PulseSchedule) -> float:
+    """Total detuning phase int delta dt, cached per schedule object.
+
+    Schedules are immutable, and SLERB rebuilds the propagator of one
+    schedule for every compiled gate.
+    """
+    return propagate_displacement(schedule, branch_eigenvalue=0.0).eta_end
 
 
 def _carrier_net_phase(schedule: PulseSchedule) -> float:
@@ -282,7 +287,7 @@ class BranchPropagators:
         return self.blocks.shape[-1]
 
     def overlap_kernel(self) -> np.ndarray:
-        """kernel[i, j, n] = <n| U_i U_j^dag |n>, the per-Fock spin kernel."""
+        """kernel[i, j, n] = <n| U_j^dag U_i |n>, the per-Fock spin kernel."""
         dim = self.dim
         out = np.empty((4, 4, dim), dtype=complex)
         for i in range(4):
@@ -308,7 +313,6 @@ def gate_propagator(schedule: PulseSchedule, fock: FockConfig,
                              "use propagate() which handles the split-step case")
     dim = fock.dim
     u_plus = np.eye(dim, dtype=complex)
-    eta = 0.0
     for seg in schedule.segments:
         mids, dts = _segment_steps(seg, steps_per_period)
         deltas = seg.delta(mids) if not seg.is_constant else np.array([seg.const_delta])
@@ -316,11 +320,7 @@ def gate_propagator(schedule: PulseSchedule, fock: FockConfig,
         for k in range(mids.size):
             coupling = seg.sign * omegas[k]  # branch +2: (s/2)*W*Omega = W*Omega
             u_plus = _step_unitary(deltas[k], coupling, dts[k], dim) @ u_plus
-        if seg.is_constant:
-            eta += seg.const_delta * seg.duration
-        else:
-            tg = np.linspace(0.0, seg.duration, 4097)
-            eta += float(np.trapezoid(seg.delta(tg), tg))
+    eta = _schedule_eta(schedule)
     parity = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
     u_minus = parity[:, None] * u_plus * parity[None, :]
     u_null = np.diag(np.exp(-1j * eta * np.arange(dim)))
@@ -428,14 +428,13 @@ def branch_factorized_propagate(schedule: PulseSchedule, branch_eigenvalue: floa
     if not 0 <= n0 <= fock.n_max:
         raise ParameterError("Fock index outside truncation")
     dim = fock.dim
-    if branch_eigenvalue == 0.0:
-        eta = _total_eta(schedule)
-        out = np.zeros(dim, dtype=complex)
-        out[n0] = np.exp(-1j * eta * n0)
-        return out, 0.0
     traj = propagate_displacement(schedule, branch_eigenvalue=branch_eigenvalue,
                                   rtol=rtol)
     gamma, phase, eta = traj.gamma_end, traj.theta_end, traj.eta_end
+    if branch_eigenvalue == 0.0:
+        out = np.zeros(dim, dtype=complex)
+        out[n0] = np.exp(-1j * eta * n0)
+        return out, 0.0
     a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1)
     disp = expm(gamma * a.conj().T - np.conj(gamma) * a)
     vec = np.exp(1j * phase) * disp[:, n0]
@@ -449,28 +448,17 @@ def branch_factorized_blocks(schedule: PulseSchedule, fock: FockConfig,
     if schedule.carrier is not None:
         raise ParameterError("branch factorization requires a carrier-free schedule")
     dim = fock.dim
-    eta = _total_eta(schedule)
-    null = np.diag(np.exp(-1j * eta * np.arange(dim)))
+    plus, minus = (propagate_displacement(schedule, branch_eigenvalue=s, rtol=rtol)
+                   for s in (2.0, -2.0))
+    null = np.diag(np.exp(-1j * plus.eta_end * np.arange(dim)))
     a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1)
     blocks = np.empty((4, dim, dim), dtype=complex)
     blocks[1] = null
     blocks[2] = null
-    for idx, s in ((0, 2.0), (3, -2.0)):
-        traj = propagate_displacement(schedule, branch_eigenvalue=s, rtol=rtol)
+    for idx, traj in ((0, plus), (3, minus)):
         disp = expm(traj.gamma_end * a.conj().T - np.conj(traj.gamma_end) * a)
         blocks[idx] = np.exp(1j * traj.theta_end) * (null @ disp)
     return BranchPropagators(blocks=blocks, basis_phase=0.0)
-
-
-def _total_eta(schedule: PulseSchedule) -> float:
-    eta = 0.0
-    for seg in schedule.segments:
-        if seg.is_constant:
-            eta += seg.const_delta * seg.duration
-        else:
-            t = np.linspace(0.0, seg.duration, 4097)
-            eta += float(np.trapezoid(seg.delta(t), t))
-    return eta
 
 
 def _target_spin(psi0_spin: np.ndarray, target_angle: float,

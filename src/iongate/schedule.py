@@ -246,6 +246,21 @@ class Segment:
         u = np.linspace(0.0, self.duration, 65)
         return float(np.max(np.abs(self.delta(u))))
 
+    def phase_edges(self, pieces_per_period: float, min_pieces: int = 1) -> np.ndarray:
+        """Cut points at equal increments of the phase budget int max(|delta|, |Omega|) du.
+
+        Each piece spans at most 2*pi/``pieces_per_period`` rad of the
+        budget (trapezoid rule on 2049 samples); a segment with zero
+        budget is one piece.
+        """
+        u = np.linspace(0.0, self.duration, 2049)
+        rate = np.maximum(np.abs(self.delta(u)), np.abs(self.omega(u)))
+        budget = np.concatenate(([0.0], np.cumsum((rate[1:] + rate[:-1]) / 2.0 * np.diff(u))))
+        if budget[-1] == 0.0:
+            return np.array([0.0, self.duration])
+        n = max(min_pieces, int(np.ceil(budget[-1] * pieces_per_period / (2.0 * np.pi))))
+        return np.interp(np.linspace(0.0, budget[-1], n + 1), budget, u)
+
     def shifted(self, offset: float) -> "Segment":
         """Copy with a constant added to the detuning."""
         if self.const_delta is not None:

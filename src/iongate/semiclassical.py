@@ -19,6 +19,11 @@ which for constant drive integrates to (s*Omega/2)^2 * (t - sin(delta*t)/
 delta)/delta.  The gate angle (relative phase between forced and null
 branches) is theta of the |s| = 2 branch and is proportional to Omega^2
 for a fixed schedule shape, which the calibration helpers exploit.
+
+eta, gamma and theta are nested running integrals, not a stiff ODE, so
+one kernel computes them for every segment: spectral cumulative
+integration on adaptively bisected Chebyshev-Lobatto panels (Greengard
+1991, SIAM J. Numer. Anal. 28, 1071), see :func:`propagate_displacement`.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import simpson, solve_ivp
+from scipy.integrate import simpson
 from scipy.optimize import brentq
 
 from .errors import ConvergenceError, GridError, ParameterError
@@ -38,6 +43,13 @@ from .schedule import PulseSchedule, Segment, SmoothGateParams, TWO_PI, build_sm
 # Output grids must resolve the fastest detuning period by at least this
 # many points.
 GRID_POINTS_PER_PERIOD = 20
+
+# Chebyshev-Lobatto nodes per quadrature panel; the drive and detuning of a
+# segment count as unresolved if a panel needs more halvings, or the
+# segment more panels, than the limits below.
+PANEL_NODES = 16
+MAX_BISECTIONS = 50
+MAX_PANELS = 4096
 
 
 @dataclass(frozen=True)
@@ -120,89 +132,109 @@ def _check_grid(seg: Segment, u: np.ndarray):
             f"{per:.3e} s (need >= {GRID_POINTS_PER_PERIOD} points per period)")
 
 
-def _const_segment_update(seg: Segment, scale: float, y0: np.ndarray, u: np.ndarray):
-    """Exact trajectory on a constant-drive segment.
+def _chebyshev_lobatto(n: int):
+    """Nodes on [-1, 1], values-to-coefficients and cumulative-integral matrices.
 
-    With A = -i*scale*W*Omega*exp(i*eta0) and E(u) = (exp(i*delta*u)-1)/(i*delta):
-    gamma(u) = gamma0 + A*E(u), theta(u) = theta0 + Im(A*conj(gamma0)*E(u))
-    + |A|^2*(delta*u - sin(delta*u))/delta^2.
+    ``cumint @ f`` gives int_{-1}^{x_k} p(x) dx at every node for the
+    interpolant p of the node values f.
     """
-    om = seg.const_omega * seg.sign
-    de = seg.const_delta
-    g0 = y0[0] + 1j * y0[1]
-    a = -1j * scale * om * np.exp(1j * y0[2])
-    if de == 0.0:
-        e = u.astype(complex)
-        area = np.zeros_like(u)
-    else:
-        e = (np.exp(1j * de * u) - 1.0) / (1j * de)
-        area = (de * u - np.sin(de * u)) / de ** 2
-    gamma = g0 + a * e
-    eta = y0[2] + de * u
-    theta = y0[3] + np.imag(a * np.conj(g0) * e) + np.abs(a) ** 2 * area
-    return gamma, eta, theta
+    cheb = np.polynomial.chebyshev
+    x = -np.cos(np.pi * np.arange(n) / (n - 1))
+    to_coef = np.linalg.inv(cheb.chebvander(x, n - 1))
+    antider = cheb.chebint(np.eye(n), lbnd=-1.0)
+    cumint = cheb.chebval(x, antider).T @ to_coef
+    weights = (-1.0) ** np.arange(n)
+    weights[[0, -1]] /= 2.0
+    return x, to_coef, cumint, weights
 
 
-def _rhs(seg: Segment, scale: float):
-    sign = seg.sign
-
-    def fun(u, y):
-        om = float(seg.omega(np.array([u]))[0]) * sign
-        de = float(seg.delta(np.array([u]))[0])
-        c, s_ = math.cos(y[2]), math.sin(y[2])
-        # d(gamma)/dt = -i*scale*om*exp(i*eta)
-        dre = scale * om * s_
-        dim = -scale * om * c
-        dth = dim * y[0] - dre * y[1]
-        return (dre, dim, de, dth)
-
-    return fun
+_X, _TO_COEF, _CUMINT, _BARY = _chebyshev_lobatto(PANEL_NODES)
 
 
-def _rk4_segment(fun, y0: np.ndarray, duration: float, steps: int, u_out: np.ndarray):
-    h = duration / steps
-    y = y0.copy()
-    out = np.empty((u_out.size, 4))
-    idx = 0
-    grid = np.linspace(0.0, duration, steps + 1)
-    # outputs are snapped to the nearest fixed step; callers use grids that
-    # subdivide the step grid
-    take = np.searchsorted(grid, u_out - h / 2, side="left")
-    for k in range(steps + 1):
-        while idx < u_out.size and take[idx] == k:
-            out[idx] = y
-            idx += 1
-        if k == steps:
+def _panels(seg: Segment, rtol: float, atol: float):
+    """Panels resolving Omega and delta on one segment, in time order.
+
+    Start from cuts of at most 1 rad of phase budget and bisect every
+    panel whose last two Chebyshev coefficients of W*Omega or delta exceed
+    rtol times that function's largest magnitude on the segment (plus
+    atol/duration).  A tail that stops shrinking under bisection is the
+    evaluation noise of the schedule function; it is accepted below
+    rtol**(2/3) of the scale (the plateau rule of Chebfun's standardChop).
+    Returns (lo, hi, W*Omega, delta) sampled at the panel nodes.
+    """
+    edges = seg.phase_edges(TWO_PI)
+    lo, hi = edges[:-1], edges[1:]
+    parent = np.full((2, lo.size), np.inf)
+    parts, scales, count, floor = [], None, lo.size, atol / seg.duration
+    for level in range(MAX_BISECTIONS + 1):
+        u = ((lo + hi) / 2.0)[:, None] + ((hi - lo) / 2.0)[:, None] * _X
+        om = seg.sign * np.asarray(seg.omega(u.ravel()), dtype=float).reshape(u.shape)
+        de = np.asarray(seg.delta(u.ravel()), dtype=float).reshape(u.shape)
+        if scales is None:
+            scales = np.array([[np.max(np.abs(om))], [np.max(np.abs(de))]])
+        tail = np.max(np.abs(np.stack((om, de)) @ _TO_COEF[-2:].T), axis=2)
+        resolved = ((tail <= rtol * scales + floor)
+                    | ((tail <= rtol ** (2.0 / 3.0) * scales + floor) & (tail > parent / 2.0)))
+        ok = resolved.all(axis=0)
+        parts.append((lo[ok], hi[ok], om[ok], de[ok]))
+        if ok.all():
             break
-        u = grid[k]
-        k1 = np.array(fun(u, y))
-        k2 = np.array(fun(u + h / 2, y + h / 2 * k1))
-        k3 = np.array(fun(u + h / 2, y + h / 2 * k2))
-        k4 = np.array(fun(u + h, y + h * k3))
-        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    while idx < u_out.size:
-        out[idx] = y
-        idx += 1
-    return out, y
+        count += np.count_nonzero(~ok)
+        if level == MAX_BISECTIONS or count > MAX_PANELS:
+            raise ConvergenceError(f"segment {seg.label or '?'}: drive or detuning not resolved "
+                                   f"within {MAX_BISECTIONS} bisections and {MAX_PANELS} "
+                                   f"panels at rtol={rtol:.3g}")
+        mid = (lo[~ok] + hi[~ok]) / 2.0
+        lo, hi = np.concatenate((lo[~ok], mid)), np.concatenate((mid, hi[~ok]))
+        parent = np.tile(tail[:, ~ok], 2)
+    lo, hi, om, de = (np.concatenate(col) for col in zip(*parts))
+    order = np.argsort(lo)
+    return lo[order], hi[order], om[order], de[order]
+
+
+def _cumulative(f: np.ndarray, half: np.ndarray, start):
+    """Running integral at the nodes of consecutive panels, from ``start``."""
+    local = (f @ _CUMINT.T) * half[:, None]
+    offsets = start + np.concatenate(([0.0], np.cumsum(local[:-1, -1])))
+    return local + offsets[:, None]
+
+
+def _interpolate(lo: np.ndarray, hi: np.ndarray, values, u: np.ndarray):
+    """Barycentric interpolation of per-panel node values at local times u."""
+    k = np.clip(np.searchsorted(lo, u, side="right") - 1, 0, lo.size - 1)
+    x = ((u - lo[k]) - (hi[k] - u)) / (hi[k] - lo[k])
+    d = x[:, None] - _X
+    hit = d == 0.0
+    d[hit] = 1.0
+    r = _BARY / d
+    on_node = hit.any(axis=1)
+    r[on_node] = hit[on_node]
+    r /= r.sum(axis=1, keepdims=True)
+    return [np.einsum("mk,mk->m", r, f[k]) for f in values]
 
 
 def propagate_displacement(schedule: PulseSchedule, branch_eigenvalue: float = 1.0,
                            t_eval: np.ndarray | None = None, rtol: float = 1e-11,
-                           atol: float = 1e-13, method: str = "adaptive",
-                           rk4_points_per_period: int = 200) -> BranchTrajectory:
-    """Integrate gamma, eta, theta for one spin branch along a schedule.
+                           atol: float = 1e-13) -> BranchTrajectory:
+    """Integrate eta, gamma and theta for one spin branch along a schedule.
 
-    Constant-drive segments are advanced with the exact closed form; ramp
-    segments use an adaptive RK45 pair (``method="adaptive"``) or a
-    fixed-step classical RK4 fallback (``method="rk4"``).  The returned
-    grid is dense enough to resolve the fastest detuning period by
-    ``GRID_POINTS_PER_PERIOD`` points; a user-supplied ``t_eval`` must be
-    at least as fine and is checked per segment.
+    Each segment is cut into panels of at most 1 rad of phase budget
+    int max(|delta|, |Omega|) dt, each carrying ``PANEL_NODES``
+    Chebyshev-Lobatto nodes.  Panels are bisected until the trailing
+    Chebyshev coefficients of Omega and delta fall below ``rtol`` (floored
+    at 100 machine epsilons) times their scale on the segment plus
+    ``atol``/duration; an unresolved segment raises
+    :class:`ConvergenceError`.  eta, gamma and theta then follow in turn
+    from one cumulative spectral-integration matrix, and values at the
+    output times from per-panel barycentric interpolation, exact at the
+    nodes.
+
+    The default output grid resolves the fastest detuning period of each
+    segment by ``GRID_POINTS_PER_PERIOD`` points; a user-supplied
+    ``t_eval`` must be at least as fine and is checked per segment.
     """
-    if method not in ("adaptive", "rk4"):
-        raise ParameterError("method must be 'adaptive' or 'rk4'")
     s = float(branch_eigenvalue)
-    scale = s / 2.0
+    rtol = max(rtol, 100.0 * np.finfo(float).eps)
 
     bounds = schedule.boundaries
     if t_eval is None:
@@ -220,53 +252,25 @@ def propagate_displacement(schedule: PulseSchedule, branch_eigenvalue: float = 1
             _check_grid(seg, u)
             locals_per_seg.append(u)
 
-    y = np.zeros(4)
-    ts, gs, es, hs = [], [], [], []
+    gamma0, eta0, theta0 = 0.0j, 0.0, 0.0
+    ts, cols = [], []
     for i, seg in enumerate(schedule.segments):
+        lo, hi, om, de = _panels(seg, rtol, atol)
+        half = (hi - lo) / 2.0
+        eta = _cumulative(de, half, eta0)
+        dgamma = -0.5j * s * om * np.exp(1j * eta)
+        gamma = _cumulative(dgamma, half, gamma0)
+        theta = _cumulative(np.imag(np.conj(gamma) * dgamma), half, theta0)
         u = locals_per_seg[i]
-        if seg.is_constant:
-            if u.size:
-                gamma, eta, theta = _const_segment_update(seg, scale, y, u)
-                ts.append(u + bounds[i])
-                gs.append(gamma)
-                es.append(eta)
-                hs.append(theta)
-            ge, ee, he = _const_segment_update(seg, scale, y, np.array([seg.duration]))
-            y = np.array([ge[0].real, ge[0].imag, ee[0], he[0]])
-            continue
-        fun = _rhs(seg, scale)
-        if method == "adaptive":
-            max_step = min(seg.duration / 16.0, TWO_PI / (8.0 * max(seg.max_abs_delta(), 1.0)))
-            sol = solve_ivp(fun, (0.0, seg.duration), y, method="RK45", rtol=rtol, atol=atol,
-                            dense_output=True, max_step=max_step)
-            if not sol.success:
-                raise ConvergenceError(f"adaptive integration failed on segment {i}: {sol.message}")
-            if u.size:
-                vals = sol.sol(u)
-                ts.append(u + bounds[i])
-                gs.append(vals[0] + 1j * vals[1])
-                es.append(vals[2])
-                hs.append(vals[3])
-            y = sol.y[:, -1].copy()
-        else:
-            per = TWO_PI / max(seg.max_abs_delta(), 1.0 / seg.duration)
-            steps = max(64, int(math.ceil(rk4_points_per_period * seg.duration / per)))
-            vals, y = _rk4_segment(fun, y, seg.duration, steps, u)
-            if u.size:
-                ts.append(u + bounds[i])
-                gs.append(vals[:, 0] + 1j * vals[:, 1])
-                es.append(vals[:, 2])
-                hs.append(vals[:, 3])
+        if u.size:
+            ts.append(u + bounds[i])
+            cols.append(_interpolate(lo, hi, (gamma, eta, theta), u))
+        gamma0, eta0, theta0 = gamma[-1, -1], eta[-1, -1], theta[-1, -1]
 
     t_all = np.concatenate(ts)
-    gamma = np.concatenate(gs)
-    eta = np.concatenate(es)
-    theta = np.concatenate(hs)
+    gamma, eta, theta = (np.concatenate(col) for col in zip(*cols))
     # merge duplicated join points from per-segment grids
     keep = np.concatenate(([True], np.diff(t_all) > 0))
-    if s == 0.0:
-        gamma = np.zeros_like(gamma)
-        theta = np.zeros_like(theta)
     return BranchTrajectory(t=t_all[keep], gamma=gamma[keep], eta=eta[keep],
                             theta=theta[keep], branch_eigenvalue=s)
 

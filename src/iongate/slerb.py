@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, GridError, ParameterError
-from .quantum import CompositeState, FockConfig, propagate
+from .quantum import CompositeState, FockConfig, _max_branch_displacement, propagate
 from .schedule import PulseSchedule
 
 GATE_ANGLE = -math.pi / 2
@@ -274,7 +274,7 @@ def _sequence_probabilities(seq: SlerbSequence, model: ErrorModel) -> np.ndarray
         p_flip = 0.5 * trace_in - 0.5 * polarization
         probs = np.array([p_exp, p_flip, 1.0 - trace_in])
     elif isinstance(model, FullScheduleModel):
-        fock = model.fock or FockConfig.auto(0.0, _max_gate_displacement(model.schedule))
+        fock = model.fock or FockConfig.auto(0.0, _max_branch_displacement(model.schedule))
         spin = np.zeros(4, dtype=complex)
         spin[0] = 1.0
         state = CompositeState.from_spin_fock(spin, n=0, n_max=fock.n_max)
@@ -294,13 +294,6 @@ def _sequence_probabilities(seq: SlerbSequence, model: ErrorModel) -> np.ndarray
     if not 0.99 < total < 1.01:
         raise ConvergenceError("sequence probabilities do not sum to one")
     return probs / total
-
-
-def _max_gate_displacement(schedule: PulseSchedule) -> float:
-    from .semiclassical import propagate_displacement
-
-    traj = propagate_displacement(schedule, branch_eigenvalue=2.0, rtol=1e-8)
-    return float(np.max(np.abs(traj.gamma)))
 
 
 def simulate_sequence(seq: SlerbSequence, model: ErrorModel, shots: int,

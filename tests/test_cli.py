@@ -49,6 +49,18 @@ TRAJECTORY = """\
     points = 80
 """
 
+CALIBRATION_GATE = """\
+    [smooth]
+    delta_max_hz = -400e3
+    delta_min_hz = -21.7e3
+    omega_hz = 6e3
+    tau_g = 5e-6
+    tau_d = 100e-6
+    t_c = 15.8e-6
+    j = 3
+    calibrate = omega
+"""
+
 SLERB_PARAMETRIC = """\
     [scenario]
     name = slerb
@@ -163,12 +175,6 @@ def test_run_missing_config_file(tmp_path):
     assert cli.main(["run", str(tmp_path / "absent.ini")]) == 1
 
 
-def test_run_rejects_bad_threads(tmp_path):
-    path = write_config(tmp_path, WALSH_COMPARE)
-    assert cli.main(["run", path, "--threads", "0",
-                     "--output-dir", str(tmp_path)]) == 1
-
-
 def test_numeric_failure_exits_2_and_writes_nothing(tmp_path):
     # detuning grid entirely on one side of the balanced point: the scan
     # cannot bracket the crossing and must fail without partial outputs
@@ -228,6 +234,48 @@ def test_run_trajectory(tmp_path):
     assert abs(cols["re_gamma"][-1]) < 1e-6
     assert abs(cols["im_gamma"][-1]) < 1e-6
     assert cols["theta_rad"][-1] == pytest.approx(-np.pi / 2, abs=1e-6)
+
+
+def test_run_trajectory_default_grid_on_smooth_gate(tmp_path):
+    # no points key: the default grid resolves the 400 kHz detuning
+    path = write_config(tmp_path, textwrap.dedent("""\
+        [scenario]
+        name = trajectory
+        output = traj.csv
+
+        [schedule]
+        type = smooth
+    """) + textwrap.dedent(CALIBRATION_GATE))
+    assert cli.main(["run", path, "--output-dir", str(tmp_path), "--quiet"]) == 0
+    _, cols = cli.read_csv(str(tmp_path / "traj.csv"))
+    assert np.all(np.diff(cols["t_s"]) > 0)
+    assert cols["theta_rad"][-1] == pytest.approx(-np.pi / 2, abs=1e-6)
+
+
+def test_run_solves_calibration_once(tmp_path, monkeypatch):
+    calls = []
+    solve = cli.calibrate_omega
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "calibrate_omega", counted)
+    path = write_config(tmp_path, textwrap.dedent("""\
+        [scenario]
+        name = filterfn
+        output = ff.csv
+
+        [filterfn]
+        nbars = 0
+        walsh_orders = 1
+        points = 4
+    """) + textwrap.dedent(CALIBRATION_GATE))
+    assert cli.main(["run", path, "--output-dir", str(tmp_path), "--quiet"]) == 0
+    assert len(calls) == 1
+    # validate still builds (and so calibrates) the gate without running it
+    assert cli.main(["validate", path, "--quiet"]) == 0
+    assert len(calls) == 2
 
 
 def test_run_filterfn_columns(tmp_path):

@@ -224,6 +224,17 @@ def test_noise_integral_quadrature_error_estimate(walsh3):
     assert out.quad_error < 0.05 * out.value
 
 
+def test_noise_integral_error_estimate_on_even_grid():
+    # a linear integrand is integrated exactly at both resolutions, so the
+    # estimate vanishes when the coarse sum keeps the band's last point
+    om = np.linspace(1e3, 1e4, 10)
+    s = 1e-12 * om
+    ff = FilterFunction(omega=om, total=s, displacement=s, angle=np.zeros_like(om))
+    out = noise_infidelity_integral(ff, SampledPsd(om[[0, -1]], np.array([2.0, 2.0])))
+    assert out.value == pytest.approx(1e-12 * (1e4 ** 2 - 1e3 ** 2), rel=1e-12)
+    assert out.quad_error <= 1e-14 * out.value
+
+
 def test_low_frequency_noise_prefers_smooth_gate(walsh3, smooth_reference):
     sched = build_smooth_schedule(smooth_reference)
     om = np.geomspace(1e2, 1e6, 300)

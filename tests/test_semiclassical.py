@@ -10,8 +10,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from iongate.errors import ConvergenceError, GridError, ParameterError
+from iongate.filterfn import filter_function_numeric
+from iongate.quantum import FockConfig, branch_factorized_blocks
 from iongate.schedule import (
     PulseSchedule,
     Segment,
@@ -102,23 +105,87 @@ def test_walsh_flip_reverses_drive():
     assert abs(traj.gamma[quarter] + traj.gamma[threequarter]) < 1e-9
 
 
-def test_adaptive_matches_rk4_on_smooth_schedule():
-    sched = build_smooth_schedule(reference_params())
-    tr_a = propagate_displacement(sched, branch_eigenvalue=2.0)
-    tr_f = propagate_displacement(sched, branch_eigenvalue=2.0, method="rk4")
-    assert abs(tr_a.gamma_end - tr_f.gamma_end) < 1e-8
-    assert tr_a.theta_end == pytest.approx(tr_f.theta_end, rel=1e-8)
+def solve_ivp_oracle(sched, s):
+    """Reference (gamma, eta, theta) at the schedule end from an RK solve."""
+    y = np.zeros(4)
+    for seg in sched.segments:
+        def rhs(u, y, seg=seg):
+            om = seg.sign * float(seg.omega(np.array([u]))[0])
+            de = float(seg.delta(np.array([u]))[0])
+            dg = -0.5j * s * om * np.exp(1j * y[2])
+            return [dg.real, dg.imag, de, y[0] * dg.imag - y[1] * dg.real]
+
+        max_step = TWO_PI / (16.0 * seg.max_abs_delta())
+        sol = solve_ivp(rhs, (0.0, seg.duration), y, method="DOP853", rtol=1e-13,
+                        atol=1e-16, max_step=max_step)
+        assert sol.success
+        y = sol.y[:, -1]
+    return y[0] + 1j * y[1], y[2], y[3]
 
 
-def test_rk4_refinement_convergence():
-    sched = build_smooth_schedule(reference_params())
-    coarse = propagate_displacement(sched, branch_eigenvalue=2.0, method="rk4",
-                                    rk4_points_per_period=1024)
-    fine = propagate_displacement(sched, branch_eigenvalue=2.0, method="rk4",
-                                  rk4_points_per_period=2048)
-    scale = max(abs(fine.gamma_end), 1e-3)
-    assert abs(coarse.gamma_end - fine.gamma_end) / scale < 1e-8
-    assert abs(coarse.theta_end - fine.theta_end) / abs(fine.theta_end) < 1e-8
+@pytest.fixture(scope="module")
+def calibration_gate():
+    return calibrate_omega(reference_params(), use="exact")
+
+
+@pytest.mark.parametrize("merge_ramps", [False, True])
+def test_panel_kernel_matches_ode_oracle(calibration_gate, merge_ramps):
+    # merged ramps put a kink of Omega inside a detuning-ramp segment, which
+    # only panel bisection resolves
+    sched = build_smooth_schedule(calibration_gate, merge_ramps=merge_ramps)
+    traj = propagate_displacement(sched, branch_eigenvalue=2.0)
+    gamma, eta, theta = solve_ivp_oracle(sched, 2.0)
+    assert abs(traj.gamma_end - gamma) < 1e-11
+    assert traj.theta_end == pytest.approx(theta, rel=1e-12)
+    assert traj.eta_end == pytest.approx(eta, rel=1e-12)
+
+
+@pytest.mark.parametrize("deep", [False, True])
+def test_panel_kernel_refinement(calibration_gate, deep):
+    # the deep 1 kHz ramp evaluates delta with ~1e-11 relative round-off
+    # near its start, where the Chebyshev tails stop shrinking
+    if deep:
+        sched = build_smooth_schedule(reference_params(
+            omega_g=TWO_PI * 5e3, delta_min=-TWO_PI * 1e3, tau_d=95e-6, t_c=0.0, j=4))
+    else:
+        sched = build_smooth_schedule(calibration_gate, merge_ramps=True)
+    coarse = propagate_displacement(sched, branch_eigenvalue=2.0, rtol=1e-11)
+    fine = propagate_displacement(sched, branch_eigenvalue=2.0, rtol=1e-13)
+    assert np.array_equal(coarse.t, fine.t)
+    assert np.max(np.abs(coarse.gamma - fine.gamma)) < 1e-11
+    assert np.max(np.abs(coarse.theta - fine.theta)) < 1e-11 * abs(fine.theta_end)
+    assert np.max(np.abs(coarse.eta - fine.eta)) < 1e-11 * abs(fine.eta_end)
+
+
+@pytest.mark.parametrize("omega", [
+    lambda u: np.where(u < 3e-5, 0.0, 1e4),  # a jump never resolves under bisection
+    lambda u: 1e4 * (1.0 + 1e-3 * np.sin(1e12 * u)),  # would need ~1e8 panels
+], ids=["jump", "fast-oscillation"])
+def test_unresolved_drive_raises_convergence_error(omega):
+    seg = Segment(1e-4, omega, lambda u: np.full_like(u, -1e5))
+    with pytest.raises(ConvergenceError):
+        propagate_displacement(PulseSchedule([seg]), branch_eigenvalue=2.0)
+
+
+def test_solver_tolerance_keywords(calibration_gate):
+    # the keyword forms the converged benchmark references pass through
+    kw = dict(rtol=1e-13, atol=1e-16)
+    solved = calibrate_omega(reference_params(), use="exact", **kw)
+    assert solved.omega_g == pytest.approx(calibration_gate.omega_g, rel=1e-10)
+    sched = build_smooth_schedule(solved)
+    traj = propagate_displacement(sched, branch_eigenvalue=2.0, rtol=kw["rtol"])
+    assert traj.theta_end == pytest.approx(-np.pi / 2, rel=1e-12)
+    p = reference_params(omega_g=TWO_PI * 5e3, tau_d=95e-6, t_c=0.0, j=4)
+    by_delta = calibrate_delta_min(p, use="exact", **kw)
+    assert gate_angle_exact(build_smooth_schedule(by_delta), **kw) == pytest.approx(
+        -np.pi / 2, rel=1e-11)
+    om = np.geomspace(TWO_PI * 20, TWO_PI * 1e5, 6)
+    ff = filter_function_numeric(sched, nbar=10.0, omega=om, **kw)
+    assert ff.total == pytest.approx(filter_function_numeric(sched, nbar=10.0, omega=om).total,
+                                     rel=1e-8)
+    fock = FockConfig(n_max=12)
+    blocks = branch_factorized_blocks(sched, fock, rtol=kw["rtol"]).blocks
+    assert np.allclose(blocks, branch_factorized_blocks(sched, fock).blocks, atol=1e-10)
 
 
 def test_branch_symmetry_and_null_branch():
