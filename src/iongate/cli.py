@@ -103,6 +103,8 @@ their sign.
   resamples       bootstrap resamples, >= 100            (default 10000)
   input           existing dataset CSV to fit instead of simulating
                   (model/lengths/... ignored when set)
+  pauli_randomize boolean: fold a logical X into the inverter of
+                  about half the sequences               (default true)
   (model = full also needs a [walsh] block)
 
 [walsh-compare]   walsh-compare scenario
@@ -115,7 +117,9 @@ their sign.
   points          uniform time samples, >= 20 per detuning period
                   (default: 20 per fastest period of each segment)
 
-[numerics]        optional tolerances for quantum scenarios
+[numerics]        Fock-space propagator settings, read only by slerb with
+                  model = full (the thermal scenarios are closed-form and
+                  have no discretization)
   steps_per_period  propagator steps per drive period    (default 50)
   n_max             Fock cutoff override, integer        (default auto)
 """
@@ -342,13 +346,6 @@ def _scenario_schedule(cfg: _Config):
     raise ConfigError(f"{cfg.path}: schedule type must be smooth or walsh")
 
 
-def _numerics(cfg: _Config) -> tuple[int, FockConfig | None]:
-    spp = cfg.integer("numerics", "steps_per_period", 50) if cfg.has("numerics") else 50
-    n_max = cfg.integer("numerics", "n_max", None) if cfg.has("numerics") else None
-    fock = FockConfig(n_max=n_max) if n_max is not None else None
-    return spp, fock
-
-
 # ---------------------------------------------------------------------------
 # scenarios: each returns {filename: ("csv", table, extra_meta)} style plans
 
@@ -390,9 +387,7 @@ def _plan_calibration_scan(cfg: _Config, seed: int):
     if points < 2:
         raise ConfigError(f"{cfg.path}: scan needs at least two points")
     grid = TWO_PI * np.linspace(start, stop, points)
-    spp, fock = _numerics(cfg)
-    scan = calibration_scan(base, grid, ThermalEnsemble.build(nbar), fock=fock,
-                            steps_per_period=spp)
+    scan = calibration_scan(base, grid, ThermalEnsemble.build(nbar))
     table = dict(scan.to_table())
     table = {"delta_min_hz": table.pop("delta_min_rad_s") / TWO_PI, **table}
     extra = {"nbar": f"{nbar:g}", "crossing_hz": scan.crossing / TWO_PI}
@@ -408,9 +403,7 @@ def _plan_offset_scan(cfg: _Config, seed: int):
     if points < 2:
         raise ConfigError(f"{cfg.path}: scan needs at least two points")
     offsets = TWO_PI * np.linspace(start, stop, points)
-    spp, fock = _numerics(cfg)
-    scan = offset_scan(schedule, offsets, ThermalEnsemble.build(nbar), fock=fock,
-                       steps_per_period=spp)
+    scan = offset_scan(schedule, offsets, ThermalEnsemble.build(nbar))
     table = dict(scan.to_table())
     table = {"offset_hz": table.pop("offset_rad_s") / TWO_PI, **table}
     return {None: table}, {"nbar": f"{nbar:g}"}
@@ -422,10 +415,7 @@ def _plan_thermal_sweep(cfg: _Config, seed: int):
     offset = TWO_PI * cfg.number("sweep", "offset_hz", 0.0)
     if offset:
         schedule = schedule.with_detuning_offset(offset)
-    spp, fock = _numerics(cfg)
-    rows = [thermal_average(schedule, ThermalEnsemble.build(nbar), fock=fock,
-                            steps_per_period=spp)
-            for nbar in nbars]
+    rows = [thermal_average(schedule, ThermalEnsemble.build(nbar)) for nbar in nbars]
     table = {
         "nbar": np.array(nbars, dtype=float),
         "p_uu": np.array([r.p_uu for r in rows]),
@@ -460,9 +450,11 @@ def _plan_slerb(cfg: _Config, seed: int):
                 eps_rb=cfg.number("slerb", "eps_rb", required=True),
                 eps_leak=cfg.number("slerb", "eps_leak", required=True))
         elif model_name == "full":
-            spp, fock = _numerics(cfg)
-            model = FullScheduleModel(build_walsh_schedule(_walsh_params(cfg)),
-                                      fock=fock, steps_per_period=spp)
+            n_max = cfg.integer("numerics", "n_max", None)
+            model = FullScheduleModel(
+                build_walsh_schedule(_walsh_params(cfg)),
+                fock=FockConfig(n_max=n_max) if n_max is not None else None,
+                steps_per_period=cfg.integer("numerics", "steps_per_period", 50))
         else:
             raise ConfigError(f"{cfg.path}: slerb model must be ideal, parametric or full")
         data = collect_dataset(lengths, sequences, shots, model, seed,

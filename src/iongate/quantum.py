@@ -1,11 +1,12 @@
-"""Full quantum propagation of two qubits coupled to one motional mode.
+"""Gate outcomes of two qubits coupled to one motional mode.
 
 The drive Hamiltonian is block diagonal in the eigenbasis of the collective
 spin operator S_alpha = sigma_alpha,1 + sigma_alpha,2, so a pulse schedule
 acts as four independent driven oscillators (branch eigenvalues +2, 0, 0,
--2).  This module propagates the truncated Fock representation exactly that
-way and is the ground-truth check for the closed-form trajectory results in
-``semiclassical``.
+-2), branch k ending as exp(i theta_k) exp(-i eta n) D(gamma_k).  Thermal
+outcomes and scans follow in closed form from those endpoints.  Truncated
+Fock-space propagators serve SLERB sequences, misaligned carriers (split
+step) and, via ``thermal_average(props=...)``, as the closed form's oracle.
 
 States are stored spin-major in the measurement (z) basis with spin order
 (uu, ud, du, dd): amplitude index = spin_index * (n_max + 1) + n.
@@ -37,21 +38,17 @@ class FockConfig:
     """Motional-mode truncation settings."""
 
     n_max: int
-    convergence_margin: float = 0.01
 
     def __post_init__(self):
         if self.n_max < 1:
             raise ParameterError("n_max must be >= 1")
-        if self.convergence_margin <= 0:
-            raise ParameterError("convergence_margin must be > 0")
 
     @property
     def dim(self) -> int:
         return self.n_max + 1
 
     @classmethod
-    def auto(cls, nbar: float = 0.0, max_displacement: float = 0.0,
-             convergence_margin: float = 0.01) -> "FockConfig":
+    def auto(cls, nbar: float = 0.0, max_displacement: float = 0.0) -> "FockConfig":
         """Truncation covering the thermal tail plus displacement excursions.
 
         The thermal part must hold every initial Fock state that carries
@@ -70,8 +67,7 @@ class FockConfig:
         # distribution by O(|gamma| sqrt(n)), so the margin must grow with
         # the thermal base, not just the displacement
         margin = (3.0 * math.sqrt(base + 1.0) + 4.0) * max_displacement + 8.0
-        return cls(n_max=max(8, math.ceil(base + margin)),
-                   convergence_margin=convergence_margin)
+        return cls(n_max=max(8, math.ceil(base + margin)))
 
 
 @dataclass(frozen=True)
@@ -121,7 +117,10 @@ class CompositeState:
 
 @dataclass(frozen=True)
 class ThermalEnsemble:
-    """Truncated, renormalized thermal distribution over initial Fock states."""
+    """Truncated, renormalized thermal distribution over initial Fock states.
+
+    The closed-form :func:`thermal_average` reads only ``nbar``.
+    """
 
     nbar: float
     weights: np.ndarray
@@ -140,15 +139,15 @@ class ThermalEnsemble:
             raise ParameterError("thermal tail mass exceeds 1e-6 at this truncation")
 
     @classmethod
-    def build(cls, nbar: float, tail_limit: float = TAIL_MASS_LIMIT) -> "ThermalEnsemble":
+    def build(cls, nbar: float) -> "ThermalEnsemble":
         if nbar < 0:
             raise ParameterError("nbar must be >= 0")
         if nbar == 0:
             return cls(nbar=0.0, weights=np.array([1.0]), tail_mass=0.0)
         r = nbar / (nbar + 1.0)
         # smallest N with residual mass r^(N+1) below the limit
-        n_top = math.ceil(math.log(tail_limit) / math.log(r)) - 1
-        while r ** (n_top + 1) >= tail_limit:
+        n_top = math.ceil(math.log(TAIL_MASS_LIMIT) / math.log(r)) - 1
+        while r ** (n_top + 1) >= TAIL_MASS_LIMIT:
             n_top += 1
         n = np.arange(n_top + 1)
         w = r ** n / (nbar + 1.0)
@@ -270,6 +269,19 @@ def _carrier_aligned(schedule: PulseSchedule, basis_phase: float) -> bool:
     return math.isclose(math.cos(car.phase - basis_phase) ** 2, 1.0, abs_tol=1e-12)
 
 
+def _aligned_carrier_phase(schedule: PulseSchedule, basis_phase: float) -> float:
+    """Phase an aligned carrier takes off the +2 branch and adds to the -2 one.
+
+    sigma_phi,1 + sigma_phi,2 is (2, 0, 0, -2) times cos(phi_c - basis_phase)
+    = +-1 in the gate eigenbasis: branch s gains exp(-i s/2 cos(.) int Omega_c).
+    """
+    if not _carrier_aligned(schedule, basis_phase):
+        raise ParameterError("carrier drive is not aligned with the gate basis; "
+                             "use propagate() which handles the split-step case")
+    car = schedule.carrier
+    return math.cos(car.phase - basis_phase) * _carrier_net_phase(schedule) if car else 0.0
+
+
 @dataclass(frozen=True)
 class BranchPropagators:
     """Gate propagator split into S_alpha eigenbranches.
@@ -308,9 +320,7 @@ def gate_propagator(schedule: PulseSchedule, fock: FockConfig,
     """
     if steps_per_period < 8:
         raise ParameterError("steps_per_period must be >= 8")
-    if not _carrier_aligned(schedule, basis_phase):
-        raise ParameterError("carrier drive is not aligned with the gate basis; "
-                             "use propagate() which handles the split-step case")
+    shift = _aligned_carrier_phase(schedule, basis_phase)
     dim = fock.dim
     u_plus = np.eye(dim, dtype=complex)
     for seg in schedule.segments:
@@ -324,15 +334,8 @@ def gate_propagator(schedule: PulseSchedule, fock: FockConfig,
     parity = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
     u_minus = parity[:, None] * u_plus * parity[None, :]
     u_null = np.diag(np.exp(-1j * eta * np.arange(dim)))
-    # aligned carrier: sigma_phi,1 + sigma_phi,2 is diagonal in the gate
-    # eigenbasis with eigenvalues (2, 0, 0, -2) (times -1 if anti-aligned),
-    # so it only multiplies each branch by exp(-i s/2 * integral Omega_c)
-    car_int = _carrier_net_phase(schedule)
-    if car_int != 0.0:
-        align = math.cos(schedule.carrier.phase - basis_phase)
-        u_plus = u_plus * np.exp(-1j * align * car_int)
-        u_minus = u_minus * np.exp(+1j * align * car_int)
-    blocks = np.stack([u_plus, u_null, u_null.copy(), u_minus])
+    blocks = np.stack([u_plus * np.exp(-1j * shift), u_null, u_null.copy(),
+                       u_minus * np.exp(1j * shift)])
     return BranchPropagators(blocks=blocks, basis_phase=basis_phase)
 
 
@@ -461,8 +464,10 @@ def branch_factorized_blocks(schedule: PulseSchedule, fock: FockConfig,
     return BranchPropagators(blocks=blocks, basis_phase=0.0)
 
 
-def _target_spin(psi0_spin: np.ndarray, target_angle: float,
+def _target_spin(psi0_spin: np.ndarray, target_angle: float | None,
                  basis_phase: float) -> np.ndarray:
+    if target_angle is None:
+        target_angle = -np.pi / 2.0
     basis = gate_eigenbasis(basis_phase)
     phases = np.exp(1j * target_angle * (np.asarray(BRANCH_EIGENVALUES) / 2.0) ** 2)
     return basis.conj().T @ (phases * (basis @ psi0_spin))
@@ -496,11 +501,28 @@ def outcome_from_state(state: CompositeState, psi0_spin,
     """
     spin = np.asarray(psi0_spin, dtype=complex)
     spin = spin / np.linalg.norm(spin)
-    if target_angle is None:
-        target_angle = -np.pi / 2.0
     target = _target_spin(spin, target_angle, basis_phase)
     return _outcome_from_density(state.reduced_spin_density(), target,
                                  basis_phase, nbar)
+
+
+def _displacement_kernel(schedule: PulseSchedule, nbar: float,
+                        basis_phase: float) -> np.ndarray:
+    """Thermal mean of U_j^dag U_i from the branch endpoints.
+
+    Branches (++, +-, -+, --) end at gamma = (g, 0, 0, -g), theta = (t, 0,
+    0, t), so U_j^dag U_i = exp(i(theta_i - theta_j) - i Im(gamma_j
+    conj(gamma_i))) D(gamma_i - gamma_j), and <D(b)> = exp(-(nbar+1/2)|b|^2)
+    (Sorensen & Molmer, PRA 62, 022311, 2000).
+    """
+    shift = _aligned_carrier_phase(schedule, basis_phase)
+    traj = propagate_displacement(schedule, branch_eigenvalue=2.0)
+    g, t = traj.gamma_end, traj.theta_end
+    gamma = np.array([g, 0.0, 0.0, -g])
+    theta = np.array([t - shift, 0.0, 0.0, t + shift])
+    gi, gj = gamma[:, None], gamma[None, :]
+    return np.exp(1j * (theta[:, None] - theta[None, :] - np.imag(gj * gi.conj()))
+                  - (nbar + 0.5) * np.abs(gi - gj) ** 2)
 
 
 def thermal_average(schedule: PulseSchedule, ensemble: ThermalEnsemble,
@@ -508,40 +530,48 @@ def thermal_average(schedule: PulseSchedule, ensemble: ThermalEnsemble,
                     fock: FockConfig | None = None,
                     target_angle: float | None = None,
                     basis_phase: float = 0.0,
-                    steps_per_period: int = STEPS_PER_PERIOD,
                     props: BranchPropagators | None = None) -> GateOutcome:
     """Thermally averaged gate outcome over initial Fock states.
 
-    The propagator is built once; the weighted spin density matrix follows
-    from the branch-overlap kernel, so the cost is independent of how many
-    Fock states carry weight.
+    The spin density rho_ij = c_i conj(c_j) <U_j^dag U_i> (c: the spin state
+    in the gate eigenbasis) is closed-form in the branch endpoints without
+    a carrier or with an aligned one (a misaligned one raises
+    ParameterError), over the untruncated thermal state of ``ensemble.nbar``.
+
+    Given branch propagators ``props`` (from :func:`gate_propagator` or
+    :func:`branch_factorized_blocks`), their overlap kernel is summed over
+    the ``ensemble`` weights instead, the Fock-space oracle of the closed
+    form; ``fock``, accepted only with ``props``, must match its cutoff.
     """
     spin = np.asarray(psi0_spin, dtype=complex)
     spin = spin / np.linalg.norm(spin)
-    if fock is None:
-        fock = FockConfig.auto(nbar=ensemble.nbar,
-                               max_displacement=_max_branch_displacement(schedule))
-    if ensemble.n_states > fock.dim:
-        raise TruncationError("ensemble needs more Fock states than the truncation")
-    if props is None:
-        props = gate_propagator(schedule, fock, basis_phase, steps_per_period)
     basis = gate_eigenbasis(basis_phase)
     spin_eig = basis @ spin
-    if target_angle is None:
-        target_angle = -np.pi / 2.0
     target = _target_spin(spin, target_angle, basis_phase)
 
-    kernel = props.overlap_kernel()
-    w = np.zeros(fock.dim)
-    w[:ensemble.n_states] = ensemble.weights
-    rho_eig = (spin_eig[:, None] * spin_eig.conj()[None, :]) * (kernel @ w)
-    # guard: thermally weighted population at the cutoff row
-    top = sum(float(np.abs(spin_eig[k]) ** 2 *
-                    (np.abs(props.blocks[k][-1, :]) ** 2 @ w)) for k in range(4))
-    if top > TRUNCATION_GUARD:
-        raise TruncationError("thermal population at the Fock cutoff exceeds 1e-8")
+    if props is None:
+        if fock is not None:
+            raise ParameterError("a Fock cutoff applies only to the props= oracle")
+        kernel = _displacement_kernel(schedule, ensemble.nbar, basis_phase)
+    else:
+        if fock is not None and fock.dim != props.dim:
+            raise ParameterError("FockConfig truncation differs from the propagators")
+        if ensemble.n_states > props.dim:
+            raise TruncationError("ensemble needs more Fock states than the truncation")
+        w = np.pad(ensemble.weights, (0, props.dim - ensemble.n_states))
+        kernel = props.overlap_kernel() @ w
+        # guard: thermally weighted population at the cutoff row
+        top = float(np.abs(spin_eig) ** 2 @ (np.abs(props.blocks[:, -1, :]) ** 2 @ w))
+        if top > TRUNCATION_GUARD:
+            raise TruncationError("thermal population at the Fock cutoff exceeds 1e-8")
+    rho_eig = (spin_eig[:, None] * spin_eig.conj()[None, :]) * kernel
     rho_z = basis.conj().T @ rho_eig @ basis
     return _outcome_from_density(rho_z, target, basis_phase, ensemble.nbar)
+
+
+def _outcome_columns(outcomes) -> dict[str, np.ndarray]:
+    return {k: np.array([getattr(o, k) for o in outcomes])
+            for k in ("p_uu", "p_dd", "p_odd", "fidelity")}
 
 
 def _max_branch_displacement(schedule: PulseSchedule) -> float:
@@ -574,10 +604,8 @@ class CalibrationScan:
 def calibration_scan(base: SmoothGateParams, delta_min_grid,
                      ensemble: ThermalEnsemble,
                      psi0_spin=(1.0, 0.0, 0.0, 0.0),
-                     fock: FockConfig | None = None,
                      target_angle: float | None = None,
-                     merge_ramps: bool = False,
-                     steps_per_period: int = STEPS_PER_PERIOD) -> CalibrationScan:
+                     merge_ramps: bool = False) -> CalibrationScan:
     """Sweep delta_min at fixed Omega_g and locate the equal-population point.
 
     The balanced point P(uu) = P(dd) marks the half-pi entangling angle; it
@@ -588,34 +616,20 @@ def calibration_scan(base: SmoothGateParams, delta_min_grid,
         raise GridError("need at least two delta_min values")
     if np.any(np.sign(grid) != np.sign(base.delta_max)):
         raise ParameterError("delta_min grid must share the sign of delta_max")
-    outcomes = []
-    if fock is None:
-        deepest = grid[np.argmin(np.abs(grid))]
-        probe = build_smooth_schedule(base.with_delta_min(deepest), merge_ramps=merge_ramps)
-        fock = FockConfig.auto(nbar=ensemble.nbar,
-                               max_displacement=_max_branch_displacement(probe))
-    for dm in grid:
-        sched = build_smooth_schedule(base.with_delta_min(dm), merge_ramps=merge_ramps)
-        outcomes.append(thermal_average(sched, ensemble, psi0_spin, fock,
-                                        target_angle, steps_per_period=steps_per_period))
-    p_uu = np.array([o.p_uu for o in outcomes])
-    p_dd = np.array([o.p_dd for o in outcomes])
-    diff = p_uu - p_dd
+    outcomes = [thermal_average(build_smooth_schedule(base.with_delta_min(dm),
+                                                      merge_ramps=merge_ramps),
+                                ensemble, psi0_spin, target_angle=target_angle)
+                for dm in grid]
+    cols = _outcome_columns(outcomes)
+    diff = cols["p_uu"] - cols["p_dd"]
     signs = np.sign(diff)
     flips = np.nonzero(signs[1:] * signs[:-1] < 0)[0]
     if flips.size == 0:
         raise ConvergenceError("delta_min grid does not bracket the balanced point")
     k = flips[0]
     crossing = grid[k] - diff[k] * (grid[k + 1] - grid[k]) / (diff[k + 1] - diff[k])
-    return CalibrationScan(
-        delta_min=grid,
-        p_uu=p_uu,
-        p_dd=p_dd,
-        p_odd=np.array([o.p_odd for o in outcomes]),
-        fidelity=np.array([o.fidelity for o in outcomes]),
-        crossing=float(crossing),
-        nbar=ensemble.nbar,
-    )
+    return CalibrationScan(delta_min=grid, crossing=float(crossing), nbar=ensemble.nbar,
+                           **cols)
 
 
 @dataclass(frozen=True)
@@ -641,26 +655,12 @@ class OffsetScan:
 
 def offset_scan(schedule: PulseSchedule, offsets, ensemble: ThermalEnsemble,
                 psi0_spin=(1.0, 0.0, 0.0, 0.0),
-                fock: FockConfig | None = None,
-                target_angle: float | None = None,
-                steps_per_period: int = STEPS_PER_PERIOD) -> OffsetScan:
+                target_angle: float | None = None) -> OffsetScan:
     """Outcomes of one schedule under constant mode-frequency offsets."""
     offs = np.asarray(offsets, dtype=float)
     if offs.ndim != 1 or offs.size == 0:
         raise GridError("need a 1-D array of offsets")
-    if fock is None:
-        fock = FockConfig.auto(nbar=ensemble.nbar,
-                               max_displacement=_max_branch_displacement(schedule) + 0.5)
-    outcomes = []
-    for off in offs:
-        shifted = schedule.with_detuning_offset(float(off))
-        outcomes.append(thermal_average(shifted, ensemble, psi0_spin, fock,
-                                        target_angle, steps_per_period=steps_per_period))
-    return OffsetScan(
-        offsets=offs,
-        p_uu=np.array([o.p_uu for o in outcomes]),
-        p_dd=np.array([o.p_dd for o in outcomes]),
-        p_odd=np.array([o.p_odd for o in outcomes]),
-        fidelity=np.array([o.fidelity for o in outcomes]),
-        nbar=ensemble.nbar,
-    )
+    outcomes = [thermal_average(schedule.with_detuning_offset(float(off)), ensemble,
+                                psi0_spin, target_angle=target_angle)
+                for off in offs]
+    return OffsetScan(offsets=offs, nbar=ensemble.nbar, **_outcome_columns(outcomes))

@@ -170,10 +170,19 @@ def walsh_sequence(loops: int) -> np.ndarray:
     return np.array([walsh_function(loops - 1, m) for m in range(loops)], dtype=float)
 
 
+def _x_minus_sin(x: np.ndarray) -> np.ndarray:
+    """x - sin(x) for x >= 0, from its Taylor series where it cancels (x < 1)."""
+    x2 = x * x
+    s = np.ones_like(x)
+    for m in range(19, 3, -2):
+        s = 1.0 - x2 / (m * (m - 1)) * s
+    return np.where(x < 1.0, x * x2 / 6.0 * s, x - np.sin(x))
+
+
 def _ramp_magnitude(tau_d: float, abs_max: float, abs_min: float, j: int, t: np.ndarray) -> np.ndarray:
     b = abs_max ** (-j)
     c = (2.0 / tau_d) * (abs_min ** (-j) - abs_max ** (-j))
-    g = t / 2.0 - (tau_d / (2.0 * TWO_PI)) * np.sin(TWO_PI * t / tau_d)
+    g = (tau_d / (2.0 * TWO_PI)) * _x_minus_sin(TWO_PI * t / tau_d)
     return (b + c * g) ** (-1.0 / j)
 
 

@@ -34,8 +34,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, GridError, ParameterError
 from .schedule import PulseSchedule, Segment, SmoothGateParams, TWO_PI, build_smooth_schedule
@@ -157,14 +155,11 @@ def _panels(seg: Segment, rtol: float, atol: float):
     Start from cuts of at most 1 rad of phase budget and bisect every
     panel whose last two Chebyshev coefficients of W*Omega or delta exceed
     rtol times that function's largest magnitude on the segment (plus
-    atol/duration).  A tail that stops shrinking under bisection is the
-    evaluation noise of the schedule function; it is accepted below
-    rtol**(2/3) of the scale (the plateau rule of Chebfun's standardChop).
-    Returns (lo, hi, W*Omega, delta) sampled at the panel nodes.
+    atol/duration).  Returns (lo, hi, W*Omega, delta) sampled at the panel
+    nodes.
     """
     edges = seg.phase_edges(TWO_PI)
     lo, hi = edges[:-1], edges[1:]
-    parent = np.full((2, lo.size), np.inf)
     parts, scales, count, floor = [], None, lo.size, atol / seg.duration
     for level in range(MAX_BISECTIONS + 1):
         u = ((lo + hi) / 2.0)[:, None] + ((hi - lo) / 2.0)[:, None] * _X
@@ -173,9 +168,7 @@ def _panels(seg: Segment, rtol: float, atol: float):
         if scales is None:
             scales = np.array([[np.max(np.abs(om))], [np.max(np.abs(de))]])
         tail = np.max(np.abs(np.stack((om, de)) @ _TO_COEF[-2:].T), axis=2)
-        resolved = ((tail <= rtol * scales + floor)
-                    | ((tail <= rtol ** (2.0 / 3.0) * scales + floor) & (tail > parent / 2.0)))
-        ok = resolved.all(axis=0)
+        ok = (tail <= rtol * scales + floor).all(axis=0)
         parts.append((lo[ok], hi[ok], om[ok], de[ok]))
         if ok.all():
             break
@@ -186,7 +179,6 @@ def _panels(seg: Segment, rtol: float, atol: float):
                                    f"panels at rtol={rtol:.3g}")
         mid = (lo[~ok] + hi[~ok]) / 2.0
         lo, hi = np.concatenate((lo[~ok], mid)), np.concatenate((mid, hi[~ok]))
-        parent = np.tile(tail[:, ~ok], 2)
     lo, hi, om, de = (np.concatenate(col) for col in zip(*parts))
     order = np.argsort(lo)
     return lo[order], hi[order], om[order], de[order]
@@ -298,6 +290,8 @@ def gate_angle_adiabatic(schedule: PulseSchedule, samples_per_segment: int = 200
     delta and the leading Omega^2/delta term are reported, with the sign
     of delta preserved.
     """
+    from scipy.integrate import simpson  # loaded on use, as is brentq below
+
     from .schedule import adiabaticity_profile
 
     total = 0.0
@@ -378,6 +372,8 @@ def calibrate_delta_min(p: SmoothGateParams, target_angle: float = math.pi / 2,
         raise ConvergenceError(
             f"target angle {target_angle:.4g} not bracketed: theta({lo:.4g})-target={flo:.3g}, "
             f"theta({hi:.4g})-target={fhi:.3g}")
+    from scipy.optimize import brentq  # loaded on use: ~20 MB resident
+
     root = brentq(f, lo, hi, rtol=1e-12)
     solved = replace(p, delta_min=p.sign * root)
     if use == "adiabatic":

@@ -1,6 +1,7 @@
 """CLI tests: config parsing, scenario runs, CSV contract, exit codes."""
 
 import os
+import re
 import textwrap
 
 import numpy as np
@@ -132,6 +133,17 @@ def test_schema_prints_reference(capsys):
     assert "walsh-compare" in out
     # the Hz-to-angular convention must be stated up front
     assert "2*pi" in out
+
+
+def test_schema_documents_every_known_key(capsys):
+    assert cli.main(["schema"]) == 0
+    out = capsys.readouterr().out
+    # split the reference into its [section] blocks
+    blocks = dict(re.findall(r"^\[([\w-]+)\](.*?)(?=^\[|\Z)", out, re.M | re.S))
+    for section, keys in cli._KNOWN_KEYS.items():
+        assert section in blocks
+        documented = set(re.findall(r"^  (\w+)", blocks[section], re.M))
+        assert keys <= documented, (section, keys - documented)
 
 
 def test_validate_ok(tmp_path, capsys):
@@ -360,6 +372,36 @@ def test_run_thermal_sweep(tmp_path):
     assert list(cols["nbar"]) == [0, 2]
     # under a detuning offset the hotter mode loses more fidelity
     assert cols["infidelity"][1] > cols["infidelity"][0] > 0
+
+
+def test_run_slerb_full_model_reads_numerics(tmp_path):
+    text = """\
+        [scenario]
+        name = slerb
+        output = full.csv
+
+        [walsh]
+        loops = 1
+        omega_hz = 20e3
+
+        [slerb]
+        lengths = 1,4,8
+        sequences = 2
+        shots = 50
+        model = full
+        resamples = 100
+
+        [numerics]
+        steps_per_period = 60
+        n_max = {n_max}
+    """
+    path = write_config(tmp_path, text.format(n_max=20))
+    assert cli.main(["run", path, "--output-dir", str(tmp_path), "--quiet"]) == 0
+    _, cols = cli.read_csv(str(tmp_path / "full.csv"))
+    assert np.all(cols["n_survival"] == cols["shots"])
+    # the cutoff is passed through: an invalid one is a config error
+    path = write_config(tmp_path, text.format(n_max=0))
+    assert cli.main(["run", path, "--output-dir", str(tmp_path), "--quiet"]) == 1
 
 
 def test_run_slerb_and_fit_report(tmp_path):

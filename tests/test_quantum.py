@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from iongate import cli, quantum
 from iongate.errors import ConvergenceError, GridError, ParameterError, TruncationError
 from iongate.quantum import (
     BRANCH_EIGENVALUES,
@@ -21,6 +22,7 @@ from iongate.quantum import (
     outcome_from_state,
     propagate,
     thermal_average,
+    _max_branch_displacement,
 )
 from iongate.schedule import (
     CarrierDrive,
@@ -31,6 +33,8 @@ from iongate.schedule import (
     build_smooth_schedule,
     build_walsh_schedule,
 )
+from iongate.semiclassical import calibrate_omega
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -57,6 +61,11 @@ def sign_flip_schedule(rng, n_segments=4):
         for k in range(n_segments)
     ]
     return PulseSchedule(segs, label="random")
+
+
+def max_outcome_difference(a, b):
+    return max(abs(getattr(a, k) - getattr(b, k))
+               for k in ("p_uu", "p_dd", "p_odd", "fidelity", "spin_purity"))
 
 
 def reassemble_from_branches(schedule, spin, n0, fock, basis_phase=0.0, rtol=1e-11):
@@ -328,16 +337,40 @@ def test_weak_misaligned_carrier_approaches_carrier_free_result():
     assert out == pytest.approx(ref, abs=1e-5)
 
 
+@pytest.mark.parametrize("phase, invert", [(0.0, True), (0.0, False), (math.pi, False)],
+                         ids=["aligned-inverted", "aligned", "anti-aligned"])
+def test_closed_form_matches_stepped_propagator_with_aligned_carrier(phase, invert):
+    # constant Walsh segments make the stepped propagator exact, so the two
+    # routes differ only by the ensemble's truncated tail
+    with_c = carrier_test_schedule(TWO_PI * 1e3, phase, invert=invert)
+    ens = ThermalEnsemble.build(1.0)
+    fock = FockConfig.auto(1.0, 1.5)
+    closed = thermal_average(with_c, ens)
+    stepped = thermal_average(with_c, ens, fock=fock, props=gate_propagator(with_c, fock))
+    assert max_outcome_difference(closed, stepped) <= 2.0 * ens.tail_mass + 1e-12
+    bare = thermal_average(PulseSchedule(with_c.segments), ens)
+    assert (abs(closed.p_uu - bare.p_uu) < 1e-12) == invert
+
+
+def test_closed_form_rejects_misaligned_carrier():
+    with_c = carrier_test_schedule(TWO_PI * 2e3, math.pi / 2, invert=False)
+    with pytest.raises(ParameterError):
+        thermal_average(with_c, ThermalEnsemble.build(1.0))
+
+
 # ---------------------------------------------------------------------------
 # thermal averaging
 
 
 def test_thermal_average_matches_explicit_fock_sum():
+    # the props= oracle is the weighted sum of per-Fock-state propagations,
+    # and the closed form agrees with it up to the ensemble's truncated tail
     sched = sign_flip_schedule(np.random.default_rng(23), n_segments=3)
     ens = ThermalEnsemble.build(1.2)
     fock = FockConfig.auto(1.2, 1.5)
     spin = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-    avg = thermal_average(sched, ens, psi0_spin=spin, fock=fock)
+    avg = thermal_average(sched, ens, psi0_spin=spin, fock=fock,
+                          props=gate_propagator(sched, fock))
     rho = np.zeros((4, 4), dtype=complex)
     for n, w in enumerate(ens.weights):
         psi0 = CompositeState.from_spin_fock(spin, n=n, n_max=fock.n_max)
@@ -349,6 +382,8 @@ def test_thermal_average_matches_explicit_fock_sum():
     assert avg.p_odd == pytest.approx((rho[1, 1] + rho[2, 2]).real, abs=1e-12)
     assert avg.fidelity == pytest.approx(
         float((target.conj() @ rho @ target).real), abs=1e-12)
+    closed = thermal_average(sched, ens, psi0_spin=spin)
+    assert max_outcome_difference(closed, avg) <= 2.0 * ens.tail_mass + 1e-12
 
 
 def test_thermal_average_at_zero_temperature_matches_pure_state():
@@ -384,17 +419,74 @@ def test_truncation_convergence_under_cutoff_doubling():
     sched = build_walsh_schedule(p).with_detuning_offset(TWO_PI * 400.0)
     ens = ThermalEnsemble.build(2.0)
     base = FockConfig.auto(2.0, 1.0)
-    lo = 1.0 - thermal_average(sched, ens, fock=base).fidelity
-    hi = 1.0 - thermal_average(
-        sched, ens, fock=FockConfig(n_max=2 * base.n_max)).fidelity
-    assert abs(hi - lo) < 0.01 * abs(lo)
+    infid = []
+    for fock in (base, FockConfig(n_max=2 * base.n_max)):
+        props = branch_factorized_blocks(sched, fock)
+        infid.append(1.0 - thermal_average(sched, ens, fock=fock, props=props).fidelity)
+    lo, hi = infid
+    assert abs(hi - lo) < 1e-6 * abs(lo)
 
 
 def test_thermal_average_rejects_undersized_cutoff():
     sched = build_walsh_schedule(WalshGateParams.calibrated(2, TWO_PI * 5e3))
     ens = ThermalEnsemble.build(3.5)
+    small = FockConfig(n_max=ens.n_states - 5)
     with pytest.raises(TruncationError):
-        thermal_average(sched, ens, fock=FockConfig(n_max=ens.n_states - 5))
+        thermal_average(sched, ens, props=branch_factorized_blocks(sched, small))
+    # every initial state fits, but the displacement pushes weight onto the cutoff
+    shifted = sched.with_detuning_offset(TWO_PI * 2e3)
+    tight = FockConfig(n_max=ens.n_states)
+    with pytest.raises(TruncationError, match="cutoff"):
+        thermal_average(shifted, ens, props=branch_factorized_blocks(shifted, tight))
+    # a cutoff belongs to the Fock-space oracle and must match its propagators
+    with pytest.raises(ParameterError):
+        thermal_average(sched, ens, fock=FockConfig(n_max=80))
+    props = branch_factorized_blocks(sched, FockConfig(n_max=80))
+    with pytest.raises(ParameterError):
+        thermal_average(sched, ens, fock=FockConfig(n_max=81), props=props)
+
+
+# ---------------------------------------------------------------------------
+# closed form against the Fock-space oracle
+
+
+@pytest.fixture(scope="module")
+def calibration_schedule():
+    base = SmoothGateParams(delta_max=-TWO_PI * 400e3, delta_min=-TWO_PI * 21.7e3,
+                            omega_g=TWO_PI * 6e3, tau_g=5e-6, tau_d=100e-6,
+                            t_c=15.8e-6, j=3)
+    return build_smooth_schedule(calibrate_omega(base, use="exact"))
+
+
+def factorized_oracle(sched, ens):
+    """thermal_average over factorized propagators 16 levels above auto."""
+    auto = FockConfig.auto(ens.nbar, _max_branch_displacement(sched))
+    fock = FockConfig(n_max=auto.n_max + 16)
+    props = branch_factorized_blocks(sched, fock, rtol=1e-13)
+    return thermal_average(sched, ens, fock=fock, props=props)
+
+
+@pytest.mark.parametrize("nbar", [0.0, 3.5, 10.0])
+def test_closed_form_matches_factorized_oracle_on_calibration_gate(calibration_schedule,
+                                                                   nbar):
+    # pins criterion 08's value at nbar = 10 (1-F = 6.7e-9) to the oracle
+    ens = ThermalEnsemble.build(nbar)
+    closed = thermal_average(calibration_schedule, ens)
+    oracle = factorized_oracle(calibration_schedule, ens)
+    assert max_outcome_difference(closed, oracle) <= 2.0 * ens.tail_mass + 1e-12
+    assert abs(closed.fidelity - oracle.fidelity) < 1e-10
+    assert 1.0 - closed.fidelity < 1e-8
+
+
+@pytest.mark.parametrize("offset_hz", [-2e3, 2e3])
+def test_closed_form_matches_factorized_oracle_on_offset_walsh_gate(offset_hz):
+    sched = build_walsh_schedule(WalshGateParams.calibrated(2, TWO_PI * 5e3))
+    sched = sched.with_detuning_offset(TWO_PI * offset_hz)
+    ens = ThermalEnsemble.build(3.5)
+    closed = thermal_average(sched, ens)
+    assert closed.p_odd > 0.1
+    assert max_outcome_difference(closed, factorized_oracle(sched, ens)) \
+        <= 2.0 * ens.tail_mass + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -447,3 +539,22 @@ def test_offset_scan_baseline_and_symmetry():
     assert np.all(scan.fidelity <= 1.0)
     with pytest.raises(GridError):
         offset_scan(sched, np.zeros((2, 2)), ThermalEnsemble.build(0.0))
+
+
+def test_thermal_routes_build_no_fock_space(monkeypatch, tmp_path):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a thermal outcome stepped a Fock-space propagator")
+
+    monkeypatch.setattr(quantum, "gate_propagator", forbidden)
+    monkeypatch.setattr(FockConfig, "auto", forbidden)
+    walsh = build_walsh_schedule(WalshGateParams.calibrated(2, TWO_PI * 5e3))
+    hot = ThermalEnsemble.build(10.0)
+    assert thermal_average(walsh, hot).fidelity > 0.999
+    grid = -TWO_PI * np.array([25e3, 23e3, 21e3, 19e3])
+    calibration_scan(smooth_scan_params(), grid, hot)
+    offset_scan(walsh, TWO_PI * np.array([-1e3, 0.0, 1e3]), hot)
+    config = tmp_path / "sweep.ini"
+    config.write_text("[scenario]\nname = thermal-sweep\noutput = th.csv\n"
+                      "[schedule]\ntype = walsh\n[walsh]\nloops = 2\nomega_hz = 5e3\n"
+                      "[sweep]\nnbars = 0,10\n")
+    assert cli.main(["run", str(config), "--output-dir", str(tmp_path), "--quiet"]) == 0

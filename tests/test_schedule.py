@@ -4,7 +4,9 @@ Expected values marked as oracle results were computed from the closed-form
 expressions independently of the schedule machinery and frozen here.
 """
 
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -71,6 +73,32 @@ def test_detuning_ramp_monotone_random_params():
         assert np.all(np.diff(mags) <= 1e-6 * absmax)
         assert np.all(mags <= absmax * (1 + 1e-12))
         assert np.all(mags >= absmin * (1 - 1e-12))
+
+
+def test_detuning_ramp_matches_40_digit_reference():
+    # oracle: g = (tau_d/4pi)(x - sin x) summed as a Taylor series in
+    # 40-digit decimal arithmetic; the deep 1 kHz, j = 4 ramp magnifies any
+    # cancellation in g by |delta_max/delta_min|^4 near the ramp start
+    p = reference_params(delta_min=-TWO_PI * 1e3, tau_d=95e-6, t_c=0.0, j=4)
+    t = np.concatenate((np.geomspace(1e-12, p.tau_d, 200), np.linspace(0, p.tau_d, 101)[1:]))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        pi = Decimal("3.141592653589793238462643383279502884197")
+        tau_d, j = Decimal(p.tau_d), Decimal(p.j)
+        b = Decimal(abs(p.delta_max)) ** -j
+        c = 2 / tau_d * (Decimal(abs(p.delta_min)) ** -j - b)
+        expected = []
+        for v in t:
+            x = 2 * pi * Decimal(v) / tau_d
+            term, total, k = x ** 3 / 6, Decimal(0), 3
+            while abs(term) > Decimal("1e-45") * abs(total + term):
+                total += term
+                term *= -x * x / ((k + 1) * (k + 2))
+                k += 2
+            expected.append(float(-((b + c * tau_d / (4 * pi) * total) ** (-1 / j))))
+    expected = np.array(expected)
+    got = eval_detuning_ramp(p, t)
+    assert np.max(np.abs(got - expected) / np.abs(expected)) <= 1e-15
 
 
 def test_detuning_ramp_flat_boundaries():

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from iongate.errors import ConvergenceError, GridError, ParameterError
@@ -142,8 +144,8 @@ def test_panel_kernel_matches_ode_oracle(calibration_gate, merge_ramps):
 
 @pytest.mark.parametrize("deep", [False, True])
 def test_panel_kernel_refinement(calibration_gate, deep):
-    # the deep 1 kHz ramp evaluates delta with ~1e-11 relative round-off
-    # near its start, where the Chebyshev tails stop shrinking
+    # the deep 1 kHz ramp magnifies any round-off in delta near its start by
+    # |delta_max/delta_min|^4; bisection alone must resolve it
     if deep:
         sched = build_smooth_schedule(reference_params(
             omega_g=TWO_PI * 5e3, delta_min=-TWO_PI * 1e3, tau_d=95e-6, t_c=0.0, j=4))
@@ -198,6 +200,34 @@ def test_branch_symmetry_and_null_branch():
     assert np.allclose(plus.theta, minus.theta, atol=1e-12)
     assert np.all(null.gamma == 0) and np.all(null.theta == 0)
     assert null.eta_end == pytest.approx(plus.eta_end, rel=1e-12)
+
+
+@st.composite
+def gate_schedules(draw):
+    """Smooth or Walsh gates with random shape and a static detuning offset."""
+    khz = lambda lo, hi: TWO_PI * 1e3 * draw(st.floats(lo, hi))
+    if draw(st.booleans()):
+        delta_max = khz(100.0, 800.0) * draw(st.sampled_from([-1.0, 1.0]))
+        sched = build_smooth_schedule(SmoothGateParams(
+            delta_max=delta_max, delta_min=delta_max * draw(st.floats(0.02, 0.5)),
+            omega_g=khz(1.0, 10.0), tau_g=draw(st.floats(1e-6, 10e-6)),
+            tau_d=draw(st.floats(10e-6, 120e-6)), t_c=draw(st.floats(0.0, 20e-6)),
+            j=draw(st.integers(1, 5))))
+    else:
+        sched = build_walsh_schedule(WalshGateParams.calibrated(
+            draw(st.sampled_from([1, 2, 4])), khz(1.0, 20.0)))
+    return sched.with_detuning_offset(khz(-3.0, 3.0))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(gate_schedules())
+def test_minus_two_branch_is_negated_plus_two_branch(sched):
+    # the closed-form thermal average takes the -2 branch from the +2 one
+    plus = propagate_displacement(sched, 2.0)
+    minus = propagate_displacement(sched, -2.0)
+    assert np.array_equal(minus.gamma, -plus.gamma)
+    assert np.array_equal(minus.theta, plus.theta)
+    assert np.array_equal(minus.eta, plus.eta)
 
 
 def test_aese_displacement_shrinks_with_slower_ramps():
