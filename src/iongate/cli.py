@@ -29,8 +29,7 @@ from .errors import (ConfigError, ConvergenceError, DomainError, GridError,
                      ParameterError, TruncationError)
 from .filterfn import (DEFAULT_VARIANCES, filter_function_numeric,
                        filter_function_walsh_analytic)
-from .quantum import (FockConfig, ThermalEnsemble, calibration_scan,
-                      offset_scan, thermal_average)
+from .quantum import ThermalEnsemble, calibration_scan, offset_scan, thermal_average
 from .schedule import (SmoothGateParams, WalshGateParams, build_smooth_schedule,
                        build_walsh_schedule)
 from .semiclassical import (calibrate_delta_min, calibrate_omega,
@@ -105,7 +104,7 @@ their sign.
                   (model/lengths/... ignored when set)
   pauli_randomize boolean: fold a logical X into the inverter of
                   about half the sequences               (default true)
-  (model = full also needs a [walsh] block)
+  (model = full also needs a [walsh] block; its Fock cutoff is automatic)
 
 [walsh-compare]   walsh-compare scenario
   loops           comma list of loop counts              (required)
@@ -116,12 +115,6 @@ their sign.
   branch          collective-spin eigenvalue             (default 2)
   points          uniform time samples, >= 20 per detuning period
                   (default: 20 per fastest period of each segment)
-
-[numerics]        Fock-space propagator settings, read only by slerb with
-                  model = full (the thermal scenarios are closed-form and
-                  have no discretization)
-  steps_per_period  propagator steps per drive period    (default 50)
-  n_max             Fock cutoff override, integer        (default auto)
 """
 
 
@@ -231,7 +224,6 @@ _KNOWN_KEYS = {
               "resamples", "input", "pauli_randomize"},
     "walsh-compare": {"loops", "omega_hz", "nbar"},
     "trajectory": {"branch", "points"},
-    "numerics": {"steps_per_period", "n_max"},
 }
 
 
@@ -450,11 +442,7 @@ def _plan_slerb(cfg: _Config, seed: int):
                 eps_rb=cfg.number("slerb", "eps_rb", required=True),
                 eps_leak=cfg.number("slerb", "eps_leak", required=True))
         elif model_name == "full":
-            n_max = cfg.integer("numerics", "n_max", None)
-            model = FullScheduleModel(
-                build_walsh_schedule(_walsh_params(cfg)),
-                fock=FockConfig(n_max=n_max) if n_max is not None else None,
-                steps_per_period=cfg.integer("numerics", "steps_per_period", 50))
+            model = FullScheduleModel(build_walsh_schedule(_walsh_params(cfg)))
         else:
             raise ConfigError(f"{cfg.path}: slerb model must be ideal, parametric or full")
         data = collect_dataset(lengths, sequences, shots, model, seed,

@@ -4,9 +4,9 @@ The drive Hamiltonian is block diagonal in the eigenbasis of the collective
 spin operator S_alpha = sigma_alpha,1 + sigma_alpha,2, so a pulse schedule
 acts as four independent driven oscillators (branch eigenvalues +2, 0, 0,
 -2), branch k ending as exp(i theta_k) exp(-i eta n) D(gamma_k).  Thermal
-outcomes and scans follow in closed form from those endpoints.  Truncated
-Fock-space propagators serve SLERB sequences, misaligned carriers (split
-step) and, via ``thermal_average(props=...)``, as the closed form's oracle.
+outcomes and scans follow in closed form from those endpoints; SLERB
+applies them as Fock-space blocks (:func:`branch_factorized_blocks`).
+Stepped propagators serve misaligned carriers and are the oracle of both.
 
 States are stored spin-major in the measurement (z) basis with spin order
 (uu, ud, du, dd): amplitude index = spin_index * (n_max + 1) + n.
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, expm
@@ -198,7 +197,8 @@ def gate_eigenbasis(basis_phase: float = 0.0) -> np.ndarray:
     """
     ph = np.exp(-1j * basis_phase)
     u = np.array([[1.0, ph], [1.0, -ph]], dtype=complex) / np.sqrt(2.0)
-    return np.kron(u, u)
+    # np.kron(u, u), spelled out: the full SLERB model calls this per gate
+    return (u[:, None, :, None] * u[None, :, None, :]).reshape(4, 4)
 
 
 def _branch_hamiltonian(delta: float, coupling: float, dim: int):
@@ -227,16 +227,6 @@ def _segment_steps(seg, steps_per_period: int):
         return np.array([seg.duration / 2.0]), np.array([seg.duration])
     edges = seg.phase_edges(steps_per_period, min_pieces=2)
     return (edges[1:] + edges[:-1]) / 2.0, np.diff(edges)
-
-
-@lru_cache(maxsize=64)
-def _schedule_eta(schedule: PulseSchedule) -> float:
-    """Total detuning phase int delta dt, cached per schedule object.
-
-    Schedules are immutable, and SLERB rebuilds the propagator of one
-    schedule for every compiled gate.
-    """
-    return propagate_displacement(schedule, branch_eigenvalue=0.0).eta_end
 
 
 def _carrier_net_phase(schedule: PulseSchedule) -> float:
@@ -308,6 +298,12 @@ class BranchPropagators:
                                       self.blocks[j].conj())
         return out
 
+    def apply(self, block: np.ndarray, basis_phase: float) -> np.ndarray:
+        """Evolve a (4, dim) z-basis block in the S_phi basis, guarding norm and cutoff."""
+        basis = gate_eigenbasis(basis_phase)
+        psi = basis @ block
+        return _leave_gate_basis(basis, (self.blocks @ psi[:, :, None])[:, :, 0])
+
 
 def gate_propagator(schedule: PulseSchedule, fock: FockConfig,
                     basis_phase: float = 0.0,
@@ -330,7 +326,7 @@ def gate_propagator(schedule: PulseSchedule, fock: FockConfig,
         for k in range(mids.size):
             coupling = seg.sign * omegas[k]  # branch +2: (s/2)*W*Omega = W*Omega
             u_plus = _step_unitary(deltas[k], coupling, dts[k], dim) @ u_plus
-    eta = _schedule_eta(schedule)
+    eta = propagate_displacement(schedule, branch_eigenvalue=0.0).eta_end
     parity = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
     u_minus = parity[:, None] * u_plus * parity[None, :]
     u_null = np.diag(np.exp(-1j * eta * np.arange(dim)))
@@ -353,24 +349,28 @@ def propagate(schedule: PulseSchedule, psi0: CompositeState,
         fock = FockConfig(n_max=psi0.n_max)
     if fock.n_max != psi0.n_max:
         raise ParameterError("FockConfig truncation differs from the state")
-    basis = gate_eigenbasis(basis_phase)
-    psi = basis @ psi0.block()
     if _carrier_aligned(schedule, basis_phase):
         props = gate_propagator(schedule, fock, basis_phase, steps_per_period)
-        out = np.stack([props.blocks[k] @ psi[k] for k in range(4)])
+        amps = props.apply(psi0.block(), basis_phase)
     else:
-        out = _propagate_split_step(schedule, psi, fock, basis_phase, steps_per_period)
-    amps = (basis.conj().T @ out).ravel()
+        amps = _propagate_split_step(schedule, psi0.block(), fock, basis_phase,
+                                     steps_per_period)
+    return CompositeState(amplitudes=amps.ravel(), n_max=fock.n_max)
+
+
+def _leave_gate_basis(basis: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Rotate a propagated gate-basis block back to z, guarding norm and cutoff."""
+    amps = basis.conj().T @ out
     if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
         raise ConvergenceError("norm drift exceeded 1e-9 during propagation")
     top = float(np.sum(np.abs(out[:, -1]) ** 2))
     if top > TRUNCATION_GUARD:
         raise TruncationError("population at the Fock cutoff exceeds 1e-8; "
                               "increase n_max")
-    return CompositeState(amplitudes=amps, n_max=fock.n_max)
+    return amps
 
 
-def _propagate_split_step(schedule: PulseSchedule, psi_eig: np.ndarray,
+def _propagate_split_step(schedule: PulseSchedule, block: np.ndarray,
                           fock: FockConfig, basis_phase: float,
                           steps_per_period: int) -> np.ndarray:
     """Strang split between the branch step and the spin-only carrier.
@@ -387,7 +387,7 @@ def _propagate_split_step(schedule: PulseSchedule, psi_eig: np.ndarray,
     dim = fock.dim
     modes = np.arange(dim)
     parity = np.where(modes % 2 == 0, 1.0, -1.0)
-    psi = psi_eig.copy()
+    psi = basis @ block
     offset = 0.0
     for seg in schedule.segments:
         probe = np.linspace(0.0, seg.duration, 257)
@@ -413,7 +413,7 @@ def _propagate_split_step(schedule: PulseSchedule, psi_eig: np.ndarray,
             psi[3] = parity * (u2 @ (parity * psi[3]))
             psi = half @ psi
         offset += seg.duration
-    return psi
+    return _leave_gate_basis(basis, psi)
 
 
 def branch_factorized_propagate(schedule: PulseSchedule, branch_eigenvalue: float,

@@ -19,19 +19,23 @@ documented here because no external reference form is assumed:
 with no vertical offset (state preparation and measurement errors are
 assumed negligible).  For small rates P_leak ~ N * eps_leak and
 P_flip ~ N * eps_rb.
+
+Sequences are integer arithmetic on the group's Cayley table; the full
+model applies one exact gate propagator to every compiled gate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, GridError, ParameterError
-from .quantum import CompositeState, FockConfig, _max_branch_displacement, propagate
+from .quantum import (NORM_TOL, BranchPropagators, FockConfig, _max_branch_displacement,
+                      branch_factorized_blocks)
 from .schedule import PulseSchedule
 
 GATE_ANGLE = -math.pi / 2
@@ -40,8 +44,6 @@ GENERATOR_PHASES = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4)
 # per-gate error -> per-Clifford error conversion constant used by the
 # standard reporting convention (13/6 entangling gates per Clifford)
 GATES_PER_CLIFFORD_REPORTING = 13.0 / 6.0
-
-_KEY_DECIMALS = 9
 
 
 def logical_gate_unitary(angle: float, basis_phase: float) -> np.ndarray:
@@ -59,15 +61,12 @@ def logical_gate_unitary(angle: float, basis_phase: float) -> np.ndarray:
     return np.exp(1j * half) * u
 
 
-def _canonical_key(u: np.ndarray) -> tuple:
-    flat = u.ravel()
-    mags = np.abs(flat)
-    # first entry within tolerance of the max, so roundoff cannot move the pivot
-    pivot = flat[int(np.argmax(mags > mags.max() - 1e-6))]
-    fixed = flat * (abs(pivot) / pivot)
-    fixed = np.where(np.abs(fixed.real) < 10.0**-_KEY_DECIMALS, 1j * fixed.imag, fixed)
-    fixed = np.where(np.abs(fixed.imag) < 10.0**-_KEY_DECIMALS, fixed.real + 0j, fixed)
-    return tuple(np.round(fixed, _KEY_DECIMALS).tolist())
+def _index_up_to_phase(u: np.ndarray, matrices) -> int | None:
+    """Position in ``matrices`` of ``u`` up to phase: |tr(A^dag U)| = |A| |U| iff U = e^{ia} A."""
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (2, 2) or abs(np.vdot(u, u).real - 2.0) > 1e-9:
+        return None
+    return next((k for k, a in enumerate(matrices) if abs(np.vdot(a, u)) > 2.0 - 1e-9), None)
 
 
 @dataclass(frozen=True)
@@ -82,12 +81,6 @@ class SubspaceClifford:
     matrix: np.ndarray = field(repr=False)
     gates: tuple[tuple[float, float], ...] = ()
 
-    def compiled_unitary(self) -> np.ndarray:
-        u = np.eye(2, dtype=complex)
-        for angle, phase in self.gates:
-            u = logical_gate_unitary(angle, phase) @ u
-        return u
-
 
 @lru_cache(maxsize=1)
 def clifford_table() -> tuple[SubspaceClifford, ...]:
@@ -98,18 +91,15 @@ def clifford_table() -> tuple[SubspaceClifford, ...]:
     """
     gens = [(GATE_ANGLE, phi) for phi in GENERATOR_PHASES]
     table = [SubspaceClifford(0, np.eye(2, dtype=complex), ())]
-    seen = {_canonical_key(np.eye(2, dtype=complex)): 0}
     frontier = [table[0]]
     while frontier:
         nxt = []
         for elem in frontier:
             for angle, phase in gens:
                 u = logical_gate_unitary(angle, phase) @ elem.matrix
-                key = _canonical_key(u)
-                if key in seen:
+                if _index_up_to_phase(u, [c.matrix for c in table]) is not None:
                     continue
                 item = SubspaceClifford(len(table), u, elem.gates + ((angle, phase),))
-                seen[key] = item.index
                 table.append(item)
                 nxt.append(item)
         frontier = nxt
@@ -118,24 +108,47 @@ def clifford_table() -> tuple[SubspaceClifford, ...]:
     return tuple(table)
 
 
-@lru_cache(maxsize=1)
-def _clifford_lookup() -> dict:
-    return {_canonical_key(c.matrix): c.index for c in clifford_table()}
-
-
 def find_clifford(u: np.ndarray) -> int:
     """Index of the Clifford equal to ``u`` up to global phase."""
-    key = _canonical_key(np.asarray(u, dtype=complex))
-    try:
-        return _clifford_lookup()[key]
-    except KeyError:
-        raise ParameterError("matrix is not a subspace Clifford") from None
+    k = _index_up_to_phase(u, [c.matrix for c in clifford_table()])
+    if k is None:
+        raise ParameterError("matrix is not a subspace Clifford")
+    return k
+
+
+@dataclass(frozen=True)
+class CliffordGroup:
+    """Integer arithmetic on :func:`clifford_table` indices: ``mul[a][b]`` is
+    table[a].matrix @ table[b].matrix, ``inv[a]`` the inverse of a,
+    ``gate_count[a]`` its compiled length, ``x`` the logical X."""
+
+    mul: tuple[tuple[int, ...], ...]
+    inv: tuple[int, ...]
+    gate_count: tuple[int, ...]
+    x: int
+
+    def compose(self, cliffords: Sequence[int]) -> int:
+        """Index of the product of ``cliffords``, applied left to right."""
+        p = 0
+        for c in cliffords:
+            p = self.mul[c][p]
+        return p
+
+
+@lru_cache(maxsize=1)
+def clifford_group() -> CliffordGroup:
+    """Cayley table, inverses and gate counts of the 24-element group."""
+    table = clifford_table()
+    mul = tuple(tuple(find_clifford(a.matrix @ b.matrix) for b in table) for a in table)
+    return CliffordGroup(mul=mul, inv=tuple(row.index(0) for row in mul),
+                         gate_count=tuple(len(c.gates) for c in table),
+                         x=find_clifford(np.array([[0.0, 1.0], [1.0, 0.0]])))
 
 
 def mean_gates_per_clifford() -> float:
     """Average compiled gate count over the 24-element table."""
-    table = clifford_table()
-    return sum(len(c.gates) for c in table) / len(table)
+    count = clifford_group().gate_count
+    return sum(count) / len(count)
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +168,8 @@ class SlerbSequence:
 
     @property
     def total_gates(self) -> int:
-        table = clifford_table()
-        count = sum(len(table[c].gates) for c in self.cliffords)
-        return count + len(table[self.inverter].gates)
+        count = clifford_group().gate_count
+        return sum(count[c] for c in self.cliffords) + count[self.inverter]
 
 
 def _rng(seed) -> np.random.Generator:
@@ -174,19 +186,15 @@ def generate_sequence(n: int, seed: int, pauli_randomize: bool = True) -> SlerbS
     """
     if n < 1:
         raise ParameterError("sequence length must be >= 1")
-    table = clifford_table()
+    group = clifford_group()
     rng = _rng(seed)
-    draws = tuple(int(k) for k in rng.integers(0, len(table), size=n))
-    product = np.eye(2, dtype=complex)
-    for c in draws:
-        product = table[c].matrix @ product
-    inverse = product.conj().T
+    draws = tuple(int(k) for k in rng.integers(0, len(group.inv), size=n))
+    inverter = group.inv[group.compose(draws)]
     expected = "uu"
     if pauli_randomize and rng.integers(0, 2):
-        inverse = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex) @ inverse
+        inverter = group.mul[group.x][inverter]
         expected = "dd"
-    return SlerbSequence(n=n, seed=seed, cliffords=draws,
-                         inverter=find_clifford(inverse),
+    return SlerbSequence(n=n, seed=seed, cliffords=draws, inverter=inverter,
                          expected_state=expected,
                          pauli_randomized=pauli_randomize)
 
@@ -231,39 +239,47 @@ class ParametricModel:
 
 @dataclass(frozen=True)
 class FullScheduleModel:
-    """Drive every compiled gate through the full quantum propagator.
+    """Drive every compiled gate through the exact quantum propagator.
 
-    The schedule must be calibrated to the -pi/2 gate angle; the compiled
-    basis phase of each gate is applied at propagation time.  The motional
-    mode starts in |0>.
+    The schedule must be carrier-free and calibrated to the -pi/2 gate
+    angle; its branch blocks hold in every drive basis and are built once,
+    at the ``FockConfig.auto`` cutoff.  The mode starts in |0>.
     """
 
     schedule: PulseSchedule
-    fock: FockConfig | None = None
-    steps_per_period: int = 50
+
+    @cached_property
+    def blocks(self) -> BranchPropagators:
+        fock = FockConfig.auto(0.0, _max_branch_displacement(self.schedule))
+        return branch_factorized_blocks(self.schedule, fock)
+
+    def spin_populations(self, seq: SlerbSequence) -> np.ndarray:
+        """(uu, ud, du, dd) populations at the end of the compiled sequence."""
+        table = clifford_table()
+        state = np.zeros((4, self.blocks.dim), dtype=complex)
+        state[0, 0] = 1.0
+        for c in seq.cliffords + (seq.inverter,):
+            for _, phase in table[c].gates:
+                state = self.blocks.apply(state, phase)
+        return np.sum(np.abs(state) ** 2, axis=1)
 
 
 ErrorModel = IdealModel | ParametricModel | FullScheduleModel
 
 
 def _sequence_probabilities(seq: SlerbSequence, model: ErrorModel) -> np.ndarray:
-    """(P_survival, P_flip, P_leak) for one sequence under the model."""
-    table = clifford_table()
-    expected_idx = 0 if seq.expected_state == "uu" else 1
-
+    """(P_survival, P_flip, P_leak) for one sequence; they must sum to 1 within NORM_TOL."""
     if isinstance(model, (IdealModel, ParametricModel)):
-        prod = np.eye(2, dtype=complex)
-        for c in seq.cliffords:
-            prod = table[c].matrix @ prod
-        prod = table[seq.inverter].matrix @ prod
-        if abs(abs(prod[expected_idx, 0]) - 1.0) > 1e-9:
+        group = clifford_group()
+        target = 0 if seq.expected_state == "uu" else group.x
+        if group.compose(seq.cliffords + (seq.inverter,)) != target:
             raise ConvergenceError("inverter does not return the expected state")
         # Both channels commute with the ideal unitaries (depolarizing is
         # unitarily covariant, leak exchange touches only the trace), so the
         # whole sequence collapses: polarization along the ideal trajectory
         # shrinks by ((1-2r)(1-q))^M over the M compiled gates, and the
         # in/out-of-subspace populations follow a two-state exchange chain.
-        total_gates = sum(len(table[c].gates) for c in seq.cliffords)
+        total_gates = sum(group.gate_count[c] for c in seq.cliffords)
         if isinstance(model, ParametricModel):
             r, q = model.per_gate_rates()
         else:
@@ -274,24 +290,15 @@ def _sequence_probabilities(seq: SlerbSequence, model: ErrorModel) -> np.ndarray
         p_flip = 0.5 * trace_in - 0.5 * polarization
         probs = np.array([p_exp, p_flip, 1.0 - trace_in])
     elif isinstance(model, FullScheduleModel):
-        fock = model.fock or FockConfig.auto(0.0, _max_branch_displacement(model.schedule))
-        spin = np.zeros(4, dtype=complex)
-        spin[0] = 1.0
-        state = CompositeState.from_spin_fock(spin, n=0, n_max=fock.n_max)
-        for c in list(seq.cliffords) + [seq.inverter]:
-            for _, phase in table[c].gates:
-                state = propagate(model.schedule, state, fock=fock, basis_phase=phase,
-                                  steps_per_period=model.steps_per_period)
-        pops = state.spin_populations()
-        expected = "uu" if seq.expected_state == "uu" else "dd"
-        flipped = "dd" if expected == "uu" else "uu"
-        probs = np.array([pops[expected], pops[flipped], pops["ud"] + pops["du"]])
+        uu, ud, du, dd = model.spin_populations(seq)
+        probs = np.array([uu, dd, ud + du] if seq.expected_state == "uu"
+                         else [dd, uu, ud + du])
     else:
         raise ParameterError(f"unknown error model {model!r}")
 
     probs = np.clip(probs, 0.0, None)
     total = probs.sum()
-    if not 0.99 < total < 1.01:
+    if abs(total - 1.0) > NORM_TOL:
         raise ConvergenceError("sequence probabilities do not sum to one")
     return probs / total
 
@@ -380,6 +387,8 @@ def collect_dataset(lengths: Sequence[int], n_sequences: int, shots: int,
                     model: ErrorModel, seed: int,
                     pauli_randomize: bool = True) -> SlerbDataset:
     """Run the benchmark: fresh random sequences per length, fixed shots each."""
+    if len(lengths) == 0:
+        raise ParameterError("need at least one sequence length")
     if n_sequences < 1:
         raise ParameterError("need at least one sequence per length")
     root = np.random.SeedSequence(seed)

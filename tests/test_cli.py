@@ -374,34 +374,41 @@ def test_run_thermal_sweep(tmp_path):
     assert cols["infidelity"][1] > cols["infidelity"][0] > 0
 
 
-def test_run_slerb_full_model_reads_numerics(tmp_path):
-    text = """\
-        [scenario]
-        name = slerb
-        output = full.csv
+FULL_MODEL = """\
+    [scenario]
+    name = slerb
+    output = full.csv
 
-        [walsh]
-        loops = 1
-        omega_hz = 20e3
+    [walsh]
+    loops = 1
+    omega_hz = 20e3
 
-        [slerb]
-        lengths = 1,4,8
-        sequences = 2
-        shots = 50
-        model = full
-        resamples = 100
+    [slerb]
+    lengths = {lengths}
+    sequences = 2
+    shots = 50
+    model = full
+    resamples = 100
+"""
 
-        [numerics]
-        steps_per_period = 60
-        n_max = {n_max}
-    """
-    path = write_config(tmp_path, text.format(n_max=20))
+
+def test_run_slerb_full_model_rejects_numerics(tmp_path):
+    # the full model sizes its Fock cutoff itself and has no step size
+    path = write_config(tmp_path, FULL_MODEL.format(lengths="1,4,8"))
     assert cli.main(["run", path, "--output-dir", str(tmp_path), "--quiet"]) == 0
     _, cols = cli.read_csv(str(tmp_path / "full.csv"))
     assert np.all(cols["n_survival"] == cols["shots"])
-    # the cutoff is passed through: an invalid one is a config error
-    path = write_config(tmp_path, text.format(n_max=0))
+    path = write_config(tmp_path, FULL_MODEL.format(lengths="1,4,8")
+                        + "\n    [numerics]\n    n_max = 20\n", name="numerics.ini")
+    assert cli.main(["run", path, "--output-dir", str(tmp_path / "x"), "--quiet"]) == 1
+    assert not (tmp_path / "x").exists()
+
+
+def test_run_slerb_empty_lengths_is_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, FULL_MODEL.format(lengths=""))
     assert cli.main(["run", path, "--output-dir", str(tmp_path), "--quiet"]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "full.csv").exists()
 
 
 def test_run_slerb_and_fit_report(tmp_path):

@@ -1,14 +1,21 @@
 """Tests for subspace randomized benchmarking: compilation, decay fits, CIs."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from iongate import quantum, slerb
 from iongate.errors import (ConvergenceError, DomainError, GridError,
-                            ParameterError)
-from iongate.quantum import FockConfig
-from iongate.schedule import WalshGateParams, build_walsh_schedule
+                            ParameterError, TruncationError)
+from iongate.quantum import (CompositeState, FockConfig, gate_propagator,
+                             propagate)
+from iongate.schedule import (CarrierDrive, PulseSchedule, SmoothGateParams,
+                              WalshGateParams, build_smooth_schedule,
+                              build_walsh_schedule)
+from iongate.semiclassical import calibrate_omega
 from iongate.slerb import (
     GATE_ANGLE,
     DecayFit,
@@ -17,6 +24,7 @@ from iongate.slerb import (
     ParametricModel,
     SlerbDataset,
     bootstrap_ci,
+    clifford_group,
     clifford_table,
     collect_dataset,
     error_per_gate,
@@ -27,13 +35,15 @@ from iongate.slerb import (
     mean_gates_per_clifford,
     simulate_sequence,
 )
-from iongate.slerb import _canonical_key, _sequence_probabilities
+from iongate.slerb import _sequence_probabilities
 
 TWO_PI = 2.0 * math.pi
 
 
 def equal_up_to_phase(a, b, tol=1e-12):
     k = np.argmax(np.abs(b))
+    if abs(abs(a.ravel()[k]) - abs(b.ravel()[k])) > tol:
+        return False
     ratio = b.ravel()[k] / a.ravel()[k]
     return np.abs(a * ratio - b).max() < tol
 
@@ -56,27 +66,67 @@ def test_table_matches_independent_group_construction():
     # closure of the standard generators is an independent route to the group
     h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
     s = np.array([[1.0, 0.0], [0.0, 1j]], dtype=complex)
-    keys = {_canonical_key(np.eye(2, dtype=complex))}
-    frontier = [np.eye(2, dtype=complex)]
+    group = [np.eye(2, dtype=complex)]
+    frontier = list(group)
     while frontier:
         fresh = []
         for g in frontier:
             for m in (h, s):
                 u = m @ g
-                key = _canonical_key(u)
-                if key not in keys:
-                    keys.add(key)
+                if not any(equal_up_to_phase(v, u) for v in group):
+                    group.append(u)
                     fresh.append(u)
         frontier = fresh
-    assert len(keys) == 24
-    assert {_canonical_key(c.matrix) for c in clifford_table()} == keys
+    assert len(group) == 24
+    # every table element is exactly one member of the H, S closure
+    for c in clifford_table():
+        assert sum(equal_up_to_phase(v, c.matrix) for v in group) == 1
+    assert sorted(find_clifford(v) for v in group) == list(range(24))
+
+
+def test_cayley_table_matches_matrix_products():
+    table = clifford_table()
+    group = clifford_group()
+    for a in table:
+        for b in table:
+            product = table[group.mul[a.index][b.index]].matrix
+            assert equal_up_to_phase(product, a.matrix @ b.matrix)
+        inverse = table[group.inv[a.index]].matrix
+        assert equal_up_to_phase(inverse, a.matrix.conj().T)
+        assert group.mul[a.index][group.inv[a.index]] == 0
+        assert group.gate_count[a.index] == len(a.gates)
+    x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    assert equal_up_to_phase(table[group.x].matrix, x)
+
+
+def matrix_fold(cliffords):
+    """2x2 product of table matrices, applied left to right."""
+    table = clifford_table()
+    u = np.eye(2, dtype=complex)
+    for c in cliffords:
+        u = table[c].matrix @ u
+    return u
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+       pauli_randomize=st.booleans())
+def test_inverter_closes_sequence_in_matrix_fold(n, seed, pauli_randomize):
+    seq = generate_sequence(n, seed=seed, pauli_randomize=pauli_randomize)
+    u = matrix_fold(seq.cliffords + (seq.inverter,))
+    x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    assert equal_up_to_phase(u, np.eye(2) if seq.expected_state == "uu" else x,
+                             tol=1e-9)
+    assert seq.expected_state == "uu" or pauli_randomize
 
 
 def test_compiled_gate_lists_reproduce_every_element():
     for c in clifford_table():
-        assert equal_up_to_phase(c.compiled_unitary(), c.matrix)
+        u = np.eye(2, dtype=complex)
         for angle, phase in c.gates:
             assert angle == GATE_ANGLE
+            u = logical_gate_unitary(angle, phase) @ u
+        assert equal_up_to_phase(u, c.matrix)
 
 
 def test_mean_gate_count_is_table_constant():
@@ -191,13 +241,122 @@ def test_per_gate_rates_compose_to_per_clifford_rates():
 
 def test_full_schedule_sequences_survive_at_gate_numerics_level():
     sched = build_walsh_schedule(WalshGateParams.calibrated(2, TWO_PI * 20e3))
-    model = FullScheduleModel(sched, fock=FockConfig(n_max=20))
+    model = FullScheduleModel(sched)
     for seed in (1, 8):
         seq = generate_sequence(3, seed=seed)
         probs = _sequence_probabilities(seq, model)
         assert probs[0] > 1.0 - 1e-6
         counts = simulate_sequence(seq, model, shots=40, seed=seed)
         assert counts == (40, 0, 0)
+
+
+def test_wrong_inverter_raises_convergence_error():
+    # Z keeps |uu> in place up to phase, so only the group identity catches it
+    group = clifford_group()
+    z = find_clifford(np.diag([1.0, -1.0]))
+    seq = generate_sequence(6, seed=3, pauli_randomize=False)
+    bad = dataclasses.replace(seq, inverter=group.mul[z][seq.inverter])
+    for model in (IdealModel(), ParametricModel(1e-3, 1e-3)):
+        with pytest.raises(ConvergenceError):
+            _sequence_probabilities(bad, model)
+
+
+def test_probability_sum_is_checked_at_norm_tolerance(monkeypatch):
+    model = FullScheduleModel(build_walsh_schedule(WalshGateParams.calibrated(1, TWO_PI * 20e3)))
+    seq = generate_sequence(2, seed=1)
+    monkeypatch.setattr(FullScheduleModel, "spin_populations",
+                        lambda self, seq: np.array([0.5, 0.0, 0.0, 0.5 + 1e-6]))
+    with pytest.raises(ConvergenceError):
+        _sequence_probabilities(seq, model)
+
+
+def stepped_probabilities(seq, step_gate, n_max):
+    """Sequence outcome from a gate callback acting on a CompositeState."""
+    state = CompositeState.from_spin_fock([1.0, 0.0, 0.0, 0.0], n=0, n_max=n_max)
+    table = clifford_table()
+    for c in seq.cliffords + (seq.inverter,):
+        for _, phase in table[c].gates:
+            state = step_gate(state, phase)
+    pops = state.spin_populations()
+    kept, flipped = ("uu", "dd") if seq.expected_state == "uu" else ("dd", "uu")
+    return np.array([pops[kept], pops[flipped], pops["ud"] + pops["du"]])
+
+
+@pytest.mark.parametrize("offset_hz", [0.0, 500.0])
+def test_full_model_matches_per_gate_propagate_on_walsh_gate(offset_hz):
+    # constant segments: the stepped propagator is exact there
+    sched = build_walsh_schedule(WalshGateParams.calibrated(1, TWO_PI * 20e3))
+    sched = sched.with_detuning_offset(TWO_PI * offset_hz)
+    model = FullScheduleModel(sched)
+    n_max = model.blocks.dim - 1
+    for n, seed in ((3, 5), (12, 6), (40, 7)):
+        seq = generate_sequence(n, seed=seed)
+        oracle = stepped_probabilities(
+            seq, lambda state, phase: propagate(sched, state, basis_phase=phase), n_max)
+        gap = np.abs(_sequence_probabilities(seq, model) - oracle).max()
+        assert gap <= 1e-10
+    if offset_hz:
+        assert oracle[2] > 1e-4  # the offset leaves a visible error to compare
+
+
+def test_full_model_is_the_limit_of_refined_stepping_on_smooth_gate():
+    base = SmoothGateParams(delta_max=-TWO_PI * 400e3, delta_min=-TWO_PI * 80e3,
+                            omega_g=TWO_PI * 40e3, tau_g=2e-6, tau_d=8e-6, j=3)
+    sched = build_smooth_schedule(calibrate_omega(base, use="exact"))
+    model = FullScheduleModel(sched)
+    n_max = model.blocks.dim - 1
+    seqs = [generate_sequence(n, seed=s) for n, s in ((4, 1), (16, 2), (16, 3))]
+    exact = np.array([_sequence_probabilities(q, model) for q in seqs])
+    gaps = []
+    for steps in (200, 400):
+        props = gate_propagator(sched, FockConfig(n_max=n_max), steps_per_period=steps)
+        stepped = np.array([stepped_probabilities(
+            q, lambda state, phase: CompositeState(
+                props.apply(state.block(), phase).ravel(), n_max=n_max), n_max)
+            for q in seqs])
+        gaps.append(np.abs(stepped - exact).max())
+    # midpoint stepping is second order: the gap shrinks 4x per doubling
+    assert 3.0 < gaps[0] / gaps[1] < 5.0
+    assert gaps[1] <= 2e-6
+
+
+def test_full_model_dataset_builds_blocks_once(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the full model must not step the propagator")
+
+    monkeypatch.setattr(quantum, "propagate", forbidden)
+    monkeypatch.setattr(quantum, "gate_propagator", forbidden)
+    calls = {"blocks": 0, "auto": 0}
+    build_blocks, auto = slerb.branch_factorized_blocks, FockConfig.auto.__func__
+
+    def counted_blocks(*args, **kwargs):
+        calls["blocks"] += 1
+        return build_blocks(*args, **kwargs)
+
+    def counted_auto(cls, *args, **kwargs):
+        calls["auto"] += 1
+        return auto(cls, *args, **kwargs)
+
+    monkeypatch.setattr(slerb, "branch_factorized_blocks", counted_blocks)
+    monkeypatch.setattr(FockConfig, "auto", classmethod(counted_auto))
+    model = FullScheduleModel(build_walsh_schedule(WalshGateParams.calibrated(1, TWO_PI * 20e3)))
+    data = collect_dataset([1, 4, 8], n_sequences=3, shots=20, model=model, seed=2)
+    assert np.all(data.n_survival == 20)
+    assert calls == {"blocks": 1, "auto": 1}
+
+
+def test_full_model_rejects_carrier_and_guards_cutoff(monkeypatch):
+    sched = build_walsh_schedule(WalshGateParams.calibrated(1, TWO_PI * 20e3))
+    seq = generate_sequence(8, seed=4)
+    carrier = CarrierDrive(rabi=TWO_PI * 10e3, start=0.0, stop=sched.duration)
+    with pytest.raises(ParameterError):
+        _sequence_probabilities(seq, FullScheduleModel(
+            PulseSchedule(sched.segments, carrier=carrier)))
+    # an offset gate leaves the mode displaced; three Fock levels cannot hold it
+    monkeypatch.setattr(FockConfig, "auto", classmethod(lambda cls, *a: cls(n_max=2)))
+    with pytest.raises(TruncationError):
+        _sequence_probabilities(seq, FullScheduleModel(
+            sched.with_detuning_offset(TWO_PI * 2e3)))
 
 
 # ---------------------------------------------------------------------------
