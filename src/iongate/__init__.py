@@ -25,9 +25,8 @@ from .filterfn import (DEFAULT_VARIANCES, FilterFunction, PowerLawPsd,
 from .quantum import (BRANCH_EIGENVALUES, SPIN_LABELS, CalibrationScan,
                       CompositeState, FockConfig, GateOutcome, OffsetScan,
                       ThermalEnsemble, branch_factorized_blocks,
-                      branch_factorized_propagate, calibration_scan,
-                      gate_eigenbasis, gate_propagator, offset_scan, propagate,
-                      thermal_average)
+                      calibration_scan, gate_eigenbasis, gate_propagator,
+                      offset_scan, propagate, thermal_average)
 from .schedule import (CarrierDrive, PulseSchedule, Segment, SmoothGateParams,
                        WalshGateParams, adiabaticity_profile,
                        build_smooth_schedule, build_walsh_schedule,

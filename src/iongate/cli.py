@@ -188,13 +188,19 @@ def read_csv(path: str) -> tuple[dict, dict]:
                 rows.append(line.split(","))
     if header is None:
         raise ConfigError(f"{path}: no CSV header found")
+    bad = next((k for k, row in enumerate(rows, 1) if len(row) != len(header)), None)
+    if bad is not None:
+        raise ConfigError(f"{path}: data row {bad} does not have the header's {len(header)} cells")
     columns = {}
     for j, name in enumerate(header):
         values = [row[j] for row in rows]
         try:
             columns[name] = np.array([int(v) for v in values])
         except ValueError:
-            columns[name] = np.array([float(v) for v in values])
+            try:
+                columns[name] = np.array([float(v) for v in values])
+            except ValueError:
+                raise ConfigError(f"{path}: column {name!r} is not numeric") from None
     return metadata, columns
 
 
@@ -227,8 +233,15 @@ _KNOWN_KEYS = {
 }
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not finite")
+    return value
+
+
 class _Config:
-    """Typed accessors over one parsed INI file."""
+    """Typed accessors over one parsed INI file; numbers must be finite."""
 
     def __init__(self, text: str, path: str):
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -264,9 +277,9 @@ class _Config:
         if raw is None or isinstance(raw, (int, float)):
             return raw
         try:
-            return float(raw)
+            return _finite(raw)
         except ValueError:
-            raise ConfigError(f"{self.path}: {key} in [{section}] is not a number") from None
+            raise ConfigError(f"{self.path}: {key} in [{section}] is not a finite number") from None
 
     def integer(self, section, key, default=None, required=False) -> int | None:
         value = self.number(section, key, default, required)
@@ -292,9 +305,9 @@ class _Config:
         if raw is None or isinstance(raw, (list, tuple)):
             return raw
         try:
-            return [float(tok) for tok in str(raw).split(",") if tok.strip()]
+            return [_finite(tok) for tok in str(raw).split(",") if tok.strip()]
         except ValueError:
-            raise ConfigError(f"{self.path}: {key} in [{section}] is not a number list") from None
+            raise ConfigError(f"{self.path}: {key} in [{section}] is not a list of finite numbers") from None
 
 
 def _smooth_params(cfg: _Config) -> SmoothGateParams:
@@ -419,6 +432,19 @@ def _plan_thermal_sweep(cfg: _Config, seed: int):
     return {None: table}, {"offset_hz": f"{offset / TWO_PI:g}"}
 
 
+def _slerb_model(cfg: _Config):
+    """The simulated error model, (name, model); builds no propagator."""
+    name = cfg.text("slerb", "model", required=True)
+    if name == "ideal":
+        return name, IdealModel()
+    if name == "parametric":
+        return name, ParametricModel(eps_rb=cfg.number("slerb", "eps_rb", required=True),
+                                     eps_leak=cfg.number("slerb", "eps_leak", required=True))
+    if name == "full":
+        return name, FullScheduleModel(build_walsh_schedule(_walsh_params(cfg)))
+    raise ConfigError(f"{cfg.path}: slerb model must be ideal, parametric or full")
+
+
 def _plan_slerb(cfg: _Config, seed: int):
     resamples = cfg.integer("slerb", "resamples", 10000)
     source = cfg.text("slerb", "input")
@@ -434,17 +460,7 @@ def _plan_slerb(cfg: _Config, seed: int):
         lengths = [int(v) for v in cfg.number_list("slerb", "lengths", required=True)]
         sequences = cfg.integer("slerb", "sequences", required=True)
         shots = cfg.integer("slerb", "shots", required=True)
-        model_name = cfg.text("slerb", "model", required=True)
-        if model_name == "ideal":
-            model = IdealModel()
-        elif model_name == "parametric":
-            model = ParametricModel(
-                eps_rb=cfg.number("slerb", "eps_rb", required=True),
-                eps_leak=cfg.number("slerb", "eps_leak", required=True))
-        elif model_name == "full":
-            model = FullScheduleModel(build_walsh_schedule(_walsh_params(cfg)))
-        else:
-            raise ConfigError(f"{cfg.path}: slerb model must be ideal, parametric or full")
+        model_name, model = _slerb_model(cfg)
         data = collect_dataset(lengths, sequences, shots, model, seed,
                                pauli_randomize=cfg.boolean("slerb", "pauli_randomize", True))
 
@@ -471,18 +487,22 @@ def _plan_slerb(cfg: _Config, seed: int):
     return {None: data.to_table(), "report": report}, {"model": model_name}
 
 
-def _plan_walsh_compare(cfg: _Config, seed: int):
+def _walsh_compare_gates(cfg: _Config) -> tuple[float, list[WalshGateParams]]:
     loops_list = [int(v) for v in cfg.number_list("walsh-compare", "loops", required=True)]
     omega = TWO_PI * cfg.number("walsh-compare", "omega_hz", required=True)
+    return omega, [WalshGateParams.calibrated(loops, omega) for loops in loops_list]
+
+
+def _plan_walsh_compare(cfg: _Config, seed: int):
+    omega, gates = _walsh_compare_gates(cfg)
     nbar = cfg.number("walsh-compare", "nbar", 0.0)
     rows = []
-    for loops in loops_list:
-        params = WalshGateParams.calibrated(loops, omega)
+    for params in gates:
         schedule = build_walsh_schedule(params)
         angle = gate_angle_exact(schedule)
         ff = filter_function_walsh_analytic(params, nbar=nbar,
                                             omega=np.array([1e-3 * abs(params.delta_g)]))
-        rows.append((loops, params.delta_g / TWO_PI, schedule.duration,
+        rows.append((params.loops, params.delta_g / TWO_PI, schedule.duration,
                      angle, float(ff.total[0])))
     arr = np.array(rows)
     table = {
@@ -524,8 +544,8 @@ _VALIDATORS = {
     "calibration-scan": lambda cfg: _smooth_params(cfg),
     "offset-scan": lambda cfg: _scenario_schedule(cfg),
     "thermal-sweep": lambda cfg: _scenario_schedule(cfg),
-    "slerb": lambda cfg: None,
-    "walsh-compare": lambda cfg: None,
+    "slerb": lambda cfg: cfg.text("slerb", "input") or _slerb_model(cfg),
+    "walsh-compare": _walsh_compare_gates,
     "trajectory": lambda cfg: _scenario_schedule(cfg),
 }
 

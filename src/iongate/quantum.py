@@ -4,9 +4,9 @@ The drive Hamiltonian is block diagonal in the eigenbasis of the collective
 spin operator S_alpha = sigma_alpha,1 + sigma_alpha,2, so a pulse schedule
 acts as four independent driven oscillators (branch eigenvalues +2, 0, 0,
 -2), branch k ending as exp(i theta_k) exp(-i eta n) D(gamma_k).  Thermal
-outcomes and scans follow in closed form from those endpoints; SLERB
-applies them as Fock-space blocks (:func:`branch_factorized_blocks`).
-Stepped propagators serve misaligned carriers and are the oracle of both.
+outcomes and scans follow in closed form from those endpoints.  Fock-space
+blocks (factorized for SLERB, stepped as their oracle) are built from the +2
+block alone by :func:`_branch_blocks`; a misaligned carrier is split-stepped.
 
 States are stored spin-major in the measurement (z) basis with spin order
 (uu, ud, du, dd): amplitude index = spin_index * (n_max + 1) + n.
@@ -21,8 +21,8 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal, expm
 
 from .errors import ConvergenceError, GridError, ParameterError, TruncationError
-from .schedule import PulseSchedule, SmoothGateParams, build_smooth_schedule
-from .semiclassical import propagate_displacement
+from .schedule import CarrierDrive, PulseSchedule, SmoothGateParams, build_smooth_schedule
+from .semiclassical import collective_spin_operator, propagate_displacement
 
 SPIN_LABELS = ("uu", "ud", "du", "dd")
 BRANCH_EIGENVALUES = (2.0, 0.0, 0.0, -2.0)
@@ -201,51 +201,33 @@ def gate_eigenbasis(basis_phase: float = 0.0) -> np.ndarray:
     return (u[:, None, :, None] * u[None, :, None, :]).reshape(4, 4)
 
 
-def _branch_hamiltonian(delta: float, coupling: float, dim: int):
+def _step_unitary(delta: float, coupling: float, dt: float, dim: int) -> np.ndarray:
+    """exp(-i H dt) for H = delta n + coupling (a + a^dag), tridiagonal in Fock space."""
     diag = delta * np.arange(dim, dtype=float)
     off = coupling * np.sqrt(np.arange(1, dim, dtype=float))
-    return diag, off
-
-
-def _step_unitary(delta: float, coupling: float, dt: float, dim: int) -> np.ndarray:
-    diag, off = _branch_hamiltonian(delta, coupling, dim)
     if not np.any(off):
         return np.diag(np.exp(-1j * diag * dt))
     vals, vecs = eigh_tridiagonal(diag, off)
     return (vecs * np.exp(-1j * vals * dt)) @ vecs.T
 
 
-def _segment_steps(seg, steps_per_period: int):
-    """Midpoint sample times and durations covering one segment.
-
-    Constant segments take a single exact exponential.  Ramped segments are
-    cut at equal increments of the accumulated fast-phase budget
-    int max(|delta|, |Omega|) dt, which keeps every step below
-    2 pi / steps_per_period of local oscillation.
-    """
-    if seg.is_constant:
-        return np.array([seg.duration / 2.0]), np.array([seg.duration])
-    edges = seg.phase_edges(steps_per_period, min_pieces=2)
-    return (edges[1:] + edges[:-1]) / 2.0, np.diff(edges)
+def _carrier_breakpoints(car: CarrierDrive) -> np.ndarray:
+    """Sorted kinks of the carrier envelope, plus its sign flip if any."""
+    points = {car.start, car.start + car.ramp, car.stop - car.ramp, car.stop}
+    if car.invert_at is not None:
+        points.add(car.invert_at)
+    return np.array(sorted(points))
 
 
-def _carrier_net_phase(schedule: PulseSchedule) -> float:
+def _carrier_net_phase(car: CarrierDrive) -> float:
     """Time integral of the signed carrier Rabi frequency Omega_c(t).
 
     The envelope is piecewise linear and the drive sign is piecewise
     constant, so the trapezoid rule between envelope breakpoints is exact.
     """
-    car = schedule.carrier
-    if car is None:
-        return 0.0
-    points = {car.start, car.start + car.ramp, car.stop - car.ramp, car.stop}
-    if car.invert_at is not None:
-        points.add(car.invert_at)
-    edges = sorted(points)
+    edges = _carrier_breakpoints(car)
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
-        if b <= a:
-            continue
         amps = car.amplitude(np.array([a, b]))
         sign = car.drive_sign(np.array([(a + b) / 2.0]))[0]
         total += sign * (amps[0] + amps[1]) / 2.0 * (b - a)
@@ -269,7 +251,7 @@ def _aligned_carrier_phase(schedule: PulseSchedule, basis_phase: float) -> float
         raise ParameterError("carrier drive is not aligned with the gate basis; "
                              "use propagate() which handles the split-step case")
     car = schedule.carrier
-    return math.cos(car.phase - basis_phase) * _carrier_net_phase(schedule) if car else 0.0
+    return math.cos(car.phase - basis_phase) * _carrier_net_phase(car) if car else 0.0
 
 
 @dataclass(frozen=True)
@@ -282,7 +264,6 @@ class BranchPropagators:
     """
 
     blocks: np.ndarray
-    basis_phase: float
 
     @property
     def dim(self) -> int:
@@ -290,13 +271,7 @@ class BranchPropagators:
 
     def overlap_kernel(self) -> np.ndarray:
         """kernel[i, j, n] = <n| U_j^dag U_i |n>, the per-Fock spin kernel."""
-        dim = self.dim
-        out = np.empty((4, 4, dim), dtype=complex)
-        for i in range(4):
-            for j in range(4):
-                out[i, j] = np.einsum("mn,mn->n", self.blocks[i],
-                                      self.blocks[j].conj())
-        return out
+        return np.einsum("imn,jmn->ijn", self.blocks, self.blocks.conj())
 
     def apply(self, block: np.ndarray, basis_phase: float) -> np.ndarray:
         """Evolve a (4, dim) z-basis block in the S_phi basis, guarding norm and cutoff."""
@@ -305,57 +280,64 @@ class BranchPropagators:
         return _leave_gate_basis(basis, (self.blocks @ psi[:, :, None])[:, :, 0])
 
 
+def _branch_blocks(u_plus: np.ndarray, eta: float, shift: float = 0.0) -> BranchPropagators:
+    """All four branch blocks from the +2 block U_+ and the free phase eta.
+
+    The null pair evolves as exp(-i eta n); the -2 branch feels the opposite
+    force, so its block is P U_+ P with P = diag((-1)^n); an aligned carrier
+    takes ``shift`` off the +2 branch and adds it to the -2 one.
+    """
+    dim = u_plus.shape[-1]
+    parity = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
+    u_null = np.diag(np.exp(-1j * eta * np.arange(dim)))
+    u_minus = parity[:, None] * u_plus * parity[None, :]
+    return BranchPropagators(blocks=np.stack([u_plus * np.exp(-1j * shift), u_null, u_null,
+                                              u_minus * np.exp(1j * shift)]))
+
+
 def gate_propagator(schedule: PulseSchedule, fock: FockConfig,
                     basis_phase: float = 0.0,
                     steps_per_period: int = STEPS_PER_PERIOD) -> BranchPropagators:
-    """Exact branch-resolved propagator matrices for one schedule.
+    """Branch-resolved propagator matrices for one schedule, stepped in time.
 
-    Constant segments are exponentiated in one shot; ramps use midpoint
-    (second-order Magnus) steps.  The -2 branch reuses the +2 branch via
-    the parity similarity P U P with P = diag((-1)^n).
+    Constant segments are exponentiated in one shot.  Ramps take midpoint
+    (second-order Magnus) steps cut at equal increments of the phase budget
+    int max(|delta|, |Omega|) dt, at most 2 pi / steps_per_period each.
+    Only the +2 block is stepped; :func:`_branch_blocks` derives the rest.
     """
     if steps_per_period < 8:
         raise ParameterError("steps_per_period must be >= 8")
     shift = _aligned_carrier_phase(schedule, basis_phase)
-    dim = fock.dim
-    u_plus = np.eye(dim, dtype=complex)
+    u_plus = np.eye(fock.dim, dtype=complex)
     for seg in schedule.segments:
-        mids, dts = _segment_steps(seg, steps_per_period)
-        deltas = seg.delta(mids) if not seg.is_constant else np.array([seg.const_delta])
-        omegas = seg.omega(mids) if not seg.is_constant else np.array([seg.const_omega])
-        for k in range(mids.size):
-            coupling = seg.sign * omegas[k]  # branch +2: (s/2)*W*Omega = W*Omega
-            u_plus = _step_unitary(deltas[k], coupling, dts[k], dim) @ u_plus
+        if seg.is_constant:
+            steps = [(seg.const_delta, seg.const_omega, seg.duration)]
+        else:
+            edges = seg.phase_edges(steps_per_period, min_pieces=2)
+            mids = (edges[1:] + edges[:-1]) / 2.0
+            steps = zip(seg.delta(mids), seg.omega(mids), np.diff(edges))
+        for delta, omega, dt in steps:  # branch +2 couples with (s/2)*W*Omega = W*Omega
+            u_plus = _step_unitary(delta, seg.sign * omega, dt, fock.dim) @ u_plus
     eta = propagate_displacement(schedule, branch_eigenvalue=0.0).eta_end
-    parity = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
-    u_minus = parity[:, None] * u_plus * parity[None, :]
-    u_null = np.diag(np.exp(-1j * eta * np.arange(dim)))
-    blocks = np.stack([u_plus * np.exp(-1j * shift), u_null, u_null.copy(),
-                       u_minus * np.exp(1j * shift)])
-    return BranchPropagators(blocks=blocks, basis_phase=basis_phase)
+    return _branch_blocks(u_plus, eta, shift)
 
 
-def propagate(schedule: PulseSchedule, psi0: CompositeState,
-              fock: FockConfig | None = None, basis_phase: float = 0.0,
+def propagate(schedule: PulseSchedule, psi0: CompositeState, basis_phase: float = 0.0,
               steps_per_period: int = STEPS_PER_PERIOD) -> CompositeState:
     """Evolve a composite state through a schedule (carrier optional).
 
-    With no carrier, or a carrier aligned with the gate basis, the branch
-    propagators are applied directly.  A misaligned carrier breaks the
-    commutation with S_alpha and is handled by Strang splitting between the
-    branch step and the spin-only carrier rotation.
+    The Fock cutoff is the state's.  With no carrier, or one aligned with
+    the gate basis, the branch propagators are applied directly.  A
+    misaligned carrier breaks the commutation with S_alpha and is handled by
+    Strang splitting between the branch step and the carrier rotation.
     """
-    if fock is None:
-        fock = FockConfig(n_max=psi0.n_max)
-    if fock.n_max != psi0.n_max:
-        raise ParameterError("FockConfig truncation differs from the state")
     if _carrier_aligned(schedule, basis_phase):
-        props = gate_propagator(schedule, fock, basis_phase, steps_per_period)
+        props = gate_propagator(schedule, FockConfig(n_max=psi0.n_max), basis_phase,
+                                steps_per_period)
         amps = props.apply(psi0.block(), basis_phase)
     else:
-        amps = _propagate_split_step(schedule, psi0.block(), fock, basis_phase,
-                                     steps_per_period)
-    return CompositeState(amplitudes=amps.ravel(), n_max=fock.n_max)
+        amps = _propagate_split_step(schedule, psi0.block(), basis_phase, steps_per_period)
+    return CompositeState(amplitudes=amps.ravel(), n_max=psi0.n_max)
 
 
 def _leave_gate_basis(basis: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -371,97 +353,54 @@ def _leave_gate_basis(basis: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _propagate_split_step(schedule: PulseSchedule, block: np.ndarray,
-                          fock: FockConfig, basis_phase: float,
-                          steps_per_period: int) -> np.ndarray:
+                          basis_phase: float, steps_per_period: int) -> np.ndarray:
     """Strang split between the branch step and the spin-only carrier.
 
     Used only when the carrier basis is misaligned with the gate basis and
-    the Hamiltonian terms stop commuting.  Every segment is stepped fine
-    enough to resolve the carrier Rabi rate as well as the gate drive.
+    the Hamiltonian terms stop commuting.  The splitting error does not
+    follow the phase budget, so each segment takes uniform steps no longer
+    than its finest :meth:`Segment.phase_edges` piece (at least
+    ``steps_per_period`` per carrier Rabi period), cut at every kink of the
+    carrier envelope.
     """
     car = schedule.carrier
     basis = gate_eigenbasis(basis_phase)
-    sigma = np.array([[0.0, np.exp(-1j * car.phase)],
-                      [np.exp(1j * car.phase), 0.0]], dtype=complex)
-    carrier_op = basis @ (np.kron(sigma, np.eye(2)) + np.kron(np.eye(2), sigma)) @ basis.conj().T
-    dim = fock.dim
-    modes = np.arange(dim)
-    parity = np.where(modes % 2 == 0, 1.0, -1.0)
+    carrier_op = basis @ collective_spin_operator(car.phase) @ basis.conj().T
+    kinks = _carrier_breakpoints(car)
     psi = basis @ block
     offset = 0.0
     for seg in schedule.segments:
-        probe = np.linspace(0.0, seg.duration, 257)
-        r_max = max(float(np.max(np.abs(seg.delta(probe)))),
-                    float(np.max(np.abs(seg.omega(probe)))), car.rabi)
-        n_steps = max(2, int(np.ceil(seg.duration * r_max * steps_per_period / (2.0 * np.pi))))
-        edges = np.linspace(0.0, seg.duration, n_steps + 1)
+        rabi_pieces = math.ceil(seg.duration * car.rabi * steps_per_period / (2.0 * math.pi))
+        finest = np.diff(seg.phase_edges(steps_per_period, max(2, rabi_pieces))).min()
+        n_steps = math.ceil(seg.duration / finest * (1.0 - 1e-12))  # equal pieces keep their count
+        inner = kinks[(kinks > offset) & (kinks < offset + seg.duration)] - offset
+        edges = np.union1d(np.linspace(0.0, seg.duration, n_steps + 1), inner)
         mids = (edges[1:] + edges[:-1]) / 2.0
-        dt = seg.duration / n_steps
-        deltas = seg.delta(mids)
-        omegas = seg.omega(mids)
-        for k in range(n_steps):
-            t_mid = offset + mids[k]
-            amp = float(car.amplitude(np.array([t_mid]))[0] *
-                        car.drive_sign(np.array([t_mid]))[0])
+        for t, dt, delta, omega in zip(mids, np.diff(edges), seg.delta(mids), seg.omega(mids)):
+            amp = car.amplitude(offset + t) * car.drive_sign(offset + t)
             half = expm(-0.25j * amp * carrier_op * dt)
-            psi = half @ psi
-            u2 = _step_unitary(float(deltas[k]), seg.sign * float(omegas[k]), dt, dim)
-            free = np.exp(-1j * float(deltas[k]) * dt * modes)
-            psi[0] = u2 @ psi[0]
-            psi[1] = free * psi[1]
-            psi[2] = free * psi[2]
-            psi[3] = parity * (u2 @ (parity * psi[3]))
-            psi = half @ psi
+            u_plus = _step_unitary(delta, seg.sign * omega, dt, block.shape[1])
+            step = _branch_blocks(u_plus, delta * dt)
+            psi = half @ (step.blocks @ (half @ psi)[:, :, None])[:, :, 0]
         offset += seg.duration
     return _leave_gate_basis(basis, psi)
 
 
-def branch_factorized_propagate(schedule: PulseSchedule, branch_eigenvalue: float,
-                                n0: int, fock: FockConfig,
-                                rtol: float = 1e-11) -> tuple[np.ndarray, float]:
-    """Oscillator evolution on one S_alpha branch from the trajectory integrals.
+def branch_factorized_blocks(schedule: PulseSchedule, fock: FockConfig,
+                             rtol: float = 1e-11) -> BranchPropagators:
+    """Branch propagators from the trajectory integrals of one kernel call.
 
-    Returns the final oscillator amplitudes for initial state |n0> together
-    with the accumulated branch phase.  The propagator factorizes as
-    exp(-i eta n) D(gamma_s) exp(i Phi_s), which is an independent check on
-    the stepped exponentials in :func:`gate_propagator`.
+    The +2 block factorizes as exp(i theta) exp(-i eta n) D(gamma) with the
+    endpoints of :func:`propagate_displacement`, an independent check on
+    the stepped exponentials of :func:`gate_propagator`.
     """
     if schedule.carrier is not None:
         raise ParameterError("branch factorization requires a carrier-free schedule")
-    if not 0 <= n0 <= fock.n_max:
-        raise ParameterError("Fock index outside truncation")
-    dim = fock.dim
-    traj = propagate_displacement(schedule, branch_eigenvalue=branch_eigenvalue,
-                                  rtol=rtol)
-    gamma, phase, eta = traj.gamma_end, traj.theta_end, traj.eta_end
-    if branch_eigenvalue == 0.0:
-        out = np.zeros(dim, dtype=complex)
-        out[n0] = np.exp(-1j * eta * n0)
-        return out, 0.0
-    a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1)
-    disp = expm(gamma * a.conj().T - np.conj(gamma) * a)
-    vec = np.exp(1j * phase) * disp[:, n0]
-    vec *= np.exp(-1j * eta * np.arange(dim))
-    return vec, phase
-
-
-def branch_factorized_blocks(schedule: PulseSchedule, fock: FockConfig,
-                             rtol: float = 1e-11) -> BranchPropagators:
-    """All four branch propagators assembled from the factorized form."""
-    if schedule.carrier is not None:
-        raise ParameterError("branch factorization requires a carrier-free schedule")
-    dim = fock.dim
-    plus, minus = (propagate_displacement(schedule, branch_eigenvalue=s, rtol=rtol)
-                   for s in (2.0, -2.0))
-    null = np.diag(np.exp(-1j * plus.eta_end * np.arange(dim)))
-    a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1)
-    blocks = np.empty((4, dim, dim), dtype=complex)
-    blocks[1] = null
-    blocks[2] = null
-    for idx, traj in ((0, plus), (3, minus)):
-        disp = expm(traj.gamma_end * a.conj().T - np.conj(traj.gamma_end) * a)
-        blocks[idx] = np.exp(1j * traj.theta_end) * (null @ disp)
-    return BranchPropagators(blocks=blocks, basis_phase=0.0)
+    traj = propagate_displacement(schedule, branch_eigenvalue=2.0, rtol=rtol)
+    a = np.diag(np.sqrt(np.arange(1, fock.dim, dtype=float)), k=1)
+    disp = expm(traj.gamma_end * a.conj().T - np.conj(traj.gamma_end) * a)
+    null = np.diag(np.exp(-1j * traj.eta_end * np.arange(fock.dim)))
+    return _branch_blocks(np.exp(1j * traj.theta_end) * (null @ disp), traj.eta_end)
 
 
 def _target_spin(psi0_spin: np.ndarray, target_angle: float | None,

@@ -285,7 +285,7 @@ def test_10_full_vs_factorized_propagation(verdicts):
         n0 = int(rng.integers(0, 3))
         psi0 = CompositeState.from_spin_fock([0.5, 0.5, 0.5, 0.5], n=n0,
                                              n_max=fock.n_max)
-        full = propagate(schedule, psi0, fock=fock).amplitudes
+        full = propagate(schedule, psi0).amplitudes
 
         blocks = branch_factorized_blocks(schedule, fock)
         psi_eig = basis @ psi0.block()

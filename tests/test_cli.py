@@ -471,3 +471,49 @@ def test_seed_flag_overrides_config(tmp_path):
     assert meta_a["seed"] == "7"
     assert meta_b["seed"] == "99"
     assert not np.array_equal(cols_a["n_survival"], cols_b["n_survival"])
+
+
+@pytest.mark.parametrize("body", ["N,sequence_id,shots,n_survival,n_flip,n_leak\n"
+                                  "2,0,100,90,5,5\n2,1,100,90\n",
+                                  "N,sequence_id,shots,n_survival,n_flip,n_leak\n"
+                                  "2,0,100,ninety,5,5\n"],
+                         ids=["short-row", "non-numeric-cell"])
+def test_run_slerb_malformed_input_is_config_error(tmp_path, capsys, body):
+    (tmp_path / "bad.csv").write_text(body)
+    path = write_config(tmp_path, f"""\
+        [scenario]
+        name = slerb
+        output = refit.csv
+
+        [slerb]
+        input = {tmp_path / 'bad.csv'}
+    """)
+    assert cli.main(["run", path, "--output-dir", str(tmp_path), "--quiet"]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "refit.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("text", [
+    "[scenario]\nname = thermal-sweep\noutput = th.csv\n[schedule]\ntype = walsh\n"
+    "[walsh]\nloops = 2\nomega_hz = 5e3\n[sweep]\nnbars = 0,{}\n",
+    "[scenario]\nname = trajectory\noutput = traj.csv\n[schedule]\ntype = walsh\n"
+    "[walsh]\nloops = 2\nomega_hz = {}\n",
+], ids=["sweep-nbars", "walsh-omega"])
+def test_non_finite_config_number_is_config_error(tmp_path, capsys, text, value):
+    path = write_config(tmp_path, text.format(value))
+    assert cli.main(["run", path, "--output-dir", str(tmp_path), "--quiet"]) == 1
+    assert "finite number" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["conf.ini"]
+
+
+@pytest.mark.parametrize("text", [
+    FULL_MODEL.format(lengths="1,4").replace("[walsh]\n    loops = 1\n    omega_hz = 20e3\n", ""),
+    FULL_MODEL.format(lengths="1,4").replace("model = full", "model = bogus"),
+    WALSH_COMPARE.replace("loops = 1,2,4", "loops = 1,3"),
+], ids=["full-without-walsh", "unknown-model", "walsh-compare-three-loops"])
+def test_validate_agrees_with_run(tmp_path, capsys, text):
+    path = write_config(tmp_path, text)
+    assert cli.main(["validate", path, "--quiet"]) == 1
+    assert cli.main(["run", path, "--output-dir", str(tmp_path), "--quiet"]) == 1
+    assert capsys.readouterr().err.count("config error") == 2
