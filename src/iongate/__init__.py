@@ -31,7 +31,7 @@ from .schedule import (CarrierDrive, PulseSchedule, Segment, SmoothGateParams,
                        WalshGateParams, adiabaticity_profile,
                        build_smooth_schedule, build_walsh_schedule,
                        walsh_function)
-from .semiclassical import (BranchTrajectory, calibrate_delta_min,
+from .semiclassical import (BranchTrajectory, branch_endpoints, calibrate_delta_min,
                             calibrate_omega, gate_angle_adiabatic,
                             gate_angle_exact, perturbative_infidelity,
                             propagate_displacement, spin_variances)

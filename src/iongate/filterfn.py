@@ -155,9 +155,9 @@ def filter_function_numeric(schedule: PulseSchedule, nbar: float = 0.0,
     a_s = np.empty(om.size, dtype=complex)
     t_c = np.empty(om.size)
     t_s = np.empty(om.size)
-    # 32-frequency blocks keep the cos/sin temporaries to a few MB
-    for start in range(0, om.size, 32):
-        blk = slice(start, min(start + 32, om.size))
+    # 8-frequency blocks keep the cos/sin temporaries below a megabyte
+    for start in range(0, om.size, 8):
+        blk = slice(start, min(start + 8, om.size))
         phase = om[blk, None] * t[None, :]
         c, s = np.cos(phase), np.sin(phase)
         a_c[blk] = c @ g

@@ -4,9 +4,13 @@ The drive Hamiltonian is block diagonal in the eigenbasis of the collective
 spin operator S_alpha = sigma_alpha,1 + sigma_alpha,2, so a pulse schedule
 acts as four independent driven oscillators (branch eigenvalues +2, 0, 0,
 -2), branch k ending as exp(i theta_k) exp(-i eta n) D(gamma_k).  Thermal
-outcomes and scans follow in closed form from those endpoints.  Fock-space
-blocks (factorized for SLERB, stepped as their oracle) are built from the +2
-block alone by :func:`_branch_blocks`; a misaligned carrier is split-stepped.
+outcomes and scans follow in closed form from those endpoints; an offset
+scan takes all of them from one batched
+:func:`~iongate.semiclassical.branch_endpoints` call and evaluates every
+offset's (4, 4) thermal kernel in one array.  Fock-space blocks (factorized
+for SLERB, stepped as their oracle) are built from the +2 block alone by
+:func:`_branch_blocks`; a misaligned carrier is split-stepped.  scipy is
+imported only inside the Fock-space routes that need it.
 
 States are stored spin-major in the measurement (z) basis with spin order
 (uu, ud, du, dd): amplitude index = spin_index * (n_max + 1) + n.
@@ -18,11 +22,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, expm
 
 from .errors import ConvergenceError, GridError, ParameterError, TruncationError
 from .schedule import CarrierDrive, PulseSchedule, SmoothGateParams, build_smooth_schedule
-from .semiclassical import collective_spin_operator, propagate_displacement
+from .semiclassical import branch_endpoints, collective_spin_operator, propagate_displacement
 
 SPIN_LABELS = ("uu", "ud", "du", "dd")
 BRANCH_EIGENVALUES = (2.0, 0.0, 0.0, -2.0)
@@ -203,6 +206,8 @@ def gate_eigenbasis(basis_phase: float = 0.0) -> np.ndarray:
 
 def _step_unitary(delta: float, coupling: float, dt: float, dim: int) -> np.ndarray:
     """exp(-i H dt) for H = delta n + coupling (a + a^dag), tridiagonal in Fock space."""
+    from scipy.linalg import eigh_tridiagonal  # loaded on use: the closed forms need no scipy
+
     diag = delta * np.arange(dim, dtype=float)
     off = coupling * np.sqrt(np.arange(1, dim, dtype=float))
     if not np.any(off):
@@ -352,6 +357,12 @@ def _leave_gate_basis(basis: np.ndarray, out: np.ndarray) -> np.ndarray:
     return amps
 
 
+def _carrier_half_step(carrier_op: np.ndarray):
+    """x -> exp(-i x carrier_op / 4), a half step of pulse area x, from one eigendecomposition."""
+    vals, vecs = np.linalg.eigh(carrier_op)
+    return lambda x: (vecs * np.exp(-0.25j * x * vals)) @ vecs.conj().T
+
+
 def _propagate_split_step(schedule: PulseSchedule, block: np.ndarray,
                           basis_phase: float, steps_per_period: int) -> np.ndarray:
     """Strang split between the branch step and the spin-only carrier.
@@ -365,7 +376,7 @@ def _propagate_split_step(schedule: PulseSchedule, block: np.ndarray,
     """
     car = schedule.carrier
     basis = gate_eigenbasis(basis_phase)
-    carrier_op = basis @ collective_spin_operator(car.phase) @ basis.conj().T
+    half_step = _carrier_half_step(basis @ collective_spin_operator(car.phase) @ basis.conj().T)
     kinks = _carrier_breakpoints(car)
     psi = basis @ block
     offset = 0.0
@@ -377,8 +388,7 @@ def _propagate_split_step(schedule: PulseSchedule, block: np.ndarray,
         edges = np.union1d(np.linspace(0.0, seg.duration, n_steps + 1), inner)
         mids = (edges[1:] + edges[:-1]) / 2.0
         for t, dt, delta, omega in zip(mids, np.diff(edges), seg.delta(mids), seg.omega(mids)):
-            amp = car.amplitude(offset + t) * car.drive_sign(offset + t)
-            half = expm(-0.25j * amp * carrier_op * dt)
+            half = half_step(car.amplitude(offset + t) * car.drive_sign(offset + t) * dt)
             u_plus = _step_unitary(delta, seg.sign * omega, dt, block.shape[1])
             step = _branch_blocks(u_plus, delta * dt)
             psi = half @ (step.blocks @ (half @ psi)[:, :, None])[:, :, 0]
@@ -396,6 +406,8 @@ def branch_factorized_blocks(schedule: PulseSchedule, fock: FockConfig,
     """
     if schedule.carrier is not None:
         raise ParameterError("branch factorization requires a carrier-free schedule")
+    from scipy.linalg import expm
+
     traj = propagate_displacement(schedule, branch_eigenvalue=2.0, rtol=rtol)
     a = np.diag(np.sqrt(np.arange(1, fock.dim, dtype=float)), k=1)
     disp = expm(traj.gamma_end * a.conj().T - np.conj(traj.gamma_end) * a)
@@ -412,19 +424,20 @@ def _target_spin(psi0_spin: np.ndarray, target_angle: float | None,
     return basis.conj().T @ (phases * (basis @ psi0_spin))
 
 
-def _outcome_from_density(rho_z: np.ndarray, target: np.ndarray,
-                          basis_phase: float, nbar: float) -> GateOutcome:
-    pops = np.real(np.diag(rho_z))
-    fid = float(np.real(target.conj() @ rho_z @ target))
-    purity = float(np.real(np.trace(rho_z @ rho_z)))
+def _outcomes_from_densities(rho_z: np.ndarray, target: np.ndarray,
+                             basis_phase: float, nbar: float) -> list[GateOutcome]:
+    """One outcome per z-basis spin density in an (n, 4, 4) stack."""
+    pops = np.real(np.diagonal(rho_z, axis1=1, axis2=2))
+    fid = np.real(target.conj() @ rho_z @ target)
+    purity = np.real(np.trace(rho_z @ rho_z, axis1=1, axis2=2))
     basis = gate_eigenbasis(basis_phase)
     rho_e = basis @ rho_z @ basis.conj().T
-    coherence = rho_e[0, 1] + rho_e[0, 2] + rho_e[3, 1] + rho_e[3, 2]
-    angle = float(np.angle(coherence)) if abs(coherence) > 1e-12 else float("nan")
-    return GateOutcome(p_uu=float(pops[0]), p_dd=float(pops[3]),
-                       p_odd=float(pops[1] + pops[2]),
-                       fidelity=min(max(fid, 0.0), 1.0),
-                       spin_purity=purity, gate_angle=angle, nbar=nbar)
+    coherence = rho_e[:, 0, 1] + rho_e[:, 0, 2] + rho_e[:, 3, 1] + rho_e[:, 3, 2]
+    angle = np.angle(coherence)
+    return [GateOutcome(p_uu=float(p[0]), p_dd=float(p[3]), p_odd=float(p[1] + p[2]),
+                        fidelity=min(max(float(f), 0.0), 1.0), spin_purity=float(pur),
+                        gate_angle=float(ang) if abs(c) > 1e-12 else float("nan"), nbar=nbar)
+            for p, f, pur, ang, c in zip(pops, fid, purity, angle, coherence)]
 
 
 def outcome_from_state(state: CompositeState, psi0_spin,
@@ -441,27 +454,58 @@ def outcome_from_state(state: CompositeState, psi0_spin,
     spin = np.asarray(psi0_spin, dtype=complex)
     spin = spin / np.linalg.norm(spin)
     target = _target_spin(spin, target_angle, basis_phase)
-    return _outcome_from_density(state.reduced_spin_density(), target,
-                                 basis_phase, nbar)
+    return _outcomes_from_densities(state.reduced_spin_density()[None], target,
+                                    basis_phase, nbar)[0]
 
 
-def _displacement_kernel(schedule: PulseSchedule, nbar: float,
-                        basis_phase: float) -> np.ndarray:
-    """Thermal mean of U_j^dag U_i from the branch endpoints.
+def _displacement_kernel(gamma_end: np.ndarray, theta_end: np.ndarray, shift: float,
+                         nbar: float) -> np.ndarray:
+    """Thermal means of U_j^dag U_i from +2 branch endpoints, one (4, 4) per entry.
 
-    Branches (++, +-, -+, --) end at gamma = (g, 0, 0, -g), theta = (t, 0,
-    0, t), so U_j^dag U_i = exp(i(theta_i - theta_j) - i Im(gamma_j
-    conj(gamma_i))) D(gamma_i - gamma_j), and <D(b)> = exp(-(nbar+1/2)|b|^2)
-    (Sorensen & Molmer, PRA 62, 022311, 2000).
+    Branches (++, +-, -+, --) end at gamma = (g, 0, 0, -g), theta = (t -
+    shift, 0, 0, t + shift), so U_j^dag U_i = exp(i(theta_i - theta_j) - i
+    Im(gamma_j conj(gamma_i))) D(gamma_i - gamma_j), and <D(b)> =
+    exp(-(nbar+1/2)|b|^2) (Sorensen & Molmer, PRA 62, 022311, 2000).
     """
-    shift = _aligned_carrier_phase(schedule, basis_phase)
-    traj = propagate_displacement(schedule, branch_eigenvalue=2.0)
-    g, t = traj.gamma_end, traj.theta_end
-    gamma = np.array([g, 0.0, 0.0, -g])
-    theta = np.array([t - shift, 0.0, 0.0, t + shift])
-    gi, gj = gamma[:, None], gamma[None, :]
-    return np.exp(1j * (theta[:, None] - theta[None, :] - np.imag(gj * gi.conj()))
+    gamma = gamma_end[:, None] * np.array([1.0, 0.0, 0.0, -1.0])
+    theta = theta_end[:, None] * np.array([1.0, 0.0, 0.0, 1.0]) \
+        + shift * np.array([-1.0, 0.0, 0.0, 1.0])
+    gi, gj = gamma[:, :, None], gamma[:, None, :]
+    return np.exp(1j * (theta[:, :, None] - theta[:, None, :] - np.imag(gj * gi.conj()))
                   - (nbar + 0.5) * np.abs(gi - gj) ** 2)
+
+
+def _thermal_outcomes(schedule: PulseSchedule, offsets: np.ndarray, ensemble: ThermalEnsemble,
+                      psi0_spin, target_angle: float | None, basis_phase: float = 0.0,
+                      fock: FockConfig | None = None,
+                      props: BranchPropagators | None = None) -> list[GateOutcome]:
+    """Thermal outcomes under each static detuning offset; see :func:`thermal_average`."""
+    spin = np.asarray(psi0_spin, dtype=complex)
+    spin = spin / np.linalg.norm(spin)
+    basis = gate_eigenbasis(basis_phase)
+    spin_eig = basis @ spin
+    target = _target_spin(spin, target_angle, basis_phase)
+
+    if props is None:
+        if fock is not None:
+            raise ParameterError("a Fock cutoff applies only to the props= oracle")
+        shift = _aligned_carrier_phase(schedule, basis_phase)
+        gamma, theta, _ = branch_endpoints(schedule, offsets)
+        kernel = _displacement_kernel(gamma, theta, shift, ensemble.nbar)
+    else:
+        if fock is not None and fock.dim != props.dim:
+            raise ParameterError("FockConfig truncation differs from the propagators")
+        if ensemble.n_states > props.dim:
+            raise TruncationError("ensemble needs more Fock states than the truncation")
+        w = np.pad(ensemble.weights, (0, props.dim - ensemble.n_states))
+        kernel = (props.overlap_kernel() @ w)[None]
+        # guard: thermally weighted population at the cutoff row
+        top = float(np.abs(spin_eig) ** 2 @ (np.abs(props.blocks[:, -1, :]) ** 2 @ w))
+        if top > TRUNCATION_GUARD:
+            raise TruncationError("thermal population at the Fock cutoff exceeds 1e-8")
+    rho_eig = (spin_eig[:, None] * spin_eig.conj()[None, :]) * kernel
+    rho_z = basis.conj().T @ rho_eig @ basis
+    return _outcomes_from_densities(rho_z, target, basis_phase, ensemble.nbar)
 
 
 def thermal_average(schedule: PulseSchedule, ensemble: ThermalEnsemble,
@@ -482,30 +526,8 @@ def thermal_average(schedule: PulseSchedule, ensemble: ThermalEnsemble,
     the ``ensemble`` weights instead, the Fock-space oracle of the closed
     form; ``fock``, accepted only with ``props``, must match its cutoff.
     """
-    spin = np.asarray(psi0_spin, dtype=complex)
-    spin = spin / np.linalg.norm(spin)
-    basis = gate_eigenbasis(basis_phase)
-    spin_eig = basis @ spin
-    target = _target_spin(spin, target_angle, basis_phase)
-
-    if props is None:
-        if fock is not None:
-            raise ParameterError("a Fock cutoff applies only to the props= oracle")
-        kernel = _displacement_kernel(schedule, ensemble.nbar, basis_phase)
-    else:
-        if fock is not None and fock.dim != props.dim:
-            raise ParameterError("FockConfig truncation differs from the propagators")
-        if ensemble.n_states > props.dim:
-            raise TruncationError("ensemble needs more Fock states than the truncation")
-        w = np.pad(ensemble.weights, (0, props.dim - ensemble.n_states))
-        kernel = props.overlap_kernel() @ w
-        # guard: thermally weighted population at the cutoff row
-        top = float(np.abs(spin_eig) ** 2 @ (np.abs(props.blocks[:, -1, :]) ** 2 @ w))
-        if top > TRUNCATION_GUARD:
-            raise TruncationError("thermal population at the Fock cutoff exceeds 1e-8")
-    rho_eig = (spin_eig[:, None] * spin_eig.conj()[None, :]) * kernel
-    rho_z = basis.conj().T @ rho_eig @ basis
-    return _outcome_from_density(rho_z, target, basis_phase, ensemble.nbar)
+    return _thermal_outcomes(schedule, np.zeros(1), ensemble, psi0_spin, target_angle,
+                             basis_phase, fock, props)[0]
 
 
 def _outcome_columns(outcomes) -> dict[str, np.ndarray]:
@@ -595,11 +617,14 @@ class OffsetScan:
 def offset_scan(schedule: PulseSchedule, offsets, ensemble: ThermalEnsemble,
                 psi0_spin=(1.0, 0.0, 0.0, 0.0),
                 target_angle: float | None = None) -> OffsetScan:
-    """Outcomes of one schedule under constant mode-frequency offsets."""
+    """Outcomes of one schedule under constant mode-frequency offsets.
+
+    One :func:`branch_endpoints` call serves the whole scan; each outcome
+    equals :func:`thermal_average` of ``schedule.with_detuning_offset(eps)``.
+    Non-finite offsets raise ParameterError.
+    """
     offs = np.asarray(offsets, dtype=float)
     if offs.ndim != 1 or offs.size == 0:
         raise GridError("need a 1-D array of offsets")
-    outcomes = [thermal_average(schedule.with_detuning_offset(float(off)), ensemble,
-                                psi0_spin, target_angle=target_angle)
-                for off in offs]
+    outcomes = _thermal_outcomes(schedule, offs, ensemble, psi0_spin, target_angle)
     return OffsetScan(offsets=offs, nbar=ensemble.nbar, **_outcome_columns(outcomes))

@@ -95,9 +95,6 @@ class SmoothGateParams:
     def with_delta_min(self, delta_min: float) -> "SmoothGateParams":
         return replace(self, delta_min=delta_min)
 
-    def with_omega(self, omega_g: float) -> "SmoothGateParams":
-        return replace(self, omega_g=omega_g)
-
 
 @dataclass(frozen=True)
 class WalshGateParams:
@@ -409,6 +406,8 @@ class PulseSchedule:
 
     def with_detuning_offset(self, offset: float) -> "PulseSchedule":
         """New schedule with a constant mode-frequency error added to delta(t)."""
+        if not math.isfinite(offset):
+            raise ParameterError("detuning offset must be finite")
         segs = [s.shifted(offset) for s in self.segments]
         return PulseSchedule(segs, carrier=self.carrier,
                              label=f"{self.label}+offset" if self.label else "offset")

@@ -24,6 +24,10 @@ eta, gamma and theta are nested running integrals, not a stiff ODE, so
 one kernel computes them for every segment: spectral cumulative
 integration on adaptively bisected Chebyshev-Lobatto panels (Greengard
 1991, SIAM J. Numer. Anal. 28, 1071), see :func:`propagate_displacement`.
+A static detuning offset eps only adds eps*t to eta, so
+:func:`branch_endpoints` serves a whole family of offsets from one panel
+set per segment, with the running integrals as (offsets, panels, nodes)
+arrays; :func:`propagate_displacement` is its zero-offset member.
 """
 
 from __future__ import annotations
@@ -48,6 +52,10 @@ GRID_POINTS_PER_PERIOD = 20
 PANEL_NODES = 16
 MAX_BISECTIONS = 50
 MAX_PANELS = 4096
+
+# Offsets of a family integrated together: the running integrals are
+# (offsets, panels, nodes) arrays, which this keeps to about a megabyte.
+OFFSET_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -149,16 +157,23 @@ def _chebyshev_lobatto(n: int):
 _X, _TO_COEF, _CUMINT, _BARY = _chebyshev_lobatto(PANEL_NODES)
 
 
-def _panels(seg: Segment, rtol: float, atol: float):
-    """Panels resolving Omega and delta on one segment, in time order.
+def _panels(seg: Segment, offsets: np.ndarray, rtol: float, atol: float):
+    """Panels resolving Omega and delta + eps on one segment for every offset eps.
 
-    Start from cuts of at most 1 rad of phase budget and bisect every
-    panel whose last two Chebyshev coefficients of W*Omega or delta exceed
-    rtol times that function's largest magnitude on the segment (plus
-    atol/duration).  Returns (lo, hi, W*Omega, delta) sampled at the panel
-    nodes.
+    Start from cuts of at most 1 rad of phase budget, the union of the cuts
+    at the smallest and largest offset: max(|delta + eps|, |Omega|) is
+    convex in eps, so on each piece any offset in between spends at most
+    the integral of the two ends' larger rate, which is below 2 rad.  Then
+    bisect every panel whose last two Chebyshev coefficients of W*Omega or
+    delta exceed rtol times that function's largest magnitude on the
+    segment (for delta + eps, the smallest over the offsets) plus
+    atol/duration.  Returns (lo, hi, W*Omega, delta) sampled at the panel
+    nodes, delta without the offsets.
     """
-    edges = seg.phase_edges(TWO_PI)
+    first, last = offsets.min(), offsets.max()
+    edges = seg.shifted(first).phase_edges(TWO_PI)
+    if last > first:
+        edges = np.union1d(edges, seg.shifted(last).phase_edges(TWO_PI))
     lo, hi = edges[:-1], edges[1:]
     parts, scales, count, floor = [], None, lo.size, atol / seg.duration
     for level in range(MAX_BISECTIONS + 1):
@@ -166,7 +181,8 @@ def _panels(seg: Segment, rtol: float, atol: float):
         om = seg.sign * np.asarray(seg.omega(u.ravel()), dtype=float).reshape(u.shape)
         de = np.asarray(seg.delta(u.ravel()), dtype=float).reshape(u.shape)
         if scales is None:
-            scales = np.array([[np.max(np.abs(om))], [np.max(np.abs(de))]])
+            de_scale = np.min(np.maximum(np.abs(de.max() + offsets), np.abs(de.min() + offsets)))
+            scales = np.array([[np.max(np.abs(om))], [de_scale]])
         tail = np.max(np.abs(np.stack((om, de)) @ _TO_COEF[-2:].T), axis=2)
         ok = (tail <= rtol * scales + floor).all(axis=0)
         parts.append((lo[ok], hi[ok], om[ok], de[ok]))
@@ -184,11 +200,15 @@ def _panels(seg: Segment, rtol: float, atol: float):
     return lo[order], hi[order], om[order], de[order]
 
 
-def _cumulative(f: np.ndarray, half: np.ndarray, start):
-    """Running integral at the nodes of consecutive panels, from ``start``."""
+def _cumulative(f: np.ndarray, half: np.ndarray, start: np.ndarray):
+    """Running integral at the nodes of consecutive panels, from ``start``.
+
+    ``f`` is (offsets, panels, nodes) and ``start`` holds one value per offset.
+    """
     local = (f @ _CUMINT.T) * half[:, None]
-    offsets = start + np.concatenate(([0.0], np.cumsum(local[:-1, -1])))
-    return local + offsets[:, None]
+    steps = np.cumsum(local[:, :-1, -1], axis=1)
+    offsets = start[:, None] + np.concatenate((np.zeros((f.shape[0], 1)), steps), axis=1)
+    return local + offsets[:, :, None]
 
 
 def _interpolate(lo: np.ndarray, hi: np.ndarray, values, u: np.ndarray):
@@ -205,6 +225,58 @@ def _interpolate(lo: np.ndarray, hi: np.ndarray, values, u: np.ndarray):
     return [np.einsum("mk,mk->m", r, f[k]) for f in values]
 
 
+def _family_panels(schedule: PulseSchedule, offsets: np.ndarray, rtol: float, atol: float):
+    """:func:`_panels` of every segment, shared by the whole offset family."""
+    rtol = max(rtol, 100.0 * np.finfo(float).eps)
+    return [_panels(seg, offsets, rtol, atol) for seg in schedule.segments]
+
+
+def _sweep(panels, offsets: np.ndarray, s: float):
+    """Yield eta, gamma and theta at the nodes of each segment's panels.
+
+    The running integrals are (offsets, panels, nodes) arrays, continued
+    across segments.
+    """
+    gamma0 = np.zeros(offsets.size, dtype=complex)
+    eta0, theta0 = np.zeros(offsets.size), np.zeros(offsets.size)
+    for lo, hi, om, de in panels:
+        half = (hi - lo) / 2.0
+        eta = _cumulative(de + offsets[:, None, None], half, eta0)
+        dgamma = -0.5j * s * om * np.exp(1j * eta)
+        gamma = _cumulative(dgamma, half, gamma0)
+        theta = _cumulative(np.imag(np.conj(gamma) * dgamma), half, theta0)
+        yield gamma, eta, theta
+        gamma0, eta0, theta0 = gamma[:, -1, -1], eta[:, -1, -1], theta[:, -1, -1]
+
+
+def branch_endpoints(schedule: PulseSchedule, offsets, branch_eigenvalue: float = 2.0,
+                     rtol: float = 1e-11, atol: float = 1e-13):
+    """gamma, theta and eta at the end of one branch under each static offset.
+
+    Offset eps adds eps to delta(t), as :meth:`PulseSchedule.with_detuning_offset`
+    does; the whole family shares one panel set per segment, cut and
+    bisected as in :func:`propagate_displacement` for the offset that needs
+    the finest panels, and is integrated ``OFFSET_BLOCK`` offsets at a time
+    so that memory stays bounded.  Returns three arrays of shape
+    (len(offsets),).
+    """
+    offs = np.asarray(offsets, dtype=float)
+    if offs.ndim != 1 or offs.size == 0:
+        raise ParameterError("offsets must be a non-empty 1-D array")
+    if not np.all(np.isfinite(offs)):
+        raise ParameterError("detuning offsets must be finite")
+    panels = _family_panels(schedule, offs, rtol, atol)
+    gamma_end = np.empty(offs.size, dtype=complex)
+    theta_end, eta_end = np.empty_like(offs), np.empty_like(offs)
+    for start in range(0, offs.size, OFFSET_BLOCK):
+        block = slice(start, start + OFFSET_BLOCK)
+        for gamma, eta, theta in _sweep(panels, offs[block], float(branch_eigenvalue)):
+            pass
+        gamma_end[block], theta_end[block], eta_end[block] = \
+            gamma[:, -1, -1], theta[:, -1, -1], eta[:, -1, -1]
+    return gamma_end, theta_end, eta_end
+
+
 def propagate_displacement(schedule: PulseSchedule, branch_eigenvalue: float = 1.0,
                            t_eval: np.ndarray | None = None, rtol: float = 1e-11,
                            atol: float = 1e-13) -> BranchTrajectory:
@@ -219,15 +291,13 @@ def propagate_displacement(schedule: PulseSchedule, branch_eigenvalue: float = 1
     :class:`ConvergenceError`.  eta, gamma and theta then follow in turn
     from one cumulative spectral-integration matrix, and values at the
     output times from per-panel barycentric interpolation, exact at the
-    nodes.
+    nodes.  This is the zero-offset member of :func:`branch_endpoints`.
 
     The default output grid resolves the fastest detuning period of each
     segment by ``GRID_POINTS_PER_PERIOD`` points; a user-supplied
     ``t_eval`` must be at least as fine and is checked per segment.
     """
     s = float(branch_eigenvalue)
-    rtol = max(rtol, 100.0 * np.finfo(float).eps)
-
     bounds = schedule.boundaries
     if t_eval is None:
         locals_per_seg = [_segment_grid(seg) for seg in schedule.segments]
@@ -244,20 +314,14 @@ def propagate_displacement(schedule: PulseSchedule, branch_eigenvalue: float = 1
             _check_grid(seg, u)
             locals_per_seg.append(u)
 
-    gamma0, eta0, theta0 = 0.0j, 0.0, 0.0
     ts, cols = [], []
-    for i, seg in enumerate(schedule.segments):
-        lo, hi, om, de = _panels(seg, rtol, atol)
-        half = (hi - lo) / 2.0
-        eta = _cumulative(de, half, eta0)
-        dgamma = -0.5j * s * om * np.exp(1j * eta)
-        gamma = _cumulative(dgamma, half, gamma0)
-        theta = _cumulative(np.imag(np.conj(gamma) * dgamma), half, theta0)
-        u = locals_per_seg[i]
+    zero = np.zeros(1)
+    panels = _family_panels(schedule, zero, rtol, atol)
+    sweep = _sweep(panels, zero, s)
+    for (lo, hi, _, _), (gamma, eta, theta), u, start in zip(panels, sweep, locals_per_seg, bounds):
         if u.size:
-            ts.append(u + bounds[i])
-            cols.append(_interpolate(lo, hi, (gamma, eta, theta), u))
-        gamma0, eta0, theta0 = gamma[-1, -1], eta[-1, -1], theta[-1, -1]
+            ts.append(u + start)
+            cols.append(_interpolate(lo, hi, (gamma[0], eta[0], theta[0]), u))
 
     t_all = np.concatenate(ts)
     gamma, eta, theta = (np.concatenate(col) for col in zip(*cols))

@@ -27,7 +27,7 @@ model applies one exact gate propagator to every compiled gate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
@@ -431,9 +431,6 @@ class DecayFit:
         expected = _eps_2q(self.eps_rb, self.eps_leak)
         if abs(self.eps_2q - expected) > 1e-9 * max(expected, 1e-12):
             raise ParameterError("eps_2q inconsistent with fitted rates")
-
-    def with_ci(self, ci: dict) -> "DecayFit":
-        return replace(self, ci=ci)
 
 
 def _eps_2q(eps_rb: float, eps_leak: float) -> float:

@@ -2,6 +2,8 @@
 
 import os
 import re
+import subprocess
+import sys
 import textwrap
 
 import numpy as np
@@ -517,3 +519,14 @@ def test_validate_agrees_with_run(tmp_path, capsys, text):
     assert cli.main(["validate", path, "--quiet"]) == 1
     assert cli.main(["run", path, "--output-dir", str(tmp_path), "--quiet"]) == 1
     assert capsys.readouterr().err.count("config error") == 2
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.linalg alone is most of the start-up time; the closed-form
+    # scenarios never need it, so every scipy import is deferred to its use
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": package_root}
+    code = "import sys, iongate.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

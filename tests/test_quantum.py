@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from iongate import cli, quantum
 from iongate.errors import ConvergenceError, GridError, ParameterError, TruncationError
@@ -374,6 +375,17 @@ def test_split_step_refines_at_second_order_through_carrier_ramps():
     assert abs(default - ref.spin_populations()["uu"]) < 1e-4
 
 
+def test_split_step_carrier_half_steps_match_matrix_exponentials(monkeypatch):
+    # the reference exponentiates the carrier operator afresh at every step
+    with_c = carrier_test_schedule(TWO_PI * 2e3, math.pi / 2, invert=False)
+    psi0 = CompositeState.from_spin_fock((0.5, 0.5, 0.5, 0.5), n=1, n_max=30)
+    fast = propagate(with_c, psi0).amplitudes
+    monkeypatch.setattr(quantum, "_carrier_half_step",
+                        lambda op: lambda x: expm(-0.25j * x * op))
+    reference = propagate(with_c, psi0).amplitudes
+    assert np.max(np.abs(fast - reference)) < 1e-12
+
+
 def test_split_step_resolves_carrier_on_detuning_ramps():
     # the splitting error does not follow the phase budget: steps sized by
     # it (long where |delta| is small) left a 1.6e-3 gap here, uniform ones 1.2e-4
@@ -590,6 +602,42 @@ def test_offset_scan_baseline_and_symmetry():
     assert np.all(scan.fidelity <= 1.0)
     with pytest.raises(GridError):
         offset_scan(sched, np.zeros((2, 2)), ThermalEnsemble.build(0.0))
+
+
+def test_offset_scan_cuts_each_segment_once_for_the_whole_scan(monkeypatch):
+    cuts = []
+    original = Segment.phase_edges
+
+    def counted(seg, *args, **kwargs):
+        cuts.append(seg)
+        return original(seg, *args, **kwargs)
+
+    monkeypatch.setattr(Segment, "phase_edges", counted)
+    sched = build_smooth_schedule(smooth_scan_params())
+    for n in (1, 3, 21):
+        cuts.clear()
+        offset_scan(sched, TWO_PI * np.linspace(-1e3, 1e3, n), ThermalEnsemble.build(3.5))
+        assert 0 < len(cuts) <= 2 * len(sched.segments)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_offsets_are_parameter_errors(bad):
+    sched = build_walsh_schedule(WalshGateParams.calibrated(2, TWO_PI * 5e3))
+    with pytest.raises(ParameterError):
+        offset_scan(sched, [0.0, bad], ThermalEnsemble.build(0.0))
+    with pytest.raises(ParameterError):
+        sched.with_detuning_offset(bad)
+
+
+def test_offset_scan_matches_per_offset_thermal_averages(calibration_schedule):
+    offsets = TWO_PI * np.array([-2e3, -0.5e3, 0.0, 0.7e3, 2e3])
+    ens = ThermalEnsemble.build(3.5)
+    spin = (0.6, 0.0, 0.8j, 0.0)
+    scan = offset_scan(calibration_schedule, offsets, ens, psi0_spin=spin)
+    for k, eps in enumerate(offsets):
+        own = thermal_average(calibration_schedule.with_detuning_offset(eps), ens, spin)
+        for key in ("p_uu", "p_dd", "p_odd", "fidelity"):
+            assert abs(getattr(scan, key)[k] - getattr(own, key)) < 1e-14
 
 
 def test_thermal_routes_build_no_fock_space(monkeypatch, tmp_path):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from iongate import semiclassical
 from iongate.errors import ConvergenceError, GridError, ParameterError
 from iongate.filterfn import filter_function_numeric
 from iongate.quantum import FockConfig, branch_factorized_blocks
@@ -27,6 +28,7 @@ from iongate.schedule import (
 )
 from iongate.semiclassical import (
     BranchTrajectory,
+    branch_endpoints,
     calibrate_delta_min,
     calibrate_omega,
     collective_spin_operator,
@@ -228,6 +230,56 @@ def test_minus_two_branch_is_negated_plus_two_branch(sched):
     assert np.array_equal(minus.gamma, -plus.gamma)
     assert np.array_equal(minus.theta, plus.theta)
     assert np.array_equal(minus.eta, plus.eta)
+
+
+@pytest.mark.parametrize("gate", ["walsh", "smooth"])
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_batched_endpoints_match_per_offset_propagation(calibration_gate, gate, data):
+    # offsets up to 30 kHz flip the sign of delta + eps on the constant Walsh
+    # loops (delta = -14.1 kHz) and on the smooth gate's -21.7 kHz hold;
+    # sampling -delta itself zeroes it there
+    if gate == "walsh":
+        sched = build_walsh_schedule(WalshGateParams.calibrated(2, TWO_PI * 5e3))
+    else:
+        sched = build_smooth_schedule(calibration_gate)
+    zero = -sched.segments[-1 if gate == "walsh" else 2].const_delta
+    offset = st.one_of(st.just(zero), st.floats(-TWO_PI * 30e3, TWO_PI * 30e3))
+    offsets = np.array(data.draw(st.lists(offset, min_size=1, max_size=5)))
+    gamma, theta, eta = branch_endpoints(sched, offsets)
+    assert gamma.shape == theta.shape == eta.shape == offsets.shape
+    for k, eps in enumerate(offsets):
+        own = propagate_displacement(sched.with_detuning_offset(eps), 2.0)
+        # the two panel sets differ, and eta is only resolved to its float
+        # spacing, 2.2e-16*|eta| (2.2e-14 rad at |eta| = 100 rad)
+        floor = 1e-14 + 8.0 * np.finfo(float).eps * np.max(np.abs(own.eta))
+        assert abs(gamma[k] - own.gamma_end) <= floor * np.max(np.abs(own.gamma))
+        assert abs(theta[k] - own.theta_end) <= floor * max(1.0, np.max(np.abs(own.theta)))
+        assert eta[k] == pytest.approx(own.eta_end, rel=1e-14, abs=1e-14)
+
+
+def test_single_offset_endpoints_equal_the_trajectory_endpoints(calibration_gate):
+    sched = build_smooth_schedule(calibration_gate)
+    for eps in (0.0, TWO_PI * 1.5e3):
+        own = propagate_displacement(sched.with_detuning_offset(eps), 2.0)
+        gamma, theta, eta = branch_endpoints(sched, [eps])
+        assert (gamma[0], theta[0], eta[0]) == (own.gamma_end, own.theta_end, own.eta_end)
+
+
+def test_offset_blocks_do_not_change_the_endpoints(monkeypatch):
+    sched = build_walsh_schedule(WalshGateParams.calibrated(2, TWO_PI * 5e3))
+    offsets = TWO_PI * np.linspace(-3e3, 3e3, 11)
+    whole = branch_endpoints(sched, offsets)
+    monkeypatch.setattr(semiclassical, "OFFSET_BLOCK", 4)
+    for a, b in zip(whole, branch_endpoints(sched, offsets)):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("offsets", [[], [[0.0]], [0.0, math.nan], [math.inf]],
+                         ids=["empty", "2-d", "nan", "inf"])
+def test_branch_endpoints_reject_bad_offsets(offsets):
+    with pytest.raises(ParameterError):
+        branch_endpoints(constant_schedule(), offsets)
 
 
 def test_aese_displacement_shrinks_with_slower_ramps():
