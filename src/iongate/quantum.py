@@ -200,7 +200,7 @@ def gate_eigenbasis(basis_phase: float = 0.0) -> np.ndarray:
     """
     ph = np.exp(-1j * basis_phase)
     u = np.array([[1.0, ph], [1.0, -ph]], dtype=complex) / np.sqrt(2.0)
-    # np.kron(u, u), spelled out: the full SLERB model calls this per gate
+    # np.kron(u, u), spelled out: BranchPropagators.apply calls this per gate
     return (u[:, None, :, None] * u[None, :, None, :]).reshape(4, 4)
 
 
@@ -345,15 +345,20 @@ def propagate(schedule: PulseSchedule, psi0: CompositeState, basis_phase: float 
     return CompositeState(amplitudes=amps.ravel(), n_max=psi0.n_max)
 
 
+def _guard_state(norm, top) -> None:
+    """Raise unless every norm is within NORM_TOL of 1 and every population
+    at the Fock cutoff is at most TRUNCATION_GUARD (NaN fails both)."""
+    if not np.all(np.abs(np.asarray(norm) - 1.0) <= NORM_TOL):
+        raise ConvergenceError("norm drift exceeded 1e-9 during propagation")
+    if not np.all(np.asarray(top) <= TRUNCATION_GUARD):
+        raise TruncationError("population at the Fock cutoff exceeds 1e-8; "
+                              "increase n_max")
+
+
 def _leave_gate_basis(basis: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Rotate a propagated gate-basis block back to z, guarding norm and cutoff."""
     amps = basis.conj().T @ out
-    if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
-        raise ConvergenceError("norm drift exceeded 1e-9 during propagation")
-    top = float(np.sum(np.abs(out[:, -1]) ** 2))
-    if top > TRUNCATION_GUARD:
-        raise TruncationError("population at the Fock cutoff exceeds 1e-8; "
-                              "increase n_max")
+    _guard_state(np.linalg.norm(amps), np.sum(np.abs(out[:, -1]) ** 2))
     return amps
 
 
@@ -535,9 +540,12 @@ def _outcome_columns(outcomes) -> dict[str, np.ndarray]:
             for k in ("p_uu", "p_dd", "p_odd", "fidelity")}
 
 
-def _max_branch_displacement(schedule: PulseSchedule) -> float:
+def _max_branch_displacement(schedule: PulseSchedule, gates: int = 0) -> float:
+    """Largest |gamma| of the +2 branch within one gate, plus |gamma_end| per
+    gate of a ``gates``-gate sequence: an unclosed loop's residual
+    displacements can add up from gate to gate."""
     traj = propagate_displacement(schedule, branch_eigenvalue=2.0, rtol=1e-8)
-    return float(np.max(np.abs(traj.gamma)))
+    return float(np.max(np.abs(traj.gamma))) + gates * float(abs(traj.gamma_end))
 
 
 @dataclass(frozen=True)

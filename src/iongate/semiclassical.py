@@ -167,14 +167,18 @@ def _panels(seg: Segment, offsets: np.ndarray, rtol: float, atol: float):
     bisect every panel whose last two Chebyshev coefficients of W*Omega or
     delta exceed rtol times that function's largest magnitude on the
     segment (for delta + eps, the smallest over the offsets) plus
-    atol/duration.  Returns (lo, hi, W*Omega, delta) sampled at the panel
-    nodes, delta without the offsets.
+    atol/duration.  More than ``MAX_PANELS`` panels, in the initial cut or
+    after any bisection, raise :class:`ConvergenceError`.  Returns (lo, hi,
+    W*Omega, delta) sampled at the panel nodes, delta without the offsets.
     """
     first, last = offsets.min(), offsets.max()
     edges = seg.shifted(first).phase_edges(TWO_PI)
     if last > first:
         edges = np.union1d(edges, seg.shifted(last).phase_edges(TWO_PI))
     lo, hi = edges[:-1], edges[1:]
+    if lo.size > MAX_PANELS:
+        raise ConvergenceError(f"segment {seg.label or '?'}: {lo.size} panels of 1 rad of "
+                               f"phase budget exceed {MAX_PANELS}")
     parts, scales, count, floor = [], None, lo.size, atol / seg.duration
     for level in range(MAX_BISECTIONS + 1):
         u = ((lo + hi) / 2.0)[:, None] + ((hi - lo) / 2.0)[:, None] * _X

@@ -20,8 +20,13 @@ with no vertical offset (state preparation and measurement errors are
 assumed negligible).  For small rates P_leak ~ N * eps_leak and
 P_flip ~ N * eps_rb.
 
-Sequences are integer arithmetic on the group's Cayley table; the full
-model applies one exact gate propagator to every compiled gate.
+Sequences are integer arithmetic on the group's Cayley table.  A dataset
+is simulated in one pass: every sequence is drawn first, then one model
+call returns all outcome probabilities.  The ideal and parametric models
+evaluate their closed form over the array of compiled gate counts; the
+full model steps all sequences together as one (sequences, 4, dim) state,
+applying one exact gate propagator, at a Fock cutoff sized for the
+longest sequence, to every compiled gate.
 """
 
 from __future__ import annotations
@@ -29,17 +34,28 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, GridError, ParameterError
-from .quantum import (NORM_TOL, BranchPropagators, FockConfig, _max_branch_displacement,
-                      branch_factorized_blocks)
+from .quantum import (NORM_TOL, BranchPropagators, FockConfig, _guard_state,
+                      _max_branch_displacement, branch_factorized_blocks, gate_eigenbasis)
 from .schedule import PulseSchedule
 
 GATE_ANGLE = -math.pi / 2
 GENERATOR_PHASES = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4)
+# index of the z (measurement) basis after the generators' eigenbases
+Z_BASIS = len(GENERATOR_PHASES)
+
+# Sequences the full model steps together: the state is a (rows, 4, dim)
+# array, which this keeps to about a megabyte at the cutoffs of cold ions.
+SEQUENCE_BLOCK = 128
+# Block entries and amplitudes below this are set to zero while stepping.
+# A nearly closed loop leaves the high Fock levels at ~|gamma_end|^n, whose
+# products run into subnormal numbers, which slow BLAS tenfold; a
+# population of 1e-300 is far below every guard and tolerance.
+FLUSH_AMPLITUDE = 1e-150
 
 # per-gate error -> per-Clifford error conversion constant used by the
 # standard reporting convention (13/6 entangling gates per Clifford)
@@ -120,11 +136,13 @@ def find_clifford(u: np.ndarray) -> int:
 class CliffordGroup:
     """Integer arithmetic on :func:`clifford_table` indices: ``mul[a][b]`` is
     table[a].matrix @ table[b].matrix, ``inv[a]`` the inverse of a,
-    ``gate_count[a]`` its compiled length, ``x`` the logical X."""
+    ``gate_count[a]`` its compiled length, ``generators[a]`` its compiled
+    gates as indices into ``GENERATOR_PHASES``, ``x`` the logical X."""
 
     mul: tuple[tuple[int, ...], ...]
     inv: tuple[int, ...]
     gate_count: tuple[int, ...]
+    generators: tuple[tuple[int, ...], ...]
     x: int
 
     def compose(self, cliffords: Sequence[int]) -> int:
@@ -142,6 +160,8 @@ def clifford_group() -> CliffordGroup:
     mul = tuple(tuple(find_clifford(a.matrix @ b.matrix) for b in table) for a in table)
     return CliffordGroup(mul=mul, inv=tuple(row.index(0) for row in mul),
                          gate_count=tuple(len(c.gates) for c in table),
+                         generators=tuple(tuple(GENERATOR_PHASES.index(phase)
+                                                for _, phase in c.gates) for c in table),
                          x=find_clifford(np.array([[0.0, 1.0], [1.0, 0.0]])))
 
 
@@ -188,7 +208,7 @@ def generate_sequence(n: int, seed: int, pauli_randomize: bool = True) -> SlerbS
         raise ParameterError("sequence length must be >= 1")
     group = clifford_group()
     rng = _rng(seed)
-    draws = tuple(int(k) for k in rng.integers(0, len(group.inv), size=n))
+    draws = tuple(rng.integers(0, len(group.inv), size=n).tolist())
     inverter = group.inv[group.compose(draws)]
     expected = "uu"
     if pauli_randomize and rng.integers(0, 2):
@@ -242,65 +262,168 @@ class FullScheduleModel:
     """Drive every compiled gate through the exact quantum propagator.
 
     The schedule must be carrier-free and calibrated to the -pi/2 gate
-    angle; its branch blocks hold in every drive basis and are built once,
-    at the ``FockConfig.auto`` cutoff.  The mode starts in |0>.
+    angle; its branch blocks hold in every drive basis and are built once
+    per Fock cutoff.  The mode starts in |0>.
     """
 
     schedule: PulseSchedule
 
     @cached_property
-    def blocks(self) -> BranchPropagators:
-        fock = FockConfig.auto(0.0, _max_branch_displacement(self.schedule))
-        return branch_factorized_blocks(self.schedule, fock)
+    def _blocks_by_dim(self) -> dict[int, BranchPropagators]:
+        return {}
 
-    def spin_populations(self, seq: SlerbSequence) -> np.ndarray:
-        """(uu, ud, du, dd) populations at the end of the compiled sequence."""
-        table = clifford_table()
-        state = np.zeros((4, self.blocks.dim), dtype=complex)
-        state[0, 0] = 1.0
-        for c in seq.cliffords + (seq.inverter,):
-            for _, phase in table[c].gates:
-                state = self.blocks.apply(state, phase)
-        return np.sum(np.abs(state) ** 2, axis=1)
+    def blocks(self, max_gates: int) -> BranchPropagators:
+        """Branch blocks at the ``FockConfig.auto`` cutoff for sequences of up
+        to ``max_gates`` compiled gates, built once per dim."""
+        fock = FockConfig.auto(0.0, _max_branch_displacement(self.schedule, max_gates))
+        if fock.dim not in self._blocks_by_dim:
+            self._blocks_by_dim[fock.dim] = branch_factorized_blocks(self.schedule, fock)
+        return self._blocks_by_dim[fock.dim]
+
+    def spin_populations(self, seqs: Sequence[SlerbSequence]) -> np.ndarray:
+        """(uu, ud, du, dd) populations at the end of each compiled sequence, (rows, 4).
+
+        The cutoff is sized for the longest sequence.  Rows are stepped
+        longest first, ``SEQUENCE_BLOCK`` at a time.
+        """
+        gens = clifford_group().generators
+        gates = [[g for c in seq.cliffords + (seq.inverter,) for g in gens[c]] for seq in seqs]
+        counts = np.array([len(g) for g in gates], dtype=int)
+        props = self.blocks(int(counts.max(initial=0)))
+        order = np.argsort(-counts, kind="stable")
+        pops = np.empty((len(seqs), 4))
+        for start in range(0, order.size, SEQUENCE_BLOCK):
+            rows = order[start:start + SEQUENCE_BLOCK]
+            pops[rows] = _step_sequences(props, [gates[r] for r in rows])
+        return pops
+
+
+@lru_cache(maxsize=1)
+def _basis_changes() -> np.ndarray:
+    """(5, 5, 4, 4) rotations: [a, b] takes a state from basis a to basis b.
+
+    Bases 0-3 are the S_phi eigenbases of the generators, ``Z_BASIS`` the
+    measurement basis.
+    """
+    bases = np.stack([gate_eigenbasis(phi) for phi in GENERATOR_PHASES] + [np.eye(4)])
+    return bases[None, :] @ bases[:, None].conj().swapaxes(-1, -2)
+
+
+def _flush(parts: np.ndarray) -> None:
+    parts[np.abs(parts) < FLUSH_AMPLITUDE] = 0.0
+
+
+def _step_sequences(props: BranchPropagators, gates: list[list[int]]) -> np.ndarray:
+    """(rows, 4) z-basis spin populations after each row's generator list.
+
+    Rows must be sorted longest first, so the rows still running at step t
+    are the first ones.  Between gates a row stays in its last gate's
+    eigenbasis: each step rotates the running rows into the next gate's
+    basis with one batched 4x4 product, applies one matmul per branch, and
+    guards the norm and the cutoff population of every running row.
+    """
+    rows, dim = len(gates), props.dim
+    lengths = np.array([len(g) for g in gates], dtype=int)
+    path = np.full((rows, lengths.max(initial=0) + 1), Z_BASIS)
+    for r, g in enumerate(gates):
+        path[r, 1:len(g) + 1] = g
+    change = _basis_changes()
+    blocks_t = np.ascontiguousarray(props.blocks.swapaxes(-1, -2))
+    _flush(blocks_t.view(float))
+    psi = np.zeros((rows, 4, dim), dtype=complex)
+    psi[:, 0, 0] = 1.0
+    rotated = np.empty_like(psi)
+    running = rows
+    for t in range(path.shape[1] - 1):
+        while lengths[running - 1] <= t:
+            running -= 1
+        np.matmul(change[path[:running, t], path[:running, t + 1]], psi[:running],
+                  out=rotated[:running])
+        for k in range(4):
+            np.matmul(rotated[:running, k], blocks_t[k], out=psi[:running, k])
+        live = psi[:running].reshape(running, -1).view(float)
+        _flush(live)
+        _guard_state(np.sqrt(np.einsum("ri,ri->r", live, live)),
+                     np.sum(np.abs(psi[:running, :, -1]) ** 2, axis=1))
+    amps = change[path[np.arange(rows), lengths], Z_BASIS] @ psi
+    return np.sum(np.abs(amps) ** 2, axis=2)
 
 
 ErrorModel = IdealModel | ParametricModel | FullScheduleModel
 
 
-def _sequence_probabilities(seq: SlerbSequence, model: ErrorModel) -> np.ndarray:
-    """(P_survival, P_flip, P_leak) for one sequence; they must sum to 1 within NORM_TOL."""
+def _libm_powers(base: float, exponents: np.ndarray) -> np.ndarray:
+    """base ** n for integer n through the C library's pow, as Python floats do.
+
+    numpy's SIMD power loop differs from it in the last bit, which would
+    change the multinomial draws; the distinct exponents are few.
+    """
+    powers = {n: base ** n for n in set(exponents.tolist())}
+    return np.array([powers[n] for n in exponents.tolist()])
+
+
+def _closed_form_probabilities(seqs: Sequence[SlerbSequence],
+                               model: IdealModel | ParametricModel) -> np.ndarray:
+    """(P_expected, P_flip, P_leak) per sequence from the compiled gate counts.
+
+    Both channels commute with the ideal unitaries (depolarizing is
+    unitarily covariant, leak exchange touches only the trace), so a whole
+    sequence collapses: polarization along the ideal trajectory shrinks by
+    ((1-2r)(1-q))^M over its M compiled gates (inverter excluded), and the
+    in/out-of-subspace populations follow a two-state exchange chain.
+    """
+    group = clifford_group()
+    index = np.uint8  # 24 elements; keeps the padded table small
+    draws = np.zeros((len(seqs), max(len(seq.cliffords) for seq in seqs)), dtype=index)
+    for row, seq in zip(draws, seqs):  # identity-padded
+        row[:len(seq.cliffords)] = seq.cliffords
+    mul = np.array(group.mul, dtype=index)
+    product = np.zeros(len(seqs), dtype=index)
+    for column in draws.T:
+        product = mul[column, product]
+    product = mul[[seq.inverter for seq in seqs], product]
+    target = np.where([seq.expected_state == "uu" for seq in seqs], 0, group.x)
+    if np.any(product != target):
+        raise ConvergenceError("inverter does not return the expected state")
+    total_gates = np.array(group.gate_count, dtype=index)[draws].sum(axis=1)
+    r, q = model.per_gate_rates() if isinstance(model, ParametricModel) else (0.0, 0.0)
+    trace_in = 0.5 * (1.0 + _libm_powers(1.0 - 2.0 * q, total_gates))
+    polarization = _libm_powers((1.0 - 2.0 * r) * (1.0 - q), total_gates)
+    return np.stack([0.5 * trace_in + 0.5 * polarization,
+                     0.5 * trace_in - 0.5 * polarization,
+                     1.0 - trace_in], axis=1)
+
+
+def _probabilities(seqs: Sequence[SlerbSequence], model: ErrorModel) -> np.ndarray:
+    """(P_survival, P_flip, P_leak) per sequence, (rows, 3), from one model call.
+
+    Each row must sum to 1 within NORM_TOL.
+    """
     if isinstance(model, (IdealModel, ParametricModel)):
-        group = clifford_group()
-        target = 0 if seq.expected_state == "uu" else group.x
-        if group.compose(seq.cliffords + (seq.inverter,)) != target:
-            raise ConvergenceError("inverter does not return the expected state")
-        # Both channels commute with the ideal unitaries (depolarizing is
-        # unitarily covariant, leak exchange touches only the trace), so the
-        # whole sequence collapses: polarization along the ideal trajectory
-        # shrinks by ((1-2r)(1-q))^M over the M compiled gates, and the
-        # in/out-of-subspace populations follow a two-state exchange chain.
-        total_gates = sum(group.gate_count[c] for c in seq.cliffords)
-        if isinstance(model, ParametricModel):
-            r, q = model.per_gate_rates()
-        else:
-            r, q = 0.0, 0.0
-        trace_in = 0.5 * (1.0 + (1.0 - 2.0 * q) ** total_gates)
-        polarization = ((1.0 - 2.0 * r) * (1.0 - q)) ** total_gates
-        p_exp = 0.5 * trace_in + 0.5 * polarization
-        p_flip = 0.5 * trace_in - 0.5 * polarization
-        probs = np.array([p_exp, p_flip, 1.0 - trace_in])
+        probs = _closed_form_probabilities(seqs, model)
     elif isinstance(model, FullScheduleModel):
-        uu, ud, du, dd = model.spin_populations(seq)
-        probs = np.array([uu, dd, ud + du] if seq.expected_state == "uu"
-                         else [dd, uu, ud + du])
+        uu, ud, du, dd = model.spin_populations(seqs).T
+        flipped = np.array([seq.expected_state != "uu" for seq in seqs])
+        probs = np.stack([np.where(flipped, dd, uu), np.where(flipped, uu, dd), ud + du],
+                         axis=1)
     else:
         raise ParameterError(f"unknown error model {model!r}")
 
     probs = np.clip(probs, 0.0, None)
-    total = probs.sum()
-    if abs(total - 1.0) > NORM_TOL:
+    total = probs[:, 0] + probs[:, 1] + probs[:, 2]
+    if not np.all(np.abs(total - 1.0) <= NORM_TOL):
         raise ConvergenceError("sequence probabilities do not sum to one")
-    return probs / total
+    return probs / total[:, None]
+
+
+def _sequence_probabilities(seq: SlerbSequence, model: ErrorModel) -> np.ndarray:
+    """(P_survival, P_flip, P_leak) for one sequence: the one-row case."""
+    return _probabilities([seq], model)[0]
+
+
+def _shot_counts(probs: np.ndarray, shots: int, seed) -> tuple[int, int, int]:
+    counts = _rng(seed).multinomial(shots, probs)
+    return int(counts[0]), int(counts[1]), int(counts[2])
 
 
 def simulate_sequence(seq: SlerbSequence, model: ErrorModel, shots: int,
@@ -308,9 +431,7 @@ def simulate_sequence(seq: SlerbSequence, model: ErrorModel, shots: int,
     """Multinomial shot counts (n_survival, n_flip, n_leak)."""
     if shots < 1:
         raise ParameterError("shots must be >= 1")
-    probs = _sequence_probabilities(seq, model)
-    counts = _rng(seed).multinomial(shots, probs)
-    return int(counts[0]), int(counts[1]), int(counts[2])
+    return _shot_counts(_sequence_probabilities(seq, model), shots, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -386,26 +507,27 @@ class SlerbDataset:
 def collect_dataset(lengths: Sequence[int], n_sequences: int, shots: int,
                     model: ErrorModel, seed: int,
                     pauli_randomize: bool = True) -> SlerbDataset:
-    """Run the benchmark: fresh random sequences per length, fixed shots each."""
+    """Run the benchmark: fresh random sequences per length, fixed shots each.
+
+    Every sequence is drawn first; one model call then gives all outcome
+    probabilities, and each row draws its shots from its own seed.
+    """
     if len(lengths) == 0:
         raise ParameterError("need at least one sequence length")
     if n_sequences < 1:
         raise ParameterError("need at least one sequence per length")
+    if shots < 1:
+        raise ParameterError("shots must be >= 1")
     root = np.random.SeedSequence(seed)
-    children = root.spawn(len(lengths) * n_sequences)
-    rows_n, rows_id, rows = [], [], []
-    k = 0
-    for length in lengths:
-        for sid in range(n_sequences):
-            gen_seed, shot_seed = children[k].spawn(2)
-            k += 1
-            seq = generate_sequence(int(length), gen_seed, pauli_randomize)
-            rows_n.append(int(length))
-            rows_id.append(sid)
-            rows.append(simulate_sequence(seq, model, shots, shot_seed))
-    counts = np.array(rows, dtype=int)
+    seeds = [child.spawn(2) for child in root.spawn(len(lengths) * n_sequences)]
+    rows_n = [int(length) for length in lengths for _ in range(n_sequences)]
+    seqs = [generate_sequence(n, gen_seed, pauli_randomize)
+            for n, (gen_seed, _) in zip(rows_n, seeds)]
+    probs = _probabilities(seqs, model)
+    counts = np.array([_shot_counts(p, shots, shot_seed)
+                       for p, (_, shot_seed) in zip(probs, seeds)], dtype=int)
     return SlerbDataset.from_columns(
-        rows_n, rows_id, np.full(len(rows_n), shots),
+        rows_n, list(range(n_sequences)) * len(lengths), np.full(len(rows_n), shots),
         counts[:, 0], counts[:, 1], counts[:, 2])
 
 
@@ -519,14 +641,12 @@ def fit_decays(data: SlerbDataset, max_n: int | None = None) -> DecayFit:
                     eps_2q=_eps_2q(eps_rb, eps_leak), max_n=max_n)
 
 
-def bootstrap_ci(data: SlerbDataset, fit_fn: Callable | None = None,
-                 resamples: int = 10000, seed: int = 0,
+def bootstrap_ci(data: SlerbDataset, resamples: int = 10000, seed: int = 0,
                  max_n: int | None = None) -> dict[str, tuple[float, float]]:
     """68% percentile intervals from sequence-level resampling.
 
-    Rows are resampled with replacement within each length.  The default
-    fast path refits all resamples in one vectorized pass; passing a custom
-    ``fit_fn(dataset) -> DecayFit`` switches to a per-resample loop.
+    Rows are resampled with replacement within each length, and all
+    resamples are refitted in one vectorized pass.
     """
     if resamples < 100:
         raise ParameterError("resamples must be >= 100")
@@ -538,30 +658,18 @@ def bootstrap_ci(data: SlerbDataset, fit_fn: Callable | None = None,
     if min(rows.size for rows in row_sets) < 2:
         raise DomainError("bootstrap needs at least two sequences per length")
     rng = _rng(seed)
-
-    if fit_fn is not None:
-        rates = np.empty((resamples, 3))
-        for i in range(resamples):
-            pick = np.concatenate([rng.choice(rows, size=rows.size) for rows in row_sets])
-            sample = SlerbDataset(*(np.asarray(c)[pick] for c in (
-                used.n, used.sequence_id, used.shots,
-                used.n_survival, used.n_flip, used.n_leak)))
-            fit = fit_fn(sample)
-            rates[i] = (fit.eps_rb, fit.eps_leak, fit.eps_2q)
-        eps_rb, eps_leak, eps_2q = rates.T
-    else:
-        n_len = lengths.size
-        f_surv = np.empty((resamples, n_len))
-        f_flip = np.empty((resamples, n_len))
-        tot = np.empty(n_len)
-        for j, rows in enumerate(row_sets):
-            pick = rng.choice(rows, size=(resamples, rows.size))
-            shots = used.shots[pick].sum(axis=1)
-            f_surv[:, j] = used.n_survival[pick].sum(axis=1) / shots
-            f_flip[:, j] = used.n_flip[pick].sum(axis=1) / shots
-            tot[j] = used.shots[rows].sum()
-        eps_rb, eps_leak = _fit_rates_batch(lengths.astype(float), f_surv, f_flip, tot)
-        eps_2q = _eps_2q(eps_rb, eps_leak)
+    n_len = lengths.size
+    f_surv = np.empty((resamples, n_len))
+    f_flip = np.empty((resamples, n_len))
+    tot = np.empty(n_len)
+    for j, rows in enumerate(row_sets):
+        pick = rng.choice(rows, size=(resamples, rows.size))
+        shots = used.shots[pick].sum(axis=1)
+        f_surv[:, j] = used.n_survival[pick].sum(axis=1) / shots
+        f_flip[:, j] = used.n_flip[pick].sum(axis=1) / shots
+        tot[j] = used.shots[rows].sum()
+    eps_rb, eps_leak = _fit_rates_batch(lengths.astype(float), f_surv, f_flip, tot)
+    eps_2q = _eps_2q(eps_rb, eps_leak)
 
     def interval(values):
         lo, hi = np.percentile(values, [16.0, 84.0])

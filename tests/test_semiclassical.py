@@ -6,6 +6,7 @@ gamma_s = -(s*Omega/2/delta)*(exp(i*delta*t)-1) and the branch phase is
 in the tests and compared against the integrators.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -280,6 +281,22 @@ def test_offset_blocks_do_not_change_the_endpoints(monkeypatch):
 def test_branch_endpoints_reject_bad_offsets(offsets):
     with pytest.raises(ParameterError):
         branch_endpoints(constant_schedule(), offsets)
+
+
+def test_initial_cut_beyond_max_panels_raises_before_the_nodes():
+    # 2 pi x 1 GHz on a 2-loop 5 kHz Walsh gate cuts ~9e5 one-radian panels
+    sched = build_walsh_schedule(WalshGateParams.calibrated(2, TWO_PI * 5e3))
+
+    def sampled(fn):
+        def checked(u):
+            assert np.size(u) <= 2049, "panel nodes were evaluated"
+            return fn(u)
+        return checked
+
+    sched = PulseSchedule([dataclasses.replace(seg, omega=sampled(seg.omega))
+                           for seg in sched.segments])
+    with pytest.raises(ConvergenceError, match="exceed"):
+        branch_endpoints(sched, [TWO_PI * 1e9])
 
 
 def test_aese_displacement_shrinks_with_slower_ramps():

@@ -265,7 +265,7 @@ def test_probability_sum_is_checked_at_norm_tolerance(monkeypatch):
     model = FullScheduleModel(build_walsh_schedule(WalshGateParams.calibrated(1, TWO_PI * 20e3)))
     seq = generate_sequence(2, seed=1)
     monkeypatch.setattr(FullScheduleModel, "spin_populations",
-                        lambda self, seq: np.array([0.5, 0.0, 0.0, 0.5 + 1e-6]))
+                        lambda self, seqs: np.array([[0.5, 0.0, 0.0, 0.5 + 1e-6]]))
     with pytest.raises(ConvergenceError):
         _sequence_probabilities(seq, model)
 
@@ -288,9 +288,9 @@ def test_full_model_matches_per_gate_propagate_on_walsh_gate(offset_hz):
     sched = build_walsh_schedule(WalshGateParams.calibrated(1, TWO_PI * 20e3))
     sched = sched.with_detuning_offset(TWO_PI * offset_hz)
     model = FullScheduleModel(sched)
-    n_max = model.blocks.dim - 1
     for n, seed in ((3, 5), (12, 6), (40, 7)):
         seq = generate_sequence(n, seed=seed)
+        n_max = model.blocks(seq.total_gates).dim - 1
         oracle = stepped_probabilities(
             seq, lambda state, phase: propagate(sched, state, basis_phase=phase), n_max)
         gap = np.abs(_sequence_probabilities(seq, model) - oracle).max()
@@ -304,9 +304,9 @@ def test_full_model_is_the_limit_of_refined_stepping_on_smooth_gate():
                             omega_g=TWO_PI * 40e3, tau_g=2e-6, tau_d=8e-6, j=3)
     sched = build_smooth_schedule(calibrate_omega(base, use="exact"))
     model = FullScheduleModel(sched)
-    n_max = model.blocks.dim - 1
     seqs = [generate_sequence(n, seed=s) for n, s in ((4, 1), (16, 2), (16, 3))]
-    exact = np.array([_sequence_probabilities(q, model) for q in seqs])
+    n_max = model.blocks(max(q.total_gates for q in seqs)).dim - 1
+    exact = slerb._probabilities(seqs, model)
     gaps = []
     for steps in (200, 400):
         props = gate_propagator(sched, FockConfig(n_max=n_max), steps_per_period=steps)
@@ -357,6 +357,147 @@ def test_full_model_rejects_carrier_and_guards_cutoff(monkeypatch):
     with pytest.raises(TruncationError):
         _sequence_probabilities(seq, FullScheduleModel(
             sched.with_detuning_offset(TWO_PI * 2e3)))
+
+
+def walsh_gate(offset_hz=0.0):
+    sched = build_walsh_schedule(WalshGateParams.calibrated(1, TWO_PI * 20e3))
+    return sched.with_detuning_offset(TWO_PI * offset_hz) if offset_hz else sched
+
+
+def calibrated_smooth_gate():
+    base = SmoothGateParams(delta_max=-TWO_PI * 400e3, delta_min=-TWO_PI * 80e3,
+                            omega_g=TWO_PI * 40e3, tau_g=2e-6, tau_d=8e-6, j=3)
+    return build_smooth_schedule(calibrate_omega(base, use="exact"))
+
+
+def per_gate_populations(props, seq):
+    """Oracle: one BranchPropagators.apply per compiled gate, in z between gates."""
+    table = clifford_table()
+    state = np.zeros((4, props.dim), dtype=complex)
+    state[0, 0] = 1.0
+    for c in seq.cliffords + (seq.inverter,):
+        for _, phase in table[c].gates:
+            state = props.apply(state, phase)
+    return np.sum(np.abs(state) ** 2, axis=1)
+
+
+# an identity draw with an identity inverter compiles to no gate at all
+IDENTITY_ROW = slerb.SlerbSequence(n=1, seed=0, cliffords=(0,), inverter=0,
+                                   expected_state="uu", pauli_randomized=False)
+
+
+@pytest.mark.parametrize("gate", [
+    lambda: walsh_gate(), lambda: walsh_gate(500.0), calibrated_smooth_gate,
+], ids=["walsh", "walsh_500hz", "smooth"])
+@pytest.mark.parametrize("block", [None, 3], ids=["one_block", "blocks_of_3"])
+def test_batched_full_model_matches_per_gate_apply_loop(monkeypatch, gate, block):
+    if block:
+        monkeypatch.setattr(slerb, "SEQUENCE_BLOCK", block)
+    model = FullScheduleModel(gate())
+    seqs = [generate_sequence(n, seed=s) for n, s in ((1, 3), (12, 4), (5, 5), (30, 6), (1, 7))]
+    seqs.insert(2, IDENTITY_ROW)
+    assert len({q.total_gates for q in seqs}) >= 5
+    pops = model.spin_populations(seqs)
+    props = model.blocks(max(q.total_gates for q in seqs))
+    oracle = np.array([per_gate_populations(props, q) for q in seqs])
+    assert np.abs(pops - oracle).max() <= 1e-12
+
+
+def test_zero_gate_rows_keep_the_initial_state():
+    model = FullScheduleModel(walsh_gate())
+    probs = slerb._probabilities([IDENTITY_ROW, generate_sequence(8, seed=2), IDENTITY_ROW], model)
+    assert np.array_equal(probs[[0, 2]], [[1.0, 0.0, 0.0]] * 2)
+    assert probs[1, 0] > 1.0 - 1e-9
+    assert np.array_equal(slerb._probabilities([IDENTITY_ROW], model), [[1.0, 0.0, 0.0]])
+
+
+def test_every_gate_of_every_running_row_is_guarded(monkeypatch):
+    checked = []
+    guard = slerb._guard_state
+
+    def counted(norm, top):
+        checked.append(len(norm))
+        return guard(norm, top)
+
+    monkeypatch.setattr(slerb, "_guard_state", counted)
+    seqs = [generate_sequence(n, seed=s) for n, s in ((2, 1), (9, 2), (4, 3))] + [IDENTITY_ROW]
+    FullScheduleModel(walsh_gate()).spin_populations(seqs)
+    assert sum(checked) == sum(q.total_gates for q in seqs)
+
+
+def test_truncation_in_one_row_of_the_batch_raises(monkeypatch):
+    # a 2 kHz offset leaves the mode displaced after every gate; 17 Fock
+    # levels hold the short rows but not the 88-gate one
+    monkeypatch.setattr(FockConfig, "auto", classmethod(lambda cls, *a: cls(n_max=16)))
+    model = FullScheduleModel(walsh_gate(2e3))
+    short = [generate_sequence(1, seed=s) for s in range(4)]
+    long = generate_sequence(40, seed=9)
+    assert np.all(np.isfinite(slerb._probabilities(short, model)))
+    with pytest.raises(TruncationError):
+        slerb._probabilities(short[:2] + [long] + short[2:], model)
+
+
+def test_unclosed_loop_cutoff_is_sized_for_the_sequence():
+    # a 20 us gate whose loop does not close: each gate leaves |gamma_end| =
+    # 0.54, and a one-gate cutoff cannot hold 8 such gates
+    base = SmoothGateParams(delta_max=-TWO_PI * 300e3, delta_min=-TWO_PI * 60e3,
+                            omega_g=TWO_PI * 30e3, tau_g=2e-6, tau_d=8e-6, j=3)
+    model = FullScheduleModel(build_smooth_schedule(calibrate_omega(base, use="exact")))
+    seq = generate_sequence(4, seed=0)
+    probs = _sequence_probabilities(seq, model)
+    uu, ud, du, dd = per_gate_populations(model.blocks(seq.total_gates), seq)
+    kept, flipped = (uu, dd) if seq.expected_state == "uu" else (dd, uu)
+    assert np.abs(probs - [kept, flipped, ud + du]).max() <= 1e-12
+    assert model.blocks(seq.total_gates).dim > model.blocks(1).dim
+    # a closed loop keeps its one-gate cutoff at any length
+    walsh = FullScheduleModel(walsh_gate())
+    assert walsh.blocks(10**4).dim == walsh.blocks(0).dim == 33
+
+
+def scalar_closed_form(seq, model):
+    """Reference: the per-sequence closed form in Python floats."""
+    group = clifford_group()
+    total = sum(group.gate_count[c] for c in seq.cliffords)
+    r, q = model.per_gate_rates() if isinstance(model, ParametricModel) else (0.0, 0.0)
+    trace_in = 0.5 * (1.0 + (1.0 - 2.0 * q) ** total)
+    polarization = ((1.0 - 2.0 * r) * (1.0 - q)) ** total
+    probs = np.clip(np.array([0.5 * trace_in + 0.5 * polarization,
+                              0.5 * trace_in - 0.5 * polarization, 1.0 - trace_in]), 0.0, None)
+    return probs / probs.sum()
+
+
+@pytest.mark.parametrize("model", [IdealModel(), ParametricModel(1.5e-4, 8e-5),
+                                   ParametricModel(3e-2, 1e-2)])
+def test_closed_form_dataset_equals_the_per_sequence_loop_bit_for_bit(model):
+    lengths, n_sequences, shots, seed = [2, 7, 50, 300], 6, 100, 31
+    data = collect_dataset(lengths, n_sequences, shots, model, seed)
+    children = iter(np.random.SeedSequence(seed).spawn(len(lengths) * n_sequences))
+    seqs, rows = [], []
+    for n in lengths:
+        for _ in range(n_sequences):
+            gen_seed, shot_seed = next(children).spawn(2)
+            seqs.append(generate_sequence(n, gen_seed))
+            rows.append(simulate_sequence(seqs[-1], model, shots, shot_seed))
+    assert np.array_equal(np.column_stack([data.n_survival, data.n_flip, data.n_leak]), rows)
+    assert np.array_equal(slerb._probabilities(seqs, model),
+                          [scalar_closed_form(q, model) for q in seqs])
+
+
+@pytest.mark.parametrize("kind", ["parametric", "full"])
+def test_collect_dataset_makes_one_model_call(monkeypatch, kind):
+    model = (ParametricModel(1e-3, 5e-4) if kind == "parametric"
+             else FullScheduleModel(walsh_gate()))
+    calls = []
+    batch = slerb._probabilities
+
+    def counted(seqs, model):
+        calls.append(len(seqs))
+        return batch(seqs, model)
+
+    monkeypatch.setattr(slerb, "_probabilities", counted)
+    data = collect_dataset([1, 4, 9], n_sequences=5, shots=20, model=model, seed=3)
+    assert calls == [15]
+    assert data.n.size == 15
 
 
 # ---------------------------------------------------------------------------
@@ -533,11 +674,26 @@ def test_bootstrap_errors():
         bootstrap_ci(single, resamples=200, seed=1)
 
 
+def per_resample_bootstrap(data, resamples, seed):
+    """Oracle: refit every resample with fit_decays, one at a time."""
+    rng = slerb._rng(seed)
+    row_sets = [np.flatnonzero(data.n == length) for length in data.lengths]
+    rates = np.empty((resamples, 3))
+    for i in range(resamples):
+        pick = np.concatenate([rng.choice(rows, size=rows.size) for rows in row_sets])
+        fit = fit_decays(SlerbDataset(*(np.asarray(c)[pick] for c in (
+            data.n, data.sequence_id, data.shots,
+            data.n_survival, data.n_flip, data.n_leak))))
+        rates[i] = (fit.eps_rb, fit.eps_leak, fit.eps_2q)
+    return {key: tuple(float(v) for v in np.percentile(col, [16.0, 84.0]))
+            for key, col in zip(("eps_rb", "eps_leak", "eps_2q"), rates.T)}
+
+
 def test_bootstrap_slow_path_agrees_with_fast_path():
     d = collect_dataset([2, 40, 120, 300], n_sequences=25, shots=100,
                         model=ParametricModel(2e-3, 1e-3), seed=77)
     fast = bootstrap_ci(d, resamples=300, seed=4)
-    slow = bootstrap_ci(d, fit_fn=fit_decays, resamples=300, seed=4)
+    slow = per_resample_bootstrap(d, resamples=300, seed=4)
     for key in fast:
         assert slow[key][0] < fast[key][1] and fast[key][0] < slow[key][1]
 
