@@ -26,7 +26,7 @@ from .quantum import (BRANCH_EIGENVALUES, SPIN_LABELS, CalibrationScan,
                       CompositeState, FockConfig, GateOutcome, OffsetScan,
                       ThermalEnsemble, branch_factorized_blocks,
                       calibration_scan, gate_eigenbasis, gate_propagator,
-                      offset_scan, propagate, thermal_average)
+                      offset_scan, propagate, thermal_average, thermal_sweep)
 from .schedule import (CarrierDrive, PulseSchedule, Segment, SmoothGateParams,
                        WalshGateParams, adiabaticity_profile,
                        build_smooth_schedule, build_walsh_schedule,

@@ -29,7 +29,7 @@ from .errors import (ConfigError, ConvergenceError, DomainError, GridError,
                      ParameterError, TruncationError)
 from .filterfn import (DEFAULT_VARIANCES, filter_function_numeric,
                        filter_function_walsh_analytic)
-from .quantum import ThermalEnsemble, calibration_scan, offset_scan, thermal_average
+from .quantum import ThermalEnsemble, calibration_scan, offset_scan, thermal_sweep
 from .schedule import (SmoothGateParams, WalshGateParams, build_smooth_schedule,
                        build_walsh_schedule)
 from .semiclassical import (calibrate_delta_min, calibrate_omega,
@@ -93,15 +93,17 @@ their sign.
   offset_hz       static detuning error                  (default 0)
 
 [slerb]           benchmarking scenario
-  lengths         comma list of sequence lengths         (required)
-  sequences       random sequences per length            (required)
-  shots           shots per sequence                     (required)
+  lengths         comma list of sequence lengths, at least
+                  three distinct positive integers       (required)
+  sequences       random sequences per length, >= 1      (required)
+  shots           shots per sequence, >= 1               (required)
   model           ideal | parametric | full              (required)
   eps_rb          parametric depolarizing rate           (parametric only)
   eps_leak        parametric leak rate                   (parametric only)
   resamples       bootstrap resamples, >= 100            (default 10000)
   input           existing dataset CSV to fit instead of simulating
-                  (model/lengths/... ignored when set)
+                  (model/lengths/... ignored when set; read by
+                  run, not by validate)
   pauli_randomize boolean: fold a logical X into the inverter of
                   about half the sequences               (default true)
   (model = full also needs a [walsh] block; its Fock cutoff is automatic)
@@ -420,7 +422,7 @@ def _plan_thermal_sweep(cfg: _Config, seed: int):
     offset = TWO_PI * cfg.number("sweep", "offset_hz", 0.0)
     if offset:
         schedule = schedule.with_detuning_offset(offset)
-    rows = [thermal_average(schedule, ThermalEnsemble.build(nbar)) for nbar in nbars]
+    rows = thermal_sweep(schedule, [ThermalEnsemble.build(nbar) for nbar in nbars])
     table = {
         "nbar": np.array(nbars, dtype=float),
         "p_uu": np.array([r.p_uu for r in rows]),
@@ -445,46 +447,63 @@ def _slerb_model(cfg: _Config):
     raise ConfigError(f"{cfg.path}: slerb model must be ideal, parametric or full")
 
 
-def _plan_slerb(cfg: _Config, seed: int):
+def _parse_slerb(cfg: _Config):
+    """Read and check [slerb]; returns job(seed) -> (plans, extra_meta).
+
+    An ``input`` dataset is read by the job, not here: it may be the output
+    of a run that has not happened yet.
+    """
     resamples = cfg.integer("slerb", "resamples", 10000)
+    if resamples < 100:
+        raise ConfigError(f"{cfg.path}: resamples in [slerb] must be >= 100")
     source = cfg.text("slerb", "input")
-    if source is not None:
-        _, columns = read_csv(source)
-        needed = ["N", "sequence_id", "shots", "n_survival", "n_flip", "n_leak"]
-        missing = [k for k in needed if k not in columns]
-        if missing:
-            raise ConfigError(f"{source}: missing dataset column {missing[0]!r}")
-        data = SlerbDataset.from_columns(*(columns[k] for k in needed))
-        model_name = "external"
-    else:
-        lengths = [int(v) for v in cfg.number_list("slerb", "lengths", required=True)]
+    model_name = "external"
+    if source is None:
+        model_name, model = _slerb_model(cfg)
+        values = cfg.number_list("slerb", "lengths", required=True)
+        lengths = [int(v) for v in values]
         sequences = cfg.integer("slerb", "sequences", required=True)
         shots = cfg.integer("slerb", "shots", required=True)
-        model_name, model = _slerb_model(cfg)
-        data = collect_dataset(lengths, sequences, shots, model, seed,
-                               pauli_randomize=cfg.boolean("slerb", "pauli_randomize", True))
+        pauli_randomize = cfg.boolean("slerb", "pauli_randomize", True)
+        if lengths != values or min(lengths, default=0) < 1 or len(set(lengths)) < 3:
+            raise ConfigError(f"{cfg.path}: lengths in [slerb] must hold at least "
+                              "three distinct positive integers")
+        if sequences < 1 or shots < 1:
+            raise ConfigError(f"{cfg.path}: sequences and shots in [slerb] must be >= 1")
 
-    fit = fit_decays(data)
-    report = {
-        "model": model_name,
-        "seed": seed,
-        "eps_rb": fit.eps_rb,
-        "eps_leak": fit.eps_leak,
-        "eps_flip": fit.eps_flip,
-        "eps_2q": fit.eps_2q,
-        "gates_per_clifford": mean_gates_per_clifford(),
-    }
-    try:
-        ci = bootstrap_ci(data, resamples=resamples, seed=seed)
-    except DomainError:
-        ci = None
-        report["bootstrap"] = "skipped (degenerate data)"
-    if ci is not None:
-        report["bootstrap_resamples"] = resamples
-        for key, (lo, hi) in ci.items():
-            report[f"{key}_ci16"] = lo
-            report[f"{key}_ci84"] = hi
-    return {None: data.to_table(), "report": report}, {"model": model_name}
+    def job(seed: int):
+        if source is not None:
+            _, columns = read_csv(source)
+            needed = ["N", "sequence_id", "shots", "n_survival", "n_flip", "n_leak"]
+            missing = [k for k in needed if k not in columns]
+            if missing:
+                raise ConfigError(f"{source}: missing dataset column {missing[0]!r}")
+            data = SlerbDataset.from_columns(*(columns[k] for k in needed))
+        else:
+            data = collect_dataset(lengths, sequences, shots, model, seed,
+                                   pauli_randomize=pauli_randomize)
+        fit = fit_decays(data)
+        report = {
+            "model": model_name,
+            "seed": seed,
+            "eps_rb": fit.eps_rb,
+            "eps_leak": fit.eps_leak,
+            "eps_flip": fit.eps_flip,
+            "eps_2q": fit.eps_2q,
+            "gates_per_clifford": mean_gates_per_clifford(),
+        }
+        try:
+            ci = bootstrap_ci(data, resamples=resamples, seed=seed)
+        except DomainError:
+            report["bootstrap"] = "skipped (degenerate data)"
+        else:
+            report["bootstrap_resamples"] = resamples
+            for key, (lo, hi) in ci.items():
+                report[f"{key}_ci16"] = lo
+                report[f"{key}_ci84"] = hi
+        return {None: data.to_table(), "report": report}, {"model": model_name}
+
+    return job
 
 
 def _walsh_compare_gates(cfg: _Config) -> tuple[float, list[WalshGateParams]]:
@@ -533,18 +552,22 @@ _PLANNERS = {
     "calibration-scan": _plan_calibration_scan,
     "offset-scan": _plan_offset_scan,
     "thermal-sweep": _plan_thermal_sweep,
-    "slerb": _plan_slerb,
     "walsh-compare": _plan_walsh_compare,
     "trajectory": _plan_trajectory,
 }
 
-# scenarios whose parameters must build cleanly during `validate`
+# scenarios split into a parse step, which reads and checks the whole config
+# and returns the job to run with the seed; `validate` runs only this step
+_PARSERS = {
+    "slerb": _parse_slerb,
+}
+
+# the remaining scenarios parse while they run; `validate` builds their parameters
 _VALIDATORS = {
     "filterfn": lambda cfg: _smooth_params(cfg),
     "calibration-scan": lambda cfg: _smooth_params(cfg),
     "offset-scan": lambda cfg: _scenario_schedule(cfg),
     "thermal-sweep": lambda cfg: _scenario_schedule(cfg),
-    "slerb": lambda cfg: cfg.text("slerb", "input") or _slerb_model(cfg),
     "walsh-compare": _walsh_compare_gates,
     "trajectory": lambda cfg: _scenario_schedule(cfg),
 }
@@ -571,7 +594,10 @@ def run_scenario(config_path: str, output_dir: str = ".", seed: int | None = Non
     effective_seed = seed if seed is not None else cfg.integer("scenario", "seed", 0)
     output_name = cfg.text("scenario", "output", required=True)
 
-    plans, extra_meta = _PLANNERS[name](cfg, effective_seed)
+    if name in _PARSERS:
+        plans, extra_meta = _PARSERS[name](cfg)(effective_seed)
+    else:
+        plans, extra_meta = _PLANNERS[name](cfg, effective_seed)
 
     metadata = {
         "tool_version": __version__,
@@ -638,7 +664,7 @@ def main(argv=None) -> int:
             return 0
         if args.command == "validate":
             cfg, name, _ = _load_config(args.config)
-            _VALIDATORS[name](cfg)
+            (_PARSERS.get(name) or _VALIDATORS[name])(cfg)
             if not args.quiet:
                 print(f"ok: {name}")
             return 0

@@ -7,7 +7,8 @@ acts as four independent driven oscillators (branch eigenvalues +2, 0, 0,
 outcomes and scans follow in closed form from those endpoints; an offset
 scan takes all of them from one batched
 :func:`~iongate.semiclassical.branch_endpoints` call and evaluates every
-offset's (4, 4) thermal kernel in one array.  Fock-space blocks (factorized
+offset's (4, 4) thermal kernel in one array, and a thermal sweep evaluates
+every occupation on one set of endpoints.  Fock-space blocks (factorized
 for SLERB, stepped as their oracle) are built from the +2 block alone by
 :func:`_branch_blocks`; a misaligned carrier is split-stepped.  scipy is
 imported only inside the Fock-space routes that need it.
@@ -480,11 +481,13 @@ def _displacement_kernel(gamma_end: np.ndarray, theta_end: np.ndarray, shift: fl
                   - (nbar + 0.5) * np.abs(gi - gj) ** 2)
 
 
-def _thermal_outcomes(schedule: PulseSchedule, offsets: np.ndarray, ensemble: ThermalEnsemble,
+def _thermal_outcomes(schedule: PulseSchedule, offsets: np.ndarray, ensembles,
                       psi0_spin, target_angle: float | None, basis_phase: float = 0.0,
                       fock: FockConfig | None = None,
                       props: BranchPropagators | None = None) -> list[GateOutcome]:
-    """Thermal outcomes under each static detuning offset; see :func:`thermal_average`."""
+    """Thermal outcomes under each static detuning offset, ensemble by ensemble,
+    from one endpoint integration; see :func:`thermal_average`.  The
+    ``props`` oracle takes a single ensemble."""
     spin = np.asarray(psi0_spin, dtype=complex)
     spin = spin / np.linalg.norm(spin)
     basis = gate_eigenbasis(basis_phase)
@@ -496,21 +499,25 @@ def _thermal_outcomes(schedule: PulseSchedule, offsets: np.ndarray, ensemble: Th
             raise ParameterError("a Fock cutoff applies only to the props= oracle")
         shift = _aligned_carrier_phase(schedule, basis_phase)
         gamma, theta, _ = branch_endpoints(schedule, offsets)
-        kernel = _displacement_kernel(gamma, theta, shift, ensemble.nbar)
+        kernels = [_displacement_kernel(gamma, theta, shift, e.nbar) for e in ensembles]
     else:
         if fock is not None and fock.dim != props.dim:
             raise ParameterError("FockConfig truncation differs from the propagators")
+        (ensemble,) = ensembles
         if ensemble.n_states > props.dim:
             raise TruncationError("ensemble needs more Fock states than the truncation")
         w = np.pad(ensemble.weights, (0, props.dim - ensemble.n_states))
-        kernel = (props.overlap_kernel() @ w)[None]
+        kernels = [(props.overlap_kernel() @ w)[None]]
         # guard: thermally weighted population at the cutoff row
         top = float(np.abs(spin_eig) ** 2 @ (np.abs(props.blocks[:, -1, :]) ** 2 @ w))
         if top > TRUNCATION_GUARD:
             raise TruncationError("thermal population at the Fock cutoff exceeds 1e-8")
-    rho_eig = (spin_eig[:, None] * spin_eig.conj()[None, :]) * kernel
-    rho_z = basis.conj().T @ rho_eig @ basis
-    return _outcomes_from_densities(rho_z, target, basis_phase, ensemble.nbar)
+    outcomes = []
+    for ensemble, kernel in zip(ensembles, kernels):
+        rho_eig = (spin_eig[:, None] * spin_eig.conj()[None, :]) * kernel
+        rho_z = basis.conj().T @ rho_eig @ basis
+        outcomes += _outcomes_from_densities(rho_z, target, basis_phase, ensemble.nbar)
+    return outcomes
 
 
 def thermal_average(schedule: PulseSchedule, ensemble: ThermalEnsemble,
@@ -531,8 +538,16 @@ def thermal_average(schedule: PulseSchedule, ensemble: ThermalEnsemble,
     the ``ensemble`` weights instead, the Fock-space oracle of the closed
     form; ``fock``, accepted only with ``props``, must match its cutoff.
     """
-    return _thermal_outcomes(schedule, np.zeros(1), ensemble, psi0_spin, target_angle,
+    return _thermal_outcomes(schedule, np.zeros(1), [ensemble], psi0_spin, target_angle,
                              basis_phase, fock, props)[0]
+
+
+def thermal_sweep(schedule: PulseSchedule, ensembles,
+                  psi0_spin=(1.0, 0.0, 0.0, 0.0),
+                  target_angle: float | None = None) -> list[GateOutcome]:
+    """:func:`thermal_average` of one schedule for each of ``ensembles``, in
+    closed form from one :func:`branch_endpoints` call."""
+    return _thermal_outcomes(schedule, np.zeros(1), list(ensembles), psi0_spin, target_angle)
 
 
 def _outcome_columns(outcomes) -> dict[str, np.ndarray]:
@@ -634,5 +649,5 @@ def offset_scan(schedule: PulseSchedule, offsets, ensemble: ThermalEnsemble,
     offs = np.asarray(offsets, dtype=float)
     if offs.ndim != 1 or offs.size == 0:
         raise GridError("need a 1-D array of offsets")
-    outcomes = _thermal_outcomes(schedule, offs, ensemble, psi0_spin, target_angle)
+    outcomes = _thermal_outcomes(schedule, offs, [ensemble], psi0_spin, target_angle)
     return OffsetScan(offsets=offs, nbar=ensemble.nbar, **_outcome_columns(outcomes))

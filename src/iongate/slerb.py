@@ -27,6 +27,11 @@ evaluate their closed form over the array of compiled gate counts; the
 full model steps all sequences together as one (sequences, 4, dim) state,
 applying one exact gate propagator, at a Fock cutoff sized for the
 longest sequence, to every compiled gate.
+
+Bootstrap intervals resample sequences within each length: each length
+draws its (resamples, rows) block of row positions in one call, and all
+resamples are refitted in one lengths-major pass over (lengths,
+resamples) arrays.
 """
 
 from __future__ import annotations
@@ -564,21 +569,22 @@ def error_per_gate(fit: DecayFit) -> float:
     return _eps_2q(fit.eps_rb, fit.eps_leak)
 
 
-def _gauss_newton_power(lengths, y, variance_fn, forward, jacobian, x0, lo, hi):
-    """Fit y ~ forward(x, N) for a scalar decay parameter, batched over rows.
+def _gauss_newton_power(n, y, variance_fn, forward, jacobian, x0, lo, hi):
+    """Fit y ~ forward(x, N) for a scalar decay parameter per column.
 
     Weights are recomputed from the model at the current parameter
     (iteratively reweighted least squares); observed-fraction weights would
-    correlate with the noise and bias the rates low.  ``y`` and ``x0`` carry
-    a leading batch axis; ``lengths`` is shared.
+    correlate with the noise and bias the rates low.  ``y`` is (n_lengths,
+    batch), ``n`` the (n_lengths, 1) lengths and ``x0`` the (batch,) start,
+    so every ufunc runs along a batch-long row.
     """
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     for _ in range(80):
-        f = forward(x[:, None], lengths[None, :])
-        jac = jacobian(x[:, None], lengths[None, :])
+        f = forward(x, n)
+        jac = jacobian(x, n)
         w = 1.0 / variance_fn(f)
-        num = np.sum(w * jac * (y - f), axis=1)
-        den = np.sum(w * jac * jac, axis=1)
+        num = np.sum(w * jac * (y - f), axis=0)
+        den = np.sum(w * jac * jac, axis=0)
         step = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
         x = np.clip(x + step, lo, hi)
         if np.all(np.abs(step) < 1e-14):
@@ -591,16 +597,21 @@ def _gauss_newton_power(lengths, y, variance_fn, forward, jacobian, x0, lo, hi):
 
 def _fit_rates_batch(lengths: np.ndarray, f_surv: np.ndarray, f_flip: np.ndarray,
                      tot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized two-stage fit; all fraction inputs are (batch, n_lengths)."""
-    n_shots = tot[None, :]
+    """Vectorized two-stage fit of every column of (n_lengths, batch) fractions.
+
+    ``lengths`` and the per-length shot totals ``tot`` are (n_lengths,);
+    returns (eps_rb, eps_leak), each (batch,).
+    """
+    n = lengths[:, None]
+    n_shots = tot[:, None]
     var_floor = 1.0 / (2.0 * n_shots)
     f_leak = 1.0 - f_surv - f_flip
 
     # stage 1: leak fraction vs 1 - L(N), parametrized by b = 1 - 2 eps_leak
-    slope = np.clip(f_leak[:, -1] / lengths[-1], 1e-12, 0.49)
+    slope = np.clip(f_leak[-1] / lengths[-1], 1e-12, 0.49)
     b0 = 1.0 - 2.0 * slope
     b = _gauss_newton_power(
-        lengths, f_leak,
+        n, f_leak,
         lambda f: np.maximum(f * (1.0 - f), var_floor) / n_shots,
         lambda x, n: 0.5 * (1.0 - x**n),
         lambda x, n: -0.5 * n * x ** (n - 1.0),
@@ -610,10 +621,10 @@ def _fit_rates_batch(lengths: np.ndarray, f_surv: np.ndarray, f_flip: np.ndarray
     # stage 2: polarization vs a^N with a = (1 - eps_leak)(1 - 2 eps_rb);
     # the in-subspace probability L from stage 1 sets the contrast variance
     z = f_surv - f_flip
-    big_l = 0.5 * (1.0 + b[:, None] ** lengths[None, :])
-    a0 = np.clip(np.abs(z[:, -1]), 1e-12, 1.0) ** (1.0 / lengths[-1])
+    big_l = 0.5 * (1.0 + b ** n)
+    a0 = np.clip(np.abs(z[-1]), 1e-12, 1.0) ** (1.0 / lengths[-1])
     a = _gauss_newton_power(
-        lengths, z,
+        n, z,
         lambda f: np.maximum(big_l - f**2, var_floor) / n_shots,
         lambda x, n: x**n,
         lambda x, n: n * x ** (n - 1.0),
@@ -630,7 +641,7 @@ def fit_decays(data: SlerbDataset, max_n: int | None = None) -> DecayFit:
         raise GridError("need at least three distinct sequence lengths")
     lengths = lengths.astype(float)
     eps_rb, eps_leak = _fit_rates_batch(
-        lengths, f_surv[None, :], f_flip[None, :], tot)
+        lengths, f_surv[:, None], f_flip[:, None], tot)
     eps_rb, eps_leak = float(eps_rb[0]), float(eps_leak[0])
     # initial slope of the fitted flip curve, ~ eps_rb at small rates
     b = 1.0 - 2.0 * eps_leak
@@ -646,7 +657,7 @@ def bootstrap_ci(data: SlerbDataset, resamples: int = 10000, seed: int = 0,
     """68% percentile intervals from sequence-level resampling.
 
     Rows are resampled with replacement within each length, and all
-    resamples are refitted in one vectorized pass.
+    resamples are refitted in one lengths-major pass.
     """
     if resamples < 100:
         raise ParameterError("resamples must be >= 100")
@@ -658,15 +669,15 @@ def bootstrap_ci(data: SlerbDataset, resamples: int = 10000, seed: int = 0,
     if min(rows.size for rows in row_sets) < 2:
         raise DomainError("bootstrap needs at least two sequences per length")
     rng = _rng(seed)
-    n_len = lengths.size
-    f_surv = np.empty((resamples, n_len))
-    f_flip = np.empty((resamples, n_len))
-    tot = np.empty(n_len)
+    f_surv = np.empty((lengths.size, resamples))
+    f_flip = np.empty((lengths.size, resamples))
+    tot = np.empty(lengths.size)
     for j, rows in enumerate(row_sets):
-        pick = rng.choice(rows, size=(resamples, rows.size))
-        shots = used.shots[pick].sum(axis=1)
-        f_surv[:, j] = used.n_survival[pick].sum(axis=1) / shots
-        f_flip[:, j] = used.n_flip[pick].sum(axis=1) / shots
+        # the same Philox draws as rng.choice(rows, size=(resamples, rows.size))
+        pick = rng.integers(0, rows.size, size=(resamples, rows.size))
+        shots = used.shots[rows][pick].sum(axis=1)
+        f_surv[j] = used.n_survival[rows][pick].sum(axis=1) / shots
+        f_flip[j] = used.n_flip[rows][pick].sum(axis=1) / shots
         tot[j] = used.shots[rows].sum()
     eps_rb, eps_leak = _fit_rates_batch(lengths.astype(float), f_surv, f_flip, tot)
     eps_2q = _eps_2q(eps_rb, eps_leak)

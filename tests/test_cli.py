@@ -9,7 +9,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from iongate import cli
+from iongate import cli, quantum
 from iongate.errors import ConvergenceError, ParameterError
 
 
@@ -376,6 +376,41 @@ def test_run_thermal_sweep(tmp_path):
     assert cols["infidelity"][1] > cols["infidelity"][0] > 0
 
 
+def test_thermal_sweep_integrates_the_endpoints_once(tmp_path, monkeypatch):
+    calls = []
+    endpoints = quantum.branch_endpoints
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return endpoints(*args, **kwargs)
+
+    monkeypatch.setattr(quantum, "branch_endpoints", counting)
+    path = write_config(tmp_path, """\
+        [scenario]
+        name = thermal-sweep
+        output = th.csv
+
+        [schedule]
+        type = walsh
+
+        [walsh]
+        loops = 2
+        omega_hz = 20e3
+
+        [sweep]
+        nbars = 0,3.5,10
+        offset_hz = 120
+    """)
+    assert cli.main(["run", path, "--output-dir", str(tmp_path), "--quiet"]) == 0
+    assert len(calls) == 1
+    _, cols = cli.read_csv(str(tmp_path / "th.csv"))
+    # each row is the thermal average at its own occupation
+    schedule = calls[0][0]
+    for nbar, fidelity in zip(cols["nbar"], cols["fidelity"]):
+        expected = quantum.thermal_average(schedule, quantum.ThermalEnsemble.build(nbar))
+        assert fidelity == expected.fidelity
+
+
 FULL_MODEL = """\
     [scenario]
     name = slerb
@@ -519,6 +554,27 @@ def test_validate_agrees_with_run(tmp_path, capsys, text):
     assert cli.main(["validate", path, "--quiet"]) == 1
     assert cli.main(["run", path, "--output-dir", str(tmp_path), "--quiet"]) == 1
     assert capsys.readouterr().err.count("config error") == 2
+
+
+@pytest.mark.parametrize("key,value", [
+    ("resamples", "50"),
+    ("shots", "0"),
+    ("sequences", "0"),
+    ("lengths", "2,50"),
+    ("lengths", "2,2,50"),
+    ("lengths", "0,2,20,60"),
+    ("lengths", "2,20.5,60"),
+], ids=["resamples-50", "shots-0", "sequences-0", "two-lengths", "repeated-length",
+        "zero-length", "fractional-length"])
+def test_validate_and_run_agree_on_bad_slerb_keys(tmp_path, capsys, key, value):
+    text = re.sub(rf"(?m)^(\s*{key} = ).*$", rf"\g<1>{value}", SLERB_PARAMETRIC)
+    assert f"{key} = {value}" in text
+    path = write_config(tmp_path, text)
+    codes = [cli.main(["validate", path, "--quiet"]),
+             cli.main(["run", path, "--output-dir", str(tmp_path / "out"), "--quiet"])]
+    assert codes == [1, 1]
+    assert capsys.readouterr().err.count("config error") == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_import_loads_no_scipy():

@@ -675,12 +675,14 @@ def test_bootstrap_errors():
 
 
 def per_resample_bootstrap(data, resamples, seed):
-    """Oracle: refit every resample with fit_decays, one at a time."""
+    """Oracle: draw each length's (resamples, m) block as the batch does, then
+    refit every resample with fit_decays, one at a time."""
     rng = slerb._rng(seed)
-    row_sets = [np.flatnonzero(data.n == length) for length in data.lengths]
+    picks = [rng.choice(rows, size=(resamples, rows.size))
+             for rows in (np.flatnonzero(data.n == length) for length in data.lengths)]
     rates = np.empty((resamples, 3))
     for i in range(resamples):
-        pick = np.concatenate([rng.choice(rows, size=rows.size) for rows in row_sets])
+        pick = np.concatenate([block[i] for block in picks])
         fit = fit_decays(SlerbDataset(*(np.asarray(c)[pick] for c in (
             data.n, data.sequence_id, data.shots,
             data.n_survival, data.n_flip, data.n_leak))))
@@ -695,7 +697,105 @@ def test_bootstrap_slow_path_agrees_with_fast_path():
     fast = bootstrap_ci(d, resamples=300, seed=4)
     slow = per_resample_bootstrap(d, resamples=300, seed=4)
     for key in fast:
-        assert slow[key][0] < fast[key][1] and fast[key][0] < slow[key][1]
+        assert fast[key] == pytest.approx(slow[key], rel=1e-9, abs=0.0)
+
+
+def uneven_dataset(seed):
+    """Unequal row counts per length and a different shot count in every row."""
+    rng = np.random.default_rng(seed)
+    lengths = np.repeat([2, 40, 120, 300], [3, 11, 7, 16])
+    shots = rng.integers(20, 400, size=lengths.size)
+    leak = rng.binomial(shots, 2e-4 * lengths)
+    flip = rng.binomial(shots - leak, 3e-4 * lengths)
+    return SlerbDataset.from_columns(lengths, np.arange(lengths.size), shots,
+                                     shots - leak - flip, flip, leak)
+
+
+def choice_fractions(data, resamples, seed):
+    """Reference resampling: rng.choice over each length's row indices,
+    returning (resamples, n_lengths) fractions and the per-length totals."""
+    rng = slerb._rng(seed)
+    f_surv, f_flip, tot = [], [], []
+    for length in data.lengths:
+        rows = np.flatnonzero(data.n == length)
+        pick = rng.choice(rows, size=(resamples, rows.size))
+        shots = data.shots[pick].sum(axis=1)
+        f_surv.append(data.n_survival[pick].sum(axis=1) / shots)
+        f_flip.append(data.n_flip[pick].sum(axis=1) / shots)
+        tot.append(data.shots[rows].sum())
+    return np.array(f_surv).T, np.array(f_flip).T, np.array(tot, dtype=float)
+
+
+@pytest.mark.parametrize("data", [
+    collect_dataset([2, 40, 150], n_sequences=9, shots=50,
+                    model=ParametricModel(2e-3, 1e-3), seed=3),
+    uneven_dataset(5),
+    uneven_dataset(6),
+], ids=["equal", "uneven-0", "uneven-1"])
+def test_bootstrap_fractions_match_choice_draws_bit_for_bit(monkeypatch, data):
+    seen = {}
+    fit = slerb._fit_rates_batch
+
+    def capture(lengths, f_surv, f_flip, tot):
+        seen.update(f_surv=f_surv.copy(), f_flip=f_flip.copy(), tot=tot.copy())
+        return fit(lengths, f_surv, f_flip, tot)
+
+    monkeypatch.setattr(slerb, "_fit_rates_batch", capture)
+    bootstrap_ci(data, resamples=400, seed=11)
+    f_surv, f_flip, tot = choice_fractions(data, 400, 11)
+    assert np.array_equal(seen["f_surv"], f_surv.T)
+    assert np.array_equal(seen["f_flip"], f_flip.T)
+    assert np.array_equal(seen["tot"], tot)
+
+
+def row_major_gauss_newton(lengths, y, variance_fn, forward, jacobian, x0, lo, hi):
+    """The (batch, n_lengths) Gauss-Newton fit, reducing over axis 1."""
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    for _ in range(80):
+        f = forward(x[:, None], lengths[None, :])
+        jac = jacobian(x[:, None], lengths[None, :])
+        w = 1.0 / variance_fn(f)
+        num = np.sum(w * jac * (y - f), axis=1)
+        den = np.sum(w * jac * jac, axis=1)
+        step = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
+        x = np.clip(x + step, lo, hi)
+        if np.all(np.abs(step) < 1e-14):
+            break
+    return x
+
+
+def row_major_fit_rates(lengths, f_surv, f_flip, tot):
+    """Reference two-stage fit over (batch, n_lengths) fractions."""
+    n_shots = tot[None, :]
+    var_floor = 1.0 / (2.0 * n_shots)
+    f_leak = 1.0 - f_surv - f_flip
+    b = row_major_gauss_newton(
+        lengths, f_leak, lambda f: np.maximum(f * (1.0 - f), var_floor) / n_shots,
+        lambda x, n: 0.5 * (1.0 - x**n), lambda x, n: -0.5 * n * x ** (n - 1.0),
+        1.0 - 2.0 * np.clip(f_leak[:, -1] / lengths[-1], 1e-12, 0.49), 0.0, 1.0)
+    eps_leak = 0.5 * (1.0 - b)
+    z = f_surv - f_flip
+    big_l = 0.5 * (1.0 + b[:, None] ** lengths[None, :])
+    a = row_major_gauss_newton(
+        lengths, z, lambda f: np.maximum(big_l - f**2, var_floor) / n_shots,
+        lambda x, n: x**n, lambda x, n: n * x ** (n - 1.0),
+        np.clip(np.abs(z[:, -1]), 1e-12, 1.0) ** (1.0 / lengths[-1]), 0.0, 1.0)
+    eps_rb = np.clip(0.5 * (1.0 - a / np.maximum(1.0 - eps_leak, 1e-12)), 0.0, None)
+    return eps_rb, eps_leak
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_lengths_major_fit_matches_row_major_reference(seed):
+    d = collect_dataset([2, 50, 150, 300, 500], n_sequences=30, shots=100,
+                        model=ParametricModel(1.5e-4, 8e-5), seed=seed)
+    f_surv, f_flip, tot = choice_fractions(d, 2000, seed)
+    lengths = d.lengths.astype(float)
+    eps_rb, eps_leak = slerb._fit_rates_batch(lengths, f_surv.T.copy(), f_flip.T.copy(), tot)
+    ref_rb, ref_leak = row_major_fit_rates(lengths, f_surv, f_flip, tot)
+    assert eps_rb.shape == eps_leak.shape == (2000,)
+    assert np.all(eps_leak > 0) and np.all(eps_rb > 0)
+    assert eps_rb == pytest.approx(ref_rb, rel=1e-12, abs=0.0)
+    assert eps_leak == pytest.approx(ref_leak, rel=1e-12, abs=0.0)
 
 
 def test_doubling_shots_shrinks_interval_width():
