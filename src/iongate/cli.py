@@ -401,7 +401,8 @@ def _plan_calibration_scan(cfg: _Config, seed: int):
     return {None: table}, extra
 
 
-def _plan_offset_scan(cfg: _Config, seed: int):
+def _parse_offset_scan(cfg: _Config):
+    """Read and check the schedule and [scan]; returns job(seed) -> (plans, extra_meta)."""
     schedule = _scenario_schedule(cfg)
     start = cfg.number("scan", "start_hz", required=True)
     stop = cfg.number("scan", "stop_hz", required=True)
@@ -409,29 +410,35 @@ def _plan_offset_scan(cfg: _Config, seed: int):
     nbar = cfg.number("scan", "nbar", 0.0)
     if points < 2:
         raise ConfigError(f"{cfg.path}: scan needs at least two points")
-    offsets = TWO_PI * np.linspace(start, stop, points)
-    scan = offset_scan(schedule, offsets, ThermalEnsemble.build(nbar))
-    table = dict(scan.to_table())
-    table = {"offset_hz": table.pop("offset_rad_s") / TWO_PI, **table}
-    return {None: table}, {"nbar": f"{nbar:g}"}
+    ensemble = ThermalEnsemble.build(nbar)
+
+    def job(seed: int):
+        offsets = TWO_PI * np.linspace(start, stop, points)
+        table = dict(offset_scan(schedule, offsets, ensemble).to_table())
+        table = {"offset_hz": table.pop("offset_rad_s") / TWO_PI, **table}
+        return {None: table}, {"nbar": f"{nbar:g}"}
+
+    return job
 
 
-def _plan_thermal_sweep(cfg: _Config, seed: int):
+def _parse_thermal_sweep(cfg: _Config):
+    """Read and check the schedule and [sweep]; returns job(seed) -> (plans, extra_meta)."""
     schedule = _scenario_schedule(cfg)
     nbars = cfg.number_list("sweep", "nbars", required=True)
     offset = TWO_PI * cfg.number("sweep", "offset_hz", 0.0)
     if offset:
         schedule = schedule.with_detuning_offset(offset)
-    rows = thermal_sweep(schedule, [ThermalEnsemble.build(nbar) for nbar in nbars])
-    table = {
-        "nbar": np.array(nbars, dtype=float),
-        "p_uu": np.array([r.p_uu for r in rows]),
-        "p_dd": np.array([r.p_dd for r in rows]),
-        "p_odd": np.array([r.p_odd for r in rows]),
-        "fidelity": np.array([r.fidelity for r in rows]),
-        "infidelity": np.array([1.0 - r.fidelity for r in rows]),
-    }
-    return {None: table}, {"offset_hz": f"{offset / TWO_PI:g}"}
+    ensembles = [ThermalEnsemble.build(nbar) for nbar in nbars]
+
+    def job(seed: int):
+        rows = thermal_sweep(schedule, ensembles)
+        cols = {k: np.array([getattr(r, k) for r in rows])
+                for k in ("p_uu", "p_dd", "p_odd", "fidelity")}
+        table = {"nbar": np.array(nbars, dtype=float), **cols,
+                 "infidelity": 1.0 - cols["fidelity"]}
+        return {None: table}, {"offset_hz": f"{offset / TWO_PI:g}"}
+
+    return job
 
 
 def _slerb_model(cfg: _Config):
@@ -550,8 +557,6 @@ def _plan_trajectory(cfg: _Config, seed: int):
 _PLANNERS = {
     "filterfn": _plan_filterfn,
     "calibration-scan": _plan_calibration_scan,
-    "offset-scan": _plan_offset_scan,
-    "thermal-sweep": _plan_thermal_sweep,
     "walsh-compare": _plan_walsh_compare,
     "trajectory": _plan_trajectory,
 }
@@ -559,6 +564,8 @@ _PLANNERS = {
 # scenarios split into a parse step, which reads and checks the whole config
 # and returns the job to run with the seed; `validate` runs only this step
 _PARSERS = {
+    "offset-scan": _parse_offset_scan,
+    "thermal-sweep": _parse_thermal_sweep,
     "slerb": _parse_slerb,
 }
 
@@ -566,8 +573,6 @@ _PARSERS = {
 _VALIDATORS = {
     "filterfn": lambda cfg: _smooth_params(cfg),
     "calibration-scan": lambda cfg: _smooth_params(cfg),
-    "offset-scan": lambda cfg: _scenario_schedule(cfg),
-    "thermal-sweep": lambda cfg: _scenario_schedule(cfg),
     "walsh-compare": _walsh_compare_gates,
     "trajectory": lambda cfg: _scenario_schedule(cfg),
 }

@@ -10,8 +10,10 @@ scan takes all of them from one batched
 offset's (4, 4) thermal kernel in one array, and a thermal sweep evaluates
 every occupation on one set of endpoints.  Fock-space blocks (factorized
 for SLERB, stepped as their oracle) are built from the +2 block alone by
-:func:`_branch_blocks`; a misaligned carrier is split-stepped.  scipy is
-imported only inside the Fock-space routes that need it.
+:func:`_branch_blocks`; a misaligned carrier is split-stepped.  The
+factorized blocks and the split step's carrier take their exponentials
+from one numpy eigendecomposition; scipy is imported only by the stepped
+oracle and the split step, for their tridiagonal eigensolver.
 
 States are stored spin-major in the measurement (z) basis with spin order
 (uu, ud, du, dd): amplitude index = spin_index * (n_max + 1) + n.
@@ -363,10 +365,10 @@ def _leave_gate_basis(basis: np.ndarray, out: np.ndarray) -> np.ndarray:
     return amps
 
 
-def _carrier_half_step(carrier_op: np.ndarray):
-    """x -> exp(-i x carrier_op / 4), a half step of pulse area x, from one eigendecomposition."""
-    vals, vecs = np.linalg.eigh(carrier_op)
-    return lambda x: (vecs * np.exp(-0.25j * x * vals)) @ vecs.conj().T
+def _hermitian_exp(h: np.ndarray):
+    """x -> exp(-i x h) for Hermitian h, from one eigendecomposition."""
+    vals, vecs = np.linalg.eigh(h)
+    return lambda x: (vecs * np.exp(-1j * x * vals)) @ vecs.conj().T
 
 
 def _propagate_split_step(schedule: PulseSchedule, block: np.ndarray,
@@ -382,7 +384,7 @@ def _propagate_split_step(schedule: PulseSchedule, block: np.ndarray,
     """
     car = schedule.carrier
     basis = gate_eigenbasis(basis_phase)
-    half_step = _carrier_half_step(basis @ collective_spin_operator(car.phase) @ basis.conj().T)
+    carrier_step = _hermitian_exp(basis @ collective_spin_operator(car.phase) @ basis.conj().T)
     kinks = _carrier_breakpoints(car)
     psi = basis @ block
     offset = 0.0
@@ -394,7 +396,8 @@ def _propagate_split_step(schedule: PulseSchedule, block: np.ndarray,
         edges = np.union1d(np.linspace(0.0, seg.duration, n_steps + 1), inner)
         mids = (edges[1:] + edges[:-1]) / 2.0
         for t, dt, delta, omega in zip(mids, np.diff(edges), seg.delta(mids), seg.omega(mids)):
-            half = half_step(car.amplitude(offset + t) * car.drive_sign(offset + t) * dt)
+            # a half step of pulse area x is exp(-i x S_phi / 4)
+            half = carrier_step(0.25 * car.amplitude(offset + t) * car.drive_sign(offset + t) * dt)
             u_plus = _step_unitary(delta, seg.sign * omega, dt, block.shape[1])
             step = _branch_blocks(u_plus, delta * dt)
             psi = half @ (step.blocks @ (half @ psi)[:, :, None])[:, :, 0]
@@ -408,15 +411,15 @@ def branch_factorized_blocks(schedule: PulseSchedule, fock: FockConfig,
 
     The +2 block factorizes as exp(i theta) exp(-i eta n) D(gamma) with the
     endpoints of :func:`propagate_displacement`, an independent check on
-    the stepped exponentials of :func:`gate_propagator`.
+    the stepped exponentials of :func:`gate_propagator`.  D(gamma) =
+    exp(G) with G = gamma a^dag - conj(gamma) a anti-Hermitian, so it is
+    exp(-i H) for the Hermitian H = iG.
     """
     if schedule.carrier is not None:
         raise ParameterError("branch factorization requires a carrier-free schedule")
-    from scipy.linalg import expm
-
     traj = propagate_displacement(schedule, branch_eigenvalue=2.0, rtol=rtol)
     a = np.diag(np.sqrt(np.arange(1, fock.dim, dtype=float)), k=1)
-    disp = expm(traj.gamma_end * a.conj().T - np.conj(traj.gamma_end) * a)
+    disp = _hermitian_exp(1j * (traj.gamma_end * a.conj().T - np.conj(traj.gamma_end) * a))(1.0)
     null = np.diag(np.exp(-1j * traj.eta_end * np.arange(fock.dim)))
     return _branch_blocks(np.exp(1j * traj.theta_end) * (null @ disp), traj.eta_end)
 

@@ -29,7 +29,7 @@ applying one exact gate propagator, at a Fock cutoff sized for the
 longest sequence, to every compiled gate.
 
 Bootstrap intervals resample sequences within each length: each length
-draws its (resamples, rows) block of row positions in one call, and all
+draws its row positions ``RESAMPLE_BLOCK`` resamples at a time, and all
 resamples are refitted in one lengths-major pass over (lengths,
 resamples) arrays.
 """
@@ -61,6 +61,9 @@ SEQUENCE_BLOCK = 128
 # products run into subnormal numbers, which slow BLAS tenfold; a
 # population of 1e-300 is far below every guard and tolerance.
 FLUSH_AMPLITUDE = 1e-150
+# Bootstrap resamples drawn and summed together: the row positions are a
+# (block, rows) array, so their memory does not grow with the resample count.
+RESAMPLE_BLOCK = 2048
 
 # per-gate error -> per-Clifford error conversion constant used by the
 # standard reporting convention (13/6 entangling gates per Clifford)
@@ -599,12 +602,12 @@ def _fit_rates_batch(lengths: np.ndarray, f_surv: np.ndarray, f_flip: np.ndarray
                      tot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized two-stage fit of every column of (n_lengths, batch) fractions.
 
-    ``lengths`` and the per-length shot totals ``tot`` are (n_lengths,);
-    returns (eps_rb, eps_leak), each (batch,).
+    ``lengths`` is (n_lengths,) and the shot totals behind each fraction
+    ``tot`` are (n_lengths, batch), or (n_lengths, 1) for one total per
+    length; returns (eps_rb, eps_leak), each (batch,).
     """
     n = lengths[:, None]
-    n_shots = tot[:, None]
-    var_floor = 1.0 / (2.0 * n_shots)
+    var_floor = 1.0 / (2.0 * tot)
     f_leak = 1.0 - f_surv - f_flip
 
     # stage 1: leak fraction vs 1 - L(N), parametrized by b = 1 - 2 eps_leak
@@ -612,7 +615,7 @@ def _fit_rates_batch(lengths: np.ndarray, f_surv: np.ndarray, f_flip: np.ndarray
     b0 = 1.0 - 2.0 * slope
     b = _gauss_newton_power(
         n, f_leak,
-        lambda f: np.maximum(f * (1.0 - f), var_floor) / n_shots,
+        lambda f: np.maximum(f * (1.0 - f), var_floor) / tot,
         lambda x, n: 0.5 * (1.0 - x**n),
         lambda x, n: -0.5 * n * x ** (n - 1.0),
         b0, 0.0, 1.0)
@@ -625,7 +628,7 @@ def _fit_rates_batch(lengths: np.ndarray, f_surv: np.ndarray, f_flip: np.ndarray
     a0 = np.clip(np.abs(z[-1]), 1e-12, 1.0) ** (1.0 / lengths[-1])
     a = _gauss_newton_power(
         n, z,
-        lambda f: np.maximum(big_l - f**2, var_floor) / n_shots,
+        lambda f: np.maximum(big_l - f**2, var_floor) / tot,
         lambda x, n: x**n,
         lambda x, n: n * x ** (n - 1.0),
         a0, 0.0, 1.0)
@@ -641,7 +644,7 @@ def fit_decays(data: SlerbDataset, max_n: int | None = None) -> DecayFit:
         raise GridError("need at least three distinct sequence lengths")
     lengths = lengths.astype(float)
     eps_rb, eps_leak = _fit_rates_batch(
-        lengths, f_surv[:, None], f_flip[:, None], tot)
+        lengths, f_surv[:, None], f_flip[:, None], tot[:, None])
     eps_rb, eps_leak = float(eps_rb[0]), float(eps_leak[0])
     # initial slope of the fitted flip curve, ~ eps_rb at small rates
     b = 1.0 - 2.0 * eps_leak
@@ -656,8 +659,11 @@ def bootstrap_ci(data: SlerbDataset, resamples: int = 10000, seed: int = 0,
                  max_n: int | None = None) -> dict[str, tuple[float, float]]:
     """68% percentile intervals from sequence-level resampling.
 
-    Rows are resampled with replacement within each length, and all
-    resamples are refitted in one lengths-major pass.
+    Rows are resampled with replacement within each length,
+    ``RESAMPLE_BLOCK`` resamples at a time; the blocks are consecutive
+    slices of one (resamples, rows) draw.  Each resample is weighted by its
+    own per-length shot totals, as :func:`fit_decays` of that resample
+    would be, and all resamples are refitted in one lengths-major pass.
     """
     if resamples < 100:
         raise ParameterError("resamples must be >= 100")
@@ -669,16 +675,16 @@ def bootstrap_ci(data: SlerbDataset, resamples: int = 10000, seed: int = 0,
     if min(rows.size for rows in row_sets) < 2:
         raise DomainError("bootstrap needs at least two sequences per length")
     rng = _rng(seed)
-    f_surv = np.empty((lengths.size, resamples))
-    f_flip = np.empty((lengths.size, resamples))
-    tot = np.empty(lengths.size)
+    f_surv, f_flip, tot = (np.empty((lengths.size, resamples)) for _ in range(3))
     for j, rows in enumerate(row_sets):
-        # the same Philox draws as rng.choice(rows, size=(resamples, rows.size))
-        pick = rng.integers(0, rows.size, size=(resamples, rows.size))
-        shots = used.shots[rows][pick].sum(axis=1)
-        f_surv[j] = used.n_survival[rows][pick].sum(axis=1) / shots
-        f_flip[j] = used.n_flip[rows][pick].sum(axis=1) / shots
-        tot[j] = used.shots[rows].sum()
+        shots, surv, flip = used.shots[rows], used.n_survival[rows], used.n_flip[rows]
+        for start in range(0, resamples, RESAMPLE_BLOCK):
+            block = slice(start, min(start + RESAMPLE_BLOCK, resamples))
+            # a slice of the Philox draws of rng.choice(rows, size=(resamples, rows.size))
+            pick = rng.integers(0, rows.size, size=(block.stop - start, rows.size))
+            tot[j, block] = shots[pick].sum(axis=1)
+            f_surv[j, block] = surv[pick].sum(axis=1) / tot[j, block]
+            f_flip[j, block] = flip[pick].sum(axis=1) / tot[j, block]
     eps_rb, eps_leak = _fit_rates_batch(lengths.astype(float), f_surv, f_flip, tot)
     eps_2q = _eps_2q(eps_rb, eps_leak)
 

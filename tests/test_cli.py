@@ -577,12 +577,72 @@ def test_validate_and_run_agree_on_bad_slerb_keys(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_import_loads_no_scipy():
+SCAN_SCHEDULE = """\
+    [schedule]
+    type = walsh
+
+    [walsh]
+    loops = 2
+    omega_hz = 20e3
+"""
+OFFSET_SCAN = """\
+    [scenario]
+    name = offset-scan
+    output = off.csv
+
+    [scan]
+    start_hz = -400
+    stop_hz = 400
+    points = 3
+    nbar = 0
+""" + SCAN_SCHEDULE
+THERMAL_SWEEP = """\
+    [scenario]
+    name = thermal-sweep
+    output = th.csv
+
+    [sweep]
+    nbars = 0,2
+    offset_hz = 120
+""" + SCAN_SCHEDULE
+
+
+@pytest.mark.parametrize("base,key,value", [
+    (OFFSET_SCAN, "points", "1"),
+    (OFFSET_SCAN, "points", "2.5"),
+    (OFFSET_SCAN, "stop_hz", "inf"),
+    (OFFSET_SCAN, "nbar", "-1"),
+    (THERMAL_SWEEP, "nbars", "0,nan"),
+    (THERMAL_SWEEP, "nbars", "0,-1"),
+    (THERMAL_SWEEP, "offset_hz", "nan"),
+], ids=["scan-points-1", "scan-points-fractional", "scan-stop-inf", "scan-nbar-negative",
+        "sweep-nbars-nan", "sweep-nbars-negative", "sweep-offset-nan"])
+def test_validate_and_run_agree_on_bad_scan_and_sweep_keys(tmp_path, capsys, base, key, value):
+    text = re.sub(rf"(?m)^(\s*{key} = ).*$", rf"\g<1>{value}", base)
+    assert f"{key} = {value}" in text
+    path = write_config(tmp_path, text)
+    codes = [cli.main(["validate", path, "--quiet"]),
+             cli.main(["run", path, "--output-dir", str(tmp_path / "out"), "--quiet"])]
+    assert codes == [1, 1]
+    assert capsys.readouterr().err.count("config error") == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
     # scipy.linalg alone is most of the start-up time; the closed-form
-    # scenarios never need it, so every scipy import is deferred to its use
+    # scenarios and the full SLERB model never need it, so every scipy
+    # import is deferred to its use
     package_root = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": package_root}
-    code = "import sys, iongate.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
+    loaded = "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", "import sys, iongate.cli; " + loaded],
+                         env=env, capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+    path = write_config(tmp_path, FULL_MODEL.format(lengths="1,4,8"))
+    run = ("import sys; from iongate import cli; "
+           "code = cli.main(['run', sys.argv[1], '--output-dir', sys.argv[2], '--quiet']); "
+           "assert code == 0, code; " + loaded)
+    out = subprocess.run([sys.executable, "-c", run, path, str(tmp_path / "out")], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+    assert (tmp_path / "out" / "full.csv").exists()

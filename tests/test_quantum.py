@@ -1,6 +1,7 @@
 """Tests for full quantum propagation of spin-dependent-force gates."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -272,6 +273,24 @@ def test_factorized_blocks_make_one_kernel_call(monkeypatch):
     assert calls == [2.0]
 
 
+@pytest.mark.parametrize("gamma_abs", [1.1e-15, 2.5e-5, 0.54, 3.0])
+@pytest.mark.parametrize("dim", [33, 92, 184])
+def test_factorized_blocks_match_expm_oracle_without_subnormals(monkeypatch, dim, gamma_abs):
+    # endpoints from a closed loop's round-off to the 20 us gate's 0.54 and beyond
+    gamma = gamma_abs * np.exp(0.7j)
+    traj = types.SimpleNamespace(gamma_end=gamma, theta_end=0.3, eta_end=1.1)
+    monkeypatch.setattr(quantum, "propagate_displacement", lambda *args, **kwargs: traj)
+    sched = build_walsh_schedule(WalshGateParams.calibrated(1, TWO_PI * 20e3))
+    blocks = branch_factorized_blocks(sched, FockConfig(n_max=dim - 1)).blocks
+    a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1)
+    disp = expm(gamma * a.T - np.conj(gamma) * a)
+    u_plus = np.exp(0.3j) * np.exp(-1.1j * np.arange(dim))[:, None] * disp
+    assert np.abs(blocks - quantum._branch_blocks(u_plus, 1.1).blocks).max() <= 1e-13
+    # subnormal entries slow every BLAS product the full SLERB model makes
+    parts = np.abs(blocks.view(float))
+    assert np.all(parts[parts != 0.0] >= np.finfo(float).tiny)
+
+
 @pytest.mark.parametrize("route", ["stepped", "factorized"])
 def test_every_block_follows_from_the_plus_two_block(route):
     sched = sign_flip_schedule(np.random.default_rng(31), n_segments=3)
@@ -380,8 +399,7 @@ def test_split_step_carrier_half_steps_match_matrix_exponentials(monkeypatch):
     with_c = carrier_test_schedule(TWO_PI * 2e3, math.pi / 2, invert=False)
     psi0 = CompositeState.from_spin_fock((0.5, 0.5, 0.5, 0.5), n=1, n_max=30)
     fast = propagate(with_c, psi0).amplitudes
-    monkeypatch.setattr(quantum, "_carrier_half_step",
-                        lambda op: lambda x: expm(-0.25j * x * op))
+    monkeypatch.setattr(quantum, "_hermitian_exp", lambda h: lambda x: expm(-1j * x * h))
     reference = propagate(with_c, psi0).amplitudes
     assert np.max(np.abs(fast - reference)) < 1e-12
 

@@ -691,15 +691,6 @@ def per_resample_bootstrap(data, resamples, seed):
             for key, col in zip(("eps_rb", "eps_leak", "eps_2q"), rates.T)}
 
 
-def test_bootstrap_slow_path_agrees_with_fast_path():
-    d = collect_dataset([2, 40, 120, 300], n_sequences=25, shots=100,
-                        model=ParametricModel(2e-3, 1e-3), seed=77)
-    fast = bootstrap_ci(d, resamples=300, seed=4)
-    slow = per_resample_bootstrap(d, resamples=300, seed=4)
-    for key in fast:
-        assert fast[key] == pytest.approx(slow[key], rel=1e-9, abs=0.0)
-
-
 def uneven_dataset(seed):
     """Unequal row counts per length and a different shot count in every row."""
     rng = np.random.default_rng(seed)
@@ -711,9 +702,22 @@ def uneven_dataset(seed):
                                      shots - leak - flip, flip, leak)
 
 
+@pytest.mark.parametrize("data", [
+    collect_dataset([2, 40, 120, 300], n_sequences=25, shots=100,
+                    model=ParametricModel(2e-3, 1e-3), seed=77),
+    uneven_dataset(5),  # each resample is weighted by its own shot totals
+    uneven_dataset(6),
+], ids=["equal", "uneven-0", "uneven-1"])
+def test_bootstrap_slow_path_agrees_with_fast_path(data):
+    fast = bootstrap_ci(data, resamples=300, seed=4)
+    slow = per_resample_bootstrap(data, resamples=300, seed=4)
+    for key in fast:
+        assert fast[key] == pytest.approx(slow[key], rel=1e-9, abs=0.0)
+
+
 def choice_fractions(data, resamples, seed):
     """Reference resampling: rng.choice over each length's row indices,
-    returning (resamples, n_lengths) fractions and the per-length totals."""
+    returning (resamples, n_lengths) fractions and shot totals."""
     rng = slerb._rng(seed)
     f_surv, f_flip, tot = [], [], []
     for length in data.lengths:
@@ -722,8 +726,24 @@ def choice_fractions(data, resamples, seed):
         shots = data.shots[pick].sum(axis=1)
         f_surv.append(data.n_survival[pick].sum(axis=1) / shots)
         f_flip.append(data.n_flip[pick].sum(axis=1) / shots)
-        tot.append(data.shots[rows].sum())
-    return np.array(f_surv).T, np.array(f_flip).T, np.array(tot, dtype=float)
+        tot.append(shots)
+    return np.array(f_surv).T, np.array(f_flip).T, np.array(tot, dtype=float).T
+
+
+def assert_fit_inputs_match_choice_draws(monkeypatch, data, resamples, seed):
+    seen = {}
+    fit = slerb._fit_rates_batch
+
+    def capture(lengths, f_surv, f_flip, tot):
+        seen.update(f_surv=f_surv.copy(), f_flip=f_flip.copy(), tot=tot.copy())
+        return fit(lengths, f_surv, f_flip, tot)
+
+    monkeypatch.setattr(slerb, "_fit_rates_batch", capture)
+    bootstrap_ci(data, resamples=resamples, seed=seed)
+    f_surv, f_flip, tot = choice_fractions(data, resamples, seed)
+    assert np.array_equal(seen["f_surv"], f_surv.T)
+    assert np.array_equal(seen["f_flip"], f_flip.T)
+    assert np.array_equal(seen["tot"], tot.T)
 
 
 @pytest.mark.parametrize("data", [
@@ -733,19 +753,13 @@ def choice_fractions(data, resamples, seed):
     uneven_dataset(6),
 ], ids=["equal", "uneven-0", "uneven-1"])
 def test_bootstrap_fractions_match_choice_draws_bit_for_bit(monkeypatch, data):
-    seen = {}
-    fit = slerb._fit_rates_batch
+    assert_fit_inputs_match_choice_draws(monkeypatch, data, 400, 11)
 
-    def capture(lengths, f_surv, f_flip, tot):
-        seen.update(f_surv=f_surv.copy(), f_flip=f_flip.copy(), tot=tot.copy())
-        return fit(lengths, f_surv, f_flip, tot)
 
-    monkeypatch.setattr(slerb, "_fit_rates_batch", capture)
-    bootstrap_ci(data, resamples=400, seed=11)
-    f_surv, f_flip, tot = choice_fractions(data, 400, 11)
-    assert np.array_equal(seen["f_surv"], f_surv.T)
-    assert np.array_equal(seen["f_flip"], f_flip.T)
-    assert np.array_equal(seen["tot"], tot)
+def test_blocked_draws_match_choice_draws_across_blocks(monkeypatch):
+    # two full blocks and a partial one, on rows of unequal count and shots
+    assert_fit_inputs_match_choice_draws(monkeypatch, uneven_dataset(5),
+                                         2 * slerb.RESAMPLE_BLOCK + 37, 11)
 
 
 def row_major_gauss_newton(lengths, y, variance_fn, forward, jacobian, x0, lo, hi):
@@ -765,8 +779,8 @@ def row_major_gauss_newton(lengths, y, variance_fn, forward, jacobian, x0, lo, h
 
 
 def row_major_fit_rates(lengths, f_surv, f_flip, tot):
-    """Reference two-stage fit over (batch, n_lengths) fractions."""
-    n_shots = tot[None, :]
+    """Reference two-stage fit over (batch, n_lengths) fractions and totals."""
+    n_shots = tot
     var_floor = 1.0 / (2.0 * n_shots)
     f_leak = 1.0 - f_surv - f_flip
     b = row_major_gauss_newton(
@@ -790,7 +804,8 @@ def test_lengths_major_fit_matches_row_major_reference(seed):
                         model=ParametricModel(1.5e-4, 8e-5), seed=seed)
     f_surv, f_flip, tot = choice_fractions(d, 2000, seed)
     lengths = d.lengths.astype(float)
-    eps_rb, eps_leak = slerb._fit_rates_batch(lengths, f_surv.T.copy(), f_flip.T.copy(), tot)
+    eps_rb, eps_leak = slerb._fit_rates_batch(lengths, f_surv.T.copy(), f_flip.T.copy(),
+                                              tot.T.copy())
     ref_rb, ref_leak = row_major_fit_rates(lengths, f_surv, f_flip, tot)
     assert eps_rb.shape == eps_leak.shape == (2000,)
     assert np.all(eps_leak > 0) and np.all(eps_rb > 0)
