@@ -685,6 +685,8 @@ def bootstrap_ci(data: SlerbDataset, resamples: int = 10000, seed: int = 0,
             tot[j, block] = shots[pick].sum(axis=1)
             f_surv[j, block] = surv[pick].sum(axis=1) / tot[j, block]
             f_flip[j, block] = flip[pick].sum(axis=1) / tot[j, block]
+    if np.all(tot == tot[:, :1]):  # equal shots per row: one column serves every resample
+        tot = tot[:, :1]
     eps_rb, eps_leak = _fit_rates_batch(lengths.astype(float), f_surv, f_flip, tot)
     eps_2q = _eps_2q(eps_rb, eps_leak)
 
