@@ -414,7 +414,8 @@ def _parse_offset_scan(cfg: _Config):
 
     def job(seed: int):
         offsets = TWO_PI * np.linspace(start, stop, points)
-        table = dict(offset_scan(schedule, offsets, ensemble).to_table())
+        scan = offset_scan(schedule, offsets, ensemble)
+        table = dict(scan.to_table())
         table = {"offset_hz": table.pop("offset_rad_s") / TWO_PI, **table}
         return {None: table}, {"nbar": f"{nbar:g}"}
 
@@ -432,10 +433,14 @@ def _parse_thermal_sweep(cfg: _Config):
 
     def job(seed: int):
         rows = thermal_sweep(schedule, ensembles)
-        cols = {k: np.array([getattr(r, k) for r in rows])
-                for k in ("p_uu", "p_dd", "p_odd", "fidelity")}
-        table = {"nbar": np.array(nbars, dtype=float), **cols,
-                 "infidelity": 1.0 - cols["fidelity"]}
+        table = {
+            "nbar": np.array(nbars, dtype=float),
+            "p_uu": np.array([r.p_uu for r in rows]),
+            "p_dd": np.array([r.p_dd for r in rows]),
+            "p_odd": np.array([r.p_odd for r in rows]),
+            "fidelity": np.array([r.fidelity for r in rows]),
+            "infidelity": np.array([1.0 - r.fidelity for r in rows]),
+        }
         return {None: table}, {"offset_hz": f"{offset / TWO_PI:g}"}
 
     return job

@@ -603,8 +603,7 @@ def _fit_rates_batch(lengths: np.ndarray, f_surv: np.ndarray, f_flip: np.ndarray
     """Vectorized two-stage fit of every column of (n_lengths, batch) fractions.
 
     ``lengths`` is (n_lengths,) and the shot totals behind each fraction
-    ``tot`` are (n_lengths, batch), or (n_lengths, 1) for one total per
-    length; returns (eps_rb, eps_leak), each (batch,).
+    ``tot`` are (n_lengths, batch); returns (eps_rb, eps_leak), each (batch,).
     """
     n = lengths[:, None]
     var_floor = 1.0 / (2.0 * tot)
@@ -685,8 +684,6 @@ def bootstrap_ci(data: SlerbDataset, resamples: int = 10000, seed: int = 0,
             tot[j, block] = shots[pick].sum(axis=1)
             f_surv[j, block] = surv[pick].sum(axis=1) / tot[j, block]
             f_flip[j, block] = flip[pick].sum(axis=1) / tot[j, block]
-    if np.all(tot == tot[:, :1]):  # equal shots per row: one column serves every resample
-        tot = tot[:, :1]
     eps_rb, eps_leak = _fit_rates_batch(lengths.astype(float), f_surv, f_flip, tot)
     eps_2q = _eps_2q(eps_rb, eps_leak)
 
