@@ -27,8 +27,7 @@ import numpy as np
 from . import __version__
 from .errors import (ConfigError, ConvergenceError, DomainError, GridError,
                      ParameterError, TruncationError)
-from .filterfn import (DEFAULT_VARIANCES, filter_function_numeric,
-                       filter_function_walsh_analytic)
+from .filterfn import filter_function_numeric, filter_function_walsh_analytic
 from .quantum import ThermalEnsemble, calibration_scan, offset_scan, thermal_sweep
 from .schedule import (SmoothGateParams, WalshGateParams, build_smooth_schedule,
                        build_walsh_schedule)
@@ -40,15 +39,12 @@ from .slerb import (FullScheduleModel, IdealModel, ParametricModel,
 
 TWO_PI = 2.0 * math.pi
 
-SCENARIOS = ("filterfn", "calibration-scan", "offset-scan", "thermal-sweep",
-             "slerb", "walsh-compare", "trajectory")
-
 _SCHEMA = """\
 Scenario config reference (INI format, flat key = value sections).
 
 UNITS: every *_hz key is a plain cyclic frequency in Hz and is converted to
 angular units (2*pi rad/s) internally.  Times are seconds.  Detunings keep
-their sign.
+their sign.  Every comma list needs at least one value.
 
 [scenario]
   name    one of: filterfn, calibration-scan, offset-scan, thermal-sweep,
@@ -77,7 +73,7 @@ their sign.
 
 [filterfn]        filterfn scenario
   nbars           comma list of thermal occupations      (default 0,10)
-  walsh_orders    comma list of Walsh orders, e.g. 1,3   (default 1,3)
+  walsh_orders    comma list of integer Walsh orders     (default 1,3)
   points          frequency grid size                    (default 400)
   omega_min_hz    grid start                             (default 20)
   omega_max_hz    grid stop                              (default 1.6e6)
@@ -109,7 +105,7 @@ their sign.
   (model = full also needs a [walsh] block; its Fock cutoff is automatic)
 
 [walsh-compare]   walsh-compare scenario
-  loops           comma list of loop counts              (required)
+  loops           comma list of integer loop counts      (required)
   omega_hz        shared Rabi frequency                  (required)
   nbar            occupation for the leak filter value   (default 0)
 
@@ -302,14 +298,22 @@ class _Config:
             return False
         raise ConfigError(f"{self.path}: {key} in [{section}] is not a boolean")
 
-    def number_list(self, section, key, default=None, required=False):
+    def number_list(self, section, key, default=None, required=False) -> list[float]:
+        """A non-empty comma list; ``default`` is list text such as "0,10"."""
         raw = self._raw(section, key, default, required)
-        if raw is None or isinstance(raw, (list, tuple)):
-            return raw
         try:
-            return [_finite(tok) for tok in str(raw).split(",") if tok.strip()]
+            values = [_finite(tok) for tok in raw.split(",") if tok.strip()]
         except ValueError:
             raise ConfigError(f"{self.path}: {key} in [{section}] is not a list of finite numbers") from None
+        if not values:
+            raise ConfigError(f"{self.path}: {key} in [{section}] needs at least one value")
+        return values
+
+    def integer_list(self, section, key, default=None, required=False) -> list[int]:
+        values = self.number_list(section, key, default, required)
+        if any(v != int(v) for v in values):
+            raise ConfigError(f"{self.path}: {key} in [{section}] must hold integers")
+        return [int(v) for v in values]
 
 
 def _smooth_params(cfg: _Config) -> SmoothGateParams:
@@ -343,9 +347,7 @@ def _walsh_params(cfg: _Config) -> WalshGateParams:
 
 
 def _scenario_schedule(cfg: _Config):
-    kind = cfg.text("schedule", "type", required=True) if cfg.has("schedule") else None
-    if kind is None:
-        raise ConfigError(f"{cfg.path}: this scenario needs a [schedule] section")
+    kind = cfg.text("schedule", "type", required=True)
     if kind == "smooth":
         return build_smooth_schedule(_smooth_params(cfg))
     if kind == "walsh":
@@ -353,77 +355,83 @@ def _scenario_schedule(cfg: _Config):
     raise ConfigError(f"{cfg.path}: schedule type must be smooth or walsh")
 
 
+def _scan(cfg: _Config, nbar_default: float):
+    """The [scan] grid in rad/s and the ensemble at its occupation."""
+    start = cfg.number("scan", "start_hz", required=True)
+    stop = cfg.number("scan", "stop_hz", required=True)
+    points = cfg.integer("scan", "points", required=True)
+    if points < 2:
+        raise ConfigError(f"{cfg.path}: scan needs at least two points")
+    ensemble = ThermalEnsemble.build(cfg.number("scan", "nbar", nbar_default))
+    return TWO_PI * np.linspace(start, stop, points), ensemble
+
+
 # ---------------------------------------------------------------------------
-# scenarios: each returns {filename: ("csv", table, extra_meta)} style plans
+# scenarios: each _parse_<name>(cfg) reads and checks the whole config and
+# builds every parameter object; it returns job(seed), which only computes
+# and returns (table, extra_meta, report or None).  `validate` runs the parse.
 
 
-def _plan_filterfn(cfg: _Config, seed: int):
+def _parse_filterfn(cfg: _Config):
     params = _smooth_params(cfg)
     schedule = build_smooth_schedule(params)
-    nbars = cfg.number_list("filterfn", "nbars", [0.0, 10.0])
-    orders = cfg.number_list("filterfn", "walsh_orders", [1.0, 3.0])
+    nbars = cfg.number_list("filterfn", "nbars", "0,10")
+    orders = cfg.integer_list("filterfn", "walsh_orders", "1,3")
     points = cfg.integer("filterfn", "points", 400)
     lo = TWO_PI * cfg.number("filterfn", "omega_min_hz", 20.0)
     hi = TWO_PI * cfg.number("filterfn", "omega_max_hz", 1.6e6)
     if points < 2 or hi <= lo or lo <= 0:
         raise ConfigError(f"{cfg.path}: bad filter-function frequency grid")
+    if min(nbars) < 0:
+        raise ConfigError(f"{cfg.path}: nbars in [filterfn] must be >= 0")
     omega = np.geomspace(lo, hi, points)
+    walsh = {order: WalshGateParams.calibrated(order + 1, params.omega_g) for order in orders}
 
-    table = {"omega_rad_s": omega}
-    extra = {}
-    for nbar in nbars:
-        ff = filter_function_numeric(schedule, nbar=nbar, omega=omega)
-        table[f"S_smooth_nbar{nbar:g}"] = ff.total
-    for order in orders:
-        loops = int(order) + 1
-        walsh = WalshGateParams.calibrated(loops, params.omega_g)
+    def job(seed: int):
+        table = {"omega_rad_s": omega}
         for nbar in nbars:
-            ff = filter_function_walsh_analytic(walsh, nbar=nbar, omega=omega)
-            table[f"S_walsh{int(order)}_nbar{nbar:g}"] = ff.total
-        extra[f"walsh{int(order)}_delta_g_hz"] = walsh.delta_g / TWO_PI
-    extra["smooth_duration_s"] = schedule.duration
-    return {None: table}, extra
+            ff = filter_function_numeric(schedule, nbar=nbar, omega=omega)
+            table[f"S_smooth_nbar{nbar:g}"] = ff.total
+        extra = {}
+        for order, gate in walsh.items():
+            for nbar in nbars:
+                ff = filter_function_walsh_analytic(gate, nbar=nbar, omega=omega)
+                table[f"S_walsh{order}_nbar{nbar:g}"] = ff.total
+            extra[f"walsh{order}_delta_g_hz"] = gate.delta_g / TWO_PI
+        extra["smooth_duration_s"] = schedule.duration
+        return table, extra, None
+
+    return job
 
 
-def _plan_calibration_scan(cfg: _Config, seed: int):
+def _parse_calibration_scan(cfg: _Config):
     base = _smooth_params(cfg)
-    start = cfg.number("scan", "start_hz", required=True)
-    stop = cfg.number("scan", "stop_hz", required=True)
-    points = cfg.integer("scan", "points", required=True)
-    nbar = cfg.number("scan", "nbar", 3.5)
-    if points < 2:
-        raise ConfigError(f"{cfg.path}: scan needs at least two points")
-    grid = TWO_PI * np.linspace(start, stop, points)
-    scan = calibration_scan(base, grid, ThermalEnsemble.build(nbar))
-    table = dict(scan.to_table())
-    table = {"delta_min_hz": table.pop("delta_min_rad_s") / TWO_PI, **table}
-    extra = {"nbar": f"{nbar:g}", "crossing_hz": scan.crossing / TWO_PI}
-    return {None: table}, extra
+    grid, ensemble = _scan(cfg, 3.5)
+    for delta_min in grid:
+        base.with_delta_min(delta_min)  # SmoothGateParams checks each grid gate
+
+    def job(seed: int):
+        scan = calibration_scan(base, grid, ensemble)
+        table = dict(scan.to_table())
+        table = {"delta_min_hz": table.pop("delta_min_rad_s") / TWO_PI, **table}
+        return table, {"nbar": f"{ensemble.nbar:g}", "crossing_hz": scan.crossing / TWO_PI}, None
+
+    return job
 
 
 def _parse_offset_scan(cfg: _Config):
-    """Read and check the schedule and [scan]; returns job(seed) -> (plans, extra_meta)."""
     schedule = _scenario_schedule(cfg)
-    start = cfg.number("scan", "start_hz", required=True)
-    stop = cfg.number("scan", "stop_hz", required=True)
-    points = cfg.integer("scan", "points", required=True)
-    nbar = cfg.number("scan", "nbar", 0.0)
-    if points < 2:
-        raise ConfigError(f"{cfg.path}: scan needs at least two points")
-    ensemble = ThermalEnsemble.build(nbar)
+    offsets, ensemble = _scan(cfg, 0.0)
 
     def job(seed: int):
-        offsets = TWO_PI * np.linspace(start, stop, points)
-        scan = offset_scan(schedule, offsets, ensemble)
-        table = dict(scan.to_table())
+        table = dict(offset_scan(schedule, offsets, ensemble).to_table())
         table = {"offset_hz": table.pop("offset_rad_s") / TWO_PI, **table}
-        return {None: table}, {"nbar": f"{nbar:g}"}
+        return table, {"nbar": f"{ensemble.nbar:g}"}, None
 
     return job
 
 
 def _parse_thermal_sweep(cfg: _Config):
-    """Read and check the schedule and [sweep]; returns job(seed) -> (plans, extra_meta)."""
     schedule = _scenario_schedule(cfg)
     nbars = cfg.number_list("sweep", "nbars", required=True)
     offset = TWO_PI * cfg.number("sweep", "offset_hz", 0.0)
@@ -441,7 +449,7 @@ def _parse_thermal_sweep(cfg: _Config):
             "fidelity": np.array([r.fidelity for r in rows]),
             "infidelity": np.array([1.0 - r.fidelity for r in rows]),
         }
-        return {None: table}, {"offset_hz": f"{offset / TWO_PI:g}"}
+        return table, {"offset_hz": f"{offset / TWO_PI:g}"}, None
 
     return job
 
@@ -460,11 +468,8 @@ def _slerb_model(cfg: _Config):
 
 
 def _parse_slerb(cfg: _Config):
-    """Read and check [slerb]; returns job(seed) -> (plans, extra_meta).
-
-    An ``input`` dataset is read by the job, not here: it may be the output
-    of a run that has not happened yet.
-    """
+    """Read and check [slerb].  An ``input`` dataset is read by the job, not
+    here: it may be the output of a run that has not happened yet."""
     resamples = cfg.integer("slerb", "resamples", 10000)
     if resamples < 100:
         raise ConfigError(f"{cfg.path}: resamples in [slerb] must be >= 100")
@@ -472,12 +477,11 @@ def _parse_slerb(cfg: _Config):
     model_name = "external"
     if source is None:
         model_name, model = _slerb_model(cfg)
-        values = cfg.number_list("slerb", "lengths", required=True)
-        lengths = [int(v) for v in values]
+        lengths = cfg.integer_list("slerb", "lengths", required=True)
         sequences = cfg.integer("slerb", "sequences", required=True)
         shots = cfg.integer("slerb", "shots", required=True)
         pauli_randomize = cfg.boolean("slerb", "pauli_randomize", True)
-        if lengths != values or min(lengths, default=0) < 1 or len(set(lengths)) < 3:
+        if min(lengths) < 1 or len(set(lengths)) < 3:
             raise ConfigError(f"{cfg.path}: lengths in [slerb] must hold at least "
                               "three distinct positive integers")
         if sequences < 1 or shots < 1:
@@ -513,73 +517,60 @@ def _parse_slerb(cfg: _Config):
             for key, (lo, hi) in ci.items():
                 report[f"{key}_ci16"] = lo
                 report[f"{key}_ci84"] = hi
-        return {None: data.to_table(), "report": report}, {"model": model_name}
+        return data.to_table(), {"model": model_name}, report
 
     return job
 
 
-def _walsh_compare_gates(cfg: _Config) -> tuple[float, list[WalshGateParams]]:
-    loops_list = [int(v) for v in cfg.number_list("walsh-compare", "loops", required=True)]
+def _parse_walsh_compare(cfg: _Config):
+    loops = cfg.integer_list("walsh-compare", "loops", required=True)
     omega = TWO_PI * cfg.number("walsh-compare", "omega_hz", required=True)
-    return omega, [WalshGateParams.calibrated(loops, omega) for loops in loops_list]
-
-
-def _plan_walsh_compare(cfg: _Config, seed: int):
-    omega, gates = _walsh_compare_gates(cfg)
     nbar = cfg.number("walsh-compare", "nbar", 0.0)
-    rows = []
-    for params in gates:
-        schedule = build_walsh_schedule(params)
-        angle = gate_angle_exact(schedule)
-        ff = filter_function_walsh_analytic(params, nbar=nbar,
-                                            omega=np.array([1e-3 * abs(params.delta_g)]))
-        rows.append((params.loops, params.delta_g / TWO_PI, schedule.duration,
-                     angle, float(ff.total[0])))
-    arr = np.array(rows)
-    table = {
-        "loops": arr[:, 0].astype(int),
-        "delta_g_hz": arr[:, 1],
-        "duration_s": arr[:, 2],
-        "gate_angle_rad": arr[:, 3],
-        "low_freq_filter_value": arr[:, 4],
-    }
-    return {None: table}, {"omega_hz": f"{omega / TWO_PI:g}", "nbar": f"{nbar:g}"}
+    if nbar < 0:
+        raise ConfigError(f"{cfg.path}: nbar in [walsh-compare] must be >= 0")
+    gates = [WalshGateParams.calibrated(k, omega) for k in loops]
+
+    def job(seed: int):
+        schedules = [build_walsh_schedule(p) for p in gates]
+        low = [filter_function_walsh_analytic(p, nbar=nbar, omega=np.array([1e-3 * abs(p.delta_g)]))
+               for p in gates]
+        table = {
+            "loops": np.array(loops),
+            "delta_g_hz": np.array([p.delta_g / TWO_PI for p in gates]),
+            "duration_s": np.array([s.duration for s in schedules]),
+            "gate_angle_rad": np.array([gate_angle_exact(s) for s in schedules]),
+            "low_freq_filter_value": np.array([ff.total[0] for ff in low]),
+        }
+        return table, {"omega_hz": f"{omega / TWO_PI:g}", "nbar": f"{nbar:g}"}, None
+
+    return job
 
 
-def _plan_trajectory(cfg: _Config, seed: int):
+def _parse_trajectory(cfg: _Config):
     schedule = _scenario_schedule(cfg)
-    branch = cfg.number("trajectory", "branch", 2.0) if cfg.has("trajectory") else 2.0
-    points = cfg.integer("trajectory", "points", None) if cfg.has("trajectory") else None
+    branch = cfg.number("trajectory", "branch", 2.0)
+    points = cfg.integer("trajectory", "points")
     t_eval = None
     if points is not None:
         if points < 2:
             raise ConfigError(f"{cfg.path}: trajectory needs at least two points")
         t_eval = np.linspace(0.0, schedule.duration, points)
-    traj = propagate_displacement(schedule, branch_eigenvalue=branch, t_eval=t_eval)
-    return {None: traj.to_table()}, {"branch": f"{branch:g}"}
+
+    def job(seed: int):
+        traj = propagate_displacement(schedule, branch_eigenvalue=branch, t_eval=t_eval)
+        return traj.to_table(), {"branch": f"{branch:g}"}, None
+
+    return job
 
 
-_PLANNERS = {
-    "filterfn": _plan_filterfn,
-    "calibration-scan": _plan_calibration_scan,
-    "walsh-compare": _plan_walsh_compare,
-    "trajectory": _plan_trajectory,
-}
-
-# scenarios split into a parse step, which reads and checks the whole config
-# and returns the job to run with the seed; `validate` runs only this step
 _PARSERS = {
+    "filterfn": _parse_filterfn,
+    "calibration-scan": _parse_calibration_scan,
     "offset-scan": _parse_offset_scan,
     "thermal-sweep": _parse_thermal_sweep,
     "slerb": _parse_slerb,
-}
-
-# the remaining scenarios parse while they run; `validate` builds their parameters
-_VALIDATORS = {
-    "filterfn": lambda cfg: _smooth_params(cfg),
-    "calibration-scan": lambda cfg: _smooth_params(cfg),
-    "walsh-compare": _walsh_compare_gates,
-    "trajectory": lambda cfg: _scenario_schedule(cfg),
+    "walsh-compare": _parse_walsh_compare,
+    "trajectory": _parse_trajectory,
 }
 
 
@@ -591,7 +582,7 @@ def _load_config(path: str) -> tuple[_Config, str, bytes]:
         raise ConfigError(f"cannot read config: {exc}") from None
     cfg = _Config(raw.decode("utf-8"), path)
     name = cfg.text("scenario", "name", required=True)
-    if name not in SCENARIOS:
+    if name not in _PARSERS:
         raise ConfigError(f"{path}: unknown scenario {name!r}")
     cfg.text("scenario", "output", required=True)
     return cfg, name, raw
@@ -604,10 +595,7 @@ def run_scenario(config_path: str, output_dir: str = ".", seed: int | None = Non
     effective_seed = seed if seed is not None else cfg.integer("scenario", "seed", 0)
     output_name = cfg.text("scenario", "output", required=True)
 
-    if name in _PARSERS:
-        plans, extra_meta = _PARSERS[name](cfg)(effective_seed)
-    else:
-        plans, extra_meta = _PLANNERS[name](cfg, effective_seed)
+    table, extra_meta, report = _PARSERS[name](cfg)(effective_seed)
 
     metadata = {
         "tool_version": __version__,
@@ -624,15 +612,10 @@ def run_scenario(config_path: str, output_dir: str = ".", seed: int | None = Non
 
     # render every file body first so a failure writes nothing at all
     base = os.path.join(output_dir, output_name)
-    stem, _ = os.path.splitext(base)
-    bodies = []
-    for tag, payload in plans.items():
-        if tag is None:
-            bodies.append((base, _render_csv(payload, metadata)))
-        elif tag == "report":
-            entries = dict(metadata)
-            entries.update(payload)
-            bodies.append((f"{stem}_fit.txt", _render_report(entries)))
+    bodies = [(base, _render_csv(table, metadata))]
+    if report is not None:
+        stem, _ = os.path.splitext(base)
+        bodies.append((f"{stem}_fit.txt", _render_report({**metadata, **report})))
 
     os.makedirs(output_dir, exist_ok=True)
     written = []
@@ -674,7 +657,7 @@ def main(argv=None) -> int:
             return 0
         if args.command == "validate":
             cfg, name, _ = _load_config(args.config)
-            (_PARSERS.get(name) or _VALIDATORS[name])(cfg)
+            _PARSERS[name](cfg)
             if not args.quiet:
                 print(f"ok: {name}")
             return 0

@@ -19,6 +19,23 @@ def write_config(tmp_path, text, name="conf.ini"):
     return str(path)
 
 
+def set_key(text, key, value):
+    """The config text with every ``key = ...`` line set to ``value``."""
+    new = re.sub(rf"(?m)^(\s*{key} = ).*$", rf"\g<1>{value}", text)
+    assert f"{key} = {value}" in new
+    return new
+
+
+def assert_both_reject(tmp_path, capsys, text):
+    """`validate` and `run` both exit 1 with a config error, and nothing is written."""
+    path = write_config(tmp_path, text)
+    codes = [cli.main(["validate", path, "--quiet"]),
+             cli.main(["run", path, "--output-dir", str(tmp_path / "out"), "--quiet"])]
+    assert codes == [1, 1]
+    assert capsys.readouterr().err.count("config error") == 2
+    assert not (tmp_path / "out").exists()
+
+
 def strip_created(text):
     lines = [l for l in text.splitlines()
              if not l.startswith("# created") and not l.startswith("created")]
@@ -62,6 +79,51 @@ CALIBRATION_GATE = """\
     t_c = 15.8e-6
     j = 3
     calibrate = omega
+"""
+
+FILTERFN = """\
+    [scenario]
+    name = filterfn
+    output = ff.csv
+
+    [smooth]
+    delta_max_hz = -400e3
+    delta_min_hz = -14161.0
+    omega_hz = 5e3
+    tau_g = 5e-6
+    tau_d = 95e-6
+    t_c = 0
+    j = 4
+
+    [filterfn]
+    nbars = 0,10
+    walsh_orders = 1,3
+    points = 8
+    omega_min_hz = 100
+    omega_max_hz = 1e6
+"""
+
+SCAN_GATE = """\
+    [scenario]
+    name = calibration-scan
+    output = cal.csv
+
+    [smooth]
+    delta_max_hz = -400e3
+    delta_min_hz = -21700
+    omega_hz = 5925.6
+    tau_g = 5e-6
+    tau_d = 100e-6
+    t_c = 15.8e-6
+    j = 3
+"""
+# the grid lies on one side of the balanced point, so `run` exits 2
+CALIBRATION_SCAN = SCAN_GATE + """
+    [scan]
+    start_hz = -40e3
+    stop_hz = -38e3
+    points = 2
+    nbar = 0
 """
 
 SLERB_PARAMETRIC = """\
@@ -192,26 +254,7 @@ def test_run_missing_config_file(tmp_path):
 def test_numeric_failure_exits_2_and_writes_nothing(tmp_path):
     # detuning grid entirely on one side of the balanced point: the scan
     # cannot bracket the crossing and must fail without partial outputs
-    path = write_config(tmp_path, """\
-        [scenario]
-        name = calibration-scan
-        output = cal.csv
-
-        [smooth]
-        delta_max_hz = -400e3
-        delta_min_hz = -21700
-        omega_hz = 5925.6
-        tau_g = 5e-6
-        tau_d = 100e-6
-        t_c = 15.8e-6
-        j = 3
-
-        [scan]
-        start_hz = -40e3
-        stop_hz = -38e3
-        points = 2
-        nbar = 0
-    """)
+    path = write_config(tmp_path, CALIBRATION_SCAN)
     out_dir = tmp_path / "out"
     assert cli.main(["run", path, "--output-dir", str(out_dir), "--quiet"]) == 2
     assert not out_dir.exists() or os.listdir(out_dir) == []
@@ -293,27 +336,7 @@ def test_run_solves_calibration_once(tmp_path, monkeypatch):
 
 
 def test_run_filterfn_columns(tmp_path):
-    path = write_config(tmp_path, """\
-        [scenario]
-        name = filterfn
-        output = ff.csv
-
-        [smooth]
-        delta_max_hz = -400e3
-        delta_min_hz = -14161.0
-        omega_hz = 5e3
-        tau_g = 5e-6
-        tau_d = 95e-6
-        t_c = 0
-        j = 4
-
-        [filterfn]
-        nbars = 0,10
-        walsh_orders = 1,3
-        points = 8
-        omega_min_hz = 100
-        omega_max_hz = 1e6
-    """)
+    path = write_config(tmp_path, FILTERFN)
     assert cli.main(["run", path, "--output-dir", str(tmp_path), "--quiet"]) == 0
     _, cols = cli.read_csv(str(tmp_path / "ff.csv"))
     expected = {"omega_rad_s", "S_smooth_nbar0", "S_smooth_nbar10",
@@ -567,14 +590,7 @@ def test_validate_agrees_with_run(tmp_path, capsys, text):
 ], ids=["resamples-50", "shots-0", "sequences-0", "two-lengths", "repeated-length",
         "zero-length", "fractional-length"])
 def test_validate_and_run_agree_on_bad_slerb_keys(tmp_path, capsys, key, value):
-    text = re.sub(rf"(?m)^(\s*{key} = ).*$", rf"\g<1>{value}", SLERB_PARAMETRIC)
-    assert f"{key} = {value}" in text
-    path = write_config(tmp_path, text)
-    codes = [cli.main(["validate", path, "--quiet"]),
-             cli.main(["run", path, "--output-dir", str(tmp_path / "out"), "--quiet"])]
-    assert codes == [1, 1]
-    assert capsys.readouterr().err.count("config error") == 2
-    assert not (tmp_path / "out").exists()
+    assert_both_reject(tmp_path, capsys, set_key(SLERB_PARAMETRIC, key, value))
 
 
 SCAN_SCHEDULE = """\
@@ -618,14 +634,44 @@ THERMAL_SWEEP = """\
 ], ids=["scan-points-1", "scan-points-fractional", "scan-stop-inf", "scan-nbar-negative",
         "sweep-nbars-nan", "sweep-nbars-negative", "sweep-offset-nan"])
 def test_validate_and_run_agree_on_bad_scan_and_sweep_keys(tmp_path, capsys, base, key, value):
-    text = re.sub(rf"(?m)^(\s*{key} = ).*$", rf"\g<1>{value}", base)
-    assert f"{key} = {value}" in text
-    path = write_config(tmp_path, text)
-    codes = [cli.main(["validate", path, "--quiet"]),
-             cli.main(["run", path, "--output-dir", str(tmp_path / "out"), "--quiet"])]
-    assert codes == [1, 1]
-    assert capsys.readouterr().err.count("config error") == 2
-    assert not (tmp_path / "out").exists()
+    assert_both_reject(tmp_path, capsys, set_key(base, key, value))
+
+
+AGREEMENT_CASES = {
+    "trajectory-points-1": set_key(TRAJECTORY, "points", "1"),
+    "filterfn-points-1": set_key(FILTERFN, "points", "1"),
+    "filterfn-walsh-order-2": set_key(FILTERFN, "walsh_orders", "2"),
+    "filterfn-walsh-order-fractional": set_key(FILTERFN, "walsh_orders", "1.5"),
+    "filterfn-nbars-empty": set_key(FILTERFN, "nbars", ""),
+    "filterfn-walsh-orders-empty": set_key(FILTERFN, "walsh_orders", ""),
+    "filterfn-nbars-negative": set_key(FILTERFN, "nbars", "0,-1"),
+    "calibration-scan-without-scan": SCAN_GATE,
+    "calibration-scan-points-1": set_key(CALIBRATION_SCAN, "points", "1"),
+    "calibration-scan-start-wrong-sign": set_key(CALIBRATION_SCAN, "start_hz", "40e3"),
+    "calibration-scan-start-at-delta-max": set_key(CALIBRATION_SCAN, "start_hz", "-400e3"),
+    "walsh-compare-fractional-loops": set_key(WALSH_COMPARE, "loops", "1.5,2"),
+    "walsh-compare-loops-empty": set_key(WALSH_COMPARE, "loops", ""),
+    "walsh-compare-nbar-negative": WALSH_COMPARE + "    nbar = -1\n",
+    "sweep-nbars-empty": set_key(THERMAL_SWEEP, "nbars", ""),
+}
+
+
+@pytest.mark.parametrize("text", AGREEMENT_CASES.values(), ids=AGREEMENT_CASES.keys())
+def test_validate_and_run_agree_on_bad_keys(tmp_path, capsys, text):
+    assert_both_reject(tmp_path, capsys, text)
+
+
+def test_agreement_bases_validate_and_cover_every_scenario(tmp_path):
+    # each agreement case above breaks one key of one of these configs; a new
+    # scenario needs a base here, and cases of its own
+    bases = [SLERB_PARAMETRIC, OFFSET_SCAN, THERMAL_SWEEP, FILTERFN, CALIBRATION_SCAN,
+             WALSH_COMPARE, TRAJECTORY]
+    names = set()
+    for k, text in enumerate(bases):
+        path = write_config(tmp_path, text, name=f"base{k}.ini")
+        assert cli.main(["validate", path, "--quiet"]) == 0
+        names.add(re.search(r"(?m)^\s*name = (\S+)$", text).group(1))
+    assert names == set(cli._PARSERS)
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
