@@ -31,7 +31,7 @@ from .filterfn import filter_function_numeric, filter_function_walsh_analytic
 from .quantum import ThermalEnsemble, calibration_scan, offset_scan, thermal_sweep
 from .schedule import (SmoothGateParams, WalshGateParams, build_smooth_schedule,
                        build_walsh_schedule)
-from .semiclassical import (calibrate_delta_min, calibrate_omega,
+from .semiclassical import (calibrate_delta_min, calibrate_omega, check_output_grid,
                             gate_angle_exact, propagate_displacement)
 from .slerb import (FullScheduleModel, IdealModel, ParametricModel,
                     SlerbDataset, bootstrap_ci, collect_dataset, fit_decays,
@@ -555,6 +555,7 @@ def _parse_trajectory(cfg: _Config):
         if points < 2:
             raise ConfigError(f"{cfg.path}: trajectory needs at least two points")
         t_eval = np.linspace(0.0, schedule.duration, points)
+        check_output_grid(schedule, t_eval)
 
     def job(seed: int):
         traj = propagate_displacement(schedule, branch_eigenvalue=branch, t_eval=t_eval)

@@ -8,12 +8,13 @@ outcomes and scans follow in closed form from those endpoints; an offset
 scan takes all of them from one batched
 :func:`~iongate.semiclassical.branch_endpoints` call and evaluates every
 offset's (4, 4) thermal kernel in one array, and a thermal sweep evaluates
-every occupation on one set of endpoints.  Fock-space blocks (factorized
-for SLERB, stepped as their oracle) are built from the +2 block alone by
-:func:`_branch_blocks`; a misaligned carrier is split-stepped.  The
-factorized blocks and the split step's carrier take their exponentials
-from one numpy eigendecomposition; scipy is imported only by the stepped
-oracle and the split step, for their tridiagonal eigensolver.
+every occupation on one set of endpoints.  The one Fock-space route,
+:func:`gate_propagator`, builds the exact blocks from the same endpoints,
+the +2 block alone, the rest by :func:`_branch_blocks`.  Only a
+misaligned carrier, which breaks the branch structure, is stepped (a
+Strang split).  D(gamma) and the split step's carrier take their
+exponentials from one numpy eigendecomposition each; scipy is imported
+only by the split step, for its tridiagonal eigensolver.
 
 States are stored spin-major in the measurement (z) basis with spin order
 (uu, ud, du, dd): amplitude index = spin_index * (n_max + 1) + n.
@@ -304,30 +305,26 @@ def _branch_blocks(u_plus: np.ndarray, eta: float, shift: float = 0.0) -> Branch
 
 
 def gate_propagator(schedule: PulseSchedule, fock: FockConfig,
-                    basis_phase: float = 0.0,
-                    steps_per_period: int = STEPS_PER_PERIOD) -> BranchPropagators:
-    """Branch-resolved propagator matrices for one schedule, stepped in time.
+                    basis_phase: float = 0.0, rtol: float = 1e-11) -> BranchPropagators:
+    """Exact branch propagators from the trajectory integrals of one kernel call.
 
-    Constant segments are exponentiated in one shot.  Ramps take midpoint
-    (second-order Magnus) steps cut at equal increments of the phase budget
-    int max(|delta|, |Omega|) dt, at most 2 pi / steps_per_period each.
-    Only the +2 block is stepped; :func:`_branch_blocks` derives the rest.
+    The +2 block factorizes as exp(i theta) exp(-i eta n) D(gamma) with the
+    endpoints of :func:`propagate_displacement` (Sorensen & Molmer, PRA 62,
+    022311, 2000); :func:`_branch_blocks` derives the rest.  D(gamma) =
+    exp(G) with G = gamma a^dag - conj(gamma) a anti-Hermitian, so it is
+    exp(-i H) for the Hermitian H = iG.  An aligned carrier commutes with
+    S_alpha and only adds a c-number phase per branch; a misaligned one
+    raises ParameterError (:func:`propagate` split-steps it).
     """
-    if steps_per_period < 8:
-        raise ParameterError("steps_per_period must be >= 8")
     shift = _aligned_carrier_phase(schedule, basis_phase)
-    u_plus = np.eye(fock.dim, dtype=complex)
-    for seg in schedule.segments:
-        if seg.is_constant:
-            steps = [(seg.const_delta, seg.const_omega, seg.duration)]
-        else:
-            edges = seg.phase_edges(steps_per_period, min_pieces=2)
-            mids = (edges[1:] + edges[:-1]) / 2.0
-            steps = zip(seg.delta(mids), seg.omega(mids), np.diff(edges))
-        for delta, omega, dt in steps:  # branch +2 couples with (s/2)*W*Omega = W*Omega
-            u_plus = _step_unitary(delta, seg.sign * omega, dt, fock.dim) @ u_plus
-    eta = propagate_displacement(schedule, branch_eigenvalue=0.0).eta_end
-    return _branch_blocks(u_plus, eta, shift)
+    traj = propagate_displacement(schedule, branch_eigenvalue=2.0, rtol=rtol)
+    a = np.diag(np.sqrt(np.arange(1, fock.dim, dtype=float)), k=1)
+    disp = _hermitian_exp(1j * (traj.gamma_end * a.conj().T - np.conj(traj.gamma_end) * a))(1.0)
+    null = np.diag(np.exp(-1j * traj.eta_end * np.arange(fock.dim)))
+    return _branch_blocks(np.exp(1j * traj.theta_end) * (null @ disp), traj.eta_end, shift)
+
+
+branch_factorized_blocks = gate_propagator
 
 
 def propagate(schedule: PulseSchedule, psi0: CompositeState, basis_phase: float = 0.0,
@@ -335,13 +332,15 @@ def propagate(schedule: PulseSchedule, psi0: CompositeState, basis_phase: float 
     """Evolve a composite state through a schedule (carrier optional).
 
     The Fock cutoff is the state's.  With no carrier, or one aligned with
-    the gate basis, the branch propagators are applied directly.  A
-    misaligned carrier breaks the commutation with S_alpha and is handled by
-    Strang splitting between the branch step and the carrier rotation.
+    the gate basis, the exact blocks of :func:`gate_propagator` are
+    applied.  A misaligned carrier breaks the commutation with S_alpha and
+    is Strang-split between the branch step and the carrier rotation, with
+    at least ``steps_per_period`` (>= 8) steps per period.
     """
+    if steps_per_period < 8:
+        raise ParameterError("steps_per_period must be >= 8")
     if _carrier_aligned(schedule, basis_phase):
-        props = gate_propagator(schedule, FockConfig(n_max=psi0.n_max), basis_phase,
-                                steps_per_period)
+        props = gate_propagator(schedule, FockConfig(n_max=psi0.n_max), basis_phase)
         amps = props.apply(psi0.block(), basis_phase)
     else:
         amps = _propagate_split_step(schedule, psi0.block(), basis_phase, steps_per_period)
@@ -403,25 +402,6 @@ def _propagate_split_step(schedule: PulseSchedule, block: np.ndarray,
             psi = half @ (step.blocks @ (half @ psi)[:, :, None])[:, :, 0]
         offset += seg.duration
     return _leave_gate_basis(basis, psi)
-
-
-def branch_factorized_blocks(schedule: PulseSchedule, fock: FockConfig,
-                             rtol: float = 1e-11) -> BranchPropagators:
-    """Branch propagators from the trajectory integrals of one kernel call.
-
-    The +2 block factorizes as exp(i theta) exp(-i eta n) D(gamma) with the
-    endpoints of :func:`propagate_displacement`, an independent check on
-    the stepped exponentials of :func:`gate_propagator`.  D(gamma) =
-    exp(G) with G = gamma a^dag - conj(gamma) a anti-Hermitian, so it is
-    exp(-i H) for the Hermitian H = iG.
-    """
-    if schedule.carrier is not None:
-        raise ParameterError("branch factorization requires a carrier-free schedule")
-    traj = propagate_displacement(schedule, branch_eigenvalue=2.0, rtol=rtol)
-    a = np.diag(np.sqrt(np.arange(1, fock.dim, dtype=float)), k=1)
-    disp = _hermitian_exp(1j * (traj.gamma_end * a.conj().T - np.conj(traj.gamma_end) * a))(1.0)
-    null = np.diag(np.exp(-1j * traj.eta_end * np.arange(fock.dim)))
-    return _branch_blocks(np.exp(1j * traj.theta_end) * (null @ disp), traj.eta_end)
 
 
 def _target_spin(psi0_spin: np.ndarray, target_angle: float | None,
@@ -536,10 +516,11 @@ def thermal_average(schedule: PulseSchedule, ensemble: ThermalEnsemble,
     a carrier or with an aligned one (a misaligned one raises
     ParameterError), over the untruncated thermal state of ``ensemble.nbar``.
 
-    Given branch propagators ``props`` (from :func:`gate_propagator` or
-    :func:`branch_factorized_blocks`), their overlap kernel is summed over
-    the ``ensemble`` weights instead, the Fock-space oracle of the closed
-    form; ``fock``, accepted only with ``props``, must match its cutoff.
+    Given branch propagators ``props`` (the exact ones of
+    :func:`gate_propagator`, or blocks built another way, such as by
+    stepping), their overlap kernel is summed over the ``ensemble`` weights
+    instead, the Fock-space oracle of the closed form; ``fock``, accepted
+    only with ``props``, must match its cutoff.
     """
     return _thermal_outcomes(schedule, np.zeros(1), [ensemble], psi0_spin, target_angle,
                              basis_phase, fock, props)[0]

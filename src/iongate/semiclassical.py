@@ -127,15 +127,31 @@ def _segment_grid(seg: Segment, min_points: int = 33) -> np.ndarray:
     return np.linspace(0.0, seg.duration, n)
 
 
-def _check_grid(seg: Segment, u: np.ndarray):
-    if u.size < 2:
-        return
-    per = TWO_PI / max(seg.max_abs_delta(), 1e-300)
-    allowed = per / GRID_POINTS_PER_PERIOD
-    if np.max(np.diff(u)) > allowed * (1 + 1e-9):
-        raise GridError(
-            f"grid spacing {np.max(np.diff(u)):.3e} s too coarse for detuning period "
-            f"{per:.3e} s (need >= {GRID_POINTS_PER_PERIOD} points per period)")
+def check_output_grid(schedule: PulseSchedule, t_eval) -> list[np.ndarray]:
+    """Check an output time grid and split it into per-segment local times.
+
+    The grid must be a sorted 1-D array inside the schedule, resolving the
+    fastest detuning period of each segment by at least
+    ``GRID_POINTS_PER_PERIOD`` points; otherwise GridError.
+    """
+    t = np.asarray(t_eval, dtype=float)
+    if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) < 0):
+        raise GridError("t_eval must be a sorted 1-D array")
+    if t[0] < -1e-12 or t[-1] > schedule.duration * (1 + 1e-9):
+        raise GridError("t_eval extends outside the schedule")
+    bounds = schedule.boundaries
+    idx = np.searchsorted(bounds[1:-1], t, side="right")
+    locals_per_seg = []
+    for i, seg in enumerate(schedule.segments):
+        u = t[idx == i] - bounds[i]
+        if u.size > 1:
+            per = TWO_PI / max(seg.max_abs_delta(), 1e-300)
+            if np.max(np.diff(u)) > per / GRID_POINTS_PER_PERIOD * (1 + 1e-9):
+                raise GridError(
+                    f"grid spacing {np.max(np.diff(u)):.3e} s too coarse for detuning period "
+                    f"{per:.3e} s (need >= {GRID_POINTS_PER_PERIOD} points per period)")
+        locals_per_seg.append(u)
+    return locals_per_seg
 
 
 def _chebyshev_lobatto(n: int):
@@ -299,24 +315,14 @@ def propagate_displacement(schedule: PulseSchedule, branch_eigenvalue: float = 1
 
     The default output grid resolves the fastest detuning period of each
     segment by ``GRID_POINTS_PER_PERIOD`` points; a user-supplied
-    ``t_eval`` must be at least as fine and is checked per segment.
+    ``t_eval`` must pass :func:`check_output_grid`.
     """
     s = float(branch_eigenvalue)
     bounds = schedule.boundaries
     if t_eval is None:
         locals_per_seg = [_segment_grid(seg) for seg in schedule.segments]
     else:
-        t = np.asarray(t_eval, dtype=float)
-        if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) < 0):
-            raise GridError("t_eval must be a sorted 1-D array")
-        if t[0] < -1e-12 or t[-1] > schedule.duration * (1 + 1e-9):
-            raise GridError("t_eval extends outside the schedule")
-        idx = np.searchsorted(bounds[1:-1], t, side="right")
-        locals_per_seg = []
-        for i, seg in enumerate(schedule.segments):
-            u = t[idx == i] - bounds[i]
-            _check_grid(seg, u)
-            locals_per_seg.append(u)
+        locals_per_seg = check_output_grid(schedule, t_eval)
 
     ts, cols = [], []
     zero = np.zeros(1)

@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, GridError, ParameterError
 from .quantum import (NORM_TOL, BranchPropagators, FockConfig, _guard_state,
-                      _max_branch_displacement, branch_factorized_blocks, gate_eigenbasis)
+                      _max_branch_displacement, gate_eigenbasis, gate_propagator)
 from .schedule import PulseSchedule
 
 GATE_ANGLE = -math.pi / 2
@@ -269,12 +269,18 @@ class ParametricModel:
 class FullScheduleModel:
     """Drive every compiled gate through the exact quantum propagator.
 
-    The schedule must be carrier-free and calibrated to the -pi/2 gate
-    angle; its branch blocks hold in every drive basis and are built once
-    per Fock cutoff.  The mode starts in |0>.
+    The schedule must be calibrated to the -pi/2 gate angle and carry no
+    carrier (ParameterError): one set of :func:`gate_propagator` blocks,
+    built once per Fock cutoff, serves all four generator bases, and an
+    aligned carrier's phase would depend on the basis.  The mode starts
+    in |0>.
     """
 
     schedule: PulseSchedule
+
+    def __post_init__(self):
+        if self.schedule.carrier is not None:
+            raise ParameterError("the full model needs a carrier-free schedule")
 
     @cached_property
     def _blocks_by_dim(self) -> dict[int, BranchPropagators]:
@@ -285,7 +291,7 @@ class FullScheduleModel:
         to ``max_gates`` compiled gates, built once per dim."""
         fock = FockConfig.auto(0.0, _max_branch_displacement(self.schedule, max_gates))
         if fock.dim not in self._blocks_by_dim:
-            self._blocks_by_dim[fock.dim] = branch_factorized_blocks(self.schedule, fock)
+            self._blocks_by_dim[fock.dim] = gate_propagator(self.schedule, fock)
         return self._blocks_by_dim[fock.dim]
 
     def spin_populations(self, seqs: Sequence[SlerbSequence]) -> np.ndarray:

@@ -16,9 +16,8 @@ import pytest
 from iongate.filterfn import (filter_function_numeric,
                               filter_function_walsh_analytic)
 from iongate.quantum import (CompositeState, FockConfig, ThermalEnsemble,
-                             branch_factorized_blocks, calibration_scan,
-                             gate_eigenbasis, offset_scan, propagate,
-                             thermal_average)
+                             calibration_scan, gate_eigenbasis, gate_propagator,
+                             offset_scan, propagate, thermal_average)
 from iongate.schedule import (PulseSchedule, Segment, SmoothGateParams,
                               WalshGateParams, build_smooth_schedule,
                               build_walsh_schedule)
@@ -26,6 +25,7 @@ from iongate.semiclassical import (calibrate_delta_min, calibrate_omega,
                                    propagate_displacement)
 from iongate.slerb import (GATES_PER_CLIFFORD_REPORTING, ParametricModel,
                            bootstrap_ci, collect_dataset, fit_decays)
+from stepped_oracle import stepped_propagate
 
 TWO_PI = 2.0 * math.pi
 
@@ -285,9 +285,9 @@ def test_10_full_vs_factorized_propagation(verdicts):
         n0 = int(rng.integers(0, 3))
         psi0 = CompositeState.from_spin_fock([0.5, 0.5, 0.5, 0.5], n=n0,
                                              n_max=fock.n_max)
-        full = propagate(schedule, psi0).amplitudes
+        full = stepped_propagate(schedule, psi0).amplitudes
 
-        blocks = branch_factorized_blocks(schedule, fock)
+        blocks = gate_propagator(schedule, fock)
         psi_eig = basis @ psi0.block()
         out = np.stack([blocks.blocks[k] @ psi_eig[k] for k in range(4)])
         factorized = (basis.conj().T @ out).ravel()

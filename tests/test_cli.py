@@ -1,5 +1,8 @@
 """CLI tests: config parsing, scenario runs, CSV contract, exit codes."""
 
+import ast
+import importlib.util
+import inspect
 import os
 import re
 import subprocess
@@ -9,6 +12,7 @@ import textwrap
 import numpy as np
 import pytest
 
+import iongate
 from iongate import cli, quantum
 from iongate.errors import ConvergenceError, ParameterError
 
@@ -639,6 +643,7 @@ def test_validate_and_run_agree_on_bad_scan_and_sweep_keys(tmp_path, capsys, bas
 
 AGREEMENT_CASES = {
     "trajectory-points-1": set_key(TRAJECTORY, "points", "1"),
+    "trajectory-points-too-coarse": set_key(TRAJECTORY, "points", "10"),
     "filterfn-points-1": set_key(FILTERFN, "points", "1"),
     "filterfn-walsh-order-2": set_key(FILTERFN, "walsh_orders", "2"),
     "filterfn-walsh-order-fractional": set_key(FILTERFN, "walsh_orders", "1.5"),
@@ -692,3 +697,37 @@ def test_cli_import_loads_no_scipy(tmp_path):
                          capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
     assert (tmp_path / "out" / "full.csv").exists()
+    # without a misaligned carrier, propagate applies the exact blocks
+    walsh = ("import math, sys; from iongate import (CompositeState, WalshGateParams, "
+             "build_walsh_schedule, propagate); "
+             "s = build_walsh_schedule(WalshGateParams.calibrated(2, 2 * math.pi * 5e3)); "
+             "propagate(s, CompositeState.from_spin_fock((1, 0, 0, 0), 0, 30)); " + loaded)
+    out = subprocess.run([sys.executable, "-c", walsh], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
+def test_bench_contract_with_the_package():
+    # the benchmark harness imports and traces these names; a rename in the
+    # package would otherwise only show up as a failed traced bench run
+    bench = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+    spec = importlib.util.spec_from_file_location("bench_tracing",
+                                                  os.path.join(bench, "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for layer, attr, _ in tracing.TARGETS:
+        owner = getattr(iongate, layer)
+        *classes, name = attr.split(".")
+        for cls in classes:
+            owner = getattr(owner, cls)
+        assert name in vars(owner), f"{layer}.{attr}"
+    with open(os.path.join(bench, "references.py")) as handle:
+        tree = ast.parse(handle.read())
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module.startswith("iongate")]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(node.module)
+        for alias in node.names:
+            assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+    assert {"fock", "props"} <= set(inspect.signature(quantum.thermal_average).parameters)

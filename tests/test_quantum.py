@@ -35,6 +35,7 @@ from iongate.schedule import (
     build_walsh_schedule,
 )
 from iongate.semiclassical import calibrate_omega, propagate_displacement
+from stepped_oracle import stepped_blocks, stepped_propagate
 
 TWO_PI = 2.0 * math.pi
 
@@ -73,7 +74,7 @@ def reassemble_from_branches(schedule, spin, n0, fock, basis_phase=0.0, rtol=1e-
     # rows of gate_eigenbasis are eigen-bras: components = basis @ psi
     basis = gate_eigenbasis(basis_phase)
     coeff = basis @ np.asarray(spin, dtype=complex)
-    blocks = branch_factorized_blocks(schedule, fock, rtol=rtol).blocks
+    blocks = gate_propagator(schedule, fock, rtol=rtol).blocks
     out = np.zeros((4, fock.dim), dtype=complex)
     for k in range(4):
         out += coeff[k] * np.outer(basis[k].conj(), blocks[k][:, n0])
@@ -202,7 +203,7 @@ def test_forced_branch_is_displaced_vacuum():
     t = 0.3 * TWO_PI / delta
     sched = PulseSchedule([flat_segment(t, omega, delta)])
     gamma = -(omega / delta) * (np.exp(1j * delta * t) - 1.0)
-    vec = branch_factorized_blocks(sched, FockConfig(n_max=30)).blocks[0][:, 0]
+    vec = gate_propagator(sched, FockConfig(n_max=30)).blocks[0][:, 0]
     expected_angle = omega**2 * (t - math.sin(delta * t) / delta) / delta
     theta = propagate_displacement(sched, branch_eigenvalue=2.0).theta_end
     assert theta == pytest.approx(expected_angle, abs=1e-9)
@@ -214,7 +215,7 @@ def test_forced_branch_is_displaced_vacuum():
 
 def test_null_branch_only_rotates_fock_phases():
     sched = sign_flip_schedule(np.random.default_rng(11))
-    blocks = branch_factorized_blocks(sched, FockConfig(n_max=20)).blocks
+    blocks = gate_propagator(sched, FockConfig(n_max=20)).blocks
     for vec in (blocks[1][:, 3], blocks[2][:, 3]):
         assert np.abs(vec[3]) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(np.delete(vec, 3)) < 1e-12
@@ -222,6 +223,7 @@ def test_null_branch_only_rotates_fock_phases():
 
 def test_branch_factorization_matches_full_propagation():
     # independent routes: stepped unitaries vs semiclassical displacement
+    assert gate_propagator is branch_factorized_blocks
     rng = np.random.default_rng(17)
     for _ in range(5):
         sched = sign_flip_schedule(rng, n_segments=int(rng.integers(2, 6)))
@@ -230,7 +232,7 @@ def test_branch_factorization_matches_full_propagation():
         spin /= np.linalg.norm(spin)
         for n0 in (0, 3):
             psi0 = CompositeState.from_spin_fock(spin, n=n0, n_max=fock.n_max)
-            full = propagate(sched, psi0).amplitudes
+            full = stepped_propagate(sched, psi0).amplitudes
             fact = reassemble_from_branches(sched, spin, n0, fock)
             assert np.linalg.norm(full - fact) < 1e-9
 
@@ -244,7 +246,7 @@ def test_branch_factorization_matches_full_on_ramped_schedule():
     spin = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
     psi0 = CompositeState.from_spin_fock(spin, n=0, n_max=fock.n_max)
     # midpoint stepping is second order: 1.1e-5 at 100 steps/period, /4 per doubling
-    full = propagate(sched, psi0, steps_per_period=400).amplitudes
+    full = stepped_propagate(sched, psi0, steps_per_period=400).amplitudes
     fact = reassemble_from_branches(sched, spin, 0, fock)
     assert np.linalg.norm(full - fact) < 1e-6
 
@@ -252,8 +254,8 @@ def test_branch_factorization_matches_full_on_ramped_schedule():
 def test_factorized_blocks_agree_with_stepped_blocks():
     sched = sign_flip_schedule(np.random.default_rng(29), n_segments=3)
     fock = FockConfig(n_max=50)
-    stepped = gate_propagator(sched, fock)
-    fact = branch_factorized_blocks(sched, fock)
+    stepped = stepped_blocks(sched, fock)
+    fact = gate_propagator(sched, fock)
     # compare low columns only; both routes disagree near the cutoff edge
     for k in range(4):
         diff = stepped.blocks[k][:, :10] - fact.blocks[k][:, :10]
@@ -269,7 +271,7 @@ def test_factorized_blocks_make_one_kernel_call(monkeypatch):
         return propagate_displacement(schedule, branch_eigenvalue, **kwargs)
 
     monkeypatch.setattr(quantum, "propagate_displacement", counting)
-    branch_factorized_blocks(sign_flip_schedule(np.random.default_rng(3)), FockConfig(n_max=20))
+    gate_propagator(sign_flip_schedule(np.random.default_rng(3)), FockConfig(n_max=20))
     assert calls == [2.0]
 
 
@@ -281,7 +283,7 @@ def test_factorized_blocks_match_expm_oracle_without_subnormals(monkeypatch, dim
     traj = types.SimpleNamespace(gamma_end=gamma, theta_end=0.3, eta_end=1.1)
     monkeypatch.setattr(quantum, "propagate_displacement", lambda *args, **kwargs: traj)
     sched = build_walsh_schedule(WalshGateParams.calibrated(1, TWO_PI * 20e3))
-    blocks = branch_factorized_blocks(sched, FockConfig(n_max=dim - 1)).blocks
+    blocks = gate_propagator(sched, FockConfig(n_max=dim - 1)).blocks
     a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1)
     disp = expm(gamma * a.T - np.conj(gamma) * a)
     u_plus = np.exp(0.3j) * np.exp(-1.1j * np.arange(dim))[:, None] * disp
@@ -295,7 +297,7 @@ def test_factorized_blocks_match_expm_oracle_without_subnormals(monkeypatch, dim
 def test_every_block_follows_from_the_plus_two_block(route):
     sched = sign_flip_schedule(np.random.default_rng(31), n_segments=3)
     fock = FockConfig(n_max=24)
-    build = gate_propagator if route == "stepped" else branch_factorized_blocks
+    build = stepped_blocks if route == "stepped" else gate_propagator
     blocks = build(sched, fock).blocks
     parity = np.where(np.arange(fock.dim) % 2 == 0, 1.0, -1.0)
     eta = propagate_displacement(sched, 0.0).eta_end
@@ -324,6 +326,9 @@ def test_propagate_parameter_errors():
     psi0 = CompositeState.from_spin_fock((1.0, 0.0, 0.0, 0.0), n=0, n_max=20)
     with pytest.raises(ParameterError):
         propagate(sched, psi0, steps_per_period=4)
+    misaligned = carrier_test_schedule(TWO_PI * 2e3, math.pi / 2, invert=False)
+    with pytest.raises(ParameterError, match="steps_per_period"):
+        propagate(misaligned, psi0, steps_per_period=4)
     with pytest.raises(ParameterError, match="outside truncation"):
         CompositeState.from_spin_fock((1.0, 0.0, 0.0, 0.0), n=40, n_max=20)
 
@@ -421,14 +426,15 @@ def test_split_step_resolves_carrier_on_detuning_ramps():
 @pytest.mark.parametrize("phase, invert", [(0.0, True), (0.0, False), (math.pi, False)],
                          ids=["aligned-inverted", "aligned", "anti-aligned"])
 def test_closed_form_matches_stepped_propagator_with_aligned_carrier(phase, invert):
-    # constant Walsh segments make the stepped propagator exact, so the two
+    # constant Walsh segments make the stepped propagator exact, so the
     # routes differ only by the ensemble's truncated tail
     with_c = carrier_test_schedule(TWO_PI * 1e3, phase, invert=invert)
     ens = ThermalEnsemble.build(1.0)
     fock = FockConfig.auto(1.0, 1.5)
     closed = thermal_average(with_c, ens)
-    stepped = thermal_average(with_c, ens, fock=fock, props=gate_propagator(with_c, fock))
-    assert max_outcome_difference(closed, stepped) <= 2.0 * ens.tail_mass + 1e-12
+    for props in (stepped_blocks(with_c, fock), gate_propagator(with_c, fock)):
+        oracle = thermal_average(with_c, ens, fock=fock, props=props)
+        assert max_outcome_difference(closed, oracle) <= 2.0 * ens.tail_mass + 1e-12
     bare = thermal_average(PulseSchedule(with_c.segments), ens)
     assert (abs(closed.p_uu - bare.p_uu) < 1e-12) == invert
 
@@ -455,7 +461,7 @@ def test_thermal_average_matches_explicit_fock_sum():
     rho = np.zeros((4, 4), dtype=complex)
     for n, w in enumerate(ens.weights):
         psi0 = CompositeState.from_spin_fock(spin, n=n, n_max=fock.n_max)
-        rho += w * propagate(sched, psi0).reduced_spin_density()
+        rho += w * stepped_propagate(sched, psi0).reduced_spin_density()
     basis = gate_eigenbasis(0.0)
     phases = np.exp(-1j * (math.pi / 2) * (np.array(BRANCH_EIGENVALUES) / 2) ** 2)
     target = basis.conj().T @ (phases * (basis @ spin))
@@ -502,7 +508,7 @@ def test_truncation_convergence_under_cutoff_doubling():
     base = FockConfig.auto(2.0, 1.0)
     infid = []
     for fock in (base, FockConfig(n_max=2 * base.n_max)):
-        props = branch_factorized_blocks(sched, fock)
+        props = gate_propagator(sched, fock)
         infid.append(1.0 - thermal_average(sched, ens, fock=fock, props=props).fidelity)
     lo, hi = infid
     assert abs(hi - lo) < 1e-6 * abs(lo)
@@ -513,16 +519,16 @@ def test_thermal_average_rejects_undersized_cutoff():
     ens = ThermalEnsemble.build(3.5)
     small = FockConfig(n_max=ens.n_states - 5)
     with pytest.raises(TruncationError):
-        thermal_average(sched, ens, props=branch_factorized_blocks(sched, small))
+        thermal_average(sched, ens, props=gate_propagator(sched, small))
     # every initial state fits, but the displacement pushes weight onto the cutoff
     shifted = sched.with_detuning_offset(TWO_PI * 2e3)
     tight = FockConfig(n_max=ens.n_states)
     with pytest.raises(TruncationError, match="cutoff"):
-        thermal_average(shifted, ens, props=branch_factorized_blocks(shifted, tight))
+        thermal_average(shifted, ens, props=gate_propagator(shifted, tight))
     # a cutoff belongs to the Fock-space oracle and must match its propagators
     with pytest.raises(ParameterError):
         thermal_average(sched, ens, fock=FockConfig(n_max=80))
-    props = branch_factorized_blocks(sched, FockConfig(n_max=80))
+    props = gate_propagator(sched, FockConfig(n_max=80))
     with pytest.raises(ParameterError):
         thermal_average(sched, ens, fock=FockConfig(n_max=81), props=props)
 
@@ -543,7 +549,7 @@ def factorized_oracle(sched, ens):
     """thermal_average over factorized propagators 16 levels above auto."""
     auto = FockConfig.auto(ens.nbar, _max_branch_displacement(sched))
     fock = FockConfig(n_max=auto.n_max + 16)
-    props = branch_factorized_blocks(sched, fock, rtol=1e-13)
+    props = gate_propagator(sched, fock, rtol=1e-13)
     return thermal_average(sched, ens, fock=fock, props=props)
 
 

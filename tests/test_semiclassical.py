@@ -18,7 +18,7 @@ from scipy.integrate import solve_ivp
 from iongate import semiclassical
 from iongate.errors import ConvergenceError, GridError, ParameterError
 from iongate.filterfn import filter_function_numeric
-from iongate.quantum import FockConfig, branch_factorized_blocks
+from iongate.quantum import FockConfig, gate_propagator
 from iongate.schedule import (
     PulseSchedule,
     Segment,
@@ -189,8 +189,8 @@ def test_solver_tolerance_keywords(calibration_gate):
     assert ff.total == pytest.approx(filter_function_numeric(sched, nbar=10.0, omega=om).total,
                                      rel=1e-8)
     fock = FockConfig(n_max=12)
-    blocks = branch_factorized_blocks(sched, fock, rtol=kw["rtol"]).blocks
-    assert np.allclose(blocks, branch_factorized_blocks(sched, fock).blocks, atol=1e-10)
+    blocks = gate_propagator(sched, fock, rtol=kw["rtol"]).blocks
+    assert np.allclose(blocks, gate_propagator(sched, fock).blocks, atol=1e-10)
 
 
 def test_branch_symmetry_and_null_branch():

@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 from iongate import quantum, slerb
 from iongate.errors import (ConvergenceError, DomainError, GridError,
                             ParameterError, TruncationError)
-from iongate.quantum import (CompositeState, FockConfig, gate_propagator,
-                             propagate)
+from iongate.quantum import CompositeState, FockConfig
 from iongate.schedule import (CarrierDrive, PulseSchedule, SmoothGateParams,
                               WalshGateParams, build_smooth_schedule,
                               build_walsh_schedule)
@@ -36,6 +35,7 @@ from iongate.slerb import (
     simulate_sequence,
 )
 from iongate.slerb import _sequence_probabilities
+from stepped_oracle import stepped_blocks, stepped_propagate
 
 TWO_PI = 2.0 * math.pi
 
@@ -292,7 +292,8 @@ def test_full_model_matches_per_gate_propagate_on_walsh_gate(offset_hz):
         seq = generate_sequence(n, seed=seed)
         n_max = model.blocks(seq.total_gates).dim - 1
         oracle = stepped_probabilities(
-            seq, lambda state, phase: propagate(sched, state, basis_phase=phase), n_max)
+            seq, lambda state, phase: stepped_propagate(sched, state, basis_phase=phase),
+            n_max)
         gap = np.abs(_sequence_probabilities(seq, model) - oracle).max()
         assert gap <= 1e-10
     if offset_hz:
@@ -309,7 +310,7 @@ def test_full_model_is_the_limit_of_refined_stepping_on_smooth_gate():
     exact = slerb._probabilities(seqs, model)
     gaps = []
     for steps in (200, 400):
-        props = gate_propagator(sched, FockConfig(n_max=n_max), steps_per_period=steps)
+        props = stepped_blocks(sched, FockConfig(n_max=n_max), steps_per_period=steps)
         stepped = np.array([stepped_probabilities(
             q, lambda state, phase: CompositeState(
                 props.apply(state.block(), phase).ravel(), n_max=n_max), n_max)
@@ -325,9 +326,9 @@ def test_full_model_dataset_builds_blocks_once(monkeypatch):
         raise AssertionError("the full model must not step the propagator")
 
     monkeypatch.setattr(quantum, "propagate", forbidden)
-    monkeypatch.setattr(quantum, "gate_propagator", forbidden)
+    monkeypatch.setattr(quantum, "_step_unitary", forbidden)
     calls = {"blocks": 0, "auto": 0}
-    build_blocks, auto = slerb.branch_factorized_blocks, FockConfig.auto.__func__
+    build_blocks, auto = slerb.gate_propagator, FockConfig.auto.__func__
 
     def counted_blocks(*args, **kwargs):
         calls["blocks"] += 1
@@ -337,7 +338,7 @@ def test_full_model_dataset_builds_blocks_once(monkeypatch):
         calls["auto"] += 1
         return auto(cls, *args, **kwargs)
 
-    monkeypatch.setattr(slerb, "branch_factorized_blocks", counted_blocks)
+    monkeypatch.setattr(slerb, "gate_propagator", counted_blocks)
     monkeypatch.setattr(FockConfig, "auto", classmethod(counted_auto))
     model = FullScheduleModel(build_walsh_schedule(WalshGateParams.calibrated(1, TWO_PI * 20e3)))
     data = collect_dataset([1, 4, 8], n_sequences=3, shots=20, model=model, seed=2)
