@@ -309,7 +309,7 @@ def gate_propagator(schedule: PulseSchedule, fock: FockConfig,
     """Exact branch propagators from the trajectory integrals of one kernel call.
 
     The +2 block factorizes as exp(i theta) exp(-i eta n) D(gamma) with the
-    endpoints of :func:`propagate_displacement` (Sorensen & Molmer, PRA 62,
+    endpoints of :func:`branch_endpoints` (Sorensen & Molmer, PRA 62,
     022311, 2000); :func:`_branch_blocks` derives the rest.  D(gamma) =
     exp(G) with G = gamma a^dag - conj(gamma) a anti-Hermitian, so it is
     exp(-i H) for the Hermitian H = iG.  An aligned carrier commutes with
@@ -317,11 +317,11 @@ def gate_propagator(schedule: PulseSchedule, fock: FockConfig,
     raises ParameterError (:func:`propagate` split-steps it).
     """
     shift = _aligned_carrier_phase(schedule, basis_phase)
-    traj = propagate_displacement(schedule, branch_eigenvalue=2.0, rtol=rtol)
+    (gamma,), (theta,), (eta,) = branch_endpoints(schedule, [0.0], 2.0, rtol=rtol)
     a = np.diag(np.sqrt(np.arange(1, fock.dim, dtype=float)), k=1)
-    disp = _hermitian_exp(1j * (traj.gamma_end * a.conj().T - np.conj(traj.gamma_end) * a))(1.0)
-    null = np.diag(np.exp(-1j * traj.eta_end * np.arange(fock.dim)))
-    return _branch_blocks(np.exp(1j * traj.theta_end) * (null @ disp), traj.eta_end, shift)
+    disp = _hermitian_exp(1j * (gamma * a.conj().T - np.conj(gamma) * a))(1.0)
+    null = np.diag(np.exp(-1j * eta * np.arange(fock.dim)))
+    return _branch_blocks(np.exp(1j * theta) * (null @ disp), eta, shift)
 
 
 branch_factorized_blocks = gate_propagator

@@ -18,7 +18,7 @@ sample them on demand, there is no fixed global grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -433,8 +433,11 @@ def build_smooth_schedule(p: SmoothGateParams, merge_ramps: bool = False,
     Steps: ramp Omega up at delta_max, ramp delta down to delta_min, hold
     for t_c, ramp delta back up, ramp Omega down.  With ``merge_ramps`` the
     amplitude ramps run concurrently with the start/end of the detuning
-    ramps (requires tau_g <= tau_d), shortening the gate to 2*tau_d + t_c.
-    A zero-length hold is omitted rather than kept as a degenerate segment.
+    ramps (requires tau_g <= tau_d), shortening the gate to 2*tau_d + t_c;
+    each amplitude ramp is then a segment of its own (ramp-in, det-down,
+    [hold,] det-up, ramp-out), so that Omega is smooth inside every
+    segment.  Zero-length pieces (no hold, or tau_g = tau_d) are omitted
+    rather than kept as degenerate segments.
 
     A nonzero ``carrier_rabi`` attaches a carrier tone that ramps linearly
     over ``carrier_ramp`` inside the full-amplitude window of the gate
@@ -446,37 +449,28 @@ def build_smooth_schedule(p: SmoothGateParams, merge_ramps: bool = False,
     amp_up = lambda u: eval_amplitude_ramp(p.tau_g, p.omega_g, np.asarray(u, dtype=float), "up")
     amp_down = lambda u: eval_amplitude_ramp(p.tau_g, p.omega_g, np.asarray(u, dtype=float), "down")
 
-    segs: list[Segment] = []
+    full, at_full = _const_fn(p.omega_g), dict(const_omega=p.omega_g)
+    hold = (p.t_c, full, _const_fn(p.delta_min), dict(at_full, const_delta=p.delta_min), "hold")
     if merge_ramps:
         if p.tau_g > p.tau_d:
             raise ParameterError("merged ramps require tau_g <= tau_d")
-
-        def omega_in(u):
-            u = np.asarray(u, dtype=float)
-            return np.where(u < p.tau_g, eval_amplitude_ramp(p.tau_g, p.omega_g, np.minimum(u, p.tau_g), "up"),
-                            p.omega_g)
-
-        def omega_out(u):
-            u = np.asarray(u, dtype=float)
-            t0 = p.tau_d - p.tau_g
-            return np.where(u > t0, eval_amplitude_ramp(p.tau_g, p.omega_g, np.maximum(u - t0, 0.0), "down"),
-                            p.omega_g)
-
-        segs.append(Segment(p.tau_d, omega_in, down, label="ramp-in"))
-        if p.t_c > 0:
-            segs.append(Segment(p.t_c, _const_fn(p.omega_g), _const_fn(p.delta_min),
-                                const_omega=p.omega_g, const_delta=p.delta_min, label="hold"))
-        segs.append(Segment(p.tau_d, omega_out, up, label="ramp-out"))
+        rest = p.tau_d - p.tau_g
+        pieces = [(p.tau_g, amp_up, down, {}, "ramp-in"),
+                  (rest, full, lambda u: down(np.add(u, p.tau_g)), at_full, "det-down"),
+                  hold,
+                  (rest, full, up, at_full, "det-up"),
+                  (p.tau_g, amp_down, lambda u: up(np.add(u, rest)), {}, "ramp-out")]
         amp_window = (0.0, 2 * p.tau_d + p.t_c)
     else:
-        segs.append(Segment(p.tau_g, amp_up, _const_fn(p.delta_max), const_delta=p.delta_max, label="amp-up"))
-        segs.append(Segment(p.tau_d, _const_fn(p.omega_g), down, const_omega=p.omega_g, label="det-down"))
-        if p.t_c > 0:
-            segs.append(Segment(p.t_c, _const_fn(p.omega_g), _const_fn(p.delta_min),
-                                const_omega=p.omega_g, const_delta=p.delta_min, label="hold"))
-        segs.append(Segment(p.tau_d, _const_fn(p.omega_g), up, const_omega=p.omega_g, label="det-up"))
-        segs.append(Segment(p.tau_g, amp_down, _const_fn(p.delta_max), const_delta=p.delta_max, label="amp-down"))
+        at_max = dict(const_delta=p.delta_max)
+        pieces = [(p.tau_g, amp_up, _const_fn(p.delta_max), at_max, "amp-up"),
+                  (p.tau_d, full, down, at_full, "det-down"),
+                  hold,
+                  (p.tau_d, full, up, at_full, "det-up"),
+                  (p.tau_g, amp_down, _const_fn(p.delta_max), at_max, "amp-down")]
         amp_window = (p.tau_g, p.duration - p.tau_g)
+    segs = [Segment(duration, omega, delta, label=label, **const)
+            for duration, omega, delta, const, label in pieces if duration > 0]
 
     carrier = None
     if carrier_rabi > 0:
@@ -495,41 +489,3 @@ def build_walsh_schedule(p: WalshGateParams) -> PulseSchedule:
         for m, w in enumerate(p.signs)
     ]
     return PulseSchedule(segs, label=f"walsh{p.walsh_order}")
-
-
-@dataclass(frozen=True)
-class AdiabaticityProfile:
-    """Sampled adiabatic-following metric d(beta)/dt / delta along a schedule."""
-
-    t: np.ndarray = field(repr=False)
-    metric: np.ndarray = field(repr=False)
-    peak: float = 0.0
-
-
-def adiabaticity_profile(schedule: PulseSchedule, samples_per_segment: int = 4001) -> AdiabaticityProfile:
-    """Evaluate the dimensionless adiabaticity metric along a schedule.
-
-    The displaced-frame expansion parameter is alpha = -Omega/delta and
-    beta = (d alpha/dt)/delta; following is adiabatic when |d beta/dt| is
-    small against |delta|.  Derivatives are taken by finite differences on
-    each closed-form segment separately, so the piecewise joins do not
-    pollute the estimate.  For pure amplitude ramps the metric reduces to
-    the -(d^2 Omega/dt^2)/delta^3 scaling, for pure detuning ramps to
-    Omega*(delta'' * delta - 3*delta'^2)/delta^5.
-    """
-    ts, ms = [], []
-    for i, seg in enumerate(schedule.segments):
-        u = np.linspace(0.0, seg.duration, samples_per_segment)
-        if seg.is_constant:
-            metric = np.zeros_like(u)
-        else:
-            om = np.atleast_1d(seg.omega(u)).astype(float)
-            de = np.atleast_1d(seg.delta(u)).astype(float)
-            alpha = -om / de
-            beta = np.gradient(alpha, u) / de
-            metric = np.gradient(beta, u) / de
-        ts.append(u + schedule.boundaries[i])
-        ms.append(metric)
-    t = np.concatenate(ts)
-    m = np.concatenate(ms)
-    return AdiabaticityProfile(t=t, metric=m, peak=float(np.max(np.abs(m))))

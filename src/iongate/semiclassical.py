@@ -57,6 +57,10 @@ MAX_PANELS = 4096
 # (offsets, panels, nodes) arrays, which this keeps to about a megabyte.
 OFFSET_BLOCK = 64
 
+# Above this peak of the adiabaticity metric the adiabatic gate-angle
+# estimate is untrusted.
+ADIABATICITY_WARN = 0.3
+
 
 @dataclass(frozen=True)
 class BranchTrajectory:
@@ -155,22 +159,23 @@ def check_output_grid(schedule: PulseSchedule, t_eval) -> list[np.ndarray]:
 
 
 def _chebyshev_lobatto(n: int):
-    """Nodes on [-1, 1], values-to-coefficients and cumulative-integral matrices.
+    """Nodes on [-1, 1], values-to-coefficients, cumulative-integral and derivative matrices.
 
-    ``cumint @ f`` gives int_{-1}^{x_k} p(x) dx at every node for the
-    interpolant p of the node values f.
+    ``cumint @ f`` gives int_{-1}^{x_k} p(x) dx and ``diff @ f`` gives
+    p'(x_k) at every node for the interpolant p of the node values f.
     """
     cheb = np.polynomial.chebyshev
     x = -np.cos(np.pi * np.arange(n) / (n - 1))
     to_coef = np.linalg.inv(cheb.chebvander(x, n - 1))
     antider = cheb.chebint(np.eye(n), lbnd=-1.0)
     cumint = cheb.chebval(x, antider).T @ to_coef
+    diff = cheb.chebval(x, cheb.chebder(np.eye(n))).T @ to_coef
     weights = (-1.0) ** np.arange(n)
     weights[[0, -1]] /= 2.0
-    return x, to_coef, cumint, weights
+    return x, to_coef, cumint, diff, weights
 
 
-_X, _TO_COEF, _CUMINT, _BARY = _chebyshev_lobatto(PANEL_NODES)
+_X, _TO_COEF, _CUMINT, _DIFF, _BARY = _chebyshev_lobatto(PANEL_NODES)
 
 
 def _panels(seg: Segment, offsets: np.ndarray, rtol: float, atol: float):
@@ -343,7 +348,29 @@ def propagate_displacement(schedule: PulseSchedule, branch_eigenvalue: float = 1
 
 def gate_angle_exact(schedule: PulseSchedule, **solver_kwargs) -> float:
     """Gate angle theta_g: geometric phase of the |s|=2 branch at t_g."""
-    return propagate_displacement(schedule, branch_eigenvalue=2.0, **solver_kwargs).theta_end
+    _, theta, _ = branch_endpoints(schedule, [0.0], 2.0, **solver_kwargs)
+    return float(theta[0])
+
+
+def _following(schedule: PulseSchedule):
+    """Yield the adiabatic-following quantities of each segment at its panel nodes.
+
+    The panels are the kernel's own at its default tolerances.  Per
+    segment: node times, panel half-widths, W*Omega, delta, alpha_dot with
+    alpha = -W*Omega/delta, and the metric d(alpha_dot/delta)/dt / delta,
+    all (panels, nodes) arrays.  Each panel is differentiated spectrally
+    with its first value taken off, so that a constant panel has a
+    derivative of exactly zero.
+    """
+    def derivative(f, half):
+        return (f - f[:, :1]) @ _DIFF.T / half[:, None]
+
+    panels = _family_panels(schedule, np.zeros(1), 1e-11, 1e-13)
+    for start, (lo, hi, om, de) in zip(schedule.boundaries, panels):
+        half = (hi - lo) / 2.0
+        t = start + ((lo + hi) / 2.0)[:, None] + half[:, None] * _X
+        alphadot = derivative(-om / de, half)
+        yield t, half, om, de, alphadot, derivative(alphadot / de, half) / de
 
 
 @dataclass(frozen=True)
@@ -354,40 +381,61 @@ class AdiabaticGateAngle:
     leading: float
 
 
-def gate_angle_adiabatic(schedule: PulseSchedule, samples_per_segment: int = 20001,
-                         adiabaticity_warn: float = 0.3) -> AdiabaticGateAngle:
+def gate_angle_adiabatic(schedule: PulseSchedule) -> AdiabaticGateAngle:
     """Adiabatic-following estimate of the gate angle for the |s|=2 branch.
 
     Valid for smooth schedules; a warning is emitted when the peak
-    adiabaticity metric exceeds ``adiabaticity_warn`` since the estimate
+    adiabaticity metric exceeds ``ADIABATICITY_WARN`` since the estimate
     is then untrusted.  Both the full integrand (Omega^2 + alpha_dot^2)/
     delta and the leading Omega^2/delta term are reported, with the sign
-    of delta preserved.
+    of delta preserved.  Both are Clenshaw-Curtis sums on the kernel's
+    panels, which also give the metric's peak.
     """
-    from scipy.integrate import simpson  # loaded on use, as is brentq below
-
-    from .schedule import adiabaticity_profile
-
-    total = 0.0
-    leading = 0.0
-    for seg in schedule.segments:
-        if seg.is_constant:
-            contrib = seg.const_omega ** 2 / seg.const_delta * seg.duration
-            total += contrib
-            leading += contrib
-            continue
-        u = np.linspace(0.0, seg.duration, samples_per_segment)
-        om = np.atleast_1d(seg.omega(u)).astype(float)
-        de = np.atleast_1d(seg.delta(u)).astype(float)
-        alpha = -om / de
-        alphadot = np.gradient(alpha, u)
-        leading += float(simpson(om ** 2 / de, x=u))
-        total += float(simpson((om ** 2 + alphadot ** 2) / de, x=u))
-    peak = adiabaticity_profile(schedule).peak
-    if peak > adiabaticity_warn:
-        warnings.warn(f"adiabaticity metric peak {peak:.3g} exceeds {adiabaticity_warn}; "
+    total = leading = peak = 0.0
+    for _, half, om, de, alphadot, metric in _following(schedule):
+        weights = _CUMINT[-1] * half[:, None]
+        leading += float(np.sum(weights * om ** 2 / de))
+        total += float(np.sum(weights * (om ** 2 + alphadot ** 2) / de))
+        peak = max(peak, float(np.max(np.abs(metric))))
+    if peak > ADIABATICITY_WARN:
+        warnings.warn(f"adiabaticity metric peak {peak:.3g} exceeds {ADIABATICITY_WARN}; "
                       "adiabatic gate-angle estimate untrusted", stacklevel=2)
     return AdiabaticGateAngle(total=total, leading=leading)
+
+
+@dataclass(frozen=True)
+class AdiabaticityProfile:
+    """Adiabatic-following metric d(beta)/dt / delta at the panel nodes of a schedule."""
+
+    t: np.ndarray = field(repr=False)
+    metric: np.ndarray = field(repr=False)
+    peak: float = 0.0
+
+
+def adiabaticity_profile(schedule: PulseSchedule) -> AdiabaticityProfile:
+    """Evaluate the dimensionless adiabaticity metric along a schedule.
+
+    The displaced-frame expansion parameter is alpha = -Omega/delta and
+    beta = (d alpha/dt)/delta; following is adiabatic when |d beta/dt| is
+    small against |delta|.  Derivatives are spectral on the kernel's panels
+    of each closed-form segment separately, so the piecewise joins do not
+    pollute the estimate; ``t`` holds every panel's nodes, so panel and
+    segment joins appear twice.  For pure amplitude ramps the metric
+    reduces to -(d^2 Omega/dt^2)/delta^3, for pure detuning ramps to
+    Omega*(delta'' * delta - 3*delta'^2)/delta^5.
+    """
+    rows = [(t.ravel(), metric.ravel()) for t, *_, metric in _following(schedule)]
+    t, metric = (np.concatenate(col) for col in zip(*rows))
+    return AdiabaticityProfile(t=t, metric=metric, peak=float(np.max(np.abs(metric))))
+
+
+def _gate_angle(use: str, **solver_kwargs) -> Callable[[PulseSchedule], float]:
+    """|theta_g| of a schedule from the exact kernel or the adiabatic estimate."""
+    if use == "adiabatic":
+        return lambda sched: abs(gate_angle_adiabatic(sched).total)
+    if use == "exact":
+        return lambda sched: abs(gate_angle_exact(sched, **solver_kwargs))
+    raise ParameterError("use must be 'adiabatic' or 'exact'")
 
 
 def calibrate_omega(p: SmoothGateParams, target_angle: float = math.pi / 2,
@@ -401,14 +449,8 @@ def calibrate_omega(p: SmoothGateParams, target_angle: float = math.pi / 2,
     """
     if target_angle <= 0:
         raise ParameterError("target_angle must be positive")
-    probe = replace(p, omega_g=1.0)
-    sched = build_smooth_schedule(probe, merge_ramps=merge_ramps)
-    if use == "adiabatic":
-        coeff = abs(gate_angle_adiabatic(sched).total)
-    elif use == "exact":
-        coeff = abs(gate_angle_exact(sched, **solver_kwargs))
-    else:
-        raise ParameterError("use must be 'adiabatic' or 'exact'")
+    angle = _gate_angle(use, **solver_kwargs)
+    coeff = angle(build_smooth_schedule(replace(p, omega_g=1.0), merge_ramps=merge_ramps))
     if coeff <= 0:
         raise ConvergenceError("gate angle coefficient vanished")
     return replace(p, omega_g=math.sqrt(target_angle / coeff))
@@ -428,19 +470,17 @@ def calibrate_delta_min(p: SmoothGateParams, target_angle: float = math.pi / 2,
     lo, hi = bracket
     if not 0 < lo < hi < abs(p.delta_max):
         raise ParameterError("bracket must satisfy 0 < lo < hi < |delta_max|")
+    angle = _gate_angle(use, **solver_kwargs)
 
-    def angle_of(absdm: float) -> float:
-        q = replace(p, delta_min=p.sign * absdm)
-        sched = build_smooth_schedule(q, merge_ramps=merge_ramps)
-        if use == "adiabatic":
-            # trial points far from the root routinely violate the
-            # adiabaticity threshold; only the solution is judged below
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                return abs(gate_angle_adiabatic(sched).total)
-        return abs(gate_angle_exact(sched, **solver_kwargs))
+    def f(absdm: float) -> float:
+        sched = build_smooth_schedule(replace(p, delta_min=p.sign * absdm),
+                                      merge_ramps=merge_ramps)
+        # trial points far from the root routinely violate the adiabaticity
+        # threshold; only the solution is judged below
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return angle(sched) - target_angle
 
-    f = lambda x: angle_of(x) - target_angle
     flo, fhi = f(lo), f(hi)
     if flo * fhi > 0:
         raise ConvergenceError(

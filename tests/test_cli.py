@@ -705,6 +705,16 @@ def test_cli_import_loads_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", walsh], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+    # the adiabatic estimate and the default calibration work on the
+    # kernel's panels
+    adiabatic = ("import math, sys; from iongate import (SmoothGateParams, build_smooth_schedule, "
+                 "calibrate_omega, gate_angle_adiabatic); "
+                 "p = SmoothGateParams(delta_max=-2 * math.pi * 400e3, delta_min=-2 * math.pi * 21.7e3, "
+                 "omega_g=2 * math.pi * 6e3, tau_g=5e-6, tau_d=100e-6, t_c=15.8e-6); "
+                 "gate_angle_adiabatic(build_smooth_schedule(p)); calibrate_omega(p); " + loaded)
+    out = subprocess.run([sys.executable, "-c", adiabatic], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_bench_contract_with_the_package():

@@ -1,7 +1,6 @@
 """Tests for full quantum propagation of spin-dependent-force gates."""
 
 import math
-import types
 
 import numpy as np
 import pytest
@@ -34,7 +33,7 @@ from iongate.schedule import (
     build_smooth_schedule,
     build_walsh_schedule,
 )
-from iongate.semiclassical import calibrate_omega, propagate_displacement
+from iongate.semiclassical import branch_endpoints, calibrate_omega, propagate_displacement
 from stepped_oracle import stepped_blocks, stepped_propagate
 
 TWO_PI = 2.0 * math.pi
@@ -266,11 +265,11 @@ def test_factorized_blocks_make_one_kernel_call(monkeypatch):
     # the -2 block is the parity image of the +2 one, so one trajectory suffices
     calls = []
 
-    def counting(schedule, branch_eigenvalue, **kwargs):
+    def counting(schedule, offsets, branch_eigenvalue, **kwargs):
         calls.append(branch_eigenvalue)
-        return propagate_displacement(schedule, branch_eigenvalue, **kwargs)
+        return branch_endpoints(schedule, offsets, branch_eigenvalue, **kwargs)
 
-    monkeypatch.setattr(quantum, "propagate_displacement", counting)
+    monkeypatch.setattr(quantum, "branch_endpoints", counting)
     gate_propagator(sign_flip_schedule(np.random.default_rng(3)), FockConfig(n_max=20))
     assert calls == [2.0]
 
@@ -280,8 +279,8 @@ def test_factorized_blocks_make_one_kernel_call(monkeypatch):
 def test_factorized_blocks_match_expm_oracle_without_subnormals(monkeypatch, dim, gamma_abs):
     # endpoints from a closed loop's round-off to the 20 us gate's 0.54 and beyond
     gamma = gamma_abs * np.exp(0.7j)
-    traj = types.SimpleNamespace(gamma_end=gamma, theta_end=0.3, eta_end=1.1)
-    monkeypatch.setattr(quantum, "propagate_displacement", lambda *args, **kwargs: traj)
+    endpoints = (np.array([gamma]), np.array([0.3]), np.array([1.1]))
+    monkeypatch.setattr(quantum, "branch_endpoints", lambda *args, **kwargs: endpoints)
     sched = build_walsh_schedule(WalshGateParams.calibrated(1, TWO_PI * 20e3))
     blocks = gate_propagator(sched, FockConfig(n_max=dim - 1)).blocks
     a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1)

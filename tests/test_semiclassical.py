@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import solve_ivp
+from scipy.integrate import simpson, solve_ivp
 
 from iongate import semiclassical
 from iongate.errors import ConvergenceError, GridError, ParameterError
@@ -26,9 +26,12 @@ from iongate.schedule import (
     WalshGateParams,
     build_smooth_schedule,
     build_walsh_schedule,
+    eval_amplitude_ramp,
+    eval_detuning_ramp,
 )
 from iongate.semiclassical import (
     BranchTrajectory,
+    adiabaticity_profile,
     branch_endpoints,
     calibrate_delta_min,
     calibrate_omega,
@@ -133,11 +136,30 @@ def calibration_gate():
     return calibrate_omega(reference_params(), use="exact")
 
 
+def kinked_merged_schedule(p):
+    """Merged-ramp gate with each amplitude ramp inside its detuning-ramp segment.
+
+    Omega'' jumps at tau_g inside the first segment and at tau_d - tau_g
+    inside the last, kinks that only panel bisection resolves.
+    """
+    def omega_in(u):
+        return np.where(u < p.tau_g, eval_amplitude_ramp(p.tau_g, p.omega_g, np.minimum(u, p.tau_g)),
+                        p.omega_g)
+
+    segs = [Segment(p.tau_d, omega_in, lambda u: eval_detuning_ramp(p, u), label="ramp-in"),
+            Segment(p.t_c, lambda u: np.full_like(u, p.omega_g), lambda u: np.full_like(u, p.delta_min),
+                    const_omega=p.omega_g, const_delta=p.delta_min, label="hold"),
+            Segment(p.tau_d, lambda u: omega_in(p.tau_d - u),
+                    lambda u: eval_detuning_ramp(p, p.tau_d - u), label="ramp-out")]
+    return PulseSchedule(segs)
+
+
 @pytest.mark.parametrize("merge_ramps", [False, True])
 def test_panel_kernel_matches_ode_oracle(calibration_gate, merge_ramps):
-    # merged ramps put a kink of Omega inside a detuning-ramp segment, which
-    # only panel bisection resolves
-    sched = build_smooth_schedule(calibration_gate, merge_ramps=merge_ramps)
+    if merge_ramps:
+        sched = kinked_merged_schedule(calibration_gate)
+    else:
+        sched = build_smooth_schedule(calibration_gate)
     traj = propagate_displacement(sched, branch_eigenvalue=2.0)
     gamma, eta, theta = solve_ivp_oracle(sched, 2.0)
     assert abs(traj.gamma_end - gamma) < 1e-11
@@ -153,7 +175,7 @@ def test_panel_kernel_refinement(calibration_gate, deep):
         sched = build_smooth_schedule(reference_params(
             omega_g=TWO_PI * 5e3, delta_min=-TWO_PI * 1e3, tau_d=95e-6, t_c=0.0, j=4))
     else:
-        sched = build_smooth_schedule(calibration_gate, merge_ramps=True)
+        sched = kinked_merged_schedule(calibration_gate)
     coarse = propagate_displacement(sched, branch_eigenvalue=2.0, rtol=1e-11)
     fine = propagate_displacement(sched, branch_eigenvalue=2.0, rtol=1e-13)
     assert np.array_equal(coarse.t, fine.t)
@@ -341,6 +363,41 @@ def test_gate_angle_constant_drive():
     assert ad.leading == pytest.approx(expected, rel=1e-12)
 
 
+def test_adiabatic_gate_angle_of_amplitude_ramp_closed_form():
+    # at constant delta, int Omega^2 = Omega_g^2*tau_g*3/8 and int alpha_dot^2
+    # = int Omega'^2/delta^2 = Omega_g^2*pi^2/(8*tau_g*delta^2) for the sin^2 ramp
+    p = reference_params()
+    ad = gate_angle_adiabatic(PulseSchedule(build_smooth_schedule(p).segments[:1]))
+    leading = p.omega_g ** 2 * p.tau_g * 3.0 / (8.0 * p.delta_max)
+    following = p.omega_g ** 2 * np.pi ** 2 / (8.0 * p.tau_g * p.delta_max ** 3)
+    assert ad.leading == pytest.approx(leading, rel=1e-12)
+    assert ad.total == pytest.approx(leading + following, rel=1e-12)
+
+
+def finite_difference_adiabatic(sched, samples):
+    """Adiabatic total and metric peak from uniform samples of each segment."""
+    total, peak = 0.0, 0.0
+    for seg in sched.segments:
+        u = np.linspace(0.0, seg.duration, samples)
+        om = np.broadcast_to(seg.omega(u), u.shape)
+        de = np.broadcast_to(seg.delta(u), u.shape)
+        alphadot = np.gradient(-om / de, u)
+        total += simpson((om ** 2 + alphadot ** 2) / de, x=u)
+        peak = max(peak, np.max(np.abs(np.gradient(alphadot / de, u) / de)))
+    return total, peak
+
+
+@pytest.mark.parametrize("tau_d", [60e-6, 100e-6, 160e-6])
+def test_adiabatic_quantities_match_finite_differences(tau_d):
+    p = reference_params(tau_d=tau_d)
+    _, peak = finite_difference_adiabatic(build_smooth_schedule(p), 4001)
+    for merge in (False, True):
+        sched = build_smooth_schedule(p, merge_ramps=merge)
+        total, _ = finite_difference_adiabatic(sched, 400001)
+        assert gate_angle_adiabatic(sched).total == pytest.approx(total, rel=1e-11)
+        assert adiabaticity_profile(sched).peak == pytest.approx(peak, rel=0.01)
+
+
 def test_calibrated_walsh_angle_is_quarter_turn():
     for loops in (1, 2, 4):
         p = WalshGateParams.calibrated(loops=loops, omega_g=TWO_PI * 5e3)
@@ -369,10 +426,14 @@ def test_delta_min_calibration_roundtrip():
         calibrate_delta_min(reference_params(omega_g=TWO_PI * 0.1e3), use="adiabatic")
 
 
+@pytest.mark.parametrize("calibrate", [calibrate_omega, calibrate_delta_min])
+def test_calibration_rejects_unknown_angle(calibrate):
+    with pytest.raises(ParameterError):
+        calibrate(reference_params(), use="adiabtic")
+
+
 def test_adiabatic_phase_consistency_sweep():
     # |theta_exact - theta_adiabatic| stays within C * peak-metric * theta
-    from iongate.schedule import adiabaticity_profile
-
     ratios = []
     for tau_d in (60e-6, 100e-6, 160e-6):
         sched = build_smooth_schedule(reference_params(tau_d=tau_d))
