@@ -97,6 +97,8 @@ their sign.  Every comma list needs at least one value.
   eps_rb          parametric depolarizing rate           (parametric only)
   eps_leak        parametric leak rate                   (parametric only)
   resamples       bootstrap resamples, >= 100            (default 10000)
+                  (memory: 24 bytes per length per resample;
+                  the fit runs 1024 resamples at a time)
   input           existing dataset CSV to fit instead of simulating
                   (model/lengths/... ignored when set; read by
                   run, not by validate)

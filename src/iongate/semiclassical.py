@@ -445,7 +445,9 @@ def calibrate_omega(p: SmoothGateParams, target_angle: float = math.pi / 2,
 
     Both the exact and adiabatic gate angles scale as Omega_g^2 for a
     fixed schedule shape (eta does not involve Omega), so a single
-    unit-amplitude evaluation suffices.
+    unit-amplitude evaluation suffices.  The adiabaticity metric is linear
+    in Omega_g, so the unit-amplitude probe never warns; with
+    ``use="adiabatic"`` the solved gate is judged once more.
     """
     if target_angle <= 0:
         raise ParameterError("target_angle must be positive")
@@ -453,7 +455,10 @@ def calibrate_omega(p: SmoothGateParams, target_angle: float = math.pi / 2,
     coeff = angle(build_smooth_schedule(replace(p, omega_g=1.0), merge_ramps=merge_ramps))
     if coeff <= 0:
         raise ConvergenceError("gate angle coefficient vanished")
-    return replace(p, omega_g=math.sqrt(target_angle / coeff))
+    solved = replace(p, omega_g=math.sqrt(target_angle / coeff))
+    if use == "adiabatic":
+        gate_angle_adiabatic(build_smooth_schedule(solved, merge_ramps=merge_ramps))
+    return solved
 
 
 def calibrate_delta_min(p: SmoothGateParams, target_angle: float = math.pi / 2,

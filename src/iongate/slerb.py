@@ -28,10 +28,11 @@ full model steps all sequences together as one (sequences, 4, dim) state,
 applying one exact gate propagator, at a Fock cutoff sized for the
 longest sequence, to every compiled gate.
 
-Bootstrap intervals resample sequences within each length: each length
-draws its row positions ``RESAMPLE_BLOCK`` resamples at a time, and all
-resamples are refitted in one lengths-major pass over (lengths,
-resamples) arrays.
+Bootstrap intervals resample sequences within each length.  Each length
+draws its row positions ``RESAMPLE_BLOCK`` resamples at a time; the
+per-length fractions and shot totals of every resample are stored (24
+bytes per length per resample), and the lengths-major fit refits them
+one block at a time, so nothing else grows with the resample count.
 """
 
 from __future__ import annotations
@@ -61,9 +62,12 @@ SEQUENCE_BLOCK = 128
 # products run into subnormal numbers, which slow BLAS tenfold; a
 # population of 1e-300 is far below every guard and tolerance.
 FLUSH_AMPLITUDE = 1e-150
-# Bootstrap resamples drawn and summed together: the row positions are a
-# (block, rows) array, so their memory does not grow with the resample count.
-RESAMPLE_BLOCK = 2048
+# Bootstrap resamples drawn, summed and refitted together: the row positions
+# are a (block, rows) array and the fit's temporaries (lengths, block)
+# arrays, so neither grows with the resample count.  Of 512, 1024 and 2048,
+# 1024 ran the bootstrap fastest: smaller blocks add per-call overhead to
+# the fit, and larger ones slow the draws.
+RESAMPLE_BLOCK = 1024
 
 # per-gate error -> per-Clifford error conversion constant used by the
 # standard reporting convention (13/6 entangling gates per Clifford)
@@ -668,7 +672,9 @@ def bootstrap_ci(data: SlerbDataset, resamples: int = 10000, seed: int = 0,
     ``RESAMPLE_BLOCK`` resamples at a time; the blocks are consecutive
     slices of one (resamples, rows) draw.  Each resample is weighted by its
     own per-length shot totals, as :func:`fit_decays` of that resample
-    would be, and all resamples are refitted in one lengths-major pass.
+    would be.  Only the per-length fractions and totals are stored for
+    every resample (24 bytes per length per resample); the lengths-major
+    fit then works on one block of resamples at a time.
     """
     if resamples < 100:
         raise ParameterError("resamples must be >= 100")
@@ -679,18 +685,23 @@ def bootstrap_ci(data: SlerbDataset, resamples: int = 10000, seed: int = 0,
     row_sets = [np.flatnonzero(used.n == length) for length in lengths]
     if min(rows.size for rows in row_sets) < 2:
         raise DomainError("bootstrap needs at least two sequences per length")
+    blocks = [slice(start, min(start + RESAMPLE_BLOCK, resamples))
+              for start in range(0, resamples, RESAMPLE_BLOCK)]
     rng = _rng(seed)
     f_surv, f_flip, tot = (np.empty((lengths.size, resamples)) for _ in range(3))
     for j, rows in enumerate(row_sets):
         shots, surv, flip = used.shots[rows], used.n_survival[rows], used.n_flip[rows]
-        for start in range(0, resamples, RESAMPLE_BLOCK):
-            block = slice(start, min(start + RESAMPLE_BLOCK, resamples))
+        for block in blocks:
             # a slice of the Philox draws of rng.choice(rows, size=(resamples, rows.size))
-            pick = rng.integers(0, rows.size, size=(block.stop - start, rows.size))
+            pick = rng.integers(0, rows.size, size=(block.stop - block.start, rows.size))
             tot[j, block] = shots[pick].sum(axis=1)
             f_surv[j, block] = surv[pick].sum(axis=1) / tot[j, block]
             f_flip[j, block] = flip[pick].sum(axis=1) / tot[j, block]
-    eps_rb, eps_leak = _fit_rates_batch(lengths.astype(float), f_surv, f_flip, tot)
+    n = lengths.astype(float)
+    eps_rb, eps_leak = np.empty(resamples), np.empty(resamples)
+    for block in blocks:
+        eps_rb[block], eps_leak[block] = _fit_rates_batch(
+            n, f_surv[:, block], f_flip[:, block], tot[:, block])
     eps_2q = _eps_2q(eps_rb, eps_leak)
 
     def interval(values):

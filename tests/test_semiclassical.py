@@ -8,6 +8,7 @@ in the tests and compared against the integrators.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -414,6 +415,19 @@ def test_reference_omega_calibration():
     assert exact.omega_g == pytest.approx(solved.omega_g, rel=0.02)
     sched = build_smooth_schedule(exact)
     assert abs(gate_angle_exact(sched)) == pytest.approx(np.pi / 2, rel=1e-6)
+
+
+def test_adiabatic_omega_calibration_judges_the_solved_gate():
+    # a short gate whose solved drive breaks adiabatic following
+    p = reference_params(tau_g=1e-6, tau_d=8e-6, t_c=0.0)
+    with pytest.warns(UserWarning, match="adiabaticity metric peak"):
+        solved = calibrate_omega(p, use="adiabatic")
+    assert solved.omega_g == pytest.approx(TWO_PI * 16.9e3, rel=0.01)
+    peak = adiabaticity_profile(build_smooth_schedule(solved)).peak
+    assert peak == pytest.approx(1.46, rel=0.01)  # above ADIABATICITY_WARN = 0.3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        calibrate_omega(reference_params(), use="adiabatic")
 
 
 def test_delta_min_calibration_roundtrip():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -732,19 +733,22 @@ def choice_fractions(data, resamples, seed):
 
 
 def assert_fit_inputs_match_choice_draws(monkeypatch, data, resamples, seed):
-    seen = {}
+    """The fit's inputs, joined over its blocks along the resample axis, are
+    the rng.choice fractions and totals bit for bit."""
+    seen = {"f_surv": [], "f_flip": [], "tot": []}
     fit = slerb._fit_rates_batch
 
     def capture(lengths, f_surv, f_flip, tot):
-        seen.update(f_surv=f_surv.copy(), f_flip=f_flip.copy(), tot=tot.copy())
+        for key, value in zip(seen, (f_surv, f_flip, tot)):
+            seen[key].append(value.copy())
         return fit(lengths, f_surv, f_flip, tot)
 
     monkeypatch.setattr(slerb, "_fit_rates_batch", capture)
     bootstrap_ci(data, resamples=resamples, seed=seed)
     f_surv, f_flip, tot = choice_fractions(data, resamples, seed)
-    assert np.array_equal(seen["f_surv"], f_surv.T)
-    assert np.array_equal(seen["f_flip"], f_flip.T)
-    assert np.array_equal(seen["tot"], tot.T)
+    assert np.array_equal(np.concatenate(seen["f_surv"], axis=1), f_surv.T)
+    assert np.array_equal(np.concatenate(seen["f_flip"], axis=1), f_flip.T)
+    assert np.array_equal(np.concatenate(seen["tot"], axis=1), tot.T)
 
 
 @pytest.mark.parametrize("data", [
@@ -761,6 +765,32 @@ def test_blocked_draws_match_choice_draws_across_blocks(monkeypatch):
     # two full blocks and a partial one, on rows of unequal count and shots
     assert_fit_inputs_match_choice_draws(monkeypatch, uneven_dataset(5),
                                          2 * slerb.RESAMPLE_BLOCK + 37, 11)
+
+
+def test_block_layout_does_not_change_intervals(monkeypatch):
+    data = uneven_dataset(5)
+    resamples = 3 * slerb.RESAMPLE_BLOCK + 37
+    blocked = bootstrap_ci(data, resamples=resamples, seed=11)
+    monkeypatch.setattr(slerb, "RESAMPLE_BLOCK", resamples)
+    whole = bootstrap_ci(data, resamples=resamples, seed=11)
+    for key in whole:
+        assert blocked[key] == pytest.approx(whole[key], rel=1e-12, abs=0.0)
+
+
+def test_bootstrap_memory_stays_near_stored_fractions():
+    # the fractions and totals stored per length and resample are all that
+    # grows with the resample count; the fit's temporaries are per block
+    d = collect_dataset([2, 50, 150, 300, 500], n_sequences=50, shots=100,
+                        model=ParametricModel(1.5e-4, 8e-5), seed=3)
+    resamples = 20_000
+    stored = 3 * d.lengths.size * resamples * np.dtype(float).itemsize
+    tracemalloc.start()
+    try:
+        bootstrap_ci(d, resamples=resamples, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * stored
 
 
 def row_major_gauss_newton(lengths, y, variance_fn, forward, jacobian, x0, lo, hi):
