@@ -12,9 +12,11 @@ every occupation on one set of endpoints.  The one Fock-space route,
 :func:`gate_propagator`, builds the exact blocks from the same endpoints,
 the +2 block alone, the rest by :func:`_branch_blocks`.  Only a
 misaligned carrier, which breaks the branch structure, is stepped (a
-Strang split).  D(gamma) and the split step's carrier take their
-exponentials from one numpy eigendecomposition each; scipy is imported
-only by the split step, for its tridiagonal eigensolver.
+Strang split).  D(gamma) and each split step's oscillator and carrier
+exponentials come from one numpy eigendecomposition each, so the module
+needs no scipy.  An outcome's fidelity is measured against the fully
+entangling gate of the schedule's handedness, theta = +-pi/2 with the
+sign of the schedule's detuning.
 
 States are stored spin-major in the measurement (z) basis with spin order
 (uu, ud, du, dd): amplitude index = spin_index * (n_max + 1) + n.
@@ -208,18 +210,6 @@ def gate_eigenbasis(basis_phase: float = 0.0) -> np.ndarray:
     return (u[:, None, :, None] * u[None, :, None, :]).reshape(4, 4)
 
 
-def _step_unitary(delta: float, coupling: float, dt: float, dim: int) -> np.ndarray:
-    """exp(-i H dt) for H = delta n + coupling (a + a^dag), tridiagonal in Fock space."""
-    from scipy.linalg import eigh_tridiagonal  # loaded on use: the closed forms need no scipy
-
-    diag = delta * np.arange(dim, dtype=float)
-    off = coupling * np.sqrt(np.arange(1, dim, dtype=float))
-    if not np.any(off):
-        return np.diag(np.exp(-1j * diag * dt))
-    vals, vecs = eigh_tridiagonal(diag, off)
-    return (vecs * np.exp(-1j * vals * dt)) @ vecs.T
-
-
 def _carrier_breakpoints(car: CarrierDrive) -> np.ndarray:
     """Sorted kinks of the carrier envelope, plus its sign flip if any."""
     points = {car.start, car.start + car.ramp, car.stop - car.ramp, car.stop}
@@ -305,7 +295,7 @@ def _branch_blocks(u_plus: np.ndarray, eta: float, shift: float = 0.0) -> Branch
 
 
 def gate_propagator(schedule: PulseSchedule, fock: FockConfig,
-                    basis_phase: float = 0.0, rtol: float = 1e-11) -> BranchPropagators:
+                    rtol: float = 1e-11) -> BranchPropagators:
     """Exact branch propagators from the trajectory integrals of one kernel call.
 
     The +2 block factorizes as exp(i theta) exp(-i eta n) D(gamma) with the
@@ -316,7 +306,7 @@ def gate_propagator(schedule: PulseSchedule, fock: FockConfig,
     S_alpha and only adds a c-number phase per branch; a misaligned one
     raises ParameterError (:func:`propagate` split-steps it).
     """
-    shift = _aligned_carrier_phase(schedule, basis_phase)
+    shift = _aligned_carrier_phase(schedule, 0.0)
     (gamma,), (theta,), (eta,) = branch_endpoints(schedule, [0.0], 2.0, rtol=rtol)
     a = np.diag(np.sqrt(np.arange(1, fock.dim, dtype=float)), k=1)
     disp = _hermitian_exp(1j * (gamma * a.conj().T - np.conj(gamma) * a))(1.0)
@@ -327,7 +317,7 @@ def gate_propagator(schedule: PulseSchedule, fock: FockConfig,
 branch_factorized_blocks = gate_propagator
 
 
-def propagate(schedule: PulseSchedule, psi0: CompositeState, basis_phase: float = 0.0,
+def propagate(schedule: PulseSchedule, psi0: CompositeState,
               steps_per_period: int = STEPS_PER_PERIOD) -> CompositeState:
     """Evolve a composite state through a schedule (carrier optional).
 
@@ -339,11 +329,11 @@ def propagate(schedule: PulseSchedule, psi0: CompositeState, basis_phase: float 
     """
     if steps_per_period < 8:
         raise ParameterError("steps_per_period must be >= 8")
-    if _carrier_aligned(schedule, basis_phase):
-        props = gate_propagator(schedule, FockConfig(n_max=psi0.n_max), basis_phase)
-        amps = props.apply(psi0.block(), basis_phase)
+    if _carrier_aligned(schedule, 0.0):
+        props = gate_propagator(schedule, FockConfig(n_max=psi0.n_max))
+        amps = props.apply(psi0.block(), 0.0)
     else:
-        amps = _propagate_split_step(schedule, psi0.block(), basis_phase, steps_per_period)
+        amps = _propagate_split_step(schedule, psi0.block(), steps_per_period)
     return CompositeState(amplitudes=amps.ravel(), n_max=psi0.n_max)
 
 
@@ -371,7 +361,7 @@ def _hermitian_exp(h: np.ndarray):
 
 
 def _propagate_split_step(schedule: PulseSchedule, block: np.ndarray,
-                          basis_phase: float, steps_per_period: int) -> np.ndarray:
+                          steps_per_period: int) -> np.ndarray:
     """Strang split between the branch step and the spin-only carrier.
 
     Used only when the carrier basis is misaligned with the gate basis and
@@ -379,12 +369,15 @@ def _propagate_split_step(schedule: PulseSchedule, block: np.ndarray,
     follow the phase budget, so each segment takes uniform steps no longer
     than its finest :meth:`Segment.phase_edges` piece (at least
     ``steps_per_period`` per carrier Rabi period), cut at every kink of the
-    carrier envelope.
+    carrier envelope.  The +2 branch steps by exp(-i H dt), H = delta n + W
+    Omega (a + a^dag) at the step's midpoint.
     """
     car = schedule.carrier
-    basis = gate_eigenbasis(basis_phase)
+    basis = gate_eigenbasis()
     carrier_step = _hermitian_exp(basis @ collective_spin_operator(car.phase) @ basis.conj().T)
     kinks = _carrier_breakpoints(car)
+    n = np.arange(block.shape[1], dtype=float)
+    position = np.diag(np.sqrt(n[1:]), k=1) + np.diag(np.sqrt(n[1:]), k=-1)
     psi = basis @ block
     offset = 0.0
     for seg in schedule.segments:
@@ -397,29 +390,29 @@ def _propagate_split_step(schedule: PulseSchedule, block: np.ndarray,
         for t, dt, delta, omega in zip(mids, np.diff(edges), seg.delta(mids), seg.omega(mids)):
             # a half step of pulse area x is exp(-i x S_phi / 4)
             half = carrier_step(0.25 * car.amplitude(offset + t) * car.drive_sign(offset + t) * dt)
-            u_plus = _step_unitary(delta, seg.sign * omega, dt, block.shape[1])
+            u_plus = _hermitian_exp(np.diag(delta * n) + seg.sign * omega * position)(dt)
             step = _branch_blocks(u_plus, delta * dt)
             psi = half @ (step.blocks @ (half @ psi)[:, :, None])[:, :, 0]
         offset += seg.duration
     return _leave_gate_basis(basis, psi)
 
 
-def _target_spin(psi0_spin: np.ndarray, target_angle: float | None,
-                 basis_phase: float) -> np.ndarray:
-    if target_angle is None:
-        target_angle = -np.pi / 2.0
-    basis = gate_eigenbasis(basis_phase)
+def _target_spin(psi0_spin: np.ndarray, schedule: PulseSchedule) -> np.ndarray:
+    """The fully entangling gate of the schedule's handedness applied to
+    ``psi0_spin``: theta = +-pi/2 with the sign of its detuning."""
+    target_angle = math.copysign(math.pi / 2, schedule.delta(0.0))
+    basis = gate_eigenbasis()
     phases = np.exp(1j * target_angle * (np.asarray(BRANCH_EIGENVALUES) / 2.0) ** 2)
     return basis.conj().T @ (phases * (basis @ psi0_spin))
 
 
 def _outcomes_from_densities(rho_z: np.ndarray, target: np.ndarray,
-                             basis_phase: float, nbar: float) -> list[GateOutcome]:
+                             nbar: float) -> list[GateOutcome]:
     """One outcome per z-basis spin density in an (n, 4, 4) stack."""
     pops = np.real(np.diagonal(rho_z, axis1=1, axis2=2))
     fid = np.real(target.conj() @ rho_z @ target)
     purity = np.real(np.trace(rho_z @ rho_z, axis1=1, axis2=2))
-    basis = gate_eigenbasis(basis_phase)
+    basis = gate_eigenbasis()
     rho_e = basis @ rho_z @ basis.conj().T
     coherence = rho_e[:, 0, 1] + rho_e[:, 0, 2] + rho_e[:, 3, 1] + rho_e[:, 3, 2]
     angle = np.angle(coherence)
@@ -430,21 +423,18 @@ def _outcomes_from_densities(rho_z: np.ndarray, target: np.ndarray,
 
 
 def outcome_from_state(state: CompositeState, psi0_spin,
-                       target_angle: float | None = None,
-                       basis_phase: float = 0.0,
-                       nbar: float = 0.0) -> GateOutcome:
-    """Populations, fidelity and angle of a propagated composite state.
+                       schedule: PulseSchedule) -> GateOutcome:
+    """Populations, fidelity and angle of the composite state that
+    ``schedule`` made from ``psi0_spin``.
 
-    The fidelity is the spin overlap with the ideal gate applied to
-    ``psi0_spin``, traced over the motion.  ``target_angle`` defaults to
-    the pi/2 entangling phase with the sign left to the caller via its
-    explicit value.
+    The fidelity is the spin overlap, traced over the motion, with the
+    fully entangling gate of the schedule's handedness applied to
+    ``psi0_spin``.
     """
     spin = np.asarray(psi0_spin, dtype=complex)
     spin = spin / np.linalg.norm(spin)
-    target = _target_spin(spin, target_angle, basis_phase)
-    return _outcomes_from_densities(state.reduced_spin_density()[None], target,
-                                    basis_phase, nbar)[0]
+    target = _target_spin(spin, schedule)
+    return _outcomes_from_densities(state.reduced_spin_density()[None], target, nbar=0.0)[0]
 
 
 def _displacement_kernel(gamma_end: np.ndarray, theta_end: np.ndarray, shift: float,
@@ -465,22 +455,21 @@ def _displacement_kernel(gamma_end: np.ndarray, theta_end: np.ndarray, shift: fl
 
 
 def _thermal_outcomes(schedule: PulseSchedule, offsets: np.ndarray, ensembles,
-                      psi0_spin, target_angle: float | None, basis_phase: float = 0.0,
-                      fock: FockConfig | None = None,
+                      psi0_spin, fock: FockConfig | None = None,
                       props: BranchPropagators | None = None) -> list[GateOutcome]:
     """Thermal outcomes under each static detuning offset, ensemble by ensemble,
     from one endpoint integration; see :func:`thermal_average`.  The
     ``props`` oracle takes a single ensemble."""
     spin = np.asarray(psi0_spin, dtype=complex)
     spin = spin / np.linalg.norm(spin)
-    basis = gate_eigenbasis(basis_phase)
+    basis = gate_eigenbasis()
     spin_eig = basis @ spin
-    target = _target_spin(spin, target_angle, basis_phase)
+    target = _target_spin(spin, schedule)
 
     if props is None:
         if fock is not None:
             raise ParameterError("a Fock cutoff applies only to the props= oracle")
-        shift = _aligned_carrier_phase(schedule, basis_phase)
+        shift = _aligned_carrier_phase(schedule, 0.0)
         gamma, theta, _ = branch_endpoints(schedule, offsets)
         kernels = [_displacement_kernel(gamma, theta, shift, e.nbar) for e in ensembles]
     else:
@@ -499,15 +488,13 @@ def _thermal_outcomes(schedule: PulseSchedule, offsets: np.ndarray, ensembles,
     for ensemble, kernel in zip(ensembles, kernels):
         rho_eig = (spin_eig[:, None] * spin_eig.conj()[None, :]) * kernel
         rho_z = basis.conj().T @ rho_eig @ basis
-        outcomes += _outcomes_from_densities(rho_z, target, basis_phase, ensemble.nbar)
+        outcomes += _outcomes_from_densities(rho_z, target, ensemble.nbar)
     return outcomes
 
 
 def thermal_average(schedule: PulseSchedule, ensemble: ThermalEnsemble,
                     psi0_spin=(1.0, 0.0, 0.0, 0.0),
                     fock: FockConfig | None = None,
-                    target_angle: float | None = None,
-                    basis_phase: float = 0.0,
                     props: BranchPropagators | None = None) -> GateOutcome:
     """Thermally averaged gate outcome over initial Fock states.
 
@@ -522,16 +509,13 @@ def thermal_average(schedule: PulseSchedule, ensemble: ThermalEnsemble,
     instead, the Fock-space oracle of the closed form; ``fock``, accepted
     only with ``props``, must match its cutoff.
     """
-    return _thermal_outcomes(schedule, np.zeros(1), [ensemble], psi0_spin, target_angle,
-                             basis_phase, fock, props)[0]
+    return _thermal_outcomes(schedule, np.zeros(1), [ensemble], psi0_spin, fock, props)[0]
 
 
-def thermal_sweep(schedule: PulseSchedule, ensembles,
-                  psi0_spin=(1.0, 0.0, 0.0, 0.0),
-                  target_angle: float | None = None) -> list[GateOutcome]:
+def thermal_sweep(schedule: PulseSchedule, ensembles) -> list[GateOutcome]:
     """:func:`thermal_average` of one schedule for each of ``ensembles``, in
     closed form from one :func:`branch_endpoints` call."""
-    return _thermal_outcomes(schedule, np.zeros(1), list(ensembles), psi0_spin, target_angle)
+    return _thermal_outcomes(schedule, np.zeros(1), list(ensembles), (1.0, 0.0, 0.0, 0.0))
 
 
 def _outcome_columns(outcomes) -> dict[str, np.ndarray]:
@@ -570,10 +554,7 @@ class CalibrationScan:
 
 
 def calibration_scan(base: SmoothGateParams, delta_min_grid,
-                     ensemble: ThermalEnsemble,
-                     psi0_spin=(1.0, 0.0, 0.0, 0.0),
-                     target_angle: float | None = None,
-                     merge_ramps: bool = False) -> CalibrationScan:
+                     ensemble: ThermalEnsemble) -> CalibrationScan:
     """Sweep delta_min at fixed Omega_g and locate the equal-population point.
 
     The balanced point P(uu) = P(dd) marks the half-pi entangling angle; it
@@ -584,9 +565,7 @@ def calibration_scan(base: SmoothGateParams, delta_min_grid,
         raise GridError("need at least two delta_min values")
     if np.any(np.sign(grid) != np.sign(base.delta_max)):
         raise ParameterError("delta_min grid must share the sign of delta_max")
-    outcomes = [thermal_average(build_smooth_schedule(base.with_delta_min(dm),
-                                                      merge_ramps=merge_ramps),
-                                ensemble, psi0_spin, target_angle=target_angle)
+    outcomes = [thermal_average(build_smooth_schedule(base.with_delta_min(dm)), ensemble)
                 for dm in grid]
     cols = _outcome_columns(outcomes)
     diff = cols["p_uu"] - cols["p_dd"]
@@ -622,8 +601,7 @@ class OffsetScan:
 
 
 def offset_scan(schedule: PulseSchedule, offsets, ensemble: ThermalEnsemble,
-                psi0_spin=(1.0, 0.0, 0.0, 0.0),
-                target_angle: float | None = None) -> OffsetScan:
+                psi0_spin=(1.0, 0.0, 0.0, 0.0)) -> OffsetScan:
     """Outcomes of one schedule under constant mode-frequency offsets.
 
     One :func:`branch_endpoints` call serves the whole scan; each outcome
@@ -633,5 +611,5 @@ def offset_scan(schedule: PulseSchedule, offsets, ensemble: ThermalEnsemble,
     offs = np.asarray(offsets, dtype=float)
     if offs.ndim != 1 or offs.size == 0:
         raise GridError("need a 1-D array of offsets")
-    outcomes = _thermal_outcomes(schedule, offs, [ensemble], psi0_spin, target_angle)
+    outcomes = _thermal_outcomes(schedule, offs, [ensemble], psi0_spin)
     return OffsetScan(offsets=offs, nbar=ensemble.nbar, **_outcome_columns(outcomes))

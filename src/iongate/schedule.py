@@ -58,6 +58,10 @@ class SmoothGateParams:
     j : int
         Positive exponent of the detuning ramp shape; larger values
         concentrate dwell time near ``delta_min``.
+    merge_ramps : bool
+        Run the amplitude ramps concurrently with the start and end of the
+        detuning ramps (requires ``tau_g <= tau_d``), shortening the gate
+        to ``2*tau_d + t_c``.
     """
 
     delta_max: float
@@ -67,6 +71,7 @@ class SmoothGateParams:
     tau_d: float
     t_c: float = 0.0
     j: int = 3
+    merge_ramps: bool = False
 
     def __post_init__(self):
         if not (self.tau_g > 0 and self.tau_d > 0):
@@ -83,6 +88,8 @@ class SmoothGateParams:
             raise ParameterError("delta_max and delta_min must share a sign")
         if not abs(self.delta_min) < abs(self.delta_max):
             raise ParameterError("|delta_min| must be smaller than |delta_max|")
+        if self.merge_ramps and self.tau_g > self.tau_d:
+            raise ParameterError("merged ramps require tau_g <= tau_d")
 
     @property
     def sign(self) -> float:
@@ -90,6 +97,8 @@ class SmoothGateParams:
 
     @property
     def duration(self) -> float:
+        if self.merge_ramps:
+            return 2 * self.tau_d + self.t_c
         return 2 * self.tau_g + 2 * self.tau_d + self.t_c
 
     def with_delta_min(self, delta_min: float) -> "SmoothGateParams":
@@ -135,16 +144,14 @@ class WalshGateParams:
         return tuple(walsh_function(self.walsh_order, m) for m in range(self.loops))
 
     @classmethod
-    def calibrated(cls, loops: int, omega_g: float, sign: float = -1.0) -> "WalshGateParams":
-        """Gate calibrated to |theta_g| = pi/2: |delta_g| = 2*omega_g*sqrt(K).
+    def calibrated(cls, loops: int, omega_g: float) -> "WalshGateParams":
+        """Gate calibrated to theta_g = -pi/2: delta_g = -2*omega_g*sqrt(K).
 
         With theta_g = 2*pi*K*omega_g^2/delta_g^2 per closed loop sequence,
         the maximally entangling condition fixes |delta_g| and hence
         t_g = pi*sqrt(K)/omega_g.
         """
-        if sign not in (1.0, -1.0, 1, -1):
-            raise ParameterError("sign must be +1 or -1")
-        return cls(loops=loops, delta_g=sign * 2.0 * omega_g * math.sqrt(loops), omega_g=omega_g)
+        return cls(loops=loops, delta_g=-2.0 * omega_g * math.sqrt(loops), omega_g=omega_g)
 
 
 def walsh_function(order: int, m: int) -> int:
@@ -425,23 +432,17 @@ class PulseSchedule:
         }
 
 
-def build_smooth_schedule(p: SmoothGateParams, merge_ramps: bool = False,
-                          carrier_rabi: float = 0.0, carrier_ramp: float = 0.5e-6,
-                          carrier_phase: float = 0.0, carrier_invert: bool = True) -> PulseSchedule:
+def build_smooth_schedule(p: SmoothGateParams) -> PulseSchedule:
     """Assemble the five-step smooth-gate schedule.
 
     Steps: ramp Omega up at delta_max, ramp delta down to delta_min, hold
-    for t_c, ramp delta back up, ramp Omega down.  With ``merge_ramps`` the
-    amplitude ramps run concurrently with the start/end of the detuning
-    ramps (requires tau_g <= tau_d), shortening the gate to 2*tau_d + t_c;
-    each amplitude ramp is then a segment of its own (ramp-in, det-down,
-    [hold,] det-up, ramp-out), so that Omega is smooth inside every
-    segment.  Zero-length pieces (no hold, or tau_g = tau_d) are omitted
-    rather than kept as degenerate segments.
-
-    A nonzero ``carrier_rabi`` attaches a carrier tone that ramps linearly
-    over ``carrier_ramp`` inside the full-amplitude window of the gate
-    drive, with a phase inversion at the schedule midpoint by default.
+    for t_c, ramp delta back up, ramp Omega down.  With ``p.merge_ramps``
+    the amplitude ramps run concurrently with the start/end of the
+    detuning ramps; each amplitude ramp is then a segment of its own
+    (ramp-in, det-down, [hold,] det-up, ramp-out), so that Omega is smooth
+    inside every segment.  Zero-length pieces (no hold, or tau_g = tau_d)
+    are omitted rather than kept as degenerate segments.  A carrier
+    attaches through ``PulseSchedule(segments, carrier=CarrierDrive(...))``.
     """
     abs_ramp = lambda u: _ramp_magnitude(p.tau_d, abs(p.delta_max), abs(p.delta_min), p.j, np.asarray(u, dtype=float))
     down = lambda u: p.sign * abs_ramp(u)
@@ -451,16 +452,13 @@ def build_smooth_schedule(p: SmoothGateParams, merge_ramps: bool = False,
 
     full, at_full = _const_fn(p.omega_g), dict(const_omega=p.omega_g)
     hold = (p.t_c, full, _const_fn(p.delta_min), dict(at_full, const_delta=p.delta_min), "hold")
-    if merge_ramps:
-        if p.tau_g > p.tau_d:
-            raise ParameterError("merged ramps require tau_g <= tau_d")
+    if p.merge_ramps:
         rest = p.tau_d - p.tau_g
         pieces = [(p.tau_g, amp_up, down, {}, "ramp-in"),
                   (rest, full, lambda u: down(np.add(u, p.tau_g)), at_full, "det-down"),
                   hold,
                   (rest, full, up, at_full, "det-up"),
                   (p.tau_g, amp_down, lambda u: up(np.add(u, rest)), {}, "ramp-out")]
-        amp_window = (0.0, 2 * p.tau_d + p.t_c)
     else:
         at_max = dict(const_delta=p.delta_max)
         pieces = [(p.tau_g, amp_up, _const_fn(p.delta_max), at_max, "amp-up"),
@@ -468,17 +466,9 @@ def build_smooth_schedule(p: SmoothGateParams, merge_ramps: bool = False,
                   hold,
                   (p.tau_d, full, up, at_full, "det-up"),
                   (p.tau_g, amp_down, _const_fn(p.delta_max), at_max, "amp-down")]
-        amp_window = (p.tau_g, p.duration - p.tau_g)
     segs = [Segment(duration, omega, delta, label=label, **const)
             for duration, omega, delta, const, label in pieces if duration > 0]
-
-    carrier = None
-    if carrier_rabi > 0:
-        total = sum(s.duration for s in segs)
-        carrier = CarrierDrive(rabi=carrier_rabi, start=amp_window[0], stop=amp_window[1],
-                               ramp=carrier_ramp, phase=carrier_phase,
-                               invert_at=total / 2.0 if carrier_invert else None)
-    return PulseSchedule(segs, carrier=carrier, label="smooth")
+    return PulseSchedule(segs, label="smooth")
 
 
 def build_walsh_schedule(p: WalshGateParams) -> PulseSchedule:

@@ -438,10 +438,9 @@ def _gate_angle(use: str, **solver_kwargs) -> Callable[[PulseSchedule], float]:
     raise ParameterError("use must be 'adiabatic' or 'exact'")
 
 
-def calibrate_omega(p: SmoothGateParams, target_angle: float = math.pi / 2,
-                    use: str = "adiabatic", merge_ramps: bool = False,
+def calibrate_omega(p: SmoothGateParams, use: str = "adiabatic",
                     **solver_kwargs) -> SmoothGateParams:
-    """Solve for Omega_g so the smooth gate accumulates |theta_g| = target.
+    """Solve for Omega_g so the smooth gate accumulates |theta_g| = pi/2.
 
     Both the exact and adiabatic gate angles scale as Omega_g^2 for a
     fixed schedule shape (eta does not involve Omega), so a single
@@ -449,54 +448,45 @@ def calibrate_omega(p: SmoothGateParams, target_angle: float = math.pi / 2,
     in Omega_g, so the unit-amplitude probe never warns; with
     ``use="adiabatic"`` the solved gate is judged once more.
     """
-    if target_angle <= 0:
-        raise ParameterError("target_angle must be positive")
     angle = _gate_angle(use, **solver_kwargs)
-    coeff = angle(build_smooth_schedule(replace(p, omega_g=1.0), merge_ramps=merge_ramps))
+    coeff = angle(build_smooth_schedule(replace(p, omega_g=1.0)))
     if coeff <= 0:
         raise ConvergenceError("gate angle coefficient vanished")
-    solved = replace(p, omega_g=math.sqrt(target_angle / coeff))
+    solved = replace(p, omega_g=math.sqrt(math.pi / 2 / coeff))
     if use == "adiabatic":
-        gate_angle_adiabatic(build_smooth_schedule(solved, merge_ramps=merge_ramps))
+        gate_angle_adiabatic(build_smooth_schedule(solved))
     return solved
 
 
-def calibrate_delta_min(p: SmoothGateParams, target_angle: float = math.pi / 2,
-                        bracket: tuple[float, float] | None = None,
-                        use: str = "exact", merge_ramps: bool = False,
+def calibrate_delta_min(p: SmoothGateParams, use: str = "exact",
                         **solver_kwargs) -> SmoothGateParams:
-    """Solve for |delta_min| at fixed Omega_g so that |theta_g| = target.
+    """Solve for |delta_min| at fixed Omega_g so that |theta_g| = pi/2.
 
     The angle grows monotonically as |delta_min| shrinks; brentq brackets
-    on |delta_min| (default: 2*pi*1 kHz up to 0.9*|delta_max|).
+    on |delta_min| from 2*pi*1 kHz up to 0.9*|delta_max|.
     """
-    if bracket is None:
-        bracket = (TWO_PI * 1e3, 0.9 * abs(p.delta_max))
-    lo, hi = bracket
-    if not 0 < lo < hi < abs(p.delta_max):
-        raise ParameterError("bracket must satisfy 0 < lo < hi < |delta_max|")
+    lo, hi = TWO_PI * 1e3, 0.9 * abs(p.delta_max)
     angle = _gate_angle(use, **solver_kwargs)
 
     def f(absdm: float) -> float:
-        sched = build_smooth_schedule(replace(p, delta_min=p.sign * absdm),
-                                      merge_ramps=merge_ramps)
+        sched = build_smooth_schedule(replace(p, delta_min=p.sign * absdm))
         # trial points far from the root routinely violate the adiabaticity
         # threshold; only the solution is judged below
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            return angle(sched) - target_angle
+            return angle(sched) - math.pi / 2
 
     flo, fhi = f(lo), f(hi)
     if flo * fhi > 0:
         raise ConvergenceError(
-            f"target angle {target_angle:.4g} not bracketed: theta({lo:.4g})-target={flo:.3g}, "
+            f"target angle {math.pi / 2:.4g} not bracketed: theta({lo:.4g})-target={flo:.3g}, "
             f"theta({hi:.4g})-target={fhi:.3g}")
     from scipy.optimize import brentq  # loaded on use: ~20 MB resident
 
     root = brentq(f, lo, hi, rtol=1e-12)
     solved = replace(p, delta_min=p.sign * root)
     if use == "adiabatic":
-        gate_angle_adiabatic(build_smooth_schedule(solved, merge_ramps=merge_ramps))
+        gate_angle_adiabatic(build_smooth_schedule(solved))
     return solved
 
 

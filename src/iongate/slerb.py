@@ -483,9 +483,8 @@ class SlerbDataset:
     def lengths(self) -> np.ndarray:
         return np.unique(self.n)
 
-    def truncated(self, max_n: int | None) -> "SlerbDataset":
-        if max_n is None:
-            return self
+    def truncated(self, max_n: int) -> "SlerbDataset":
+        """The rows of sequences no longer than ``max_n``."""
         keep = self.n <= max_n
         if not np.any(keep):
             raise GridError("truncation removes every row")
@@ -561,7 +560,6 @@ class DecayFit:
     eps_leak: float
     eps_flip: float
     eps_2q: float
-    max_n: int | None = None
     ci: dict[str, tuple[float, float]] | None = None
 
     def __post_init__(self):
@@ -595,9 +593,9 @@ def _gauss_newton_power(n, y, variance_fn, forward, jacobian, x0, lo, hi):
     for _ in range(80):
         f = forward(x, n)
         jac = jacobian(x, n)
-        w = 1.0 / variance_fn(f)
-        num = np.sum(w * jac * (y - f), axis=0)
-        den = np.sum(w * jac * jac, axis=0)
+        wj = 1.0 / variance_fn(f) * jac
+        num = np.sum(wj * (y - f), axis=0)
+        den = np.sum(wj * jac, axis=0)
         step = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
         x = np.clip(x + step, lo, hi)
         if np.all(np.abs(step) < 1e-14):
@@ -645,10 +643,10 @@ def _fit_rates_batch(lengths: np.ndarray, f_surv: np.ndarray, f_flip: np.ndarray
     return eps_rb, eps_leak
 
 
-def fit_decays(data: SlerbDataset, max_n: int | None = None) -> DecayFit:
-    """Weighted least-squares rates from aggregated per-length fractions."""
-    used = data.truncated(max_n)
-    lengths, f_surv, f_flip, tot = used.fractions()
+def fit_decays(data: SlerbDataset) -> DecayFit:
+    """Weighted least-squares rates from aggregated per-length fractions;
+    fit ``data.truncated(max_n)`` to fit the shorter sequences alone."""
+    lengths, f_surv, f_flip, tot = data.fractions()
     if lengths.size < 3:
         raise GridError("need at least three distinct sequence lengths")
     lengths = lengths.astype(float)
@@ -661,11 +659,11 @@ def fit_decays(data: SlerbDataset, max_n: int | None = None) -> DecayFit:
     eps_flip = max(0.0, 0.5 * (0.5 * math.log(max(b, 1e-300))
                                - math.log(max(a, 1e-300))))
     return DecayFit(eps_rb=eps_rb, eps_leak=eps_leak, eps_flip=eps_flip,
-                    eps_2q=_eps_2q(eps_rb, eps_leak), max_n=max_n)
+                    eps_2q=_eps_2q(eps_rb, eps_leak))
 
 
-def bootstrap_ci(data: SlerbDataset, resamples: int = 10000, seed: int = 0,
-                 max_n: int | None = None) -> dict[str, tuple[float, float]]:
+def bootstrap_ci(data: SlerbDataset, resamples: int = 10000,
+                 seed: int = 0) -> dict[str, tuple[float, float]]:
     """68% percentile intervals from sequence-level resampling.
 
     Rows are resampled with replacement within each length,
@@ -678,11 +676,10 @@ def bootstrap_ci(data: SlerbDataset, resamples: int = 10000, seed: int = 0,
     """
     if resamples < 100:
         raise ParameterError("resamples must be >= 100")
-    used = data.truncated(max_n)
-    lengths = used.lengths
+    lengths = data.lengths
     if lengths.size < 3:
         raise GridError("need at least three distinct sequence lengths")
-    row_sets = [np.flatnonzero(used.n == length) for length in lengths]
+    row_sets = [np.flatnonzero(data.n == length) for length in lengths]
     if min(rows.size for rows in row_sets) < 2:
         raise DomainError("bootstrap needs at least two sequences per length")
     blocks = [slice(start, min(start + RESAMPLE_BLOCK, resamples))
@@ -690,7 +687,7 @@ def bootstrap_ci(data: SlerbDataset, resamples: int = 10000, seed: int = 0,
     rng = _rng(seed)
     f_surv, f_flip, tot = (np.empty((lengths.size, resamples)) for _ in range(3))
     for j, rows in enumerate(row_sets):
-        shots, surv, flip = used.shots[rows], used.n_survival[rows], used.n_flip[rows]
+        shots, surv, flip = data.shots[rows], data.n_survival[rows], data.n_flip[rows]
         for block in blocks:
             # a slice of the Philox draws of rng.choice(rows, size=(resamples, rows.size))
             pick = rng.integers(0, rows.size, size=(block.stop - block.start, rows.size))

@@ -403,6 +403,26 @@ def test_run_thermal_sweep(tmp_path):
     assert cols["infidelity"][1] > cols["infidelity"][0] > 0
 
 
+def test_thermal_sweep_scores_a_positive_detuning_gate_against_its_own_target(tmp_path):
+    # sign(theta_g) = sign(delta): the mirrored calibration gate makes the
+    # +pi/2 gate, and the sweep must score it against that target
+    gate = set_key(set_key(CALIBRATION_GATE, "delta_max_hz", "400e3"), "delta_min_hz", "21.7e3")
+    path = write_config(tmp_path, textwrap.dedent("""\
+        [scenario]
+        name = thermal-sweep
+        output = th.csv
+
+        [schedule]
+        type = smooth
+
+        [sweep]
+        nbars = 0,3.5
+    """) + textwrap.dedent(gate))
+    assert cli.main(["run", path, "--output-dir", str(tmp_path), "--quiet"]) == 0
+    _, cols = cli.read_csv(str(tmp_path / "th.csv"))
+    assert np.all(cols["infidelity"] < 1e-8)
+
+
 def test_thermal_sweep_integrates_the_endpoints_once(tmp_path, monkeypatch):
     calls = []
     endpoints = quantum.branch_endpoints
@@ -697,11 +717,15 @@ def test_cli_import_loads_no_scipy(tmp_path):
                          capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
     assert (tmp_path / "out" / "full.csv").exists()
-    # without a misaligned carrier, propagate applies the exact blocks
-    walsh = ("import math, sys; from iongate import (CompositeState, WalshGateParams, "
-             "build_walsh_schedule, propagate); "
+    # without a misaligned carrier, propagate applies the exact blocks; a
+    # misaligned one is split-stepped with numpy's eigensolver
+    walsh = ("import math, sys; from iongate import (CarrierDrive, CompositeState, "
+             "PulseSchedule, WalshGateParams, build_walsh_schedule, propagate); "
              "s = build_walsh_schedule(WalshGateParams.calibrated(2, 2 * math.pi * 5e3)); "
-             "propagate(s, CompositeState.from_spin_fock((1, 0, 0, 0), 0, 30)); " + loaded)
+             "psi0 = CompositeState.from_spin_fock((1, 0, 0, 0), 0, 30); propagate(s, psi0); "
+             "c = CarrierDrive(rabi=2 * math.pi * 2e3, start=0.0, stop=s.duration, "
+             "phase=math.pi / 2); propagate(PulseSchedule(s.segments, carrier=c), psi0); "
+             + loaded)
     out = subprocess.run([sys.executable, "-c", walsh], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"

@@ -175,7 +175,7 @@ def test_ideal_walsh_gate_makes_bell_state():
     p = WalshGateParams.calibrated(1, TWO_PI * 5e3)
     sched = build_walsh_schedule(p)
     psi0 = CompositeState.from_spin_fock((1.0, 0.0, 0.0, 0.0), n=0, n_max=24)
-    out = outcome_from_state(propagate(sched, psi0), (1.0, 0.0, 0.0, 0.0))
+    out = outcome_from_state(propagate(sched, psi0), (1.0, 0.0, 0.0, 0.0), sched)
     assert out.p_uu == pytest.approx(0.5, abs=1e-9)
     assert out.p_dd == pytest.approx(0.5, abs=1e-9)
     assert out.p_odd < 1e-8
@@ -191,7 +191,7 @@ def test_gate_angle_tracks_drive_strength():
         sched = PulseSchedule([flat_segment(t, omega, sgn * delta)])
         expected = sgn * omega**2 * t / delta
         psi0 = CompositeState.from_spin_fock((1.0, 0.0, 0.0, 0.0), n=0, n_max=30)
-        out = outcome_from_state(propagate(sched, psi0), (1.0, 0.0, 0.0, 0.0))
+        out = outcome_from_state(propagate(sched, psi0), (1.0, 0.0, 0.0, 0.0), sched)
         assert out.gate_angle == pytest.approx(expected, abs=1e-8)
         assert out.p_uu == pytest.approx(math.cos(expected / 2) ** 2, abs=1e-9)
 
@@ -349,8 +349,8 @@ def test_aligned_carrier_with_inversion_is_transparent():
     base = build_walsh_schedule(WalshGateParams.calibrated(2, TWO_PI * 5e3))
     with_c = carrier_test_schedule(TWO_PI * 80e3, 0.0, invert=True)
     psi0 = CompositeState.from_spin_fock((1.0, 0.0, 0.0, 0.0), n=0, n_max=30)
-    ref = outcome_from_state(propagate(base, psi0), (1.0, 0.0, 0.0, 0.0))
-    out = outcome_from_state(propagate(with_c, psi0), (1.0, 0.0, 0.0, 0.0))
+    ref = outcome_from_state(propagate(base, psi0), (1.0, 0.0, 0.0, 0.0), base)
+    out = outcome_from_state(propagate(with_c, psi0), (1.0, 0.0, 0.0, 0.0), with_c)
     assert abs(out.fidelity - ref.fidelity) < 1e-5
     assert abs(out.p_uu - ref.p_uu) < 1e-9
 
@@ -359,8 +359,8 @@ def test_aligned_carrier_without_inversion_shifts_branch_phases():
     base = build_walsh_schedule(WalshGateParams.calibrated(2, TWO_PI * 5e3))
     with_c = carrier_test_schedule(TWO_PI * 1e3, 0.0, invert=False)
     psi0 = CompositeState.from_spin_fock((1.0, 0.0, 0.0, 0.0), n=0, n_max=30)
-    ref = outcome_from_state(propagate(base, psi0), (1.0, 0.0, 0.0, 0.0))
-    out = outcome_from_state(propagate(with_c, psi0), (1.0, 0.0, 0.0, 0.0))
+    ref = outcome_from_state(propagate(base, psi0), (1.0, 0.0, 0.0, 0.0), base)
+    out = outcome_from_state(propagate(with_c, psi0), (1.0, 0.0, 0.0, 0.0), with_c)
     assert abs(out.p_uu - ref.p_uu) > 1e-3
 
 
@@ -477,7 +477,7 @@ def test_thermal_average_at_zero_temperature_matches_pure_state():
     ens = ThermalEnsemble.build(0.0)
     avg = thermal_average(sched, ens)
     psi0 = CompositeState.from_spin_fock((1.0, 0.0, 0.0, 0.0), n=0, n_max=30)
-    pure = outcome_from_state(propagate(sched, psi0), (1.0, 0.0, 0.0, 0.0))
+    pure = outcome_from_state(propagate(sched, psi0), (1.0, 0.0, 0.0, 0.0), sched)
     assert avg.fidelity == pytest.approx(pure.fidelity, abs=1e-10)
     assert avg.p_uu == pytest.approx(pure.p_uu, abs=1e-10)
 
@@ -562,6 +562,35 @@ def test_closed_form_matches_factorized_oracle_on_calibration_gate(calibration_s
     assert max_outcome_difference(closed, oracle) <= 2.0 * ens.tail_mass + 1e-12
     assert abs(closed.fidelity - oracle.fidelity) < 1e-10
     assert 1.0 - closed.fidelity < 1e-8
+
+
+def test_positive_detuning_gates_are_scored_against_their_own_handedness():
+    # sign(theta_g) = sign(delta): flipping the sign of every detuning
+    # conjugates the dynamics, so the +delta gate, scored against +pi/2,
+    # mirrors the -delta gate scored against -pi/2
+    schedules = {}
+    for sign in (-1.0, 1.0):
+        base = SmoothGateParams(delta_max=sign * TWO_PI * 400e3, delta_min=sign * TWO_PI * 21.7e3,
+                                omega_g=TWO_PI * 6e3, tau_g=5e-6, tau_d=100e-6,
+                                t_c=15.8e-6, j=3)
+        schedules[sign] = build_smooth_schedule(calibrate_omega(base, use="exact"))
+    ens = ThermalEnsemble.build(3.5)
+    negative, positive = (thermal_average(schedules[s], ens) for s in (-1.0, 1.0))
+    assert 1.0 - negative.fidelity < 1e-8
+    assert positive.fidelity == pytest.approx(negative.fidelity, abs=1e-14)
+    offsets = TWO_PI * np.array([-500.0, 500.0])
+    scans = offset_scan(schedules[-1.0], offsets, ens), offset_scan(schedules[1.0], -offsets, ens)
+    for key in ("p_uu", "p_dd", "p_odd", "fidelity"):
+        assert getattr(scans[1], key) == pytest.approx(getattr(scans[0], key), abs=1e-14)
+    # the mirror is not a symmetry of one scan: its two offsets leak differently
+    assert scans[0].p_odd[0] != pytest.approx(scans[0].p_odd[1], rel=1e-3)
+    walsh = build_walsh_schedule(WalshGateParams(loops=2, delta_g=2 * TWO_PI * 5e3 * math.sqrt(2),
+                                                 omega_g=TWO_PI * 5e3))
+    assert 1.0 - thermal_average(walsh, ThermalEnsemble.build(0.0)).fidelity < 1e-14
+    psi0 = CompositeState.from_spin_fock((1.0, 0.0, 0.0, 0.0), n=0, n_max=24)
+    out = outcome_from_state(propagate(walsh, psi0), (1.0, 0.0, 0.0, 0.0), walsh)
+    assert out.gate_angle == pytest.approx(math.pi / 2, abs=1e-9)
+    assert 1.0 - out.fidelity < 1e-14
 
 
 @pytest.mark.parametrize("offset_hz", [-2e3, 2e3])

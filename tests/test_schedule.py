@@ -6,6 +6,7 @@ expressions independently of the schedule machinery and frozen here.
 
 import decimal
 import math
+from dataclasses import replace
 from decimal import Decimal
 
 import numpy as np
@@ -201,8 +202,8 @@ def test_smooth_schedule_continuity_and_zero_ends():
 
 
 def test_smooth_schedule_merged_ramps():
-    p = reference_params()
-    s = build_smooth_schedule(p, merge_ramps=True)
+    p = reference_params(merge_ramps=True)
+    s = build_smooth_schedule(p)
     assert s.duration == pytest.approx(2 * p.tau_d + p.t_c)
     # amplitude reaches full scale after tau_g and is zero at the ends
     assert s.omega(0.0) == 0.0
@@ -212,8 +213,11 @@ def test_smooth_schedule_merged_ramps():
     # each amplitude ramp is a segment of its own; a zero-length
     # full-amplitude piece is omitted like a zero-length hold
     assert [seg.label for seg in s.segments] == ["ramp-in", "det-down", "hold", "det-up", "ramp-out"]
-    flush = build_smooth_schedule(reference_params(tau_g=p.tau_d, t_c=0.0), merge_ramps=True)
+    flush = build_smooth_schedule(reference_params(tau_g=p.tau_d, t_c=0.0, merge_ramps=True))
     assert [seg.label for seg in flush.segments] == ["ramp-in", "ramp-out"]
+    # merged ramps need tau_g <= tau_d, checked when the gate is described
+    with pytest.raises(ParameterError, match="merged ramps"):
+        reference_params(tau_g=2 * p.tau_d, merge_ramps=True)
 
 
 @st.composite
@@ -232,7 +236,9 @@ def smooth_params(draw):
 @given(p=smooth_params(), merge=st.booleans(),
        x=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
 def test_smooth_schedule_symmetric_and_built_from_the_ramps(p, merge, x):
-    s = build_smooth_schedule(p, merge_ramps=merge)
+    p = replace(p, merge_ramps=merge)
+    s = build_smooth_schedule(p)
+    assert s.duration == pytest.approx(p.duration, rel=1e-12)
     t = np.array(x) * s.duration
     mirror = s.duration - t
     assert np.allclose(s.omega(mirror), s.omega(t), rtol=0.0, atol=1e-9 * p.omega_g)
@@ -302,7 +308,10 @@ def test_schedule_rejects_discontinuity():
 
 def test_carrier_envelope_and_inversion():
     p = reference_params()
-    s = build_smooth_schedule(p, carrier_rabi=TWO_PI * 80e3)
+    gate = build_smooth_schedule(p)
+    carrier = CarrierDrive(rabi=TWO_PI * 80e3, start=p.tau_g, stop=gate.duration - p.tau_g,
+                           invert_at=gate.duration / 2)
+    s = PulseSchedule(gate.segments, carrier=carrier)
     c = s.carrier
     assert isinstance(c, CarrierDrive)
     assert c.amplitude(0.0) == 0.0

@@ -393,7 +393,7 @@ def test_adiabatic_quantities_match_finite_differences(tau_d):
     p = reference_params(tau_d=tau_d)
     _, peak = finite_difference_adiabatic(build_smooth_schedule(p), 4001)
     for merge in (False, True):
-        sched = build_smooth_schedule(p, merge_ramps=merge)
+        sched = build_smooth_schedule(dataclasses.replace(p, merge_ramps=merge))
         total, _ = finite_difference_adiabatic(sched, 400001)
         assert gate_angle_adiabatic(sched).total == pytest.approx(total, rel=1e-11)
         assert adiabaticity_profile(sched).peak == pytest.approx(peak, rel=0.01)
@@ -415,6 +415,9 @@ def test_reference_omega_calibration():
     assert exact.omega_g == pytest.approx(solved.omega_g, rel=0.02)
     sched = build_smooth_schedule(exact)
     assert abs(gate_angle_exact(sched)) == pytest.approx(np.pi / 2, rel=1e-6)
+    # a merged-ramp gate calibrates on its own, shorter schedule
+    merged = calibrate_omega(reference_params(merge_ramps=True), use="exact")
+    assert gate_angle_exact(build_smooth_schedule(merged)) == pytest.approx(-np.pi / 2, rel=1e-12)
 
 
 def test_adiabatic_omega_calibration_judges_the_solved_gate():

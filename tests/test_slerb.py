@@ -327,7 +327,7 @@ def test_full_model_dataset_builds_blocks_once(monkeypatch):
         raise AssertionError("the full model must not step the propagator")
 
     monkeypatch.setattr(quantum, "propagate", forbidden)
-    monkeypatch.setattr(quantum, "_step_unitary", forbidden)
+    monkeypatch.setattr(quantum, "_propagate_split_step", forbidden)
     calls = {"blocks": 0, "auto": 0}
     build_blocks, auto = slerb.gate_propagator, FockConfig.auto.__func__
 
@@ -584,7 +584,7 @@ def test_fit_requires_three_lengths():
         fit_decays(data)
     full = exact_model_dataset(1e-4, 1e-4, [2, 50, 100, 400])
     with pytest.raises(GridError):
-        fit_decays(full, max_n=60)
+        fit_decays(full.truncated(60))
 
 
 def test_inject_recover_unbiased_over_trials():
@@ -617,9 +617,8 @@ def test_fit_residuals_sit_at_shot_noise():
 def test_truncation_is_flat_on_markovian_data():
     d = collect_dataset([2, 50, 150, 400, 900], n_sequences=50, shots=100,
                         model=ParametricModel(2e-3, 1e-3), seed=31)
-    vals = np.array([fit_decays(d, max_n=m).eps_2q for m in (150, 400, 900)])
+    vals = np.array([fit_decays(d.truncated(m)).eps_2q for m in (150, 400, 900)])
     assert np.ptp(vals) < 0.1 * vals.mean()
-    assert fit_decays(d, max_n=150).max_n == 150
 
 
 def test_decay_fit_validation_and_eps2q():
