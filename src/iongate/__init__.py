@@ -38,5 +38,5 @@ from .semiclassical import (BranchTrajectory, adiabaticity_profile, branch_endpo
 from .slerb import (DecayFit, FullScheduleModel, IdealModel, ParametricModel,
                     SlerbDataset, SlerbSequence, SubspaceClifford,
                     bootstrap_ci, clifford_table, collect_dataset,
-                    error_per_gate, fit_decays, generate_sequence,
-                    mean_gates_per_clifford, simulate_sequence)
+                    fit_decays, generate_sequence, mean_gates_per_clifford,
+                    simulate_sequence)

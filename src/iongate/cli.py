@@ -50,7 +50,7 @@ their sign.  Every comma list needs at least one value.
   name    one of: filterfn, calibration-scan, offset-scan, thermal-sweep,
           slerb, walsh-compare, trajectory          (required)
   output  output file name, written under --output-dir   (required)
-  seed    integer RNG seed, overridden by --seed         (default 0)
+  seed    integer RNG seed >= 0, overridden by --seed    (default 0)
 
 [smooth]          five-step adiabatic gate (needed when a scenario uses it)
   delta_max_hz    signed starting detuning, e.g. -400e3  (required)
@@ -588,6 +588,8 @@ def _load_config(path: str) -> tuple[_Config, str, bytes]:
     if name not in _PARSERS:
         raise ConfigError(f"{path}: unknown scenario {name!r}")
     cfg.text("scenario", "output", required=True)
+    if cfg.integer("scenario", "seed", 0) < 0:
+        raise ConfigError(f"{path}: seed in [scenario] must be >= 0")
     return cfg, name, raw
 
 
@@ -595,6 +597,8 @@ def run_scenario(config_path: str, output_dir: str = ".", seed: int | None = Non
                  quiet: bool = False) -> list[str]:
     """Execute one scenario; returns the list of files written."""
     cfg, name, raw = _load_config(config_path)
+    if seed is not None and seed < 0:
+        raise ConfigError("--seed must be >= 0")
     effective_seed = seed if seed is not None else cfg.integer("scenario", "seed", 0)
     output_name = cfg.text("scenario", "output", required=True)
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -65,19 +65,6 @@ class FilterFunction:
             raise ParameterError("filter function components must be >= 0")
         if not np.allclose(self.total, self.displacement + self.angle, rtol=1e-12, atol=0):
             raise ParameterError("total must equal displacement + angle")
-
-    def to_table(self) -> dict[str, np.ndarray]:
-        return {
-            "omega_rad_s": self.omega,
-            "S_total": self.total,
-            "S_disp": self.displacement,
-            "S_angle": self.angle,
-        }
-
-
-def cosine_mode_error(amplitude: float, omega: float, phase: float = 0.0) -> Callable[[np.ndarray], np.ndarray]:
-    """Closed-form eps(t) = amplitude*cos(omega*t + phase) for injection tests."""
-    return lambda t: amplitude * np.cos(omega * np.asarray(t, dtype=float) + phase)
 
 
 def default_omega_grid(schedule: PulseSchedule | None = None, n: int = 400) -> np.ndarray:

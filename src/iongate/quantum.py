@@ -115,9 +115,6 @@ class CompositeState:
         probs = np.sum(np.abs(self.block()) ** 2, axis=1)
         return dict(zip(SPIN_LABELS, probs.tolist()))
 
-    def fock_populations(self) -> np.ndarray:
-        return np.sum(np.abs(self.block()) ** 2, axis=0)
-
     def reduced_spin_density(self) -> np.ndarray:
         b = self.block()
         return b @ b.conj().T
@@ -185,17 +182,6 @@ class GateOutcome:
             raise ParameterError("spin populations must sum to 1 within 1e-9")
         if not -1e-9 <= self.fidelity <= 1.0 + 1e-9:
             raise ParameterError("fidelity must lie in [0, 1]")
-
-    def to_table(self) -> dict[str, float]:
-        return {
-            "p_uu": self.p_uu,
-            "p_dd": self.p_dd,
-            "p_odd": self.p_odd,
-            "fidelity": self.fidelity,
-            "spin_purity": self.spin_purity,
-            "gate_angle_rad": self.gate_angle,
-            "nbar": self.nbar,
-        }
 
 
 def gate_eigenbasis(basis_phase: float = 0.0) -> np.ndarray:

@@ -169,11 +169,6 @@ def walsh_function(order: int, m: int) -> int:
     return -1 if bin(order & m).count("1") % 2 else 1
 
 
-def walsh_sequence(loops: int) -> np.ndarray:
-    """Sign sequence of the order-(K-1) Walsh function over K loops."""
-    return np.array([walsh_function(loops - 1, m) for m in range(loops)], dtype=float)
-
-
 def _x_minus_sin(x: np.ndarray) -> np.ndarray:
     """x - sin(x) for x >= 0, from its Taylor series where it cancels (x < 1)."""
     x2 = x * x
@@ -184,28 +179,16 @@ def _x_minus_sin(x: np.ndarray) -> np.ndarray:
 
 
 def _ramp_magnitude(tau_d: float, abs_max: float, abs_min: float, j: int, t: np.ndarray) -> np.ndarray:
+    """|delta| = (b + c*g(t))^(-1/j) on the down ramp, |delta_max| at t=0 to |delta_min| at tau_d.
+
+    g(t) = t/2 - (tau_d/4pi)*sin(2*pi*t/tau_d), b = |delta_max|^(-j) and
+    c = (2/tau_d)*(|delta_min|^(-j) - |delta_max|^(-j)) make delta and its
+    first derivative continuous at the ramp boundaries.
+    """
     b = abs_max ** (-j)
     c = (2.0 / tau_d) * (abs_min ** (-j) - abs_max ** (-j))
     g = (tau_d / (2.0 * TWO_PI)) * _x_minus_sin(TWO_PI * t / tau_d)
     return (b + c * g) ** (-1.0 / j)
-
-
-def eval_detuning_ramp(p: SmoothGateParams, t) -> np.ndarray | float:
-    """Detuning on the down ramp, delta_max at t=0 to delta_min at t=tau_d.
-
-    The magnitude follows (b + c*g(t))^(-1/j) with
-    g(t) = t/2 - (tau_d/4pi)*sin(2*pi*t/tau_d), b = |delta_max|^(-j) and
-    c = (2/tau_d)*(|delta_min|^(-j) - |delta_max|^(-j)), which makes both
-    delta and its first derivative continuous at the ramp boundaries.  The
-    shared sign of the detunings is applied afterwards.
-    """
-    arr, scalar = _as_array(t)
-    tol = _EDGE_TOL * p.tau_d
-    if np.any(arr < -tol) or np.any(arr > p.tau_d + tol):
-        raise DomainError("ramp time outside [0, tau_d]")
-    arr = np.clip(arr, 0.0, p.tau_d)
-    out = p.sign * _ramp_magnitude(p.tau_d, abs(p.delta_max), abs(p.delta_min), p.j, arr)
-    return float(out) if scalar else out
 
 
 def eval_amplitude_ramp(tau_g: float, omega_g: float, t, direction: str = "up") -> np.ndarray | float:
@@ -395,19 +378,6 @@ class PulseSchedule:
         """Drive detuning delta(t) in rad/s."""
         return self._eval(t, "delta")
 
-    def drive_sign(self, t):
-        """Walsh drive sign (+1/-1) as a function of time."""
-        arr, scalar = _as_array(t)
-        idx, _ = self._locate(np.atleast_1d(arr))
-        signs = np.array([s.sign for s in self.segments])
-        out = signs[idx]
-        return float(out[0]) if scalar else out.reshape(arr.shape)
-
-    def phase(self, t):
-        """Drive phase offset in rad: 0 where the sign is +1, pi where -1."""
-        s = self.drive_sign(t)
-        return np.where(np.asarray(s) < 0, np.pi, 0.0) if np.ndim(s) else (np.pi if s < 0 else 0.0)
-
     def max_abs_delta(self) -> float:
         return max(s.max_abs_delta() for s in self.segments)
 
@@ -418,18 +388,6 @@ class PulseSchedule:
         segs = [s.shifted(offset) for s in self.segments]
         return PulseSchedule(segs, carrier=self.carrier,
                              label=f"{self.label}+offset" if self.label else "offset")
-
-    def sample(self, n: int = 2001) -> dict[str, np.ndarray]:
-        """Uniform sampling for export: t_s, omega_rad_s, delta_rad_s, phase_rad."""
-        if n < 2:
-            raise ParameterError("need at least two samples")
-        t = np.linspace(0.0, self.duration, n)
-        return {
-            "t_s": t,
-            "omega_rad_s": np.atleast_1d(self.omega(t)),
-            "delta_rad_s": np.atleast_1d(self.delta(t)),
-            "phase_rad": np.atleast_1d(self.phase(t)),
-        }
 
 
 def build_smooth_schedule(p: SmoothGateParams) -> PulseSchedule:

@@ -66,10 +66,10 @@ ADIABATICITY_WARN = 0.3
 class BranchTrajectory:
     """Sampled c-number trajectory of one spin branch.
 
-    ``gamma`` is the dimensionless displacement in the stated ``frame``
-    ("rotating" excludes the free evolution exp(-i*eta*n); "interaction"
-    includes it).  ``theta`` is the accumulated geometric phase of this
-    branch; null branches carry gamma = theta = 0 identically.
+    ``gamma`` is the dimensionless displacement in the frame co-rotating
+    with eta (it excludes the free evolution exp(-i*eta*n)).  ``theta`` is
+    the accumulated geometric phase of this branch; null branches carry
+    gamma = theta = 0 identically.
     """
 
     t: np.ndarray = field(repr=False)
@@ -77,7 +77,6 @@ class BranchTrajectory:
     eta: np.ndarray = field(repr=False)
     theta: np.ndarray = field(repr=False)
     branch_eigenvalue: float = 1.0
-    frame: str = "rotating"
 
     @property
     def gamma_end(self) -> complex:
@@ -102,32 +101,9 @@ class BranchTrajectory:
         }
 
 
-def to_interaction_frame(traj: BranchTrajectory) -> BranchTrajectory:
-    """Undo the detuning-phase rotation: gamma -> gamma * exp(-i*eta).
-
-    In the interaction frame an adiabatically followed displacement hugs
-    the slowly moving equilibrium point; no-op if already there.
-    """
-    if traj.frame == "interaction":
-        return traj
-    return replace(traj, gamma=traj.gamma * np.exp(-1j * traj.eta), frame="interaction")
-
-
-def to_rotating_frame(traj: BranchTrajectory) -> BranchTrajectory:
-    """Apply the detuning-phase rotation: gamma -> gamma * exp(+i*eta).
-
-    A constant interaction-frame displacement maps onto a circle of the
-    same modulus (spiral for a slowly varying one); no-op if already in
-    the rotating frame.  Rotations preserve |gamma| pointwise.
-    """
-    if traj.frame == "rotating":
-        return traj
-    return replace(traj, gamma=traj.gamma * np.exp(1j * traj.eta), frame="rotating")
-
-
-def _segment_grid(seg: Segment, min_points: int = 33) -> np.ndarray:
+def _segment_grid(seg: Segment) -> np.ndarray:
     per = TWO_PI / max(seg.max_abs_delta(), 1.0 / seg.duration)
-    n = max(min_points, int(math.ceil(GRID_POINTS_PER_PERIOD * seg.duration / per)) + 1)
+    n = max(33, int(math.ceil(GRID_POINTS_PER_PERIOD * seg.duration / per)) + 1)
     return np.linspace(0.0, seg.duration, n)
 
 

@@ -273,11 +273,12 @@ class ParametricModel:
 class FullScheduleModel:
     """Drive every compiled gate through the exact quantum propagator.
 
-    The schedule must be calibrated to the -pi/2 gate angle and carry no
-    carrier (ParameterError): one set of :func:`gate_propagator` blocks,
-    built once per Fock cutoff, serves all four generator bases, and an
-    aligned carrier's phase would depend on the basis.  The mode starts
-    in |0>.
+    The schedule must be calibrated to a gate angle of -pi/2 or +pi/2: the
+    +pi/2 generators are the -pi/2 ones conjugated by Z, which fixes |uu>
+    and the z readout.  It must carry no carrier (ParameterError): one set
+    of :func:`gate_propagator` blocks, built once per Fock cutoff, serves
+    all four generator bases, and an aligned carrier's phase would depend
+    on the basis.  The mode starts in |0>.
     """
 
     schedule: PulseSchedule
@@ -478,6 +479,8 @@ class SlerbDataset:
             raise ParameterError("shot counts must sum to shots in every row")
         if min(self.n_survival.min(), self.n_flip.min(), self.n_leak.min()) < 0:
             raise ParameterError("negative shot count")
+        if self.n.min() < 1:
+            raise ParameterError("sequence lengths must be >= 1")
 
     @property
     def lengths(self) -> np.ndarray:
@@ -517,8 +520,10 @@ class SlerbDataset:
 
     @classmethod
     def from_columns(cls, n, sequence_id, shots, n_survival, n_flip, n_leak):
-        return cls(*(np.asarray(c, dtype=int) for c in (
-            n, sequence_id, shots, n_survival, n_flip, n_leak)))
+        cols = [np.asarray(c) for c in (n, sequence_id, shots, n_survival, n_flip, n_leak)]
+        if not all(np.all((c == np.round(c)) & (np.abs(c) < 2.0 ** 53)) for c in cols):
+            raise ParameterError("dataset cells must be finite integers")
+        return cls(*(c.astype(int) for c in cols))
 
 
 def collect_dataset(lengths: Sequence[int], n_sequences: int, shots: int,
@@ -560,7 +565,6 @@ class DecayFit:
     eps_leak: float
     eps_flip: float
     eps_2q: float
-    ci: dict[str, tuple[float, float]] | None = None
 
     def __post_init__(self):
         for name in ("eps_rb", "eps_leak", "eps_flip"):
@@ -573,11 +577,6 @@ class DecayFit:
 
 def _eps_2q(eps_rb: float, eps_leak: float) -> float:
     return (1.2 * eps_rb + 0.8 * eps_leak) / GATES_PER_CLIFFORD_REPORTING
-
-
-def error_per_gate(fit: DecayFit) -> float:
-    """Average per-gate error from the fitted per-Clifford rates."""
-    return _eps_2q(fit.eps_rb, fit.eps_leak)
 
 
 def _gauss_newton_power(n, y, variance_fn, forward, jacobian, x0, lo, hi):

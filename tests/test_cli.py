@@ -557,11 +557,28 @@ def test_seed_flag_overrides_config(tmp_path):
     assert not np.array_equal(cols_a["n_survival"], cols_b["n_survival"])
 
 
+def test_negative_seed_flag_is_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, SLERB_PARAMETRIC)
+    assert cli.main(["run", path, "--output-dir", str(tmp_path / "out"),
+                     "--seed", "-1", "--quiet"]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# three well-formed lengths: a run on them fits, so only the row appended can fail it
+SLERB_ROWS = ("N,sequence_id,shots,n_survival,n_flip,n_leak\n"
+              "2,0,100,95,3,2\n20,0,100,80,12,8\n60,0,100,60,25,15\n")
+
+
 @pytest.mark.parametrize("body", ["N,sequence_id,shots,n_survival,n_flip,n_leak\n"
                                   "2,0,100,90,5,5\n2,1,100,90\n",
                                   "N,sequence_id,shots,n_survival,n_flip,n_leak\n"
-                                  "2,0,100,ninety,5,5\n"],
-                         ids=["short-row", "non-numeric-cell"])
+                                  "2,0,100,ninety,5,5\n",
+                                  SLERB_ROWS + "2.5,1,100,90,5,5\n",
+                                  SLERB_ROWS + "nan,1,100,90,5,5\n",
+                                  SLERB_ROWS + "0,1,100,90,5,5\n"],
+                         ids=["short-row", "non-numeric-cell", "fractional-length",
+                              "nan-length", "zero-length"])
 def test_run_slerb_malformed_input_is_config_error(tmp_path, capsys, body):
     (tmp_path / "bad.csv").write_text(body)
     path = write_config(tmp_path, f"""\
@@ -595,7 +612,8 @@ def test_non_finite_config_number_is_config_error(tmp_path, capsys, text, value)
     FULL_MODEL.format(lengths="1,4").replace("[walsh]\n    loops = 1\n    omega_hz = 20e3\n", ""),
     FULL_MODEL.format(lengths="1,4").replace("model = full", "model = bogus"),
     WALSH_COMPARE.replace("loops = 1,2,4", "loops = 1,3"),
-], ids=["full-without-walsh", "unknown-model", "walsh-compare-three-loops"])
+    set_key(SLERB_PARAMETRIC, "seed", "-3"),
+], ids=["full-without-walsh", "unknown-model", "walsh-compare-three-loops", "negative-seed"])
 def test_validate_agrees_with_run(tmp_path, capsys, text):
     path = write_config(tmp_path, text)
     assert cli.main(["validate", path, "--quiet"]) == 1

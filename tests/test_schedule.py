@@ -24,9 +24,7 @@ from iongate.schedule import (
     build_smooth_schedule,
     build_walsh_schedule,
     eval_amplitude_ramp,
-    eval_detuning_ramp,
     walsh_function,
-    walsh_sequence,
 )
 from iongate.semiclassical import AdiabaticityProfile, adiabaticity_profile
 
@@ -39,6 +37,11 @@ def reference_params(**overrides) -> SmoothGateParams:
               omega_g=TWO_PI * 6e3, tau_g=5e-6, tau_d=100e-6, t_c=15.8e-6, j=3)
     kw.update(overrides)
     return SmoothGateParams(**kw)
+
+
+def eval_detuning_ramp(p: SmoothGateParams, t):
+    """Detuning of the down ramp as built: the det-down segment of the unmerged gate."""
+    return build_smooth_schedule(replace(p, merge_ramps=False)).segments[1].delta(t)
 
 
 # ---------------------------------------------------------------------------
@@ -116,11 +119,11 @@ def test_detuning_ramp_flat_boundaries():
 
 
 def test_detuning_ramp_domain_and_parameter_errors():
-    p = reference_params()
+    s = build_smooth_schedule(reference_params())
     with pytest.raises(DomainError):
-        eval_detuning_ramp(p, -1e-6)
+        s.delta(-1e-6)
     with pytest.raises(DomainError):
-        eval_detuning_ramp(p, p.tau_d + 1e-6)
+        s.delta(s.duration + 1e-6)
     with pytest.raises(ParameterError):
         reference_params(delta_min=TWO_PI * 21.7e3)  # sign mismatch
     with pytest.raises(ParameterError):
@@ -166,7 +169,7 @@ def test_walsh_function_values():
 def test_walsh_sequence_flip_count():
     # number of drive-phase flips = sign changes in the sequence
     for loops, flips in [(1, 0), (2, 1), (4, 2), (8, 5)]:
-        seq = walsh_sequence(loops)
+        seq = np.array(WalshGateParams(loops, -TWO_PI * 20e3, TWO_PI * 5e3).signs)
         assert int(np.sum(seq[1:] != seq[:-1])) == flips
 
 
@@ -229,7 +232,27 @@ def smooth_params(draw):
         delta_max=delta_max, delta_min=delta_max * draw(st.floats(0.01, 0.9)),
         omega_g=TWO_PI * 1e3 * draw(st.floats(1.0, 20.0)), tau_g=tau_g,
         tau_d=tau_g * draw(st.one_of(st.just(1.0), st.floats(1.0, 30.0))),
-        t_c=draw(st.one_of(st.just(0.0), st.floats(0.0, 50e-6))), j=draw(st.integers(1, 5)))
+        t_c=draw(st.one_of(st.just(0.0), st.floats(0.0, 50e-6))), j=draw(st.integers(1, 6)))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(p=smooth_params(), merge=st.booleans())
+def test_smooth_schedule_continuous_bounded_and_mirror_symmetric(p, merge):
+    p = replace(p, merge_ramps=merge)
+    s = build_smooth_schedule(p)
+    assert s.duration == pytest.approx(p.duration, rel=1e-12)  # the segment sum rounds differently
+    for left, right in zip(s.segments[:-1], s.segments[1:]):
+        end, start = np.array([left.duration]), np.array([0.0])
+        assert left.omega(end)[0] == pytest.approx(right.omega(start)[0], rel=0.0, abs=1e-9 * p.omega_g)
+        assert left.delta(end)[0] == pytest.approx(right.delta(start)[0], rel=1e-9)
+    t = np.linspace(0.0, s.duration, 4001)
+    om, de = s.omega(t), s.delta(t)
+    assert np.all(om >= 0.0) and np.all(om <= p.omega_g * (1 + 1e-12))
+    assert np.all(np.sign(de) == p.sign)
+    assert np.all(np.abs(de) >= abs(p.delta_min) * (1 - 1e-12))
+    assert np.all(np.abs(de) <= abs(p.delta_max) * (1 + 1e-12))
+    assert np.allclose(s.omega(s.duration - t), om, rtol=0.0, atol=1e-9 * p.omega_g)
+    assert np.allclose(s.delta(s.duration - t), de, rtol=1e-9, atol=0.0)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -265,9 +288,8 @@ def test_walsh_schedule_layout():
     p = WalshGateParams(loops=2, delta_g=-TWO_PI * 20e3, omega_g=TWO_PI * 5e3)
     s = build_walsh_schedule(p)
     assert s.duration == pytest.approx(2 * TWO_PI / abs(p.delta_g))
-    assert s.drive_sign(0.25 * s.duration) == 1.0
-    assert s.drive_sign(0.75 * s.duration) == -1.0
-    assert s.phase(0.75 * s.duration) == pytest.approx(np.pi)
+    assert [seg.sign for seg in s.segments] == [1.0, -1.0]
+    assert s.boundaries[1] == pytest.approx(0.5 * s.duration)
     assert s.omega(0.3 * s.duration) == pytest.approx(p.omega_g)
 
 
@@ -285,9 +307,9 @@ def test_walsh_calibrated_duration():
 
 def test_schedule_sampling_and_offset():
     s = build_walsh_schedule(WalshGateParams.calibrated(2, TWO_PI * 5e3))
-    table = s.sample(101)
-    assert set(table) == {"t_s", "omega_rad_s", "delta_rad_s", "phase_rad"}
-    assert table["t_s"][0] == 0.0 and table["t_s"][-1] == pytest.approx(s.duration)
+    t = np.linspace(0.0, s.duration, 101)
+    assert s.omega(t).shape == s.delta(t).shape == (101,)
+    assert np.all(s.delta(t) == s.segments[0].const_delta)
     off = s.with_detuning_offset(TWO_PI * 500.0)
     assert off.delta(0.3 * s.duration) - s.delta(0.3 * s.duration) == pytest.approx(TWO_PI * 500.0)
     assert off.segments[0].is_constant

@@ -28,10 +28,8 @@ from iongate.schedule import (
     build_smooth_schedule,
     build_walsh_schedule,
     eval_amplitude_ramp,
-    eval_detuning_ramp,
 )
 from iongate.semiclassical import (
-    BranchTrajectory,
     adiabaticity_profile,
     branch_endpoints,
     calibrate_delta_min,
@@ -42,8 +40,6 @@ from iongate.semiclassical import (
     perturbative_infidelity,
     propagate_displacement,
     spin_variances,
-    to_interaction_frame,
-    to_rotating_frame,
 )
 
 TWO_PI = 2 * np.pi
@@ -147,11 +143,12 @@ def kinked_merged_schedule(p):
         return np.where(u < p.tau_g, eval_amplitude_ramp(p.tau_g, p.omega_g, np.minimum(u, p.tau_g)),
                         p.omega_g)
 
-    segs = [Segment(p.tau_d, omega_in, lambda u: eval_detuning_ramp(p, u), label="ramp-in"),
+    ramp = build_smooth_schedule(dataclasses.replace(p, merge_ramps=False)).segments[1].delta
+    segs = [Segment(p.tau_d, omega_in, ramp, label="ramp-in"),
             Segment(p.t_c, lambda u: np.full_like(u, p.omega_g), lambda u: np.full_like(u, p.delta_min),
                     const_omega=p.omega_g, const_delta=p.delta_min, label="hold"),
             Segment(p.tau_d, lambda u: omega_in(p.tau_d - u),
-                    lambda u: eval_detuning_ramp(p, p.tau_d - u), label="ramp-out")]
+                    lambda u: ramp(p.tau_d - u), label="ramp-out")]
     return PulseSchedule(segs)
 
 
@@ -459,38 +456,6 @@ def test_adiabatic_phase_consistency_sweep():
         peak = adiabaticity_profile(sched).peak
         ratios.append(abs(th_num - th_ad) / (peak * abs(th_ad)))
     assert max(ratios) < 10.0
-
-
-# ---------------------------------------------------------------------------
-# frames
-
-
-def test_frame_maps_identity_and_circle():
-    t = np.linspace(0, 1e-4, 101)
-    flat = BranchTrajectory(t=t, gamma=np.full_like(t, 0.3, dtype=complex),
-                            eta=np.zeros_like(t), theta=np.zeros_like(t),
-                            branch_eigenvalue=2.0, frame="interaction")
-    rot = to_rotating_frame(flat)
-    assert np.allclose(rot.gamma, flat.gamma)  # eta = 0 -> identity
-
-    de = -TWO_PI * 20e3
-    circ_in = BranchTrajectory(t=t, gamma=np.full_like(t, 0.3, dtype=complex),
-                               eta=de * t, theta=np.zeros_like(t),
-                               branch_eigenvalue=2.0, frame="interaction")
-    circ = to_rotating_frame(circ_in)
-    assert np.allclose(np.abs(circ.gamma), 0.3)
-    assert np.ptp(np.angle(circ.gamma)) > np.pi  # sweeps around
-
-
-def test_frame_roundtrip_preserves_modulus():
-    sched = build_smooth_schedule(reference_params())
-    traj = propagate_displacement(sched, 2.0)
-    inter = to_interaction_frame(traj)
-    assert np.allclose(np.abs(inter.gamma), np.abs(traj.gamma), atol=1e-14)
-    assert abs(inter.gamma[-1]) == pytest.approx(abs(traj.gamma_end), abs=1e-15)
-    back = to_rotating_frame(inter)
-    assert np.allclose(back.gamma, traj.gamma, atol=1e-14)
-    assert to_rotating_frame(traj) is traj
 
 
 # ---------------------------------------------------------------------------

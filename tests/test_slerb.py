@@ -27,7 +27,6 @@ from iongate.slerb import (
     clifford_group,
     clifford_table,
     collect_dataset,
-    error_per_gate,
     find_clifford,
     fit_decays,
     generate_sequence,
@@ -249,6 +248,18 @@ def test_full_schedule_sequences_survive_at_gate_numerics_level():
         assert probs[0] > 1.0 - 1e-6
         counts = simulate_sequence(seq, model, shots=40, seed=seed)
         assert counts == (40, 0, 0)
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["minus-half-pi", "plus-half-pi"])
+def test_full_model_admits_either_gate_handedness(sign):
+    # delta_g = -2*Omega is the calibrated -pi/2 one-loop gate, +2*Omega its +pi/2 mirror
+    omega = TWO_PI * 5e3
+    model = FullScheduleModel(build_walsh_schedule(WalshGateParams(1, sign * 2.0 * omega, omega)))
+    seqs = [generate_sequence(n, seed=s) for n in (1, 4, 16) for s in range(6)]
+    assert {q.expected_state for q in seqs} == {"uu", "dd"}
+    pops = model.spin_populations(seqs)
+    kept = [row[0 if q.expected_state == "uu" else 3] for row, q in zip(pops, seqs)]
+    assert min(kept) >= 1.0 - 1e-12
 
 
 def test_wrong_inverter_raises_convergence_error():
@@ -509,6 +520,8 @@ def test_collect_dataset_makes_one_model_call(monkeypatch, kind):
 def test_dataset_validation():
     with pytest.raises(ParameterError):
         SlerbDataset.from_columns([2, 2], [0, 1], [10, 10], [9, 9], [1, 2], [0, 0])
+    with pytest.raises(ParameterError, match="lengths"):
+        SlerbDataset.from_columns([0, 2], [0, 0], [10, 10], [9, 9], [1, 1], [0, 0])
     data = SlerbDataset.from_columns([2, 2, 8, 8], [0, 1, 0, 1], [10] * 4,
                                      [9, 10, 7, 8], [1, 0, 2, 1], [0, 0, 1, 1])
     assert list(data.lengths) == [2, 8]
@@ -519,6 +532,15 @@ def test_dataset_validation():
     assert list(short.lengths) == [2]
     with pytest.raises(GridError):
         data.truncated(1)
+
+
+@pytest.mark.parametrize("column", [0, 3], ids=["N", "n_survival"])
+@pytest.mark.parametrize("bad", [0.5, np.nan, np.inf], ids=["fractional", "nan", "inf"])
+def test_dataset_rejects_non_integral_cells(column, bad):
+    cols = [[2, 8, 20], [0, 0, 0], [10] * 3, [9, 8, 7], [1, 1, 2], [0, 1, 1]]
+    cols[column][1] += bad
+    with pytest.raises(ParameterError):
+        SlerbDataset.from_columns(*cols)
 
 
 def test_collect_dataset_shapes_and_determinism():
@@ -628,9 +650,9 @@ def test_decay_fit_validation_and_eps2q():
         DecayFit(eps_rb=1e-3, eps_leak=0.0, eps_flip=1e-3, eps_2q=1e-3)
     fit = DecayFit(eps_rb=1e-3, eps_leak=0.0, eps_flip=1e-3,
                    eps_2q=(1.2e-3) * 6 / 13)
-    assert error_per_gate(fit) == pytest.approx(5.538e-4, rel=1e-3)
+    assert fit.eps_2q == pytest.approx(5.538e-4, rel=1e-3)
     zero = DecayFit(0.0, 0.0, 0.0, 0.0)
-    assert error_per_gate(zero) == 0.0
+    assert zero.eps_2q == 0.0
     near_paper = DecayFit(eps_rb=1.5e-4, eps_leak=8e-5, eps_flip=1.5e-4,
                           eps_2q=(1.2 * 1.5e-4 + 0.8 * 8e-5) * 6 / 13)
     assert near_paper.eps_2q == pytest.approx(1.13e-4, rel=0.02)
