@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 from .errors import (ConfigError, ConvergenceError, DomainError, GridError,
                      ParameterError, TruncationError)
 from .filterfn import (DEFAULT_VARIANCES, FilterFunction, PowerLawPsd,
-                       SampledPsd, default_omega_grid, filter_function_numeric,
+                       SampledPsd, filter_function_numeric,
                        filter_function_walsh_analytic, noise_infidelity_integral)
 from .quantum import (BRANCH_EIGENVALUES, SPIN_LABELS, CalibrationScan,
                       CompositeState, FockConfig, GateOutcome, OffsetScan,

@@ -386,6 +386,10 @@ def _parse_filterfn(cfg: _Config):
         raise ConfigError(f"{cfg.path}: bad filter-function frequency grid")
     if min(nbars) < 0:
         raise ConfigError(f"{cfg.path}: nbars in [filterfn] must be >= 0")
+    # output columns are keyed by f"{value:g}", so a repeat would collapse
+    for key, values in (("nbars", nbars), ("walsh_orders", orders)):
+        if len({f"{v:g}" for v in values}) < len(values):
+            raise ConfigError(f"{cfg.path}: {key} in [filterfn] repeats a value")
     omega = np.geomspace(lo, hi, points)
     walsh = {order: WalshGateParams.calibrated(order + 1, params.omega_g) for order in orders}
 

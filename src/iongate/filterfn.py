@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .errors import GridError, ParameterError
-from .schedule import TWO_PI, PulseSchedule, WalshGateParams, build_walsh_schedule
+from .schedule import TWO_PI, PulseSchedule, WalshGateParams
 from .semiclassical import SpinStateVariances, propagate_displacement
 
 # Variances of the bright-state input |up,up> in the gate basis, the
@@ -56,41 +55,12 @@ class FilterFunction:
     total: np.ndarray = field(repr=False)
     displacement: np.ndarray = field(repr=False)
     angle: np.ndarray = field(repr=False)
-    nbar: float = 0.0
-    variances: SpinStateVariances = DEFAULT_VARIANCES
-    label: str = ""
 
     def __post_init__(self):
         if np.any(self.displacement < 0) or np.any(self.angle < 0):
             raise ParameterError("filter function components must be >= 0")
         if not np.allclose(self.total, self.displacement + self.angle, rtol=1e-12, atol=0):
             raise ParameterError("total must equal displacement + angle")
-
-
-def default_omega_grid(schedule: PulseSchedule | None = None, n: int = 400) -> np.ndarray:
-    """Logarithmic noise-frequency grid on 1e2-1e7 rad/s densified near the schedule features.
-
-    Extra points cluster around the smallest |delta| and the largest Omega
-    of the schedule, where the filter-function structure concentrates.
-    """
-    if n < 16:
-        raise ParameterError("need n >= 16")
-    lo, hi = 1e2, 1e7
-    features = []
-    if schedule is not None:
-        dmin = min(seg.max_abs_delta() if seg.is_constant else
-                   float(np.min(np.abs(seg.delta(np.linspace(0, seg.duration, 65)))))
-                   for seg in schedule.segments)
-        omax = max(float(np.max(np.abs(seg.omega(np.linspace(0, seg.duration, 65)))))
-                   for seg in schedule.segments)
-        features = [f for f in (dmin, omax) if lo < f < hi]
-    n_dense = min(48, n // 8)
-    base = np.geomspace(lo, hi, n - n_dense * len(features))
-    parts = [base]
-    for f in features:
-        parts.append(np.geomspace(max(lo, f / 3), min(hi, f * 3), n_dense))
-    grid = np.unique(np.concatenate(parts))
-    return grid
 
 
 def _trapz_weights(t: np.ndarray) -> np.ndarray:
@@ -101,17 +71,15 @@ def _trapz_weights(t: np.ndarray) -> np.ndarray:
     return w
 
 
-def _assemble(omega, a_c, a_s, t_c, t_s, nbar, variances, label) -> FilterFunction:
+def _assemble(omega, a_c, a_s, t_c, t_s, nbar, variances) -> FilterFunction:
     disp = 0.5 * (2 * nbar + 1) * variances.var_s * (np.abs(a_c) ** 2 + np.abs(a_s) ** 2)
     ang = 0.5 * variances.var_s2 * (t_c ** 2 + t_s ** 2)
-    return FilterFunction(omega=omega, total=disp + ang, displacement=disp, angle=ang,
-                          nbar=nbar, variances=variances, label=label)
+    return FilterFunction(omega=omega, total=disp + ang, displacement=disp, angle=ang)
 
 
 def filter_function_numeric(schedule: PulseSchedule, nbar: float = 0.0,
-                            variances: SpinStateVariances = DEFAULT_VARIANCES,
-                            omega: np.ndarray | None = None,
-                            **solver_kwargs) -> FilterFunction:
+                            variances: SpinStateVariances = DEFAULT_VARIANCES, *,
+                            omega: np.ndarray, **solver_kwargs) -> FilterFunction:
     """Filter function of an arbitrary schedule from the exact trajectory.
 
     The per-unit-eigenvalue gamma(t) is integrated on a grid fine enough
@@ -121,7 +89,7 @@ def filter_function_numeric(schedule: PulseSchedule, nbar: float = 0.0,
     """
     if nbar < 0:
         raise ParameterError("nbar must be >= 0")
-    om = default_omega_grid(schedule) if omega is None else np.asarray(omega, dtype=float)
+    om = np.asarray(omega, dtype=float)
     if om.ndim != 1 or om.size == 0 or np.any(om <= 0) or np.any(np.diff(om) <= 0):
         raise GridError("omega grid must be positive and strictly increasing")
     w_max = float(om[-1])
@@ -151,8 +119,7 @@ def filter_function_numeric(schedule: PulseSchedule, nbar: float = 0.0,
         a_s[blk] = s @ g
         t_c[blk] = c @ g2
         t_s[blk] = s @ g2
-    return _assemble(om, a_c, a_s, t_c, t_s, nbar, variances,
-                     label=schedule.label or "numeric")
+    return _assemble(om, a_c, a_s, t_c, t_s, nbar, variances)
 
 
 def _exp_integral(q: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -162,8 +129,8 @@ def _exp_integral(q: np.ndarray, a: float, b: float) -> np.ndarray:
 
 
 def filter_function_walsh_analytic(p: WalshGateParams, nbar: float = 0.0,
-                                   variances: SpinStateVariances = DEFAULT_VARIANCES,
-                                   omega: np.ndarray | None = None) -> FilterFunction:
+                                   variances: SpinStateVariances = DEFAULT_VARIANCES, *,
+                                   omega: np.ndarray) -> FilterFunction:
     """Closed-form filter function of a Walsh-modulated constant-drive gate.
 
     On loop m the displacement is gamma = -(W_m*Omega/2/delta)*
@@ -175,8 +142,6 @@ def filter_function_walsh_analytic(p: WalshGateParams, nbar: float = 0.0,
     """
     if nbar < 0:
         raise ParameterError("nbar must be >= 0")
-    if omega is None:
-        omega = default_omega_grid(build_walsh_schedule(p))
     om = np.asarray(omega, dtype=float)
     if om.ndim != 1 or om.size == 0 or np.any(om <= 0) or np.any(np.diff(om) <= 0):
         raise GridError("omega grid must be positive and strictly increasing")
@@ -205,7 +170,7 @@ def filter_function_walsh_analytic(p: WalshGateParams, nbar: float = 0.0,
     e_wm = _exp_integral(om - de, 0.0, t_g)
     t_c = (og ** 2 / (2 * de ** 2)) * (e_w.real - (e_wp.real + e_wm.real) / 2.0)
     t_s = (og ** 2 / (2 * de ** 2)) * (e_w.imag - (e_wp.imag + e_wm.imag) / 2.0)
-    return _assemble(om, a_c, a_s, t_c, t_s, nbar, variances, label=f"walsh{p.walsh_order}")
+    return _assemble(om, a_c, a_s, t_c, t_s, nbar, variances)
 
 
 # ---------------------------------------------------------------------------

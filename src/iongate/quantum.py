@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -122,46 +123,44 @@ class CompositeState:
 
 @dataclass(frozen=True)
 class ThermalEnsemble:
-    """Truncated, renormalized thermal distribution over initial Fock states.
+    """Thermal state of mean occupation ``nbar``.
 
-    The closed-form :func:`thermal_average` reads only ``nbar``.
+    The closed-form :func:`thermal_average` reads only ``nbar``; the
+    truncated, renormalized ``weights`` that the ``props=`` oracle sums
+    over are built on first use.
     """
 
     nbar: float
-    weights: np.ndarray
-    tail_mass: float
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
+        if not math.isfinite(self.nbar):
+            raise ParameterError("nbar must be finite")
         if self.nbar < 0:
             raise ParameterError("nbar must be >= 0")
-        if w.ndim != 1 or w.size == 0 or np.any(w < 0):
-            raise ParameterError("weights must be a non-negative 1-D array")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ParameterError("weights must sum to 1")
-        if self.tail_mass >= TAIL_MASS_LIMIT:
-            raise ParameterError("thermal tail mass exceeds 1e-6 at this truncation")
 
     @classmethod
     def build(cls, nbar: float) -> "ThermalEnsemble":
-        if nbar < 0:
-            raise ParameterError("nbar must be >= 0")
-        if nbar == 0:
-            return cls(nbar=0.0, weights=np.array([1.0]), tail_mass=0.0)
-        r = nbar / (nbar + 1.0)
+        return cls(nbar=float(nbar))
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        if self.nbar == 0:
+            return np.array([1.0])
+        r = self.nbar / (self.nbar + 1.0)
         # smallest N with residual mass r^(N+1) below the limit
         n_top = math.ceil(math.log(TAIL_MASS_LIMIT) / math.log(r)) - 1
         while r ** (n_top + 1) >= TAIL_MASS_LIMIT:
             n_top += 1
-        n = np.arange(n_top + 1)
-        w = r ** n / (nbar + 1.0)
-        tail = r ** (n_top + 1)
-        return cls(nbar=float(nbar), weights=w / w.sum(), tail_mass=float(tail))
+        w = r ** np.arange(n_top + 1) / (self.nbar + 1.0)
+        return w / w.sum()
 
     @property
     def n_states(self) -> int:
         return self.weights.size
+
+    @property
+    def tail_mass(self) -> float:
+        return (self.nbar / (self.nbar + 1.0)) ** self.n_states
 
 
 @dataclass(frozen=True)
@@ -174,7 +173,6 @@ class GateOutcome:
     fidelity: float
     spin_purity: float
     gate_angle: float
-    nbar: float = 0.0
 
     def __post_init__(self):
         total = self.p_uu + self.p_dd + self.p_odd
@@ -392,8 +390,7 @@ def _target_spin(psi0_spin: np.ndarray, schedule: PulseSchedule) -> np.ndarray:
     return basis.conj().T @ (phases * (basis @ psi0_spin))
 
 
-def _outcomes_from_densities(rho_z: np.ndarray, target: np.ndarray,
-                             nbar: float) -> list[GateOutcome]:
+def _outcomes_from_densities(rho_z: np.ndarray, target: np.ndarray) -> list[GateOutcome]:
     """One outcome per z-basis spin density in an (n, 4, 4) stack."""
     pops = np.real(np.diagonal(rho_z, axis1=1, axis2=2))
     fid = np.real(target.conj() @ rho_z @ target)
@@ -404,7 +401,7 @@ def _outcomes_from_densities(rho_z: np.ndarray, target: np.ndarray,
     angle = np.angle(coherence)
     return [GateOutcome(p_uu=float(p[0]), p_dd=float(p[3]), p_odd=float(p[1] + p[2]),
                         fidelity=min(max(float(f), 0.0), 1.0), spin_purity=float(pur),
-                        gate_angle=float(ang) if abs(c) > 1e-12 else float("nan"), nbar=nbar)
+                        gate_angle=float(ang) if abs(c) > 1e-12 else float("nan"))
             for p, f, pur, ang, c in zip(pops, fid, purity, angle, coherence)]
 
 
@@ -420,7 +417,7 @@ def outcome_from_state(state: CompositeState, psi0_spin,
     spin = np.asarray(psi0_spin, dtype=complex)
     spin = spin / np.linalg.norm(spin)
     target = _target_spin(spin, schedule)
-    return _outcomes_from_densities(state.reduced_spin_density()[None], target, nbar=0.0)[0]
+    return _outcomes_from_densities(state.reduced_spin_density()[None], target)[0]
 
 
 def _displacement_kernel(gamma_end: np.ndarray, theta_end: np.ndarray, shift: float,
@@ -471,10 +468,10 @@ def _thermal_outcomes(schedule: PulseSchedule, offsets: np.ndarray, ensembles,
         if top > TRUNCATION_GUARD:
             raise TruncationError("thermal population at the Fock cutoff exceeds 1e-8")
     outcomes = []
-    for ensemble, kernel in zip(ensembles, kernels):
+    for kernel in kernels:
         rho_eig = (spin_eig[:, None] * spin_eig.conj()[None, :]) * kernel
         rho_z = basis.conj().T @ rho_eig @ basis
-        outcomes += _outcomes_from_densities(rho_z, target, ensemble.nbar)
+        outcomes += _outcomes_from_densities(rho_z, target)
     return outcomes
 
 
@@ -527,7 +524,6 @@ class CalibrationScan:
     p_odd: np.ndarray
     fidelity: np.ndarray
     crossing: float
-    nbar: float
 
     def to_table(self) -> dict[str, np.ndarray]:
         return {
@@ -561,8 +557,7 @@ def calibration_scan(base: SmoothGateParams, delta_min_grid,
         raise ConvergenceError("delta_min grid does not bracket the balanced point")
     k = flips[0]
     crossing = grid[k] - diff[k] * (grid[k + 1] - grid[k]) / (diff[k + 1] - diff[k])
-    return CalibrationScan(delta_min=grid, crossing=float(crossing), nbar=ensemble.nbar,
-                           **cols)
+    return CalibrationScan(delta_min=grid, crossing=float(crossing), **cols)
 
 
 @dataclass(frozen=True)
@@ -574,7 +569,6 @@ class OffsetScan:
     p_dd: np.ndarray
     p_odd: np.ndarray
     fidelity: np.ndarray
-    nbar: float
 
     def to_table(self) -> dict[str, np.ndarray]:
         return {
@@ -598,4 +592,4 @@ def offset_scan(schedule: PulseSchedule, offsets, ensemble: ThermalEnsemble,
     if offs.ndim != 1 or offs.size == 0:
         raise GridError("need a 1-D array of offsets")
     outcomes = _thermal_outcomes(schedule, offs, [ensemble], psi0_spin)
-    return OffsetScan(offsets=offs, nbar=ensemble.nbar, **_outcome_columns(outcomes))
+    return OffsetScan(offsets=offs, **_outcome_columns(outcomes))

@@ -471,7 +471,6 @@ def calibrate_delta_min(p: SmoothGateParams, use: str = "exact",
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-_SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _ID2 = np.eye(2, dtype=complex)
 
 
@@ -528,7 +527,6 @@ class PerturbativeInfidelity:
 
     residual_displacement: complex
     gate_angle_error: float
-    nbar: float
     displacement: float
     angle: float
     total: float
@@ -548,7 +546,7 @@ def perturbative_infidelity(traj: BranchTrajectory,
         raise ParameterError("nbar must be >= 0")
     s = traj.branch_eigenvalue
     if s == 0.0:
-        return PerturbativeInfidelity(0.0 + 0.0j, 0.0, nbar, 0.0, 0.0, 0.0)
+        return PerturbativeInfidelity(0.0 + 0.0j, 0.0, 0.0, 0.0, 0.0)
     if callable(eps):
         e = np.asarray(eps(traj.t), dtype=float)
     else:
@@ -563,4 +561,4 @@ def perturbative_infidelity(traj: BranchTrajectory,
     disp = (2.0 * nbar + 1.0) * abs(alpha_t) ** 2 * variances.var_s
     ang = dtheta ** 2 / 4.0 * variances.var_s2
     return PerturbativeInfidelity(residual_displacement=alpha_t, gate_angle_error=dtheta,
-                                  nbar=nbar, displacement=disp, angle=ang, total=disp + ang)
+                                  displacement=disp, angle=ang, total=disp + ang)

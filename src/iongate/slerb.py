@@ -191,12 +191,9 @@ def mean_gates_per_clifford() -> float:
 class SlerbSequence:
     """A benchmarking sequence: random Cliffords plus the computed inverse."""
 
-    n: int
-    seed: int
     cliffords: tuple[int, ...]
     inverter: int
     expected_state: str
-    pauli_randomized: bool
 
     @property
     def total_gates(self) -> int:
@@ -226,9 +223,7 @@ def generate_sequence(n: int, seed: int, pauli_randomize: bool = True) -> SlerbS
     if pauli_randomize and rng.integers(0, 2):
         inverter = group.mul[group.x][inverter]
         expected = "dd"
-    return SlerbSequence(n=n, seed=seed, cliffords=draws, inverter=inverter,
-                         expected_state=expected,
-                         pauli_randomized=pauli_randomize)
+    return SlerbSequence(cliffords=draws, inverter=inverter, expected_state=expected)
 
 
 # ---------------------------------------------------------------------------

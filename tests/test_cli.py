@@ -679,6 +679,16 @@ def test_validate_and_run_agree_on_bad_scan_and_sweep_keys(tmp_path, capsys, bas
     assert_both_reject(tmp_path, capsys, set_key(base, key, value))
 
 
+@pytest.mark.parametrize("base,key,value", [(OFFSET_SCAN, "nbar", "1e9"),
+                                            (THERMAL_SWEEP, "nbars", "0,1e9")],
+                         ids=["offset-scan", "thermal-sweep"])
+def test_closed_form_scans_run_at_huge_occupation(tmp_path, base, key, value):
+    # the closed-form scans read only nbar; the truncated thermal weights
+    # (1.4e10 states at nbar = 1e9) belong to the Fock-space oracle alone
+    path = write_config(tmp_path, set_key(base, key, value))
+    assert cli.main(["run", path, "--output-dir", str(tmp_path), "--quiet"]) == 0
+
+
 AGREEMENT_CASES = {
     "trajectory-points-1": set_key(TRAJECTORY, "points", "1"),
     "trajectory-points-too-coarse": set_key(TRAJECTORY, "points", "10"),
@@ -688,6 +698,9 @@ AGREEMENT_CASES = {
     "filterfn-nbars-empty": set_key(FILTERFN, "nbars", ""),
     "filterfn-walsh-orders-empty": set_key(FILTERFN, "walsh_orders", ""),
     "filterfn-nbars-negative": set_key(FILTERFN, "nbars", "0,-1"),
+    # output columns are keyed by f"{value:g}": a repeat would collapse to one
+    "filterfn-nbars-repeated": set_key(FILTERFN, "nbars", "3,3.0"),
+    "filterfn-walsh-orders-repeated": set_key(FILTERFN, "walsh_orders", "1,1"),
     "calibration-scan-without-scan": SCAN_GATE,
     "calibration-scan-points-1": set_key(CALIBRATION_SCAN, "points", "1"),
     "calibration-scan-start-wrong-sign": set_key(CALIBRATION_SCAN, "start_hz", "40e3"),
@@ -783,3 +796,20 @@ def test_bench_contract_with_the_package():
         for alias in node.names:
             assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
     assert {"fock", "props"} <= set(inspect.signature(quantum.thermal_average).parameters)
+
+
+def test_package_modules_use_every_import():
+    # no linter ships with the package, so this keeps dead imports out
+    package = os.path.dirname(iongate.__file__)
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "__init__.py":
+            continue
+        with open(os.path.join(package, name)) as handle:
+            tree = ast.parse(handle.read())
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, f"{name}: unused imports {sorted(imported - used)}"

@@ -9,7 +9,6 @@ from iongate.filterfn import (
     FilterFunction,
     PowerLawPsd,
     SampledPsd,
-    default_omega_grid,
     filter_function_numeric,
     filter_function_walsh_analytic,
     noise_infidelity_integral,
@@ -85,9 +84,13 @@ def test_walsh1_displacement_vanishes_at_low_frequency(walsh3):
 def test_analytic_matches_numeric(loops):
     p = WalshGateParams.calibrated(loops, OMEGA_G)
     sched = build_walsh_schedule(p)
-    om = default_omega_grid(sched, n=160)
-    fa = filter_function_walsh_analytic(p, 1.5, DEFAULT_VARIANCES, om)
-    fn = filter_function_numeric(sched, 1.5, DEFAULT_VARIANCES, om)
+    # geometric grid with extra points around the resonances |delta_g| and Omega_g
+    dg, og = abs(p.delta_g), abs(p.omega_g)
+    om = np.unique(np.concatenate([np.geomspace(1e2, 1e7, 120),
+                                   np.geomspace(dg / 3, dg * 3, 20),
+                                   np.geomspace(og / 3, og * 3, 20)]))
+    fa = filter_function_walsh_analytic(p, 1.5, DEFAULT_VARIANCES, omega=om)
+    fn = filter_function_numeric(sched, 1.5, DEFAULT_VARIANCES, omega=om)
     mask = fa.total > 1e-3 * fa.total.max()
     rel = np.abs(fn.total[mask] - fa.total[mask]) / fa.total[mask]
     assert rel.max() < 5e-3
@@ -108,9 +111,9 @@ def test_angle_component_low_frequency_limit(loops):
 
 def test_thermal_occupation_scales_displacement_only(walsh3):
     om = np.geomspace(1e3, 1e6, 60)
-    f0 = filter_function_walsh_analytic(walsh3, 0.0, DEFAULT_VARIANCES, om)
-    f2 = filter_function_walsh_analytic(walsh3, 2.0, DEFAULT_VARIANCES, om)
-    f8 = filter_function_walsh_analytic(walsh3, 8.0, DEFAULT_VARIANCES, om)
+    f0 = filter_function_walsh_analytic(walsh3, 0.0, DEFAULT_VARIANCES, omega=om)
+    f2 = filter_function_walsh_analytic(walsh3, 2.0, DEFAULT_VARIANCES, omega=om)
+    f8 = filter_function_walsh_analytic(walsh3, 8.0, DEFAULT_VARIANCES, omega=om)
     np.testing.assert_allclose(f2.angle, f0.angle, rtol=1e-14)
     np.testing.assert_allclose(f2.displacement, 5.0 * f0.displacement, rtol=1e-12)
     np.testing.assert_allclose(f8.displacement, 17.0 * f0.displacement, rtol=1e-12)
@@ -136,7 +139,7 @@ def test_matches_phase_averaged_perturbation_theory(walsh3):
     sched = build_walsh_schedule(walsh3)
     traj = propagate_displacement(sched, branch_eigenvalue=2.0)
     om = np.array([3e3, 1.3e4, 9e4, walsh3.delta_g * -1.0, 4e5])
-    ff = filter_function_walsh_analytic(walsh3, 1.0, DEFAULT_VARIANCES, om)
+    ff = filter_function_walsh_analytic(walsh3, 1.0, DEFAULT_VARIANCES, omega=om)
     for k, w in enumerate(om):
         total = 0.0
         for phase in (0.0, -np.pi / 2):
@@ -184,10 +187,10 @@ def test_thermal_divergence_frequency_ordering(walsh3, smooth_reference):
         assert above.any()
         return om[np.argmax(above)]
 
-    div_s = divergence(filter_function_numeric(sched, 0.0, DEFAULT_VARIANCES, om),
-                       filter_function_numeric(sched, 10.0, DEFAULT_VARIANCES, om))
-    div_w = divergence(filter_function_walsh_analytic(walsh3, 0.0, DEFAULT_VARIANCES, om),
-                       filter_function_walsh_analytic(walsh3, 10.0, DEFAULT_VARIANCES, om))
+    div_s = divergence(filter_function_numeric(sched, 0.0, DEFAULT_VARIANCES, omega=om),
+                       filter_function_numeric(sched, 10.0, DEFAULT_VARIANCES, omega=om))
+    div_w = divergence(filter_function_walsh_analytic(walsh3, 0.0, DEFAULT_VARIANCES, omega=om),
+                       filter_function_walsh_analytic(walsh3, 10.0, DEFAULT_VARIANCES, omega=om))
     assert div_s > om[0] and div_w > om[0]
     assert div_s > 2.0 * div_w
 
@@ -203,14 +206,14 @@ def test_noise_integral_zero_psd(walsh3):
 def test_noise_integral_narrowband_recovers_filter_value(walsh3):
     w0 = 5e4
     om = np.geomspace(1e3, 1e6, 600)
-    ff = filter_function_walsh_analytic(walsh3, 3.0, DEFAULT_VARIANCES, om)
+    ff = filter_function_walsh_analytic(walsh3, 3.0, DEFAULT_VARIANCES, omega=om)
     width = 0.01 * w0
     grid = np.linspace(w0 - 3 * width, w0 + 3 * width, 257)
     p0 = 2.5e5
     vals = p0 * np.exp(-0.5 * ((grid - w0) / width) ** 2) / (width * np.sqrt(TWO_PI))
     out = noise_infidelity_integral(ff, SampledPsd(grid, vals))
     ff_at = filter_function_walsh_analytic(walsh3, 3.0, DEFAULT_VARIANCES,
-                                           np.array([w0, 2 * w0]))
+                                           omega=np.array([w0, 2 * w0]))
     assert out.value == pytest.approx(p0 * ff_at.total[0], rel=0.02)
 
 
@@ -268,26 +271,14 @@ def test_omega_grid_validation(walsh3):
     with pytest.raises(GridError):
         filter_function_walsh_analytic(walsh3, omega=np.array([-1.0, 1e3]))
     with pytest.raises(ParameterError):
-        filter_function_numeric(sched, nbar=-0.5)
-
-
-def test_default_grid_covers_schedule_features(walsh3):
-    sched = build_walsh_schedule(walsh3)
-    om = default_omega_grid(sched)
-    assert om[0] >= 1e2 and om[-1] <= 1e7
-    assert np.all(np.diff(om) > 0)
-    # densified near the gate detuning
-    dg = abs(walsh3.delta_g)
-    local = np.sum((om > dg / 1.5) & (om < dg * 1.5))
-    uniform = np.sum((om > 1e6 / 1.5) & (om < 1e6 * 1.5))
-    assert local > uniform
+        filter_function_numeric(sched, nbar=-0.5, omega=np.array([1e3, 1e4]))
 
 
 def test_filter_function_validation():
     om = np.array([1.0, 2.0])
     with pytest.raises(ParameterError):
         FilterFunction(omega=om, total=np.ones(2), displacement=np.zeros(2),
-                       angle=np.zeros(2), nbar=0.0, variances=DEFAULT_VARIANCES)
+                       angle=np.zeros(2))
     ff = FilterFunction(omega=om, total=np.ones(2), displacement=np.ones(2) * 0.25,
-                        angle=np.ones(2) * 0.75, nbar=0.0, variances=DEFAULT_VARIANCES)
+                        angle=np.ones(2) * 0.75)
     assert np.array_equal(ff.total, ff.displacement + ff.angle)

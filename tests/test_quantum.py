@@ -130,6 +130,27 @@ def test_thermal_ensemble_weights():
         ThermalEnsemble.build(-0.5)
 
 
+@pytest.mark.parametrize("nbar", [float("nan"), float("inf")])
+def test_thermal_ensemble_rejects_non_finite_nbar(nbar):
+    with pytest.raises(ParameterError):
+        ThermalEnsemble.build(nbar)
+
+
+def test_closed_form_scans_at_huge_occupation():
+    # the closed forms read only nbar; the truncated weights (1.4e10 states
+    # at nbar = 1e9) belong to the props= oracle alone
+    sched = build_walsh_schedule(WalshGateParams.calibrated(2, TWO_PI * 5e3))
+    hot = ThermalEnsemble.build(1e9)
+    sweep = quantum.thermal_sweep(sched, [ThermalEnsemble.build(0.0), hot])
+    scan = offset_scan(sched, TWO_PI * np.array([-1e3, 0.0, 1e3]), hot)
+    rows = [(o.p_uu, o.p_dd, o.p_odd, o.fidelity) for o in sweep]
+    rows += zip(scan.p_uu, scan.p_dd, scan.p_odd, scan.fidelity)
+    for p_uu, p_dd, p_odd, fidelity in rows:
+        assert min(p_uu, p_dd, p_odd) >= -1e-12
+        assert p_uu + p_dd + p_odd == pytest.approx(1.0, abs=1e-9)
+        assert 0.0 <= fidelity <= 1.0
+
+
 def test_gate_outcome_validation():
     GateOutcome(p_uu=0.5, p_dd=0.5, p_odd=0.0, fidelity=1.0,  # a valid outcome is accepted
                 spin_purity=1.0, gate_angle=-math.pi / 2)

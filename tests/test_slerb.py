@@ -395,8 +395,7 @@ def per_gate_populations(props, seq):
 
 
 # an identity draw with an identity inverter compiles to no gate at all
-IDENTITY_ROW = slerb.SlerbSequence(n=1, seed=0, cliffords=(0,), inverter=0,
-                                   expected_state="uu", pauli_randomized=False)
+IDENTITY_ROW = slerb.SlerbSequence(cliffords=(0,), inverter=0, expected_state="uu")
 
 
 @pytest.mark.parametrize("gate", [
