@@ -22,9 +22,8 @@ from .errors import (ConfigError, ConvergenceError, DomainError, GridError,
 from .filterfn import (DEFAULT_VARIANCES, FilterFunction, PowerLawPsd,
                        SampledPsd, filter_function_numeric,
                        filter_function_walsh_analytic, noise_infidelity_integral)
-from .quantum import (BRANCH_EIGENVALUES, SPIN_LABELS, CalibrationScan,
-                      CompositeState, FockConfig, GateOutcome, OffsetScan,
-                      ThermalEnsemble, branch_factorized_blocks,
+from .quantum import (BRANCH_EIGENVALUES, SPIN_LABELS, CompositeState,
+                      FockConfig, GateOutcome, ThermalEnsemble, branch_factorized_blocks,
                       calibration_scan, gate_eigenbasis, gate_propagator,
                       offset_scan, propagate, thermal_average, thermal_sweep)
 from .schedule import (CarrierDrive, PulseSchedule, Segment, SmoothGateParams,
@@ -35,7 +34,7 @@ from .semiclassical import (BranchTrajectory, adiabaticity_profile, branch_endpo
                             gate_angle_adiabatic, gate_angle_exact,
                             perturbative_infidelity, propagate_displacement,
                             spin_variances)
-from .slerb import (DecayFit, FullScheduleModel, IdealModel, ParametricModel,
+from .slerb import (DecayFit, FullScheduleModel, ParametricModel,
                     SlerbDataset, SlerbSequence, SubspaceClifford,
                     bootstrap_ci, clifford_table, collect_dataset,
                     fit_decays, generate_sequence, mean_gates_per_clifford,

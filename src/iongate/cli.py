@@ -33,9 +33,8 @@ from .schedule import (SmoothGateParams, WalshGateParams, build_smooth_schedule,
                        build_walsh_schedule)
 from .semiclassical import (calibrate_delta_min, calibrate_omega, check_output_grid,
                             gate_angle_exact, propagate_displacement)
-from .slerb import (FullScheduleModel, IdealModel, ParametricModel,
-                    SlerbDataset, bootstrap_ci, collect_dataset, fit_decays,
-                    mean_gates_per_clifford)
+from .slerb import (FullScheduleModel, ParametricModel, SlerbDataset, bootstrap_ci,
+                    collect_dataset, fit_decays, mean_gates_per_clifford)
 
 TWO_PI = 2.0 * math.pi
 
@@ -90,7 +89,7 @@ their sign.  Every comma list needs at least one value.
 
 [slerb]           benchmarking scenario
   lengths         comma list of sequence lengths, at least
-                  three distinct positive integers       (required)
+                  three positive integers, none repeated (required)
   sequences       random sequences per length, >= 1      (required)
   shots           shots per sequence, >= 1               (required)
   model           ideal | parametric | full              (required)
@@ -202,6 +201,18 @@ def read_csv(path: str) -> tuple[dict, dict]:
             except ValueError:
                 raise ConfigError(f"{path}: column {name!r} is not numeric") from None
     return metadata, columns
+
+
+def _outcome_table(name: str, grid, outcomes) -> dict:
+    """A ``name`` column of grid values, then each outcome's populations and fidelity."""
+    table = {name: np.asarray(grid, dtype=float)}
+    for key in ("p_uu", "p_dd", "p_odd", "fidelity"):
+        table[key] = np.array([getattr(o, key) for o in outcomes])
+    return table
+
+
+# SlerbDataset's fields as columns: written by simulating runs, read by refits
+_DATASET_COLUMNS = ("N", "sequence_id", "shots", "n_survival", "n_flip", "n_leak")
 
 
 def _render_report(entries: dict) -> str:
@@ -417,10 +428,9 @@ def _parse_calibration_scan(cfg: _Config):
         base.with_delta_min(delta_min)  # SmoothGateParams checks each grid gate
 
     def job(seed: int):
-        scan = calibration_scan(base, grid, ensemble)
-        table = dict(scan.to_table())
-        table = {"delta_min_hz": table.pop("delta_min_rad_s") / TWO_PI, **table}
-        return table, {"nbar": f"{ensemble.nbar:g}", "crossing_hz": scan.crossing / TWO_PI}, None
+        outcomes, crossing = calibration_scan(base, grid, ensemble)
+        table = _outcome_table("delta_min_hz", grid / TWO_PI, outcomes)
+        return table, {"nbar": f"{ensemble.nbar:g}", "crossing_hz": crossing / TWO_PI}, None
 
     return job
 
@@ -430,8 +440,8 @@ def _parse_offset_scan(cfg: _Config):
     offsets, ensemble = _scan(cfg, 0.0)
 
     def job(seed: int):
-        table = dict(offset_scan(schedule, offsets, ensemble).to_table())
-        table = {"offset_hz": table.pop("offset_rad_s") / TWO_PI, **table}
+        table = _outcome_table("offset_hz", offsets / TWO_PI,
+                               offset_scan(schedule, offsets, ensemble))
         return table, {"nbar": f"{ensemble.nbar:g}"}, None
 
     return job
@@ -446,15 +456,8 @@ def _parse_thermal_sweep(cfg: _Config):
     ensembles = [ThermalEnsemble.build(nbar) for nbar in nbars]
 
     def job(seed: int):
-        rows = thermal_sweep(schedule, ensembles)
-        table = {
-            "nbar": np.array(nbars, dtype=float),
-            "p_uu": np.array([r.p_uu for r in rows]),
-            "p_dd": np.array([r.p_dd for r in rows]),
-            "p_odd": np.array([r.p_odd for r in rows]),
-            "fidelity": np.array([r.fidelity for r in rows]),
-            "infidelity": np.array([1.0 - r.fidelity for r in rows]),
-        }
+        table = _outcome_table("nbar", nbars, thermal_sweep(schedule, ensembles))
+        table["infidelity"] = 1.0 - table["fidelity"]
         return table, {"offset_hz": f"{offset / TWO_PI:g}"}, None
 
     return job
@@ -464,7 +467,7 @@ def _slerb_model(cfg: _Config):
     """The simulated error model, (name, model); builds no propagator."""
     name = cfg.text("slerb", "model", required=True)
     if name == "ideal":
-        return name, IdealModel()
+        return name, ParametricModel(eps_rb=0.0, eps_leak=0.0)
     if name == "parametric":
         return name, ParametricModel(eps_rb=cfg.number("slerb", "eps_rb", required=True),
                                      eps_leak=cfg.number("slerb", "eps_leak", required=True))
@@ -490,17 +493,19 @@ def _parse_slerb(cfg: _Config):
         if min(lengths) < 1 or len(set(lengths)) < 3:
             raise ConfigError(f"{cfg.path}: lengths in [slerb] must hold at least "
                               "three distinct positive integers")
+        # a repeat would write its rows twice, with colliding sequence ids
+        if len(set(lengths)) < len(lengths):
+            raise ConfigError(f"{cfg.path}: lengths in [slerb] repeats a value")
         if sequences < 1 or shots < 1:
             raise ConfigError(f"{cfg.path}: sequences and shots in [slerb] must be >= 1")
 
     def job(seed: int):
         if source is not None:
             _, columns = read_csv(source)
-            needed = ["N", "sequence_id", "shots", "n_survival", "n_flip", "n_leak"]
-            missing = [k for k in needed if k not in columns]
+            missing = [k for k in _DATASET_COLUMNS if k not in columns]
             if missing:
                 raise ConfigError(f"{source}: missing dataset column {missing[0]!r}")
-            data = SlerbDataset.from_columns(*(columns[k] for k in needed))
+            data = SlerbDataset.from_columns(*(columns[k] for k in _DATASET_COLUMNS))
         else:
             data = collect_dataset(lengths, sequences, shots, model, seed,
                                    pauli_randomize=pauli_randomize)
@@ -523,7 +528,9 @@ def _parse_slerb(cfg: _Config):
             for key, (lo, hi) in ci.items():
                 report[f"{key}_ci16"] = lo
                 report[f"{key}_ci84"] = hi
-        return data.to_table(), {"model": model_name}, report
+        table = dict(zip(_DATASET_COLUMNS, (data.n, data.sequence_id, data.shots,
+                                            data.n_survival, data.n_flip, data.n_leak)))
+        return table, {"model": model_name}, report
 
     return job
 
@@ -565,7 +572,9 @@ def _parse_trajectory(cfg: _Config):
 
     def job(seed: int):
         traj = propagate_displacement(schedule, branch_eigenvalue=branch, t_eval=t_eval)
-        return traj.to_table(), {"branch": f"{branch:g}"}, None
+        table = {"t_s": traj.t, "re_gamma": traj.gamma.real, "im_gamma": traj.gamma.imag,
+                 "eta_rad": traj.eta, "theta_rad": traj.theta}
+        return table, {"branch": f"{branch:g}"}, None
 
     return job
 

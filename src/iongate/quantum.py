@@ -4,11 +4,12 @@ The drive Hamiltonian is block diagonal in the eigenbasis of the collective
 spin operator S_alpha = sigma_alpha,1 + sigma_alpha,2, so a pulse schedule
 acts as four independent driven oscillators (branch eigenvalues +2, 0, 0,
 -2), branch k ending as exp(i theta_k) exp(-i eta n) D(gamma_k).  Thermal
-outcomes and scans follow in closed form from those endpoints; an offset
-scan takes all of them from one batched
-:func:`~iongate.semiclassical.branch_endpoints` call and evaluates every
-offset's (4, 4) thermal kernel in one array, and a thermal sweep evaluates
-every occupation on one set of endpoints.  The one Fock-space route,
+outcomes and scans follow in closed form from those endpoints as lists of
+:class:`GateOutcome`, one per grid value (:func:`calibration_scan` also
+returns its balanced crossing); an offset scan takes all of them from one
+batched :func:`~iongate.semiclassical.branch_endpoints` call and evaluates
+every offset's (4, 4) thermal kernel in one array, and a thermal sweep
+evaluates every occupation on one set of endpoints.  The one Fock-space route,
 :func:`gate_propagator`, builds the exact blocks from the same endpoints,
 the +2 block alone, the rest by :func:`_branch_blocks`.  Only a
 misaligned carrier, which breaks the branch structure, is stepped (a
@@ -501,11 +502,6 @@ def thermal_sweep(schedule: PulseSchedule, ensembles) -> list[GateOutcome]:
     return _thermal_outcomes(schedule, np.zeros(1), list(ensembles), (1.0, 0.0, 0.0, 0.0))
 
 
-def _outcome_columns(outcomes) -> dict[str, np.ndarray]:
-    return {k: np.array([getattr(o, k) for o in outcomes])
-            for k in ("p_uu", "p_dd", "p_odd", "fidelity")}
-
-
 def _max_branch_displacement(schedule: PulseSchedule, gates: int = 0) -> float:
     """Largest |gamma| of the +2 branch within one gate, plus |gamma_end| per
     gate of a ``gates``-gate sequence: an unclosed loop's residual
@@ -514,33 +510,14 @@ def _max_branch_displacement(schedule: PulseSchedule, gates: int = 0) -> float:
     return float(np.max(np.abs(traj.gamma))) + gates * float(abs(traj.gamma_end))
 
 
-@dataclass(frozen=True)
-class CalibrationScan:
-    """Populations against the minimum gate detuning at fixed drive."""
-
-    delta_min: np.ndarray
-    p_uu: np.ndarray
-    p_dd: np.ndarray
-    p_odd: np.ndarray
-    fidelity: np.ndarray
-    crossing: float
-
-    def to_table(self) -> dict[str, np.ndarray]:
-        return {
-            "delta_min_rad_s": self.delta_min,
-            "p_uu": self.p_uu,
-            "p_dd": self.p_dd,
-            "p_odd": self.p_odd,
-            "fidelity": self.fidelity,
-        }
-
-
 def calibration_scan(base: SmoothGateParams, delta_min_grid,
-                     ensemble: ThermalEnsemble) -> CalibrationScan:
+                     ensemble: ThermalEnsemble) -> tuple[list[GateOutcome], float]:
     """Sweep delta_min at fixed Omega_g and locate the equal-population point.
 
-    The balanced point P(uu) = P(dd) marks the half-pi entangling angle; it
-    is found by linear interpolation of P(uu) - P(dd) between grid points.
+    Returns the thermal outcome at each grid value and the balanced
+    delta_min.  The balanced point P(uu) = P(dd) marks the half-pi
+    entangling angle; it is found by linear interpolation of P(uu) - P(dd)
+    between grid points.
     """
     grid = np.asarray(delta_min_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -549,40 +526,20 @@ def calibration_scan(base: SmoothGateParams, delta_min_grid,
         raise ParameterError("delta_min grid must share the sign of delta_max")
     outcomes = [thermal_average(build_smooth_schedule(base.with_delta_min(dm)), ensemble)
                 for dm in grid]
-    cols = _outcome_columns(outcomes)
-    diff = cols["p_uu"] - cols["p_dd"]
+    diff = np.array([o.p_uu - o.p_dd for o in outcomes])
     signs = np.sign(diff)
     flips = np.nonzero(signs[1:] * signs[:-1] < 0)[0]
     if flips.size == 0:
         raise ConvergenceError("delta_min grid does not bracket the balanced point")
     k = flips[0]
     crossing = grid[k] - diff[k] * (grid[k + 1] - grid[k]) / (diff[k + 1] - diff[k])
-    return CalibrationScan(delta_min=grid, crossing=float(crossing), **cols)
-
-
-@dataclass(frozen=True)
-class OffsetScan:
-    """Gate outcomes under static detuning offsets."""
-
-    offsets: np.ndarray
-    p_uu: np.ndarray
-    p_dd: np.ndarray
-    p_odd: np.ndarray
-    fidelity: np.ndarray
-
-    def to_table(self) -> dict[str, np.ndarray]:
-        return {
-            "offset_rad_s": self.offsets,
-            "p_uu": self.p_uu,
-            "p_dd": self.p_dd,
-            "p_odd": self.p_odd,
-            "fidelity": self.fidelity,
-        }
+    return outcomes, float(crossing)
 
 
 def offset_scan(schedule: PulseSchedule, offsets, ensemble: ThermalEnsemble,
-                psi0_spin=(1.0, 0.0, 0.0, 0.0)) -> OffsetScan:
-    """Outcomes of one schedule under constant mode-frequency offsets.
+                psi0_spin=(1.0, 0.0, 0.0, 0.0)) -> list[GateOutcome]:
+    """Outcomes of one schedule under constant mode-frequency offsets, one
+    per offset.
 
     One :func:`branch_endpoints` call serves the whole scan; each outcome
     equals :func:`thermal_average` of ``schedule.with_detuning_offset(eps)``.
@@ -591,5 +548,4 @@ def offset_scan(schedule: PulseSchedule, offsets, ensemble: ThermalEnsemble,
     offs = np.asarray(offsets, dtype=float)
     if offs.ndim != 1 or offs.size == 0:
         raise GridError("need a 1-D array of offsets")
-    outcomes = _thermal_outcomes(schedule, offs, [ensemble], psi0_spin)
-    return OffsetScan(offsets=offs, **_outcome_columns(outcomes))
+    return _thermal_outcomes(schedule, offs, [ensemble], psi0_spin)

@@ -90,16 +90,6 @@ class BranchTrajectory:
     def eta_end(self) -> float:
         return float(self.eta[-1])
 
-    def to_table(self) -> dict[str, np.ndarray]:
-        """Column layout used for trajectory CSV export."""
-        return {
-            "t_s": self.t,
-            "re_gamma": self.gamma.real,
-            "im_gamma": self.gamma.imag,
-            "eta_rad": self.eta,
-            "theta_rad": self.theta,
-        }
-
 
 def _segment_grid(seg: Segment) -> np.ndarray:
     per = TWO_PI / max(seg.max_abs_delta(), 1.0 / seg.duration)

@@ -22,8 +22,8 @@ P_flip ~ N * eps_rb.
 
 Sequences are integer arithmetic on the group's Cayley table.  A dataset
 is simulated in one pass: every sequence is drawn first, then one model
-call returns all outcome probabilities.  The ideal and parametric models
-evaluate their closed form over the array of compiled gate counts; the
+call returns all outcome probabilities.  The parametric model evaluates
+its closed form over the array of compiled gate counts; the
 full model steps all sequences together as one (sequences, 4, dim) state,
 applying one exact gate propagator, at a Fock cutoff sized for the
 longest sequence, to every compiled gate.
@@ -231,15 +231,11 @@ def generate_sequence(n: int, seed: int, pauli_randomize: bool = True) -> SlerbS
 
 
 @dataclass(frozen=True)
-class IdealModel:
-    """Noise-free gates; every sequence returns its expected state."""
-
-
-@dataclass(frozen=True)
 class ParametricModel:
     """Per-gate depolarizing and leak channels on the effective qubit.
 
-    ``eps_rb`` and ``eps_leak`` are per-Clifford rates.  Each compiled gate
+    ``eps_rb`` and ``eps_leak`` are per-Clifford rates; at zero rates the
+    gates are noise-free.  Each compiled gate
     carries the per-gate share: contrast factor (1-2r) = (1-2 eps_rb)^(1/g)
     and symmetric subspace<->leak exchange q with (1-2q) = (1-2 eps_leak)^(1/g),
     where g is the table-average gate count per Clifford.  Both channels
@@ -363,7 +359,7 @@ def _step_sequences(props: BranchPropagators, gates: list[list[int]]) -> np.ndar
     return np.sum(np.abs(amps) ** 2, axis=2)
 
 
-ErrorModel = IdealModel | ParametricModel | FullScheduleModel
+ErrorModel = ParametricModel | FullScheduleModel
 
 
 def _libm_powers(base: float, exponents: np.ndarray) -> np.ndarray:
@@ -377,7 +373,7 @@ def _libm_powers(base: float, exponents: np.ndarray) -> np.ndarray:
 
 
 def _closed_form_probabilities(seqs: Sequence[SlerbSequence],
-                               model: IdealModel | ParametricModel) -> np.ndarray:
+                               model: ParametricModel) -> np.ndarray:
     """(P_expected, P_flip, P_leak) per sequence from the compiled gate counts.
 
     Both channels commute with the ideal unitaries (depolarizing is
@@ -400,7 +396,7 @@ def _closed_form_probabilities(seqs: Sequence[SlerbSequence],
     if np.any(product != target):
         raise ConvergenceError("inverter does not return the expected state")
     total_gates = np.array(group.gate_count, dtype=index)[draws].sum(axis=1)
-    r, q = model.per_gate_rates() if isinstance(model, ParametricModel) else (0.0, 0.0)
+    r, q = model.per_gate_rates()
     trace_in = 0.5 * (1.0 + _libm_powers(1.0 - 2.0 * q, total_gates))
     polarization = _libm_powers((1.0 - 2.0 * r) * (1.0 - q), total_gates)
     return np.stack([0.5 * trace_in + 0.5 * polarization,
@@ -413,7 +409,7 @@ def _probabilities(seqs: Sequence[SlerbSequence], model: ErrorModel) -> np.ndarr
 
     Each row must sum to 1 within NORM_TOL.
     """
-    if isinstance(model, (IdealModel, ParametricModel)):
+    if isinstance(model, ParametricModel):
         probs = _closed_form_probabilities(seqs, model)
     elif isinstance(model, FullScheduleModel):
         uu, ud, du, dd = model.spin_populations(seqs).T
@@ -502,16 +498,6 @@ class SlerbDataset:
             f_surv[i] = self.n_survival[rows].sum() / tot[i]
             f_flip[i] = self.n_flip[rows].sum() / tot[i]
         return lengths, f_surv, f_flip, tot
-
-    def to_table(self) -> dict[str, np.ndarray]:
-        return {
-            "N": self.n,
-            "sequence_id": self.sequence_id,
-            "shots": self.shots,
-            "n_survival": self.n_survival,
-            "n_flip": self.n_flip,
-            "n_leak": self.n_leak,
-        }
 
     @classmethod
     def from_columns(cls, n, sequence_id, shots, n_survival, n_flip, n_leak):

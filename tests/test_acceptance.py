@@ -138,8 +138,8 @@ def test_04_calibrated_drive_and_balance_crossing(verdicts):
 
     ensemble = ThermalEnsemble.build(3.5)
     grid = -TWO_PI * np.array([25e3, 23e3, 21e3, 19e3])
-    scan = calibration_scan(params, grid, ensemble)
-    crossing_khz = scan.crossing / TWO_PI / 1e3
+    _, crossing = calibration_scan(params, grid, ensemble)
+    crossing_khz = crossing / TWO_PI / 1e3
     crossing_ok = abs(crossing_khz - (-21.7)) <= 0.05 * 21.7
 
     ok = drive_ok and crossing_ok
@@ -216,8 +216,8 @@ def test_07_offset_leakage_smooth_vs_walsh(verdicts):
     ensemble = ThermalEnsemble.build(3.5)
     offsets = TWO_PI * np.array([-1e3, 1e3])
 
-    leak_smooth = offset_scan(smooth, offsets, ensemble).p_odd
-    leak_walsh = offset_scan(walsh, offsets, ensemble).p_odd
+    leak_smooth = np.array([o.p_odd for o in offset_scan(smooth, offsets, ensemble)])
+    leak_walsh = np.array([o.p_odd for o in offset_scan(walsh, offsets, ensemble)])
     factors = leak_walsh / leak_smooth
     ok = bool(np.all(factors >= 5.0))
     verdicts.add(7, ok, f"leakage suppression at -1/+1 kHz offsets = "

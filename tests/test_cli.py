@@ -510,6 +510,17 @@ def test_run_slerb_and_fit_report(tmp_path):
     assert entries["model"] == "parametric"
 
 
+def test_run_slerb_ideal_model(tmp_path):
+    # model = ideal is the zero-rate parametric model: every shot survives
+    path = write_config(tmp_path, set_key(SLERB_PARAMETRIC, "model", "ideal"))
+    assert cli.main(["run", path, "--output-dir", str(tmp_path), "--quiet"]) == 0
+    _, cols = cli.read_csv(str(tmp_path / "rb.csv"))
+    assert np.all(cols["n_survival"] == cols["shots"])
+    report = (tmp_path / "rb_fit.txt").read_text()
+    assert "model = ideal\n" in report
+    assert "eps_rb = 0\n" in report and "eps_leak = 0\n" in report
+
+
 def test_run_slerb_external_input(tmp_path):
     first = write_config(tmp_path, SLERB_PARAMETRIC)
     assert cli.main(["run", first, "--output-dir", str(tmp_path), "--quiet"]) == 0
@@ -689,6 +700,35 @@ def test_closed_form_scans_run_at_huge_occupation(tmp_path, base, key, value):
     assert cli.main(["run", path, "--output-dir", str(tmp_path), "--quiet"]) == 0
 
 
+REFIT = """\
+    [scenario]
+    name = slerb
+    output = refit.csv
+
+    [slerb]
+    input = {dir}/rb.csv
+    resamples = 200
+"""
+DATASET_HEADER = ["N", "sequence_id", "shots", "n_survival", "n_flip", "n_leak"]
+
+
+@pytest.mark.parametrize("text,output,header", [
+    (set_key(set_key(CALIBRATION_SCAN, "start_hz", "-25e3"), "stop_hz", "-19e3"), "cal.csv",
+     ["delta_min_hz", "p_uu", "p_dd", "p_odd", "fidelity"]),
+    (OFFSET_SCAN, "off.csv", ["offset_hz", "p_uu", "p_dd", "p_odd", "fidelity"]),
+    (THERMAL_SWEEP, "th.csv", ["nbar", "p_uu", "p_dd", "p_odd", "fidelity", "infidelity"]),
+    (SLERB_PARAMETRIC, "rb.csv", DATASET_HEADER),
+    (REFIT, "refit.csv", DATASET_HEADER),
+], ids=["calibration-scan", "offset-scan", "thermal-sweep", "slerb", "slerb-refit"])
+def test_output_csv_headers(tmp_path, text, output, header):
+    # a refit reads the simulated dataset, so the simulation runs first
+    for k, config in enumerate([SLERB_PARAMETRIC, text] if text is REFIT else [text]):
+        path = write_config(tmp_path, config.format(dir=tmp_path), name=f"conf{k}.ini")
+        assert cli.main(["run", path, "--output-dir", str(tmp_path), "--quiet"]) == 0
+    _, cols = cli.read_csv(str(tmp_path / output))
+    assert list(cols) == header
+
+
 AGREEMENT_CASES = {
     "trajectory-points-1": set_key(TRAJECTORY, "points", "1"),
     "trajectory-points-too-coarse": set_key(TRAJECTORY, "points", "10"),
@@ -709,6 +749,8 @@ AGREEMENT_CASES = {
     "walsh-compare-loops-empty": set_key(WALSH_COMPARE, "loops", ""),
     "walsh-compare-nbar-negative": WALSH_COMPARE + "    nbar = -1\n",
     "sweep-nbars-empty": set_key(THERMAL_SWEEP, "nbars", ""),
+    # a repeated length would write its rows twice, with colliding sequence ids
+    "slerb-lengths-repeated": set_key(SLERB_PARAMETRIC, "lengths", "2,2,50,150"),
 }
 
 
@@ -772,21 +814,29 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert out.stdout.strip() == "[]"
 
 
+BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+
+
+def load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  os.path.join(BENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_bench_contract_with_the_package():
     # the benchmark harness imports and traces these names; a rename in the
     # package would otherwise only show up as a failed traced bench run
-    bench = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
-    spec = importlib.util.spec_from_file_location("bench_tracing",
-                                                  os.path.join(bench, "tracing.py"))
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_bench_module("tracing")
     for layer, attr, _ in tracing.TARGETS:
         owner = getattr(iongate, layer)
         *classes, name = attr.split(".")
         for cls in classes:
             owner = getattr(owner, cls)
         assert name in vars(owner), f"{layer}.{attr}"
-    with open(os.path.join(bench, "references.py")) as handle:
+    with open(os.path.join(BENCH, "references.py")) as handle:
         tree = ast.parse(handle.read())
     imports = [node for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and node.module.startswith("iongate")]
@@ -796,6 +846,17 @@ def test_bench_contract_with_the_package():
         for alias in node.names:
             assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
     assert {"fock", "props"} <= set(inspect.signature(quantum.thermal_average).parameters)
+
+
+@pytest.mark.parametrize("workload", ["gate", "slerb"])
+def test_every_bench_config_validates(tmp_path, workload):
+    # the benchmark runs these configs as they are; a CLI change that rejects
+    # one would otherwise only show up as a failed bench run
+    workloads = load_bench_module("workloads")
+    for name, text in workloads.configs(workload, str(tmp_path)).items():
+        path = tmp_path / name
+        path.write_text(text)
+        assert cli.main(["validate", str(path), "--quiet"]) == 0, name
 
 
 def test_package_modules_use_every_import():

@@ -143,8 +143,7 @@ def test_closed_form_scans_at_huge_occupation():
     hot = ThermalEnsemble.build(1e9)
     sweep = quantum.thermal_sweep(sched, [ThermalEnsemble.build(0.0), hot])
     scan = offset_scan(sched, TWO_PI * np.array([-1e3, 0.0, 1e3]), hot)
-    rows = [(o.p_uu, o.p_dd, o.p_odd, o.fidelity) for o in sweep]
-    rows += zip(scan.p_uu, scan.p_dd, scan.p_odd, scan.fidelity)
+    rows = [(o.p_uu, o.p_dd, o.p_odd, o.fidelity) for o in sweep + scan]
     for p_uu, p_dd, p_odd, fidelity in rows:
         assert min(p_uu, p_dd, p_odd) >= -1e-12
         assert p_uu + p_dd + p_odd == pytest.approx(1.0, abs=1e-9)
@@ -599,10 +598,11 @@ def test_positive_detuning_gates_are_scored_against_their_own_handedness():
     assert positive.fidelity == pytest.approx(negative.fidelity, abs=1e-14)
     offsets = TWO_PI * np.array([-500.0, 500.0])
     scans = offset_scan(schedules[-1.0], offsets, ens), offset_scan(schedules[1.0], -offsets, ens)
-    for key in ("p_uu", "p_dd", "p_odd", "fidelity"):
-        assert getattr(scans[1], key) == pytest.approx(getattr(scans[0], key), abs=1e-14)
+    for own, mirrored in zip(*scans):
+        for key in ("p_uu", "p_dd", "p_odd", "fidelity"):
+            assert getattr(mirrored, key) == pytest.approx(getattr(own, key), abs=1e-14)
     # the mirror is not a symmetry of one scan: its two offsets leak differently
-    assert scans[0].p_odd[0] != pytest.approx(scans[0].p_odd[1], rel=1e-3)
+    assert scans[0][0].p_odd != pytest.approx(scans[0][1].p_odd, rel=1e-3)
     walsh = build_walsh_schedule(WalshGateParams(loops=2, delta_g=2 * TWO_PI * 5e3 * math.sqrt(2),
                                                  omega_g=TWO_PI * 5e3))
     assert 1.0 - thermal_average(walsh, ThermalEnsemble.build(0.0)).fidelity < 1e-14
@@ -636,13 +636,12 @@ def smooth_scan_params():
 def test_calibration_scan_finds_balanced_point():
     base = smooth_scan_params()
     grid = -TWO_PI * np.array([25e3, 23e3, 21e3, 19e3])
-    scan = calibration_scan(base, grid, ThermalEnsemble.build(0.0))
-    assert scan.crossing is not None
-    assert abs(scan.crossing - (-TWO_PI * 21.7e3)) < 0.05 * TWO_PI * 21.7e3
+    outcomes, crossing = calibration_scan(base, grid, ThermalEnsemble.build(0.0))
+    assert len(outcomes) == grid.size
+    assert abs(crossing - (-TWO_PI * 21.7e3)) < 0.05 * TWO_PI * 21.7e3
     # balance flips the population ordering across the crossing
-    assert (scan.p_uu[0] - scan.p_dd[0]) * (scan.p_uu[-1] - scan.p_dd[-1]) < 0
-    table = scan.to_table()
-    assert set(table) >= {"delta_min_rad_s", "p_uu", "p_dd", "p_odd", "fidelity"}
+    first, last = outcomes[0], outcomes[-1]
+    assert (first.p_uu - first.p_dd) * (last.p_uu - last.p_dd) < 0
 
 
 def test_calibration_scan_errors():
@@ -662,15 +661,16 @@ def test_offset_scan_baseline_and_symmetry():
     sched = build_walsh_schedule(p)
     offsets = TWO_PI * np.array([-1e3, -0.25e3, 0.0, 0.25e3, 1e3])
     scan = offset_scan(sched, offsets, ThermalEnsemble.build(0.2))
-    assert scan.p_odd[2] < 1e-6
+    p_odd = [o.p_odd for o in scan]
+    assert p_odd[2] < 1e-6
     # leakage is even in the offset to leading order, odd correction ~ offset
-    assert scan.p_odd[1] == pytest.approx(scan.p_odd[-2], rel=0.1)
-    asym_small = abs(scan.p_odd[1] - scan.p_odd[-2]) / scan.p_odd[-2]
-    asym_large = abs(scan.p_odd[0] - scan.p_odd[-1]) / scan.p_odd[-1]
+    assert p_odd[1] == pytest.approx(p_odd[-2], rel=0.1)
+    asym_small = abs(p_odd[1] - p_odd[-2]) / p_odd[-2]
+    asym_large = abs(p_odd[0] - p_odd[-1]) / p_odd[-1]
     assert asym_small < asym_large
     # sign-flip echo cancels the quadratic residual, leaving a quartic
-    assert scan.p_odd[-1] > 100 * scan.p_odd[-2]
-    assert np.all(scan.fidelity <= 1.0)
+    assert p_odd[-1] > 100 * p_odd[-2]
+    assert all(o.fidelity <= 1.0 for o in scan)
     with pytest.raises(GridError):
         offset_scan(sched, np.zeros((2, 2)), ThermalEnsemble.build(0.0))
 
@@ -708,7 +708,7 @@ def test_offset_scan_matches_per_offset_thermal_averages(calibration_schedule):
     for k, eps in enumerate(offsets):
         own = thermal_average(calibration_schedule.with_detuning_offset(eps), ens, spin)
         for key in ("p_uu", "p_dd", "p_odd", "fidelity"):
-            assert abs(getattr(scan, key)[k] - getattr(own, key)) < 1e-14
+            assert abs(getattr(scan[k], key) - getattr(own, key)) < 1e-14
 
 
 def test_thermal_routes_build_no_fock_space(monkeypatch, tmp_path):

@@ -339,13 +339,6 @@ def test_grid_validation():
         propagate_displacement(sched, 2.0, t_eval=np.linspace(0, 2 * sched.duration, 4001))
 
 
-def test_trajectory_table_columns():
-    traj = propagate_displacement(constant_schedule(), 2.0)
-    table = traj.to_table()
-    assert list(table) == ["t_s", "re_gamma", "im_gamma", "eta_rad", "theta_rad"]
-    assert table["t_s"].shape == table["re_gamma"].shape
-
-
 # ---------------------------------------------------------------------------
 # gate angle
 

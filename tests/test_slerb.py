@@ -20,7 +20,6 @@ from iongate.slerb import (
     GATE_ANGLE,
     DecayFit,
     FullScheduleModel,
-    IdealModel,
     ParametricModel,
     SlerbDataset,
     bootstrap_ci,
@@ -186,7 +185,7 @@ def test_ideal_sequences_always_survive():
     for seed in (0, 2, 7, 19):
         for n in (1, 5, 40):
             seq = generate_sequence(n, seed=seed)
-            counts = simulate_sequence(seq, IdealModel(), shots=50, seed=seed)
+            counts = simulate_sequence(seq, ParametricModel(0.0, 0.0), shots=50, seed=seed)
             assert counts == (50, 0, 0)
 
 
@@ -198,7 +197,7 @@ def test_zero_rate_parametric_equals_ideal():
     with pytest.raises(ParameterError):
         ParametricModel(0.0, 0.6)
     with pytest.raises(ParameterError):
-        simulate_sequence(seq, IdealModel(), shots=0, seed=1)
+        simulate_sequence(seq, ParametricModel(0.0, 0.0), shots=0, seed=1)
 
 
 def test_parametric_closed_form_matches_channel_loop():
@@ -268,7 +267,7 @@ def test_wrong_inverter_raises_convergence_error():
     z = find_clifford(np.diag([1.0, -1.0]))
     seq = generate_sequence(6, seed=3, pauli_randomize=False)
     bad = dataclasses.replace(seq, inverter=group.mul[z][seq.inverter])
-    for model in (IdealModel(), ParametricModel(1e-3, 1e-3)):
+    for model in (ParametricModel(0.0, 0.0), ParametricModel(1e-3, 1e-3)):
         with pytest.raises(ConvergenceError):
             _sequence_probabilities(bad, model)
 
@@ -470,7 +469,7 @@ def scalar_closed_form(seq, model):
     """Reference: the per-sequence closed form in Python floats."""
     group = clifford_group()
     total = sum(group.gate_count[c] for c in seq.cliffords)
-    r, q = model.per_gate_rates() if isinstance(model, ParametricModel) else (0.0, 0.0)
+    r, q = model.per_gate_rates()
     trace_in = 0.5 * (1.0 + (1.0 - 2.0 * q) ** total)
     polarization = ((1.0 - 2.0 * r) * (1.0 - q)) ** total
     probs = np.clip(np.array([0.5 * trace_in + 0.5 * polarization,
@@ -478,7 +477,7 @@ def scalar_closed_form(seq, model):
     return probs / probs.sum()
 
 
-@pytest.mark.parametrize("model", [IdealModel(), ParametricModel(1.5e-4, 8e-5),
+@pytest.mark.parametrize("model", [ParametricModel(0.0, 0.0), ParametricModel(1.5e-4, 8e-5),
                                    ParametricModel(3e-2, 1e-2)])
 def test_closed_form_dataset_equals_the_per_sequence_loop_bit_for_bit(model):
     lengths, n_sequences, shots, seed = [2, 7, 50, 300], 6, 100, 31
@@ -524,9 +523,6 @@ def test_dataset_validation():
     data = SlerbDataset.from_columns([2, 2, 8, 8], [0, 1, 0, 1], [10] * 4,
                                      [9, 10, 7, 8], [1, 0, 2, 1], [0, 0, 1, 1])
     assert list(data.lengths) == [2, 8]
-    table = data.to_table()
-    assert list(table) == ["N", "sequence_id", "shots",
-                           "n_survival", "n_flip", "n_leak"]
     short = data.truncated(4)
     assert list(short.lengths) == [2]
     with pytest.raises(GridError):
