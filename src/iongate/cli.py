@@ -296,8 +296,8 @@ class _Config:
         value = self.number(section, key, default, required)
         if value is None:
             return None
-        if float(value) != int(value):
-            raise ConfigError(f"{self.path}: {key} in [{section}] must be an integer")
+        if float(value) != int(value) or not -2 ** 63 <= value < 2 ** 63:
+            raise ConfigError(f"{self.path}: {key} in [{section}] must be a signed 64-bit integer")
         return int(value)
 
     def boolean(self, section, key, default=False) -> bool:
@@ -324,8 +324,8 @@ class _Config:
 
     def integer_list(self, section, key, default=None, required=False) -> list[int]:
         values = self.number_list(section, key, default, required)
-        if any(v != int(v) for v in values):
-            raise ConfigError(f"{self.path}: {key} in [{section}] must hold integers")
+        if any(v != int(v) or not -2 ** 63 <= v < 2 ** 63 for v in values):
+            raise ConfigError(f"{self.path}: {key} in [{section}] must hold signed 64-bit integers")
         return [int(v) for v in values]
 
 

@@ -27,13 +27,16 @@ integration on adaptively bisected Chebyshev-Lobatto panels (Greengard
 A static detuning offset eps only adds eps*t to eta, so
 :func:`branch_endpoints` serves a whole family of offsets from one panel
 set per segment, with the running integrals as (offsets, panels, nodes)
-arrays; :func:`propagate_displacement` is its zero-offset member.
+arrays.  Its zero-offset member at the panel nodes is the one trajectory
+that :func:`propagate_displacement`, the adiabatic quadratures and
+:func:`perturbative_infidelity` read.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -76,7 +79,6 @@ class BranchTrajectory:
     gamma: np.ndarray = field(repr=False)
     eta: np.ndarray = field(repr=False)
     theta: np.ndarray = field(repr=False)
-    branch_eigenvalue: float = 1.0
 
     @property
     def gamma_end(self) -> complex:
@@ -152,12 +154,14 @@ def _panels(seg: Segment, offsets: np.ndarray, rtol: float, atol: float):
     convex in eps, so on each piece any offset in between spends at most
     the integral of the two ends' larger rate, which is below 2 rad.  Then
     bisect every panel whose last two Chebyshev coefficients of W*Omega or
-    delta exceed rtol times that function's largest magnitude on the
-    segment (for delta + eps, the smallest over the offsets) plus
-    atol/duration.  More than ``MAX_PANELS`` panels, in the initial cut or
-    after any bisection, raise :class:`ConvergenceError`.  Returns (lo, hi,
-    W*Omega, delta) sampled at the panel nodes, delta without the offsets.
+    delta exceed rtol (floored at 100 machine epsilons) times that
+    function's largest magnitude on the segment (for delta + eps, the
+    smallest over the offsets) plus atol/duration.  More than
+    ``MAX_PANELS`` panels, in the initial cut or after any bisection, raise
+    :class:`ConvergenceError`.  Returns (lo, hi, W*Omega, delta) sampled at
+    the panel nodes, delta without the offsets.
     """
+    rtol = max(rtol, 100.0 * np.finfo(float).eps)
     first, last = offsets.min(), offsets.max()
     edges = seg.shifted(first).phase_edges(TWO_PI)
     if last > first:
@@ -216,12 +220,6 @@ def _interpolate(lo: np.ndarray, hi: np.ndarray, values, u: np.ndarray):
     return [np.einsum("mk,mk->m", r, f[k]) for f in values]
 
 
-def _family_panels(schedule: PulseSchedule, offsets: np.ndarray, rtol: float, atol: float):
-    """:func:`_panels` of every segment, shared by the whole offset family."""
-    rtol = max(rtol, 100.0 * np.finfo(float).eps)
-    return [_panels(seg, offsets, rtol, atol) for seg in schedule.segments]
-
-
 def _sweep(panels, offsets: np.ndarray, s: float):
     """Yield eta, gamma and theta at the nodes of each segment's panels.
 
@@ -240,6 +238,25 @@ def _sweep(panels, offsets: np.ndarray, s: float):
         gamma0, eta0, theta0 = gamma[:, -1, -1], eta[:, -1, -1], theta[:, -1, -1]
 
 
+# One segment of a branch at the kernel's panel nodes: the panel edges lo and
+# hi in segment-local time, then (panels, nodes) arrays of schedule times,
+# Clenshaw-Curtis weights, W*Omega, delta, eta, gamma and theta.
+_Nodes = namedtuple("_Nodes", "lo hi t weights om de eta gamma theta")
+
+
+def _node_trajectory(schedule: PulseSchedule, s: float, rtol: float, atol: float) -> list[_Nodes]:
+    """One branch along the schedule at the nodes of the kernel's panels, per segment."""
+    zero = np.zeros(1)
+    panels = [_panels(seg, zero, rtol, atol) for seg in schedule.segments]
+    nodes = []
+    for start, (lo, hi, om, de), (gamma, eta, theta) in zip(schedule.boundaries, panels,
+                                                            _sweep(panels, zero, s)):
+        half = ((hi - lo) / 2.0)[:, None]
+        t = start + ((lo + hi) / 2.0)[:, None] + half * _X
+        nodes.append(_Nodes(lo, hi, t, _CUMINT[-1] * half, om, de, eta[0], gamma[0], theta[0]))
+    return nodes
+
+
 def branch_endpoints(schedule: PulseSchedule, offsets, branch_eigenvalue: float = 2.0,
                      rtol: float = 1e-11, atol: float = 1e-13):
     """gamma, theta and eta at the end of one branch under each static offset.
@@ -256,7 +273,7 @@ def branch_endpoints(schedule: PulseSchedule, offsets, branch_eigenvalue: float 
         raise ParameterError("offsets must be a non-empty 1-D array")
     if not np.all(np.isfinite(offs)):
         raise ParameterError("detuning offsets must be finite")
-    panels = _family_panels(schedule, offs, rtol, atol)
+    panels = [_panels(seg, offs, rtol, atol) for seg in schedule.segments]
     gamma_end = np.empty(offs.size, dtype=complex)
     theta_end, eta_end = np.empty_like(offs), np.empty_like(offs)
     for start in range(0, offs.size, OFFSET_BLOCK):
@@ -275,41 +292,31 @@ def propagate_displacement(schedule: PulseSchedule, branch_eigenvalue: float = 1
 
     Each segment is cut into panels of at most 1 rad of phase budget
     int max(|delta|, |Omega|) dt, each carrying ``PANEL_NODES``
-    Chebyshev-Lobatto nodes.  Panels are bisected until the trailing
-    Chebyshev coefficients of Omega and delta fall below ``rtol`` (floored
-    at 100 machine epsilons) times their scale on the segment plus
+    Chebyshev-Lobatto nodes, and bisected until the trailing Chebyshev
+    coefficients of Omega and delta fall below ``rtol`` (floored at 100
+    machine epsilons) times their scale on the segment plus
     ``atol``/duration; an unresolved segment raises
-    :class:`ConvergenceError`.  eta, gamma and theta then follow in turn
-    from one cumulative spectral-integration matrix, and values at the
-    output times from per-panel barycentric interpolation, exact at the
-    nodes.  This is the zero-offset member of :func:`branch_endpoints`.
+    :class:`ConvergenceError`.  The node values are interpolated onto the
+    output times per panel (barycentric, exact at the nodes).
 
     The default output grid resolves the fastest detuning period of each
     segment by ``GRID_POINTS_PER_PERIOD`` points; a user-supplied
     ``t_eval`` must pass :func:`check_output_grid`.
     """
-    s = float(branch_eigenvalue)
-    bounds = schedule.boundaries
-    if t_eval is None:
-        locals_per_seg = [_segment_grid(seg) for seg in schedule.segments]
-    else:
-        locals_per_seg = check_output_grid(schedule, t_eval)
-
+    locals_per_seg = ([_segment_grid(seg) for seg in schedule.segments] if t_eval is None
+                      else check_output_grid(schedule, t_eval))
     ts, cols = [], []
-    zero = np.zeros(1)
-    panels = _family_panels(schedule, zero, rtol, atol)
-    sweep = _sweep(panels, zero, s)
-    for (lo, hi, _, _), (gamma, eta, theta), u, start in zip(panels, sweep, locals_per_seg, bounds):
+    nodes = _node_trajectory(schedule, float(branch_eigenvalue), rtol, atol)
+    for seg, u, start in zip(nodes, locals_per_seg, schedule.boundaries):
         if u.size:
             ts.append(u + start)
-            cols.append(_interpolate(lo, hi, (gamma[0], eta[0], theta[0]), u))
+            cols.append(_interpolate(seg.lo, seg.hi, (seg.gamma, seg.eta, seg.theta), u))
 
     t_all = np.concatenate(ts)
     gamma, eta, theta = (np.concatenate(col) for col in zip(*cols))
     # merge duplicated join points from per-segment grids
     keep = np.concatenate(([True], np.diff(t_all) > 0))
-    return BranchTrajectory(t=t_all[keep], gamma=gamma[keep], eta=eta[keep],
-                            theta=theta[keep], branch_eigenvalue=s)
+    return BranchTrajectory(t=t_all[keep], gamma=gamma[keep], eta=eta[keep], theta=theta[keep])
 
 
 def gate_angle_exact(schedule: PulseSchedule, **solver_kwargs) -> float:
@@ -319,24 +326,19 @@ def gate_angle_exact(schedule: PulseSchedule, **solver_kwargs) -> float:
 
 
 def _following(schedule: PulseSchedule):
-    """Yield the adiabatic-following quantities of each segment at its panel nodes.
+    """Yield each segment's node trajectory, alpha_dot and adiabaticity metric.
 
-    The panels are the kernel's own at its default tolerances.  Per
-    segment: node times, panel half-widths, W*Omega, delta, alpha_dot with
-    alpha = -W*Omega/delta, and the metric d(alpha_dot/delta)/dt / delta,
-    all (panels, nodes) arrays.  Each panel is differentiated spectrally
-    with its first value taken off, so that a constant panel has a
-    derivative of exactly zero.
+    alpha = -W*Omega/delta and the metric is d(alpha_dot/delta)/dt / delta.
+    Each panel is differentiated spectrally with its first value taken off,
+    so that a constant panel has a derivative of exactly zero.
     """
     def derivative(f, half):
         return (f - f[:, :1]) @ _DIFF.T / half[:, None]
 
-    panels = _family_panels(schedule, np.zeros(1), 1e-11, 1e-13)
-    for start, (lo, hi, om, de) in zip(schedule.boundaries, panels):
-        half = (hi - lo) / 2.0
-        t = start + ((lo + hi) / 2.0)[:, None] + half[:, None] * _X
-        alphadot = derivative(-om / de, half)
-        yield t, half, om, de, alphadot, derivative(alphadot / de, half) / de
+    for seg in _node_trajectory(schedule, 1.0, 1e-11, 1e-13):
+        half = (seg.hi - seg.lo) / 2.0
+        alphadot = derivative(-seg.om / seg.de, half)
+        yield seg, alphadot, derivative(alphadot / seg.de, half) / seg.de
 
 
 @dataclass(frozen=True)
@@ -358,10 +360,9 @@ def gate_angle_adiabatic(schedule: PulseSchedule) -> AdiabaticGateAngle:
     panels, which also give the metric's peak.
     """
     total = leading = peak = 0.0
-    for _, half, om, de, alphadot, metric in _following(schedule):
-        weights = _CUMINT[-1] * half[:, None]
-        leading += float(np.sum(weights * om ** 2 / de))
-        total += float(np.sum(weights * (om ** 2 + alphadot ** 2) / de))
+    for seg, alphadot, metric in _following(schedule):
+        leading += float(np.sum(seg.weights * seg.om ** 2 / seg.de))
+        total += float(np.sum(seg.weights * (seg.om ** 2 + alphadot ** 2) / seg.de))
         peak = max(peak, float(np.max(np.abs(metric))))
     if peak > ADIABATICITY_WARN:
         warnings.warn(f"adiabaticity metric peak {peak:.3g} exceeds {ADIABATICITY_WARN}; "
@@ -390,7 +391,7 @@ def adiabaticity_profile(schedule: PulseSchedule) -> AdiabaticityProfile:
     reduces to -(d^2 Omega/dt^2)/delta^3, for pure detuning ramps to
     Omega*(delta'' * delta - 3*delta'^2)/delta^5.
     """
-    rows = [(t.ravel(), metric.ravel()) for t, *_, metric in _following(schedule)]
+    rows = [(seg.t.ravel(), metric.ravel()) for seg, _, metric in _following(schedule)]
     t, metric = (np.concatenate(col) for col in zip(*rows))
     return AdiabaticityProfile(t=t, metric=metric, peak=float(np.max(np.abs(metric))))
 
@@ -507,12 +508,11 @@ def spin_variances(psi0: Sequence[complex], phi: float = 0.0) -> SpinStateVarian
 
 @dataclass(frozen=True)
 class PerturbativeInfidelity:
-    """First-order error response to a mode-frequency trajectory epsilon(t).
+    """First-order error response to a mode-frequency error epsilon(t).
 
-    ``residual_displacement`` is alpha_t = int eps*gamma dt (per unit
-    branch eigenvalue), ``gate_angle_error`` is delta_theta = 2*int
-    eps*|gamma|^2 dt; the total infidelity combines them with the spin
-    moments of the initial state.
+    ``residual_displacement`` is alpha_t = int eps*gamma dt and
+    ``gate_angle_error`` is delta_theta = 2*int eps*|gamma|^2 dt on the unit
+    branch; the total combines them with the initial spin moments.
     """
 
     residual_displacement: complex
@@ -522,32 +522,31 @@ class PerturbativeInfidelity:
     total: float
 
 
-def perturbative_infidelity(traj: BranchTrajectory,
-                            eps: float | np.ndarray | Callable[[np.ndarray], np.ndarray],
+def perturbative_infidelity(schedule: PulseSchedule,
+                            eps: float | Callable[[np.ndarray], np.ndarray],
                             variances: SpinStateVariances,
                             nbar: float = 0.0) -> PerturbativeInfidelity:
-    """Evaluate the leading-order infidelity integrals along a trajectory.
+    """Leading-order infidelity of a schedule under a mode-frequency error eps(t).
 
-    ``eps`` may be a constant, an array on the trajectory grid, or a
-    callable of time.  The trajectory is normalized to unit branch
-    eigenvalue internally; a null branch returns zero error.
+    ``eps`` (rad/s) is a constant or a callable of an array of schedule
+    times.  Both integrals are Clenshaw-Curtis sums at the nodes of the
+    kernel's panels, which must resolve eps as they resolve Omega and delta:
+    on every panel the last two Chebyshev coefficients of eps stay within
+    1e-11 times its largest magnitude on the segment plus 1e-13/duration,
+    else :class:`ConvergenceError`.
     """
     if nbar < 0:
         raise ParameterError("nbar must be >= 0")
-    s = traj.branch_eigenvalue
-    if s == 0.0:
-        return PerturbativeInfidelity(0.0 + 0.0j, 0.0, 0.0, 0.0, 0.0)
-    if callable(eps):
-        e = np.asarray(eps(traj.t), dtype=float)
-    else:
-        e = np.asarray(eps, dtype=float)
-        if e.ndim == 0:
-            e = np.full_like(traj.t, float(e))
-    if e.shape != traj.t.shape:
-        raise GridError("eps samples must match the trajectory grid")
-    gamma1 = traj.gamma / s
-    alpha_t = complex(np.trapezoid(e * gamma1, traj.t))
-    dtheta = 2.0 * float(np.trapezoid(e * np.abs(gamma1) ** 2, traj.t))
+    alpha_t, dtheta = 0j, 0.0
+    for seg, piece in zip(_node_trajectory(schedule, 1.0, 1e-11, 1e-13), schedule.segments):
+        e = np.broadcast_to(np.asarray(eps(seg.t) if callable(eps) else eps, dtype=float),
+                            seg.t.shape)
+        tail = np.max(np.abs(e @ _TO_COEF[-2:].T))
+        if tail > 1e-11 * np.max(np.abs(e)) + 1e-13 / piece.duration:
+            raise ConvergenceError(f"segment {piece.label or '?'}: eps not resolved by the "
+                                   f"kernel's panels (Chebyshev tail {tail:.3g})")
+        alpha_t += complex(np.sum(seg.weights * e * seg.gamma))
+        dtheta += 2.0 * float(np.sum(seg.weights * e * np.abs(seg.gamma) ** 2))
     disp = (2.0 * nbar + 1.0) * abs(alpha_t) ** 2 * variances.var_s
     ang = dtheta ** 2 / 4.0 * variances.var_s2
     return PerturbativeInfidelity(residual_displacement=alpha_t, gate_angle_error=dtheta,

@@ -646,6 +646,14 @@ def test_validate_and_run_agree_on_bad_slerb_keys(tmp_path, capsys, key, value):
     assert_both_reject(tmp_path, capsys, set_key(SLERB_PARAMETRIC, key, value))
 
 
+@pytest.mark.parametrize("key,value", [("shots", "1e19"), ("sequences", "1e30"),
+                                       ("lengths", "2,5,1e30")],
+                         ids=["shots-1e19", "sequences-1e30", "lengths-1e30"])
+def test_run_rejects_integers_beyond_64_bits(tmp_path, capsys, key, value):
+    # numpy's samplers overflow on these; `run` must stop at the parse step
+    assert_both_reject(tmp_path, capsys, set_key(SLERB_PARAMETRIC, key, value))
+
+
 SCAN_SCHEDULE = """\
     [schedule]
     type = walsh

@@ -287,6 +287,26 @@ def test_single_offset_endpoints_equal_the_trajectory_endpoints(calibration_gate
         assert (gamma[0], theta[0], eta[0]) == (own.gamma_end, own.theta_end, own.eta_end)
 
 
+def test_offset_family_matches_the_per_segment_closed_form():
+    # on a constant segment of duration T, with d = delta_g + eps,
+    # c = -i*(s/2)*W*Omega*exp(i*eta0) and E = (exp(i*d*T) - 1)/(i*d),
+    # gamma gains c*E and theta gains Im(conj(gamma0)*c*E + i*|c|^2*(T - E)/d);
+    # the gate and offsets are the benchmark's Walsh offset scan
+    sched = build_walsh_schedule(WalshGateParams.calibrated(2, TWO_PI * 5e3))
+    offsets = TWO_PI * np.linspace(-2e3, 2e3, 201)
+    gamma, theta, eta = branch_endpoints(sched, offsets)
+    g, th, et = np.zeros(offsets.size, dtype=complex), np.zeros(offsets.size), 0.0 * offsets
+    for seg in sched.segments:
+        d, T = seg.const_delta + offsets, seg.duration
+        c = -1j * seg.sign * seg.const_omega * np.exp(1j * et)
+        E = (np.exp(1j * d * T) - 1.0) / (1j * d)
+        th = th + np.imag(np.conj(g) * c * E + 1j * np.abs(c) ** 2 * (T - E) / d)
+        g, et = g + c * E, et + d * T
+    assert np.max(np.abs(gamma - g)) < 1e-13
+    assert np.max(np.abs(theta - th)) < 1e-13
+    assert np.allclose(eta, et, rtol=1e-14, atol=0)
+
+
 def test_offset_blocks_do_not_change_the_endpoints(monkeypatch):
     sched = build_walsh_schedule(WalshGateParams.calibrated(2, TWO_PI * 5e3))
     offsets = TWO_PI * np.linspace(-3e3, 3e3, 11)
@@ -500,13 +520,14 @@ def test_spin_variances_random_states_against_brute_force():
 
 
 def test_perturbative_zero_eps_and_null_branch():
-    sched = constant_schedule()
     v = spin_variances(np.array([1, 0, 0, 0], dtype=complex))
-    traj = propagate_displacement(sched, 2.0)
-    out = perturbative_infidelity(traj, 0.0, v, nbar=5.0)
+    out = perturbative_infidelity(constant_schedule(), 0.0, v, nbar=5.0)
     assert out.total == 0.0
-    null = propagate_displacement(sched, 0.0)
-    out0 = perturbative_infidelity(null, 123.0, v, nbar=5.0)
+    # without drive every branch is null (gamma = 0), so no eps acts on it
+    undriven = PulseSchedule([Segment(1e-4, lambda u: np.zeros_like(u),
+                                      lambda u: np.full_like(u, -1e5),
+                                      const_omega=0.0, const_delta=-1e5)])
+    out0 = perturbative_infidelity(undriven, 123.0, v, nbar=5.0)
     assert out0.total == 0.0 and out0.residual_displacement == 0
 
 
@@ -516,26 +537,35 @@ def test_perturbative_constant_eps_single_loop_oracle():
     om, de, eps = TWO_PI * 5e3, -TWO_PI * 20e3, TWO_PI * 150.0
     sched = constant_schedule(om, de, loops=1)
     t_k = sched.duration
-    traj = propagate_displacement(sched, 1.0, t_eval=np.linspace(0, t_k, 20001))
     v = spin_variances(np.array([1, 0, 0, 0], dtype=complex))
-    out = perturbative_infidelity(traj, eps, v, nbar=2.0)
+    out = perturbative_infidelity(sched, eps, v, nbar=2.0)
     alpha_ref = eps * om * t_k / (2 * de)
     dtheta_ref = eps * om ** 2 * t_k / de ** 2
-    assert out.residual_displacement.real == pytest.approx(alpha_ref, rel=1e-6)
-    assert abs(out.residual_displacement.imag) < abs(alpha_ref) * 1e-6
-    assert out.gate_angle_error == pytest.approx(dtheta_ref, rel=1e-6)
+    assert out.residual_displacement.real == pytest.approx(alpha_ref, rel=1e-12)
+    assert abs(out.residual_displacement.imag) < abs(alpha_ref) * 1e-12
+    assert out.gate_angle_error == pytest.approx(dtheta_ref, rel=1e-12)
     expected_total = (2 * 2.0 + 1) * abs(alpha_ref) ** 2 * v.var_s \
         + dtheta_ref ** 2 / 4 * v.var_s2
-    assert out.total == pytest.approx(expected_total, rel=1e-6)
+    assert out.total == pytest.approx(expected_total, rel=1e-12)
 
 
 def test_perturbative_eps_forms_agree():
     sched = constant_schedule()
-    traj = propagate_displacement(sched, 2.0)
     v = spin_variances(np.array([1, 0, 0, 0], dtype=complex))
-    w = TWO_PI * 3e4
-    as_callable = perturbative_infidelity(traj, lambda t: np.cos(w * t), v)
-    as_array = perturbative_infidelity(traj, np.cos(w * traj.t), v)
-    assert as_callable.total == pytest.approx(as_array.total, rel=1e-12)
-    with pytest.raises(GridError):
-        perturbative_infidelity(traj, np.ones(7), v)
+    eps = TWO_PI * 150.0
+    as_constant = perturbative_infidelity(sched, eps, v)
+    assert perturbative_infidelity(sched, lambda t: np.full_like(t, eps), v) == as_constant
+    assert perturbative_infidelity(sched, lambda t: eps, v) == as_constant
+    # an array of samples is no longer a form of eps
+    with pytest.raises(ValueError):
+        perturbative_infidelity(sched, np.ones(7), v)
+
+
+@pytest.mark.parametrize("w", [1e6, 1e7])
+def test_perturbative_unresolved_eps_raises_convergence_error(w):
+    # the 4-loop 5 kHz Walsh gate's panels resolve cos(w*t) up to w = 5e5 rad/s
+    sched = build_walsh_schedule(WalshGateParams.calibrated(4, TWO_PI * 5e3))
+    v = spin_variances(np.array([1, 0, 0, 0], dtype=complex))
+    perturbative_infidelity(sched, lambda t: np.cos(5e5 * t), v)
+    with pytest.raises(ConvergenceError, match="eps not resolved"):
+        perturbative_infidelity(sched, lambda t: np.cos(w * t), v)
