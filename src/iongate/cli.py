@@ -296,8 +296,9 @@ class _Config:
         value = self.number(section, key, default, required)
         if value is None:
             return None
-        if float(value) != int(value) or not -2 ** 63 <= value < 2 ** 63:
-            raise ConfigError(f"{self.path}: {key} in [{section}] must be a signed 64-bit integer")
+        if float(value) != int(value) or abs(value) >= 2 ** 53:
+            raise ConfigError(f"{self.path}: {key} in [{section}] must be an integer below 2**53 "
+                              "in magnitude")
         return int(value)
 
     def boolean(self, section, key, default=False) -> bool:
@@ -324,8 +325,9 @@ class _Config:
 
     def integer_list(self, section, key, default=None, required=False) -> list[int]:
         values = self.number_list(section, key, default, required)
-        if any(v != int(v) or not -2 ** 63 <= v < 2 ** 63 for v in values):
-            raise ConfigError(f"{self.path}: {key} in [{section}] must hold signed 64-bit integers")
+        if any(v != int(v) or abs(v) >= 2 ** 53 for v in values):
+            raise ConfigError(f"{self.path}: {key} in [{section}] must hold integers below 2**53 "
+                              "in magnitude")
         return [int(v) for v in values]
 
 

@@ -17,29 +17,28 @@ average is applied to the displacement and angle components alike; by the
 cos^2+sin^2 completeness this equals the average over any full phase
 cycle.
 
-The Walsh closed form evaluates the same integrals loop by loop.  Writing
-every loop integral as int_a^b exp(i*q*t) dt = (b-a)*exp(i*q*(a+b)/2)*
-sinc(q*(b-a)/2) keeps the expressions finite at the nominal resonances
-omega = |delta| and omega -> 0, so no singular special-casing is needed.
+The numeric path takes these integrals for any schedule as Clenshaw-Curtis
+sums at the nodes of the trajectory kernel's panels, each panel split into
+equal sub-panels of at most 4 rad of omega*t.  The Walsh closed form
+evaluates them loop by loop.  Writing every loop integral as int_a^b
+exp(i*q*t) dt = (b-a)*exp(i*q*(a+b)/2)*sinc(q*(b-a)/2) keeps the
+expressions finite at the nominal resonances omega = |delta| and
+omega -> 0, so no singular special-casing is needed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import GridError, ParameterError
-from .schedule import TWO_PI, PulseSchedule, WalshGateParams
-from .semiclassical import SpinStateVariances, propagate_displacement
+from .schedule import PulseSchedule, WalshGateParams
+from .semiclassical import SpinStateVariances, _fourier_sums
 
 # Variances of the bright-state input |up,up> in the gate basis, the
 # worst-case input relevant to the benchmarking protocol.
 DEFAULT_VARIANCES = SpinStateVariances(mean_s=0.0, mean_s2=2.0, var_s=2.0, var_s2=4.0)
-
-# Minimum samples per period of the highest requested noise frequency.
-OVERSAMPLE = 12
 
 
 @dataclass(frozen=True)
@@ -63,12 +62,13 @@ class FilterFunction:
             raise ParameterError("total must equal displacement + angle")
 
 
-def _trapz_weights(t: np.ndarray) -> np.ndarray:
-    w = np.empty_like(t)
-    w[0] = (t[1] - t[0]) / 2
-    w[-1] = (t[-1] - t[-2]) / 2
-    w[1:-1] = (t[2:] - t[:-2]) / 2
-    return w
+def _checked_omega(nbar: float, omega) -> np.ndarray:
+    if nbar < 0:
+        raise ParameterError("nbar must be >= 0")
+    om = np.asarray(omega, dtype=float)
+    if om.ndim != 1 or om.size == 0 or np.any(om <= 0) or np.any(np.diff(om) <= 0):
+        raise GridError("omega grid must be positive and strictly increasing")
+    return om
 
 
 def _assemble(omega, a_c, a_s, t_c, t_s, nbar, variances) -> FilterFunction:
@@ -79,47 +79,16 @@ def _assemble(omega, a_c, a_s, t_c, t_s, nbar, variances) -> FilterFunction:
 
 def filter_function_numeric(schedule: PulseSchedule, nbar: float = 0.0,
                             variances: SpinStateVariances = DEFAULT_VARIANCES, *,
-                            omega: np.ndarray, **solver_kwargs) -> FilterFunction:
+                            omega: np.ndarray, rtol: float = 1e-11,
+                            atol: float = 1e-13) -> FilterFunction:
     """Filter function of an arbitrary schedule from the exact trajectory.
 
-    The per-unit-eigenvalue gamma(t) is integrated on a grid fine enough
-    to resolve both the schedule detunings and the highest requested
-    noise frequency (``OVERSAMPLE`` samples per period); the Fourier
-    integrals are then plain trapezoid sums evaluated in omega blocks.
+    The Fourier integrals of the unit-branch gamma(t) are Clenshaw-Curtis
+    sums at the trajectory kernel's nodes (``rtol`` and ``atol`` as in
+    :func:`propagate_displacement`), on sub-panels of at most 4 rad of omega*t.
     """
-    if nbar < 0:
-        raise ParameterError("nbar must be >= 0")
-    om = np.asarray(omega, dtype=float)
-    if om.ndim != 1 or om.size == 0 or np.any(om <= 0) or np.any(np.diff(om) <= 0):
-        raise GridError("omega grid must be positive and strictly increasing")
-    w_max = float(om[-1])
-
-    parts = []
-    for i, seg in enumerate(schedule.segments):
-        spacing = min(TWO_PI / (OVERSAMPLE * w_max), TWO_PI / (24.0 * max(seg.max_abs_delta(), 1.0)))
-        pts = max(9, int(math.ceil(seg.duration / spacing)) + 1)
-        parts.append(np.linspace(0.0, seg.duration, pts) + schedule.boundaries[i])
-    t = np.unique(np.concatenate(parts))
-    traj = propagate_displacement(schedule, branch_eigenvalue=1.0, t_eval=t, **solver_kwargs)
-    t = traj.t
-
-    w = _trapz_weights(t)
-    g = w * traj.gamma
-    g2 = w * np.abs(traj.gamma) ** 2
-    a_c = np.empty(om.size, dtype=complex)
-    a_s = np.empty(om.size, dtype=complex)
-    t_c = np.empty(om.size)
-    t_s = np.empty(om.size)
-    # 8-frequency blocks keep the cos/sin temporaries below a megabyte
-    for start in range(0, om.size, 8):
-        blk = slice(start, min(start + 8, om.size))
-        phase = om[blk, None] * t[None, :]
-        c, s = np.cos(phase), np.sin(phase)
-        a_c[blk] = c @ g
-        a_s[blk] = s @ g
-        t_c[blk] = c @ g2
-        t_s[blk] = s @ g2
-    return _assemble(om, a_c, a_s, t_c, t_s, nbar, variances)
+    om = _checked_omega(nbar, omega)
+    return _assemble(om, *_fourier_sums(schedule, om, rtol, atol), nbar, variances)
 
 
 def _exp_integral(q: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -140,19 +109,11 @@ def filter_function_walsh_analytic(p: WalshGateParams, nbar: float = 0.0,
     (Omega^2/2/delta^2)*(1-cos(delta*t)) is Walsh independent, so the
     angle component never benefits from the modulation.
     """
-    if nbar < 0:
-        raise ParameterError("nbar must be >= 0")
-    om = np.asarray(omega, dtype=float)
-    if om.ndim != 1 or om.size == 0 or np.any(om <= 0) or np.any(np.diff(om) <= 0):
-        raise GridError("omega grid must be positive and strictly increasing")
+    om = _checked_omega(nbar, omega)
 
-    de = p.delta_g
-    og = p.omega_g
-    t_k = p.loop_time
-    t_g = p.duration
+    de, og, t_k, t_g = p.delta_g, p.omega_g, p.loop_time, p.duration
 
-    a_c = np.zeros(om.size, dtype=complex)
-    a_s = np.zeros(om.size, dtype=complex)
+    a_c, a_s = np.zeros(om.size, dtype=complex), np.zeros(om.size, dtype=complex)
     for m, w_m in enumerate(p.signs):
         a, b = m * t_k, (m + 1) * t_k
         e_pp = _exp_integral(de + om, a, b)
@@ -236,9 +197,7 @@ class SampledPsd:
         return (float(self.omega[0]), float(self.omega[-1]))
 
     def __call__(self, omega) -> np.ndarray:
-        w = np.asarray(omega, dtype=float)
-        out = np.interp(w, self.omega, self.values, left=0.0, right=0.0)
-        return out
+        return np.interp(omega, self.omega, self.values, left=0.0, right=0.0)
 
 
 @dataclass(frozen=True)
@@ -265,8 +224,7 @@ def noise_infidelity_integral(ff: FilterFunction, psd) -> NoiseInfidelity:
     if isinstance(psd, SampledPsd):
         pts.append(psd.omega[(psd.omega >= lo) & (psd.omega <= hi)])
     grid = np.unique(np.concatenate(pts))
-    s = np.interp(grid, ff.omega, ff.total)
-    integrand = psd(grid) * s
+    integrand = psd(grid) * np.interp(grid, ff.omega, ff.total)
     full = float(np.trapezoid(integrand, grid))
     # every second point, keeping the last so both sums cover the same band
     coarse = np.append(np.arange(0, grid.size - 1, 2), grid.size - 1)

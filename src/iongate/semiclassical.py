@@ -28,8 +28,8 @@ A static detuning offset eps only adds eps*t to eta, so
 :func:`branch_endpoints` serves a whole family of offsets from one panel
 set per segment, with the running integrals as (offsets, panels, nodes)
 arrays.  Its zero-offset member at the panel nodes is the one trajectory
-that :func:`propagate_displacement`, the adiabatic quadratures and
-:func:`perturbative_infidelity` read.
+that :func:`propagate_displacement`, the adiabatic quadratures,
+:func:`perturbative_infidelity` and the filter function's sums read.
 """
 
 from __future__ import annotations
@@ -63,6 +63,12 @@ OFFSET_BLOCK = 64
 # Above this peak of the adiabaticity metric the adiabatic gate-angle
 # estimate is untrusted.
 ADIABATICITY_WARN = 0.3
+
+# Fourier sums take frequencies in blocks of this many, which keeps their
+# (block, nodes) cos and sin arrays small, on sub-panels of at most this
+# phase of omega*t, where 16 nodes reach about J_16(2) ~ 5e-14.
+_FOURIER_BLOCK = 8
+_FOURIER_PHASE = 4.0
 
 
 @dataclass(frozen=True)
@@ -551,3 +557,37 @@ def perturbative_infidelity(schedule: PulseSchedule,
     ang = dtheta ** 2 / 4.0 * variances.var_s2
     return PerturbativeInfidelity(residual_displacement=alpha_t, gate_angle_error=dtheta,
                                   displacement=disp, angle=ang, total=disp + ang)
+
+
+def _fourier_sums(schedule: PulseSchedule, omega: np.ndarray, rtol: float, atol: float):
+    """A_c,s = int cos/sin(omega*t)*gamma dt and T_c,s with |gamma|^2, unit branch.
+
+    Clenshaw-Curtis sums on the fewest equal sub-panels of each kernel panel
+    that keep ``_FOURIER_PHASE`` rad of omega*t at the top of each block of
+    ascending ``omega``; gamma is interpolated onto their nodes, or read at
+    the kernel's own in a segment where no panel is split.
+    """
+    nodes = _node_trajectory(schedule, 1.0, rtol, atol)
+    sums, m = [], None
+    for start in range(0, omega.size, _FOURIER_BLOCK):
+        blk = slice(start, start + _FOURIER_BLOCK)
+        m_blk = [np.ceil((seg.hi - seg.lo) * omega[blk][-1] / _FOURIER_PHASE).astype(int).clip(1)
+                 for seg in nodes]
+        if m is None or not all(map(np.array_equal, m, m_blk)):
+            m, cols = m_blk, []
+            for seg, t0, mk in zip(nodes, schedule.boundaries, m):
+                if np.all(mk == 1):
+                    cols.append((seg.t.ravel(), seg.weights.ravel(), seg.gamma.ravel()))
+                    continue
+                k = np.repeat(np.arange(mk.size), mk)
+                j = np.arange(k.size) - np.repeat(np.cumsum(mk) - mk, mk)
+                half = ((seg.hi - seg.lo) / mk / 2.0)[k, None]
+                u = (seg.lo[k, None] + (2 * j[:, None] + 1) * half + half * _X).ravel()
+                cols.append((t0 + u, (_CUMINT[-1] * half).ravel(),
+                             _interpolate(seg.lo, seg.hi, (seg.gamma,), u)[0]))
+            t, w, g = (np.concatenate(col) for col in zip(*cols))
+            wg, wg2 = w * g, w * np.abs(g) ** 2
+        phase = omega[blk, None] * t
+        c, s = np.cos(phase), np.sin(phase)
+        sums.append((c @ wg, s @ wg, c @ wg2, s @ wg2))
+    return tuple(np.concatenate(col) for col in zip(*sums))

@@ -126,7 +126,7 @@ def test_03_walsh_analytic_matches_numeric(verdicts):
         rel = np.abs(analytic[mask] - numeric[mask]) / numeric[mask]
         worst = max(worst, float(rel.max()))
     ok = worst < 0.05
-    verdicts.add(3, ok, f"walsh filter analytic vs numeric, worst rel = {worst:.4f} "
+    verdicts.add(3, ok, f"walsh filter analytic vs numeric, worst rel = {worst:.2e} "
                         f"(< 0.05) over loops 1/2/4")
     assert ok
 

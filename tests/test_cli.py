@@ -654,6 +654,14 @@ def test_run_rejects_integers_beyond_64_bits(tmp_path, capsys, key, value):
     assert_both_reject(tmp_path, capsys, set_key(SLERB_PARAMETRIC, key, value))
 
 
+@pytest.mark.parametrize("key,value", [("seed", "9007199254740993"), ("lengths", "2,5,1e18")],
+                         ids=["seed-2**53+1", "lengths-1e18"])
+def test_run_rejects_integers_a_float_cannot_hold(tmp_path, capsys, key, value):
+    # integers parse through float, which holds them exactly only below 2**53:
+    # the seed would silently run as 2**53, and 1e18 lengths exhaust memory
+    assert_both_reject(tmp_path, capsys, set_key(SLERB_PARAMETRIC, key, value))
+
+
 SCAN_SCHEDULE = """\
     [schedule]
     type = walsh
