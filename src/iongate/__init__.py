@@ -26,9 +26,8 @@ from .quantum import (BRANCH_EIGENVALUES, SPIN_LABELS, CompositeState,
                       FockConfig, GateOutcome, ThermalEnsemble, branch_factorized_blocks,
                       calibration_scan, gate_eigenbasis, gate_propagator,
                       offset_scan, propagate, thermal_average, thermal_sweep)
-from .schedule import (CarrierDrive, PulseSchedule, Segment, SmoothGateParams,
-                       WalshGateParams, build_smooth_schedule, build_walsh_schedule,
-                       walsh_function)
+from .schedule import (PulseSchedule, Segment, SmoothGateParams, WalshGateParams,
+                       build_smooth_schedule, build_walsh_schedule, walsh_function)
 from .semiclassical import (BranchTrajectory, adiabaticity_profile, branch_endpoints,
                             calibrate_delta_min, calibrate_omega,
                             gate_angle_adiabatic, gate_angle_exact,

@@ -11,13 +11,11 @@ batched :func:`~iongate.semiclassical.branch_endpoints` call and evaluates
 every offset's (4, 4) thermal kernel in one array, and a thermal sweep
 evaluates every occupation on one set of endpoints.  The one Fock-space route,
 :func:`gate_propagator`, builds the exact blocks from the same endpoints,
-the +2 block alone, the rest by :func:`_branch_blocks`.  Only a
-misaligned carrier, which breaks the branch structure, is stepped (a
-Strang split).  D(gamma) and each split step's oscillator and carrier
-exponentials come from one numpy eigendecomposition each, so the module
-needs no scipy.  An outcome's fidelity is measured against the fully
-entangling gate of the schedule's handedness, theta = +-pi/2 with the
-sign of the schedule's detuning.
+the +2 block alone, the rest by :func:`_branch_blocks`; nothing is
+stepped in time.  D(gamma) comes from one numpy eigendecomposition, so
+the module needs no scipy.  An outcome's fidelity is measured against
+the fully entangling gate of the schedule's handedness, theta = +-pi/2
+with the sign of the schedule's detuning.
 
 States are stored spin-major in the measurement (z) basis with spin order
 (uu, ud, du, dd): amplitude index = spin_index * (n_max + 1) + n.
@@ -32,12 +30,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConvergenceError, GridError, ParameterError, TruncationError
-from .schedule import CarrierDrive, PulseSchedule, SmoothGateParams, build_smooth_schedule
-from .semiclassical import branch_endpoints, collective_spin_operator, propagate_displacement
+from .schedule import PulseSchedule, SmoothGateParams, build_smooth_schedule
+from .semiclassical import branch_endpoints, propagate_displacement
 
 SPIN_LABELS = ("uu", "ud", "du", "dd")
 BRANCH_EIGENVALUES = (2.0, 0.0, 0.0, -2.0)
-STEPS_PER_PERIOD = 50
 TRUNCATION_GUARD = 1e-8
 TAIL_MASS_LIMIT = 1e-6
 NORM_TOL = 1e-9
@@ -195,56 +192,12 @@ def gate_eigenbasis(basis_phase: float = 0.0) -> np.ndarray:
     return (u[:, None, :, None] * u[None, :, None, :]).reshape(4, 4)
 
 
-def _carrier_breakpoints(car: CarrierDrive) -> np.ndarray:
-    """Sorted kinks of the carrier envelope, plus its sign flip if any."""
-    points = {car.start, car.start + car.ramp, car.stop - car.ramp, car.stop}
-    if car.invert_at is not None:
-        points.add(car.invert_at)
-    return np.array(sorted(points))
-
-
-def _carrier_net_phase(car: CarrierDrive) -> float:
-    """Time integral of the signed carrier Rabi frequency Omega_c(t).
-
-    The envelope is piecewise linear and the drive sign is piecewise
-    constant, so the trapezoid rule between envelope breakpoints is exact.
-    """
-    edges = _carrier_breakpoints(car)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        amps = car.amplitude(np.array([a, b]))
-        sign = car.drive_sign(np.array([(a + b) / 2.0]))[0]
-        total += sign * (amps[0] + amps[1]) / 2.0 * (b - a)
-    return float(total)
-
-
-def _carrier_aligned(schedule: PulseSchedule, basis_phase: float) -> bool:
-    car = schedule.carrier
-    if car is None:
-        return True
-    return math.isclose(math.cos(car.phase - basis_phase) ** 2, 1.0, abs_tol=1e-12)
-
-
-def _aligned_carrier_phase(schedule: PulseSchedule, basis_phase: float) -> float:
-    """Phase an aligned carrier takes off the +2 branch and adds to the -2 one.
-
-    sigma_phi,1 + sigma_phi,2 is (2, 0, 0, -2) times cos(phi_c - basis_phase)
-    = +-1 in the gate eigenbasis: branch s gains exp(-i s/2 cos(.) int Omega_c).
-    """
-    if not _carrier_aligned(schedule, basis_phase):
-        raise ParameterError("carrier drive is not aligned with the gate basis; "
-                             "use propagate() which handles the split-step case")
-    car = schedule.carrier
-    return math.cos(car.phase - basis_phase) * _carrier_net_phase(car) if car else 0.0
-
-
 @dataclass(frozen=True)
 class BranchPropagators:
     """Gate propagator split into S_alpha eigenbranches.
 
     ``blocks[k]`` evolves the oscillator conditioned on eigenbranch k in
-    the (++, +-, -+, --) ordering; any aligned carrier contributes only the
-    per-branch c-number phase already folded in.
+    the (++, +-, -+, --) ordering.
     """
 
     blocks: np.ndarray
@@ -264,19 +217,17 @@ class BranchPropagators:
         return _leave_gate_basis(basis, (self.blocks @ psi[:, :, None])[:, :, 0])
 
 
-def _branch_blocks(u_plus: np.ndarray, eta: float, shift: float = 0.0) -> BranchPropagators:
+def _branch_blocks(u_plus: np.ndarray, eta: float) -> BranchPropagators:
     """All four branch blocks from the +2 block U_+ and the free phase eta.
 
     The null pair evolves as exp(-i eta n); the -2 branch feels the opposite
-    force, so its block is P U_+ P with P = diag((-1)^n); an aligned carrier
-    takes ``shift`` off the +2 branch and adds it to the -2 one.
+    force, so its block is P U_+ P with P = diag((-1)^n).
     """
     dim = u_plus.shape[-1]
     parity = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
     u_null = np.diag(np.exp(-1j * eta * np.arange(dim)))
     u_minus = parity[:, None] * u_plus * parity[None, :]
-    return BranchPropagators(blocks=np.stack([u_plus * np.exp(-1j * shift), u_null, u_null,
-                                              u_minus * np.exp(1j * shift)]))
+    return BranchPropagators(blocks=np.stack([u_plus, u_null, u_null, u_minus]))
 
 
 def gate_propagator(schedule: PulseSchedule, fock: FockConfig,
@@ -287,39 +238,23 @@ def gate_propagator(schedule: PulseSchedule, fock: FockConfig,
     endpoints of :func:`branch_endpoints` (Sorensen & Molmer, PRA 62,
     022311, 2000); :func:`_branch_blocks` derives the rest.  D(gamma) =
     exp(G) with G = gamma a^dag - conj(gamma) a anti-Hermitian, so it is
-    exp(-i H) for the Hermitian H = iG.  An aligned carrier commutes with
-    S_alpha and only adds a c-number phase per branch; a misaligned one
-    raises ParameterError (:func:`propagate` split-steps it).
+    exp(-i H) for the Hermitian H = iG.
     """
-    shift = _aligned_carrier_phase(schedule, 0.0)
     (gamma,), (theta,), (eta,) = branch_endpoints(schedule, [0.0], 2.0, rtol=rtol)
     a = np.diag(np.sqrt(np.arange(1, fock.dim, dtype=float)), k=1)
-    disp = _hermitian_exp(1j * (gamma * a.conj().T - np.conj(gamma) * a))(1.0)
+    disp = _hermitian_exp(1j * (gamma * a.conj().T - np.conj(gamma) * a))
     null = np.diag(np.exp(-1j * eta * np.arange(fock.dim)))
-    return _branch_blocks(np.exp(1j * theta) * (null @ disp), eta, shift)
+    return _branch_blocks(np.exp(1j * theta) * (null @ disp), eta)
 
 
 branch_factorized_blocks = gate_propagator
 
 
-def propagate(schedule: PulseSchedule, psi0: CompositeState,
-              steps_per_period: int = STEPS_PER_PERIOD) -> CompositeState:
-    """Evolve a composite state through a schedule (carrier optional).
-
-    The Fock cutoff is the state's.  With no carrier, or one aligned with
-    the gate basis, the exact blocks of :func:`gate_propagator` are
-    applied.  A misaligned carrier breaks the commutation with S_alpha and
-    is Strang-split between the branch step and the carrier rotation, with
-    at least ``steps_per_period`` (>= 8) steps per period.
-    """
-    if steps_per_period < 8:
-        raise ParameterError("steps_per_period must be >= 8")
-    if _carrier_aligned(schedule, 0.0):
-        props = gate_propagator(schedule, FockConfig(n_max=psi0.n_max))
-        amps = props.apply(psi0.block(), 0.0)
-    else:
-        amps = _propagate_split_step(schedule, psi0.block(), steps_per_period)
-    return CompositeState(amplitudes=amps.ravel(), n_max=psi0.n_max)
+def propagate(schedule: PulseSchedule, psi0: CompositeState) -> CompositeState:
+    """Evolve a composite state through a schedule by the exact blocks of
+    :func:`gate_propagator` at the state's Fock cutoff."""
+    props = gate_propagator(schedule, FockConfig(n_max=psi0.n_max))
+    return CompositeState(amplitudes=props.apply(psi0.block(), 0.0).ravel(), n_max=psi0.n_max)
 
 
 def _guard_state(norm, top) -> None:
@@ -339,47 +274,10 @@ def _leave_gate_basis(basis: np.ndarray, out: np.ndarray) -> np.ndarray:
     return amps
 
 
-def _hermitian_exp(h: np.ndarray):
-    """x -> exp(-i x h) for Hermitian h, from one eigendecomposition."""
+def _hermitian_exp(h: np.ndarray) -> np.ndarray:
+    """exp(-i h) for Hermitian h, from one eigendecomposition."""
     vals, vecs = np.linalg.eigh(h)
-    return lambda x: (vecs * np.exp(-1j * x * vals)) @ vecs.conj().T
-
-
-def _propagate_split_step(schedule: PulseSchedule, block: np.ndarray,
-                          steps_per_period: int) -> np.ndarray:
-    """Strang split between the branch step and the spin-only carrier.
-
-    Used only when the carrier basis is misaligned with the gate basis and
-    the Hamiltonian terms stop commuting.  The splitting error does not
-    follow the phase budget, so each segment takes uniform steps no longer
-    than its finest :meth:`Segment.phase_edges` piece (at least
-    ``steps_per_period`` per carrier Rabi period), cut at every kink of the
-    carrier envelope.  The +2 branch steps by exp(-i H dt), H = delta n + W
-    Omega (a + a^dag) at the step's midpoint.
-    """
-    car = schedule.carrier
-    basis = gate_eigenbasis()
-    carrier_step = _hermitian_exp(basis @ collective_spin_operator(car.phase) @ basis.conj().T)
-    kinks = _carrier_breakpoints(car)
-    n = np.arange(block.shape[1], dtype=float)
-    position = np.diag(np.sqrt(n[1:]), k=1) + np.diag(np.sqrt(n[1:]), k=-1)
-    psi = basis @ block
-    offset = 0.0
-    for seg in schedule.segments:
-        rabi_pieces = math.ceil(seg.duration * car.rabi * steps_per_period / (2.0 * math.pi))
-        finest = np.diff(seg.phase_edges(steps_per_period, max(2, rabi_pieces))).min()
-        n_steps = math.ceil(seg.duration / finest * (1.0 - 1e-12))  # equal pieces keep their count
-        inner = kinks[(kinks > offset) & (kinks < offset + seg.duration)] - offset
-        edges = np.union1d(np.linspace(0.0, seg.duration, n_steps + 1), inner)
-        mids = (edges[1:] + edges[:-1]) / 2.0
-        for t, dt, delta, omega in zip(mids, np.diff(edges), seg.delta(mids), seg.omega(mids)):
-            # a half step of pulse area x is exp(-i x S_phi / 4)
-            half = carrier_step(0.25 * car.amplitude(offset + t) * car.drive_sign(offset + t) * dt)
-            u_plus = _hermitian_exp(np.diag(delta * n) + seg.sign * omega * position)(dt)
-            step = _branch_blocks(u_plus, delta * dt)
-            psi = half @ (step.blocks @ (half @ psi)[:, :, None])[:, :, 0]
-        offset += seg.duration
-    return _leave_gate_basis(basis, psi)
+    return (vecs * np.exp(-1j * vals)) @ vecs.conj().T
 
 
 def _target_spin(psi0_spin: np.ndarray, schedule: PulseSchedule) -> np.ndarray:
@@ -421,18 +319,17 @@ def outcome_from_state(state: CompositeState, psi0_spin,
     return _outcomes_from_densities(state.reduced_spin_density()[None], target)[0]
 
 
-def _displacement_kernel(gamma_end: np.ndarray, theta_end: np.ndarray, shift: float,
+def _displacement_kernel(gamma_end: np.ndarray, theta_end: np.ndarray,
                          nbar: float) -> np.ndarray:
     """Thermal means of U_j^dag U_i from +2 branch endpoints, one (4, 4) per entry.
 
-    Branches (++, +-, -+, --) end at gamma = (g, 0, 0, -g), theta = (t -
-    shift, 0, 0, t + shift), so U_j^dag U_i = exp(i(theta_i - theta_j) - i
+    Branches (++, +-, -+, --) end at gamma = (g, 0, 0, -g), theta = (t, 0,
+    0, t), so U_j^dag U_i = exp(i(theta_i - theta_j) - i
     Im(gamma_j conj(gamma_i))) D(gamma_i - gamma_j), and <D(b)> =
     exp(-(nbar+1/2)|b|^2) (Sorensen & Molmer, PRA 62, 022311, 2000).
     """
     gamma = gamma_end[:, None] * np.array([1.0, 0.0, 0.0, -1.0])
-    theta = theta_end[:, None] * np.array([1.0, 0.0, 0.0, 1.0]) \
-        + shift * np.array([-1.0, 0.0, 0.0, 1.0])
+    theta = theta_end[:, None] * np.array([1.0, 0.0, 0.0, 1.0])
     gi, gj = gamma[:, :, None], gamma[:, None, :]
     return np.exp(1j * (theta[:, :, None] - theta[:, None, :] - np.imag(gj * gi.conj()))
                   - (nbar + 0.5) * np.abs(gi - gj) ** 2)
@@ -453,9 +350,8 @@ def _thermal_outcomes(schedule: PulseSchedule, offsets: np.ndarray, ensembles,
     if props is None:
         if fock is not None:
             raise ParameterError("a Fock cutoff applies only to the props= oracle")
-        shift = _aligned_carrier_phase(schedule, 0.0)
         gamma, theta, _ = branch_endpoints(schedule, offsets)
-        kernels = [_displacement_kernel(gamma, theta, shift, e.nbar) for e in ensembles]
+        kernels = [_displacement_kernel(gamma, theta, e.nbar) for e in ensembles]
     else:
         if fock is not None and fock.dim != props.dim:
             raise ParameterError("FockConfig truncation differs from the propagators")
@@ -483,9 +379,8 @@ def thermal_average(schedule: PulseSchedule, ensemble: ThermalEnsemble,
     """Thermally averaged gate outcome over initial Fock states.
 
     The spin density rho_ij = c_i conj(c_j) <U_j^dag U_i> (c: the spin state
-    in the gate eigenbasis) is closed-form in the branch endpoints without
-    a carrier or with an aligned one (a misaligned one raises
-    ParameterError), over the untruncated thermal state of ``ensemble.nbar``.
+    in the gate eigenbasis) is closed-form in the branch endpoints, over the
+    untruncated thermal state of ``ensemble.nbar``.
 
     Given branch propagators ``props`` (the exact ones of
     :func:`gate_propagator`, or blocks built another way, such as by

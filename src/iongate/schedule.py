@@ -271,52 +271,6 @@ def _const_fn(value: float) -> Callable[[np.ndarray], np.ndarray]:
     return lambda u, v=value: np.full_like(np.asarray(u, dtype=float), v)
 
 
-@dataclass(frozen=True)
-class CarrierDrive:
-    """Co-propagating carrier tone with trapezoidal envelope.
-
-    The carrier Rabi rate ramps linearly over ``ramp`` starting at
-    ``start``, holds at ``rabi``, and ramps off to reach zero at ``stop``.
-    If ``invert_at`` is set the carrier phase flips sign there, which
-    cancels the accumulated carrier rotation over a symmetric window.
-    ``phase`` is the carrier spin-phase relative to the gate drive basis.
-    """
-
-    rabi: float
-    start: float
-    stop: float
-    ramp: float = 0.5e-6
-    phase: float = 0.0
-    invert_at: float | None = None
-
-    def __post_init__(self):
-        if self.rabi < 0:
-            raise ParameterError("carrier rabi must be >= 0")
-        if self.ramp < 0 or self.stop - self.start < 2 * self.ramp:
-            raise ParameterError("carrier window shorter than its ramps")
-
-    def amplitude(self, t) -> np.ndarray:
-        arr, scalar = _as_array(t)
-        out = np.zeros_like(arr)
-        if self.rabi > 0:
-            inside = (arr >= self.start) & (arr <= self.stop)
-            if self.ramp > 0:
-                up = np.clip((arr - self.start) / self.ramp, 0.0, 1.0)
-                down = np.clip((self.stop - arr) / self.ramp, 0.0, 1.0)
-                out = np.where(inside, self.rabi * np.minimum(up, down), 0.0)
-            else:
-                out = np.where(inside, self.rabi, 0.0)
-        return float(out) if scalar else out
-
-    def drive_sign(self, t) -> np.ndarray:
-        arr, scalar = _as_array(t)
-        if self.invert_at is None:
-            out = np.ones_like(arr)
-        else:
-            out = np.where(arr < self.invert_at, 1.0, -1.0)
-        return float(out) if scalar else out
-
-
 class PulseSchedule:
     """Immutable ordered collection of :class:`Segment` pieces.
 
@@ -325,20 +279,14 @@ class PulseSchedule:
     pure and safe to share across threads.
     """
 
-    def __init__(self, segments: Sequence[Segment], carrier: CarrierDrive | None = None,
-                 label: str = ""):
+    def __init__(self, segments: Sequence[Segment]):
         if not segments:
             raise ParameterError("schedule needs at least one segment")
         self.segments = tuple(segments)
-        self.carrier = carrier
-        self.label = label
         bounds = np.concatenate(([0.0], np.cumsum([s.duration for s in self.segments])))
         self.boundaries = bounds
         self.duration = float(bounds[-1])
         self._check_continuity()
-        if carrier is not None and (carrier.start < -_EDGE_TOL * self.duration
-                                    or carrier.stop > self.duration * (1 + _EDGE_TOL)):
-            raise ParameterError("carrier window extends outside the schedule")
 
     def _check_continuity(self):
         scale_o = max(abs(s.omega(np.array([0.0]))[0]) for s in self.segments) + 1.0
@@ -385,9 +333,7 @@ class PulseSchedule:
         """New schedule with a constant mode-frequency error added to delta(t)."""
         if not math.isfinite(offset):
             raise ParameterError("detuning offset must be finite")
-        segs = [s.shifted(offset) for s in self.segments]
-        return PulseSchedule(segs, carrier=self.carrier,
-                             label=f"{self.label}+offset" if self.label else "offset")
+        return PulseSchedule([s.shifted(offset) for s in self.segments])
 
 
 def build_smooth_schedule(p: SmoothGateParams) -> PulseSchedule:
@@ -399,8 +345,7 @@ def build_smooth_schedule(p: SmoothGateParams) -> PulseSchedule:
     detuning ramps; each amplitude ramp is then a segment of its own
     (ramp-in, det-down, [hold,] det-up, ramp-out), so that Omega is smooth
     inside every segment.  Zero-length pieces (no hold, or tau_g = tau_d)
-    are omitted rather than kept as degenerate segments.  A carrier
-    attaches through ``PulseSchedule(segments, carrier=CarrierDrive(...))``.
+    are omitted rather than kept as degenerate segments.
     """
     abs_ramp = lambda u: _ramp_magnitude(p.tau_d, abs(p.delta_max), abs(p.delta_min), p.j, np.asarray(u, dtype=float))
     down = lambda u: p.sign * abs_ramp(u)
@@ -426,7 +371,7 @@ def build_smooth_schedule(p: SmoothGateParams) -> PulseSchedule:
                   (p.tau_g, amp_down, _const_fn(p.delta_max), at_max, "amp-down")]
     segs = [Segment(duration, omega, delta, label=label, **const)
             for duration, omega, delta, const, label in pieces if duration > 0]
-    return PulseSchedule(segs, label="smooth")
+    return PulseSchedule(segs)
 
 
 def build_walsh_schedule(p: WalshGateParams) -> PulseSchedule:
@@ -436,4 +381,4 @@ def build_walsh_schedule(p: WalshGateParams) -> PulseSchedule:
                 const_omega=p.omega_g, const_delta=p.delta_g, label=f"loop{m}")
         for m, w in enumerate(p.signs)
     ]
-    return PulseSchedule(segs, label=f"walsh{p.walsh_order}")
+    return PulseSchedule(segs)

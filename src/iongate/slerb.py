@@ -266,17 +266,12 @@ class FullScheduleModel:
 
     The schedule must be calibrated to a gate angle of -pi/2 or +pi/2: the
     +pi/2 generators are the -pi/2 ones conjugated by Z, which fixes |uu>
-    and the z readout.  It must carry no carrier (ParameterError): one set
-    of :func:`gate_propagator` blocks, built once per Fock cutoff, serves
-    all four generator bases, and an aligned carrier's phase would depend
-    on the basis.  The mode starts in |0>.
+    and the z readout.  One set of :func:`gate_propagator` blocks, built
+    once per Fock cutoff, serves all four generator bases.  The mode starts
+    in |0>.
     """
 
     schedule: PulseSchedule
-
-    def __post_init__(self):
-        if self.schedule.carrier is not None:
-            raise ParameterError("the full model needs a carrier-free schedule")
 
     @cached_property
     def _blocks_by_dim(self) -> dict[int, BranchPropagators]:

@@ -29,14 +29,9 @@ def _step_unitary(delta: float, coupling: float, dt: float, dim: int) -> np.ndar
     return (vecs * np.exp(-1j * vals * dt)) @ vecs.T
 
 
-def stepped_blocks(schedule: PulseSchedule, fock: FockConfig, basis_phase: float = 0.0,
+def stepped_blocks(schedule: PulseSchedule, fock: FockConfig,
                    steps_per_period: int = 50) -> BranchPropagators:
-    """Branch propagators of one schedule, stepped in time.
-
-    An aligned carrier adds its c-number branch phase; a misaligned one
-    raises ParameterError.
-    """
-    shift = quantum._aligned_carrier_phase(schedule, basis_phase)
+    """Branch propagators of one schedule, stepped in time."""
     u_plus = np.eye(fock.dim, dtype=complex)
     for seg in schedule.segments:
         if seg.is_constant:
@@ -48,13 +43,12 @@ def stepped_blocks(schedule: PulseSchedule, fock: FockConfig, basis_phase: float
         for delta, omega, dt in steps:  # branch +2 couples with (s/2)*W*Omega = W*Omega
             u_plus = _step_unitary(delta, seg.sign * omega, dt, fock.dim) @ u_plus
     eta = propagate_displacement(schedule, branch_eigenvalue=0.0).eta_end
-    return quantum._branch_blocks(u_plus, eta, shift)
+    return quantum._branch_blocks(u_plus, eta)
 
 
 def stepped_propagate(schedule: PulseSchedule, psi0: CompositeState, basis_phase: float = 0.0,
                       steps_per_period: int = 50) -> CompositeState:
     """One composite state through :func:`stepped_blocks` at its own cutoff."""
-    props = stepped_blocks(schedule, FockConfig(n_max=psi0.n_max), basis_phase,
-                           steps_per_period)
+    props = stepped_blocks(schedule, FockConfig(n_max=psi0.n_max), steps_per_period)
     return CompositeState(amplitudes=props.apply(psi0.block(), basis_phase).ravel(),
                           n_max=psi0.n_max)

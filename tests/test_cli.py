@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import iongate
-from iongate import cli, quantum
+from iongate import cli, quantum, semiclassical
 from iongate.errors import ConvergenceError, ParameterError
 
 
@@ -806,14 +806,11 @@ def test_cli_import_loads_no_scipy(tmp_path):
                          capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
     assert (tmp_path / "out" / "full.csv").exists()
-    # without a misaligned carrier, propagate applies the exact blocks; a
-    # misaligned one is split-stepped with numpy's eigensolver
-    walsh = ("import math, sys; from iongate import (CarrierDrive, CompositeState, "
-             "PulseSchedule, WalshGateParams, build_walsh_schedule, propagate); "
+    # propagate applies the exact blocks, built with numpy's eigensolver
+    walsh = ("import math, sys; from iongate import (CompositeState, WalshGateParams, "
+             "build_walsh_schedule, propagate); "
              "s = build_walsh_schedule(WalshGateParams.calibrated(2, 2 * math.pi * 5e3)); "
              "psi0 = CompositeState.from_spin_fock((1, 0, 0, 0), 0, 30); propagate(s, psi0); "
-             "c = CarrierDrive(rabi=2 * math.pi * 2e3, start=0.0, stop=s.duration, "
-             "phase=math.pi / 2); propagate(PulseSchedule(s.segments, carrier=c), psi0); "
              + loaded)
     out = subprocess.run([sys.executable, "-c", walsh], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
@@ -857,11 +854,41 @@ def test_bench_contract_with_the_package():
     imports = [node for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and node.module.startswith("iongate")]
     assert imports
+    callables = {}
     for node in imports:
         module = importlib.import_module(node.module)
         for alias in node.names:
             assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
-    assert {"fock", "props"} <= set(inspect.signature(quantum.thermal_average).parameters)
+            callables[alias.asname or alias.name] = [getattr(module, alias.name)]
+
+    def callees(expr):
+        """The package callables an expression can name: an imported name, a
+        method of one, or either branch of a conditional (``solve = a if c else b``)."""
+        if isinstance(expr, ast.IfExp):
+            return callees(expr.body) + callees(expr.orelse)
+        if isinstance(expr, ast.Attribute):
+            return [getattr(owner, expr.attr) for owner in callees(expr.value)]
+        return callables.get(expr.id, []) if isinstance(expr, ast.Name) else []
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                and isinstance(node.targets[0], ast.Name) and callees(node.value):
+            callables[node.targets[0].id] = callees(node.value)
+    # every keyword the references pass must still be a parameter of its
+    # callee; **solver_kwargs are passed on to the kernel's tolerances
+    kernel = inspect.signature(semiclassical.branch_endpoints).parameters
+    checked = set()
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        for target in callees(call.func):
+            params = dict(inspect.signature(target).parameters)
+            if "solver_kwargs" in params:
+                params.update(kernel)
+            for keyword in call.keywords:
+                assert keyword.arg in params, f"{target.__qualname__}({keyword.arg}=)"
+                checked.add((target.__qualname__, keyword.arg))
+    assert {("calibrate_omega", "use"), ("thermal_average", "props")} <= checked
 
 
 @pytest.mark.parametrize("workload", ["gate", "slerb"])
@@ -890,3 +917,26 @@ def test_package_modules_use_every_import():
                     for alias in node.names}
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, f"{name}: unused imports {sorted(imported - used)}"
+
+
+def test_failing_hypothesis_test_is_reported_as_one_failure(tmp_path):
+    # under filterwarnings = error, a warning raised while Hypothesis writes
+    # its failure report would abort the session and skip every later test
+    (tmp_path / "test_pair.py").write_text(textwrap.dedent("""\
+        from hypothesis import given, strategies as st
+
+
+        @given(st.integers())
+        def test_fails(x):
+            assert x < 0
+
+
+        def test_after():
+            pass
+        """))
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "-c", config, "--rootdir", str(tmp_path), "test_pair.py"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in out.stdout + out.stderr
+    assert "1 failed, 1 passed" in out.stdout

@@ -25,7 +25,6 @@ from iongate.quantum import (
     _max_branch_displacement,
 )
 from iongate.schedule import (
-    CarrierDrive,
     PulseSchedule,
     Segment,
     SmoothGateParams,
@@ -61,7 +60,7 @@ def sign_flip_schedule(rng, n_segments=4):
                      sign=float(rng.choice([-1.0, 1.0])), label=f"s{k}")
         for k in range(n_segments)
     ]
-    return PulseSchedule(segs, label="random")
+    return PulseSchedule(segs)
 
 
 def max_outcome_difference(a, b):
@@ -339,127 +338,8 @@ def test_truncation_error_when_cutoff_too_low():
 
 
 def test_propagate_parameter_errors():
-    sched = sign_flip_schedule(np.random.default_rng(1))
-    psi0 = CompositeState.from_spin_fock((1.0, 0.0, 0.0, 0.0), n=0, n_max=20)
-    with pytest.raises(ParameterError):
-        propagate(sched, psi0, steps_per_period=4)
-    misaligned = carrier_test_schedule(TWO_PI * 2e3, math.pi / 2, invert=False)
-    with pytest.raises(ParameterError, match="steps_per_period"):
-        propagate(misaligned, psi0, steps_per_period=4)
     with pytest.raises(ParameterError, match="outside truncation"):
         CompositeState.from_spin_fock((1.0, 0.0, 0.0, 0.0), n=40, n_max=20)
-
-
-# ---------------------------------------------------------------------------
-# carrier handling
-
-
-def carrier_test_schedule(rabi, phase, invert):
-    p = WalshGateParams.calibrated(2, TWO_PI * 5e3)
-    sched = build_walsh_schedule(p)
-    invert_at = 0.5 * sched.duration if invert else None
-    carrier = CarrierDrive(rabi=rabi, start=0.0, stop=sched.duration,
-                           ramp=0.5e-6, phase=phase, invert_at=invert_at)
-    return PulseSchedule(sched.segments, carrier=carrier, label="walsh1+carrier")
-
-
-def test_aligned_carrier_with_inversion_is_transparent():
-    base = build_walsh_schedule(WalshGateParams.calibrated(2, TWO_PI * 5e3))
-    with_c = carrier_test_schedule(TWO_PI * 80e3, 0.0, invert=True)
-    psi0 = CompositeState.from_spin_fock((1.0, 0.0, 0.0, 0.0), n=0, n_max=30)
-    ref = outcome_from_state(propagate(base, psi0), (1.0, 0.0, 0.0, 0.0), base)
-    out = outcome_from_state(propagate(with_c, psi0), (1.0, 0.0, 0.0, 0.0), with_c)
-    assert abs(out.fidelity - ref.fidelity) < 1e-5
-    assert abs(out.p_uu - ref.p_uu) < 1e-9
-
-
-def test_aligned_carrier_without_inversion_shifts_branch_phases():
-    base = build_walsh_schedule(WalshGateParams.calibrated(2, TWO_PI * 5e3))
-    with_c = carrier_test_schedule(TWO_PI * 1e3, 0.0, invert=False)
-    psi0 = CompositeState.from_spin_fock((1.0, 0.0, 0.0, 0.0), n=0, n_max=30)
-    ref = outcome_from_state(propagate(base, psi0), (1.0, 0.0, 0.0, 0.0), base)
-    out = outcome_from_state(propagate(with_c, psi0), (1.0, 0.0, 0.0, 0.0), with_c)
-    assert abs(out.p_uu - ref.p_uu) > 1e-3
-
-
-def test_misaligned_carrier_needs_split_stepping():
-    with_c = carrier_test_schedule(TWO_PI * 2e3, math.pi / 2, invert=False)
-    fock = FockConfig(n_max=30)
-    with pytest.raises(ParameterError):
-        gate_propagator(with_c, fock)
-    psi0 = CompositeState.from_spin_fock((1.0, 0.0, 0.0, 0.0), n=0, n_max=30)
-    out = propagate(with_c, psi0)
-    assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_weak_misaligned_carrier_approaches_carrier_free_result():
-    base = build_walsh_schedule(WalshGateParams.calibrated(2, TWO_PI * 5e3))
-    weak = carrier_test_schedule(TWO_PI * 1.0, math.pi / 2, invert=False)
-    psi0 = CompositeState.from_spin_fock((1.0, 0.0, 0.0, 0.0), n=0, n_max=30)
-    ref = list(propagate(base, psi0).spin_populations().values())
-    out = list(propagate(weak, psi0).spin_populations().values())
-    assert out == pytest.approx(ref, abs=1e-5)
-
-
-def test_split_step_refines_at_second_order_through_carrier_ramps():
-    # steps are cut at the carrier envelope's kinks, so the Strang split
-    # converges 4x per doubling on a gate whose carrier ramps last 0.5 us
-    with_c = carrier_test_schedule(TWO_PI * 2e3, math.pi / 2, invert=False)
-    psi0 = CompositeState.from_spin_fock((0.5, 0.5, 0.5, 0.5), n=1, n_max=30)
-    states = {spp: propagate(with_c, psi0, steps_per_period=spp)
-              for spp in (50, 100, 200, 400, 1600)}
-    ref = states.pop(1600)
-    gaps = [np.linalg.norm(s.amplitudes - ref.amplitudes) for s in states.values()]
-    ratios = [a / b for a, b in zip(gaps[:-1], gaps[1:])]
-    assert all(3.0 < r < 5.0 for r in ratios), ratios
-    default = states[50].spin_populations()["uu"]
-    assert abs(default - ref.spin_populations()["uu"]) < 1e-4
-
-
-def test_split_step_carrier_half_steps_match_matrix_exponentials(monkeypatch):
-    # the reference exponentiates the carrier operator afresh at every step
-    with_c = carrier_test_schedule(TWO_PI * 2e3, math.pi / 2, invert=False)
-    psi0 = CompositeState.from_spin_fock((0.5, 0.5, 0.5, 0.5), n=1, n_max=30)
-    fast = propagate(with_c, psi0).amplitudes
-    monkeypatch.setattr(quantum, "_hermitian_exp", lambda h: lambda x: expm(-1j * x * h))
-    reference = propagate(with_c, psi0).amplitudes
-    assert np.max(np.abs(fast - reference)) < 1e-12
-
-
-def test_split_step_resolves_carrier_on_detuning_ramps():
-    # the splitting error does not follow the phase budget: steps sized by
-    # it (long where |delta| is small) left a 1.6e-3 gap here, uniform ones 1.2e-4
-    gate = build_smooth_schedule(calibrate_omega(SmoothGateParams(
-        delta_max=-TWO_PI * 400e3, delta_min=-TWO_PI * 80e3, omega_g=TWO_PI * 20e3,
-        tau_g=2e-6, tau_d=8e-6, t_c=0.0, j=3), use="exact"))
-    carrier = CarrierDrive(rabi=TWO_PI * 50e3, start=0.0, stop=gate.duration,
-                           phase=0.7, invert_at=0.5 * gate.duration)
-    with_c = PulseSchedule(gate.segments, carrier=carrier)
-    psi0 = CompositeState.from_spin_fock((0.5, 0.5, 0.5, 0.5), n=1, n_max=30)
-    fine = propagate(with_c, psi0, steps_per_period=400).amplitudes
-    assert np.linalg.norm(propagate(with_c, psi0).amplitudes - fine) < 2.5e-4
-
-
-@pytest.mark.parametrize("phase, invert", [(0.0, True), (0.0, False), (math.pi, False)],
-                         ids=["aligned-inverted", "aligned", "anti-aligned"])
-def test_closed_form_matches_stepped_propagator_with_aligned_carrier(phase, invert):
-    # constant Walsh segments make the stepped propagator exact, so the
-    # routes differ only by the ensemble's truncated tail
-    with_c = carrier_test_schedule(TWO_PI * 1e3, phase, invert=invert)
-    ens = ThermalEnsemble.build(1.0)
-    fock = FockConfig.auto(1.0, 1.5)
-    closed = thermal_average(with_c, ens)
-    for props in (stepped_blocks(with_c, fock), gate_propagator(with_c, fock)):
-        oracle = thermal_average(with_c, ens, fock=fock, props=props)
-        assert max_outcome_difference(closed, oracle) <= 2.0 * ens.tail_mass + 1e-12
-    bare = thermal_average(PulseSchedule(with_c.segments), ens)
-    assert (abs(closed.p_uu - bare.p_uu) < 1e-12) == invert
-
-
-def test_closed_form_rejects_misaligned_carrier():
-    with_c = carrier_test_schedule(TWO_PI * 2e3, math.pi / 2, invert=False)
-    with pytest.raises(ParameterError):
-        thermal_average(with_c, ThermalEnsemble.build(1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from iongate.errors import DomainError, ParameterError
 from iongate.schedule import (
-    CarrierDrive,
     PulseSchedule,
     Segment,
     SmoothGateParams,
@@ -322,28 +321,6 @@ def test_schedule_rejects_discontinuity():
                    const_omega=3.0, const_delta=2.0)
     with pytest.raises(ParameterError):
         PulseSchedule([seg1, seg2])
-
-
-# ---------------------------------------------------------------------------
-# carrier
-
-
-def test_carrier_envelope_and_inversion():
-    p = reference_params()
-    gate = build_smooth_schedule(p)
-    carrier = CarrierDrive(rabi=TWO_PI * 80e3, start=p.tau_g, stop=gate.duration - p.tau_g,
-                           invert_at=gate.duration / 2)
-    s = PulseSchedule(gate.segments, carrier=carrier)
-    c = s.carrier
-    assert isinstance(c, CarrierDrive)
-    assert c.amplitude(0.0) == 0.0
-    assert c.amplitude(p.tau_g + 0.25e-6) == pytest.approx(TWO_PI * 40e3)
-    assert c.amplitude(s.duration / 2) == pytest.approx(TWO_PI * 80e3)
-    assert c.amplitude(s.duration) == 0.0
-    assert c.drive_sign(s.duration / 2 - 1e-9) == 1.0
-    assert c.drive_sign(s.duration / 2 + 1e-9) == -1.0
-    with pytest.raises(ParameterError):
-        CarrierDrive(rabi=1.0, start=0.0, stop=0.5e-6, ramp=0.5e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,7 @@ from iongate import quantum, slerb
 from iongate.errors import (ConvergenceError, DomainError, GridError,
                             ParameterError, TruncationError)
 from iongate.quantum import CompositeState, FockConfig
-from iongate.schedule import (CarrierDrive, PulseSchedule, SmoothGateParams,
-                              WalshGateParams, build_smooth_schedule,
+from iongate.schedule import (SmoothGateParams, WalshGateParams, build_smooth_schedule,
                               build_walsh_schedule)
 from iongate.semiclassical import calibrate_omega
 from iongate.slerb import (
@@ -337,7 +336,6 @@ def test_full_model_dataset_builds_blocks_once(monkeypatch):
         raise AssertionError("the full model must not step the propagator")
 
     monkeypatch.setattr(quantum, "propagate", forbidden)
-    monkeypatch.setattr(quantum, "_propagate_split_step", forbidden)
     calls = {"blocks": 0, "auto": 0}
     build_blocks, auto = slerb.gate_propagator, FockConfig.auto.__func__
 
@@ -357,13 +355,9 @@ def test_full_model_dataset_builds_blocks_once(monkeypatch):
     assert calls == {"blocks": 1, "auto": 1}
 
 
-def test_full_model_rejects_carrier_and_guards_cutoff(monkeypatch):
+def test_full_model_guards_cutoff(monkeypatch):
     sched = build_walsh_schedule(WalshGateParams.calibrated(1, TWO_PI * 20e3))
     seq = generate_sequence(8, seed=4)
-    carrier = CarrierDrive(rabi=TWO_PI * 10e3, start=0.0, stop=sched.duration)
-    with pytest.raises(ParameterError):
-        _sequence_probabilities(seq, FullScheduleModel(
-            PulseSchedule(sched.segments, carrier=carrier)))
     # an offset gate leaves the mode displaced; three Fock levels cannot hold it
     monkeypatch.setattr(FockConfig, "auto", classmethod(lambda cls, *a: cls(n_max=2)))
     with pytest.raises(TruncationError):
