@@ -28,11 +28,9 @@ from .quantum import (BRANCH_EIGENVALUES, SPIN_LABELS, CompositeState,
                       offset_scan, propagate, thermal_average, thermal_sweep)
 from .schedule import (PulseSchedule, Segment, SmoothGateParams, WalshGateParams,
                        build_smooth_schedule, build_walsh_schedule, walsh_function)
-from .semiclassical import (BranchTrajectory, adiabaticity_profile, branch_endpoints,
-                            calibrate_delta_min, calibrate_omega,
-                            gate_angle_adiabatic, gate_angle_exact,
-                            perturbative_infidelity, propagate_displacement,
-                            spin_variances)
+from .semiclassical import (BranchTrajectory, branch_endpoints, calibrate_delta_min,
+                            calibrate_omega, gate_angle_exact, perturbative_infidelity,
+                            propagate_displacement, spin_variances)
 from .slerb import (DecayFit, FullScheduleModel, ParametricModel,
                     SlerbDataset, SlerbSequence, SubspaceClifford,
                     bootstrap_ci, clifford_table, collect_dataset,

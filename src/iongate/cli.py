@@ -60,7 +60,7 @@ their sign.  Every comma list needs at least one value.
   t_c             hold time at delta_min, s              (default 0)
   j               detuning ramp exponent, integer        (required)
   calibrate       none | delta_min | omega: solve the named parameter so
-                  the gate angle is exactly -pi/2        (default none)
+                  |angle| = pi/2, signed as the detuning (default none)
 
 [walsh]           sign-flip loop gate
   loops           number of loops, power of two          (required)

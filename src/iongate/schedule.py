@@ -232,17 +232,13 @@ class Segment:
         if self.sign not in (1.0, -1.0, 1, -1):
             raise ParameterError("segment sign must be +1 or -1")
 
-    @property
-    def is_constant(self) -> bool:
-        return self.const_omega is not None and self.const_delta is not None
-
     def max_abs_delta(self) -> float:
         if self.const_delta is not None:
             return abs(self.const_delta)
         u = np.linspace(0.0, self.duration, 65)
         return float(np.max(np.abs(self.delta(u))))
 
-    def phase_edges(self, pieces_per_period: float, min_pieces: int = 1) -> np.ndarray:
+    def phase_edges(self, pieces_per_period: float) -> np.ndarray:
         """Cut points at equal increments of the phase budget int max(|delta|, |Omega|) du.
 
         Each piece spans at most 2*pi/``pieces_per_period`` rad of the
@@ -254,7 +250,7 @@ class Segment:
         budget = np.concatenate(([0.0], np.cumsum((rate[1:] + rate[:-1]) / 2.0 * np.diff(u))))
         if budget[-1] == 0.0:
             return np.array([0.0, self.duration])
-        n = max(min_pieces, int(np.ceil(budget[-1] * pieces_per_period / (2.0 * np.pi))))
+        n = int(np.ceil(budget[-1] * pieces_per_period / (2.0 * np.pi)))
         return np.interp(np.linspace(0.0, budget[-1], n + 1), budget, u)
 
     def shifted(self, offset: float) -> "Segment":

@@ -28,14 +28,14 @@ A static detuning offset eps only adds eps*t to eta, so
 :func:`branch_endpoints` serves a whole family of offsets from one panel
 set per segment, with the running integrals as (offsets, panels, nodes)
 arrays.  Its zero-offset member at the panel nodes is the one trajectory
-that :func:`propagate_displacement`, the adiabatic quadratures,
-:func:`perturbative_infidelity` and the filter function's sums read.
+that :func:`propagate_displacement`, :func:`perturbative_infidelity` and
+the filter function's sums read.  The gate angle comes from this kernel
+alone: :func:`gate_angle_exact`, which the calibrations solve.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -59,10 +59,6 @@ MAX_PANELS = 4096
 # Offsets of a family integrated together: the running integrals are
 # (offsets, panels, nodes) arrays, which this keeps to about a megabyte.
 OFFSET_BLOCK = 64
-
-# Above this peak of the adiabaticity metric the adiabatic gate-angle
-# estimate is untrusted.
-ADIABATICITY_WARN = 0.3
 
 # Fourier sums take frequencies in blocks of this many, which keeps their
 # (block, nodes) cos and sin arrays small, on sub-panels of at most this
@@ -133,23 +129,22 @@ def check_output_grid(schedule: PulseSchedule, t_eval) -> list[np.ndarray]:
 
 
 def _chebyshev_lobatto(n: int):
-    """Nodes on [-1, 1], values-to-coefficients, cumulative-integral and derivative matrices.
+    """Nodes on [-1, 1], values-to-coefficients and cumulative-integral matrices.
 
-    ``cumint @ f`` gives int_{-1}^{x_k} p(x) dx and ``diff @ f`` gives
-    p'(x_k) at every node for the interpolant p of the node values f.
+    ``cumint @ f`` gives int_{-1}^{x_k} p(x) dx at every node for the
+    interpolant p of the node values f.
     """
     cheb = np.polynomial.chebyshev
     x = -np.cos(np.pi * np.arange(n) / (n - 1))
     to_coef = np.linalg.inv(cheb.chebvander(x, n - 1))
     antider = cheb.chebint(np.eye(n), lbnd=-1.0)
     cumint = cheb.chebval(x, antider).T @ to_coef
-    diff = cheb.chebval(x, cheb.chebder(np.eye(n))).T @ to_coef
     weights = (-1.0) ** np.arange(n)
     weights[[0, -1]] /= 2.0
-    return x, to_coef, cumint, diff, weights
+    return x, to_coef, cumint, weights
 
 
-_X, _TO_COEF, _CUMINT, _DIFF, _BARY = _chebyshev_lobatto(PANEL_NODES)
+_X, _TO_COEF, _CUMINT, _BARY = _chebyshev_lobatto(PANEL_NODES)
 
 
 def _panels(seg: Segment, offsets: np.ndarray, rtol: float, atol: float):
@@ -331,104 +326,26 @@ def gate_angle_exact(schedule: PulseSchedule, **solver_kwargs) -> float:
     return float(theta[0])
 
 
-def _following(schedule: PulseSchedule):
-    """Yield each segment's node trajectory, alpha_dot and adiabaticity metric.
-
-    alpha = -W*Omega/delta and the metric is d(alpha_dot/delta)/dt / delta.
-    Each panel is differentiated spectrally with its first value taken off,
-    so that a constant panel has a derivative of exactly zero.
-    """
-    def derivative(f, half):
-        return (f - f[:, :1]) @ _DIFF.T / half[:, None]
-
-    for seg in _node_trajectory(schedule, 1.0, 1e-11, 1e-13):
-        half = (seg.hi - seg.lo) / 2.0
-        alphadot = derivative(-seg.om / seg.de, half)
-        yield seg, alphadot, derivative(alphadot / seg.de, half) / seg.de
-
-
-@dataclass(frozen=True)
-class AdiabaticGateAngle:
-    """Gate angle estimate int (Omega^2 + alpha_dot^2)/delta dt and its leading term."""
-
-    total: float
-    leading: float
-
-
-def gate_angle_adiabatic(schedule: PulseSchedule) -> AdiabaticGateAngle:
-    """Adiabatic-following estimate of the gate angle for the |s|=2 branch.
-
-    Valid for smooth schedules; a warning is emitted when the peak
-    adiabaticity metric exceeds ``ADIABATICITY_WARN`` since the estimate
-    is then untrusted.  Both the full integrand (Omega^2 + alpha_dot^2)/
-    delta and the leading Omega^2/delta term are reported, with the sign
-    of delta preserved.  Both are Clenshaw-Curtis sums on the kernel's
-    panels, which also give the metric's peak.
-    """
-    total = leading = peak = 0.0
-    for seg, alphadot, metric in _following(schedule):
-        leading += float(np.sum(seg.weights * seg.om ** 2 / seg.de))
-        total += float(np.sum(seg.weights * (seg.om ** 2 + alphadot ** 2) / seg.de))
-        peak = max(peak, float(np.max(np.abs(metric))))
-    if peak > ADIABATICITY_WARN:
-        warnings.warn(f"adiabaticity metric peak {peak:.3g} exceeds {ADIABATICITY_WARN}; "
-                      "adiabatic gate-angle estimate untrusted", stacklevel=2)
-    return AdiabaticGateAngle(total=total, leading=leading)
-
-
-@dataclass(frozen=True)
-class AdiabaticityProfile:
-    """Adiabatic-following metric d(beta)/dt / delta at the panel nodes of a schedule."""
-
-    t: np.ndarray = field(repr=False)
-    metric: np.ndarray = field(repr=False)
-    peak: float = 0.0
-
-
-def adiabaticity_profile(schedule: PulseSchedule) -> AdiabaticityProfile:
-    """Evaluate the dimensionless adiabaticity metric along a schedule.
-
-    The displaced-frame expansion parameter is alpha = -Omega/delta and
-    beta = (d alpha/dt)/delta; following is adiabatic when |d beta/dt| is
-    small against |delta|.  Derivatives are spectral on the kernel's panels
-    of each closed-form segment separately, so the piecewise joins do not
-    pollute the estimate; ``t`` holds every panel's nodes, so panel and
-    segment joins appear twice.  For pure amplitude ramps the metric
-    reduces to -(d^2 Omega/dt^2)/delta^3, for pure detuning ramps to
-    Omega*(delta'' * delta - 3*delta'^2)/delta^5.
-    """
-    rows = [(seg.t.ravel(), metric.ravel()) for seg, _, metric in _following(schedule)]
-    t, metric = (np.concatenate(col) for col in zip(*rows))
-    return AdiabaticityProfile(t=t, metric=metric, peak=float(np.max(np.abs(metric))))
-
-
 def _gate_angle(use: str, **solver_kwargs) -> Callable[[PulseSchedule], float]:
-    """|theta_g| of a schedule from the exact kernel or the adiabatic estimate."""
-    if use == "adiabatic":
-        return lambda sched: abs(gate_angle_adiabatic(sched).total)
-    if use == "exact":
-        return lambda sched: abs(gate_angle_exact(sched, **solver_kwargs))
-    raise ParameterError("use must be 'adiabatic' or 'exact'")
+    """|theta_g| of a schedule from the exact kernel, the only route ``use`` may name."""
+    if use != "exact":
+        raise ParameterError("use must be 'exact'")
+    return lambda sched: abs(gate_angle_exact(sched, **solver_kwargs))
 
 
-def calibrate_omega(p: SmoothGateParams, use: str = "adiabatic",
+def calibrate_omega(p: SmoothGateParams, use: str = "exact",
                     **solver_kwargs) -> SmoothGateParams:
     """Solve for Omega_g so the smooth gate accumulates |theta_g| = pi/2.
 
-    Both the exact and adiabatic gate angles scale as Omega_g^2 for a
-    fixed schedule shape (eta does not involve Omega), so a single
-    unit-amplitude evaluation suffices.  The adiabaticity metric is linear
-    in Omega_g, so the unit-amplitude probe never warns; with
-    ``use="adiabatic"`` the solved gate is judged once more.
+    The exact gate angle scales as Omega_g^2 for a fixed schedule shape
+    (eta does not involve Omega), so a single unit-amplitude evaluation
+    suffices.  ``use`` names the gate-angle route and must be "exact".
     """
     angle = _gate_angle(use, **solver_kwargs)
     coeff = angle(build_smooth_schedule(replace(p, omega_g=1.0)))
     if coeff <= 0:
         raise ConvergenceError("gate angle coefficient vanished")
-    solved = replace(p, omega_g=math.sqrt(math.pi / 2 / coeff))
-    if use == "adiabatic":
-        gate_angle_adiabatic(build_smooth_schedule(solved))
-    return solved
+    return replace(p, omega_g=math.sqrt(math.pi / 2 / coeff))
 
 
 def calibrate_delta_min(p: SmoothGateParams, use: str = "exact",
@@ -442,12 +359,7 @@ def calibrate_delta_min(p: SmoothGateParams, use: str = "exact",
     angle = _gate_angle(use, **solver_kwargs)
 
     def f(absdm: float) -> float:
-        sched = build_smooth_schedule(replace(p, delta_min=p.sign * absdm))
-        # trial points far from the root routinely violate the adiabaticity
-        # threshold; only the solution is judged below
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return angle(sched) - math.pi / 2
+        return angle(build_smooth_schedule(replace(p, delta_min=p.sign * absdm))) - math.pi / 2
 
     flo, fhi = f(lo), f(hi)
     if flo * fhi > 0:
@@ -457,10 +369,7 @@ def calibrate_delta_min(p: SmoothGateParams, use: str = "exact",
     from scipy.optimize import brentq  # loaded on use: ~20 MB resident
 
     root = brentq(f, lo, hi, rtol=1e-12)
-    solved = replace(p, delta_min=p.sign * root)
-    if use == "adiabatic":
-        gate_angle_adiabatic(build_smooth_schedule(solved))
-    return solved
+    return replace(p, delta_min=p.sign * root)
 
 
 # ---------------------------------------------------------------------------

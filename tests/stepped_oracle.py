@@ -34,10 +34,10 @@ def stepped_blocks(schedule: PulseSchedule, fock: FockConfig,
     """Branch propagators of one schedule, stepped in time."""
     u_plus = np.eye(fock.dim, dtype=complex)
     for seg in schedule.segments:
-        if seg.is_constant:
+        if seg.const_omega is not None and seg.const_delta is not None:
             steps = [(seg.const_delta, seg.const_omega, seg.duration)]
         else:
-            edges = seg.phase_edges(steps_per_period, min_pieces=2)
+            edges = seg.phase_edges(steps_per_period)
             mids = (edges[1:] + edges[:-1]) / 2.0
             steps = zip(seg.delta(mids), seg.omega(mids), np.diff(edges))
         for delta, omega, dt in steps:  # branch +2 couples with (s/2)*W*Omega = W*Omega

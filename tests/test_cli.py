@@ -815,14 +815,12 @@ def test_cli_import_loads_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", walsh], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
-    # the adiabatic estimate and the default calibration work on the
-    # kernel's panels
-    adiabatic = ("import math, sys; from iongate import (SmoothGateParams, build_smooth_schedule, "
-                 "calibrate_omega, gate_angle_adiabatic); "
+    # the default calibration works on the kernel's panels
+    calibrate = ("import math, sys; from iongate import SmoothGateParams, calibrate_omega; "
                  "p = SmoothGateParams(delta_max=-2 * math.pi * 400e3, delta_min=-2 * math.pi * 21.7e3, "
                  "omega_g=2 * math.pi * 6e3, tau_g=5e-6, tau_d=100e-6, t_c=15.8e-6); "
-                 "gate_angle_adiabatic(build_smooth_schedule(p)); calibrate_omega(p); " + loaded)
-    out = subprocess.run([sys.executable, "-c", adiabatic], env=env, capture_output=True,
+                 "calibrate_omega(p); " + loaded)
+    out = subprocess.run([sys.executable, "-c", calibrate], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
 
@@ -917,6 +915,38 @@ def test_package_modules_use_every_import():
                     for alias in node.names}
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, f"{name}: unused imports {sorted(imported - used)}"
+
+
+def test_package_private_names_are_read():
+    # a private module-level def, class or assignment target that nothing in
+    # the package reads is dead code the import check above cannot see
+    package = os.path.dirname(iongate.__file__)
+    defined, read = {}, set()
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as handle:
+            tree = ast.parse(handle.read())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [n.id for t in nodes for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined.update((t, name) for t in targets
+                           if t.startswith("_") and not t.startswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unread = sorted(f"{module}: {target}" for target, module in defined.items()
+                    if target not in read)
+    assert not unread, f"private names nothing reads: {unread}"
 
 
 def test_failing_hypothesis_test_is_reported_as_one_failure(tmp_path):

@@ -8,13 +8,12 @@ in the tests and compared against the integrators.
 
 import dataclasses
 import math
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import simpson, solve_ivp
+from scipy.integrate import solve_ivp
 
 from iongate import semiclassical
 from iongate.errors import ConvergenceError, GridError, ParameterError
@@ -30,12 +29,10 @@ from iongate.schedule import (
     eval_amplitude_ramp,
 )
 from iongate.semiclassical import (
-    adiabaticity_profile,
     branch_endpoints,
     calibrate_delta_min,
     calibrate_omega,
     collective_spin_operator,
-    gate_angle_adiabatic,
     gate_angle_exact,
     perturbative_infidelity,
     propagate_displacement,
@@ -370,43 +367,6 @@ def test_gate_angle_constant_drive():
     # full loop: theta_g = 2*pi*K*Omega^2/delta^2 with the sign of delta
     expected = om ** 2 * sched.duration / de
     assert got == pytest.approx(expected, rel=1e-10)
-    ad = gate_angle_adiabatic(sched)
-    assert ad.leading == pytest.approx(expected, rel=1e-12)
-
-
-def test_adiabatic_gate_angle_of_amplitude_ramp_closed_form():
-    # at constant delta, int Omega^2 = Omega_g^2*tau_g*3/8 and int alpha_dot^2
-    # = int Omega'^2/delta^2 = Omega_g^2*pi^2/(8*tau_g*delta^2) for the sin^2 ramp
-    p = reference_params()
-    ad = gate_angle_adiabatic(PulseSchedule(build_smooth_schedule(p).segments[:1]))
-    leading = p.omega_g ** 2 * p.tau_g * 3.0 / (8.0 * p.delta_max)
-    following = p.omega_g ** 2 * np.pi ** 2 / (8.0 * p.tau_g * p.delta_max ** 3)
-    assert ad.leading == pytest.approx(leading, rel=1e-12)
-    assert ad.total == pytest.approx(leading + following, rel=1e-12)
-
-
-def finite_difference_adiabatic(sched, samples):
-    """Adiabatic total and metric peak from uniform samples of each segment."""
-    total, peak = 0.0, 0.0
-    for seg in sched.segments:
-        u = np.linspace(0.0, seg.duration, samples)
-        om = np.broadcast_to(seg.omega(u), u.shape)
-        de = np.broadcast_to(seg.delta(u), u.shape)
-        alphadot = np.gradient(-om / de, u)
-        total += simpson((om ** 2 + alphadot ** 2) / de, x=u)
-        peak = max(peak, np.max(np.abs(np.gradient(alphadot / de, u) / de)))
-    return total, peak
-
-
-@pytest.mark.parametrize("tau_d", [60e-6, 100e-6, 160e-6])
-def test_adiabatic_quantities_match_finite_differences(tau_d):
-    p = reference_params(tau_d=tau_d)
-    _, peak = finite_difference_adiabatic(build_smooth_schedule(p), 4001)
-    for merge in (False, True):
-        sched = build_smooth_schedule(dataclasses.replace(p, merge_ramps=merge))
-        total, _ = finite_difference_adiabatic(sched, 400001)
-        assert gate_angle_adiabatic(sched).total == pytest.approx(total, rel=1e-11)
-        assert adiabaticity_profile(sched).peak == pytest.approx(peak, rel=0.01)
 
 
 def test_calibrated_walsh_angle_is_quarter_turn():
@@ -417,12 +377,10 @@ def test_calibrated_walsh_angle_is_quarter_turn():
 
 
 def test_reference_omega_calibration():
-    # solving the adiabatic angle for Omega_g at the reference smooth point
+    # solving the exact angle for Omega_g at the reference smooth point
     # must land close to 2pi*6 kHz
-    solved = calibrate_omega(reference_params(), use="adiabatic")
-    assert abs(solved.omega_g - TWO_PI * 6e3) < TWO_PI * 0.9e3
     exact = calibrate_omega(reference_params(), use="exact")
-    assert exact.omega_g == pytest.approx(solved.omega_g, rel=0.02)
+    assert abs(exact.omega_g - TWO_PI * 6e3) < TWO_PI * 0.9e3
     sched = build_smooth_schedule(exact)
     assert abs(gate_angle_exact(sched)) == pytest.approx(np.pi / 2, rel=1e-6)
     # a merged-ramp gate calibrates on its own, shorter schedule
@@ -430,45 +388,22 @@ def test_reference_omega_calibration():
     assert gate_angle_exact(build_smooth_schedule(merged)) == pytest.approx(-np.pi / 2, rel=1e-12)
 
 
-def test_adiabatic_omega_calibration_judges_the_solved_gate():
-    # a short gate whose solved drive breaks adiabatic following
-    p = reference_params(tau_g=1e-6, tau_d=8e-6, t_c=0.0)
-    with pytest.warns(UserWarning, match="adiabaticity metric peak"):
-        solved = calibrate_omega(p, use="adiabatic")
-    assert solved.omega_g == pytest.approx(TWO_PI * 16.9e3, rel=0.01)
-    peak = adiabaticity_profile(build_smooth_schedule(solved)).peak
-    assert peak == pytest.approx(1.46, rel=0.01)  # above ADIABATICITY_WARN = 0.3
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        calibrate_omega(reference_params(), use="adiabatic")
-
-
 def test_delta_min_calibration_roundtrip():
     p = reference_params(omega_g=TWO_PI * 5e3, tau_d=95e-6, t_c=0.0)
-    solved = calibrate_delta_min(p, use="adiabatic")
+    solved = calibrate_delta_min(p, use="exact")
     sched = build_smooth_schedule(solved)
-    assert abs(gate_angle_adiabatic(sched).total) == pytest.approx(np.pi / 2, rel=1e-8)
+    assert abs(gate_angle_exact(sched)) == pytest.approx(np.pi / 2, abs=1e-10)
     assert abs(solved.delta_min) < abs(p.delta_min) * 0.9  # smaller Omega needs closer approach
-    with pytest.raises(ConvergenceError):
-        calibrate_delta_min(reference_params(omega_g=TWO_PI * 0.1e3), use="adiabatic")
+    with pytest.raises(ConvergenceError, match="not bracketed"):
+        calibrate_delta_min(reference_params(omega_g=TWO_PI * 0.1e3), use="exact")
 
 
 @pytest.mark.parametrize("calibrate", [calibrate_omega, calibrate_delta_min])
 def test_calibration_rejects_unknown_angle(calibrate):
-    with pytest.raises(ParameterError):
-        calibrate(reference_params(), use="adiabtic")
-
-
-def test_adiabatic_phase_consistency_sweep():
-    # |theta_exact - theta_adiabatic| stays within C * peak-metric * theta
-    ratios = []
-    for tau_d in (60e-6, 100e-6, 160e-6):
-        sched = build_smooth_schedule(reference_params(tau_d=tau_d))
-        th_num = gate_angle_exact(sched)
-        th_ad = gate_angle_adiabatic(sched).total
-        peak = adiabaticity_profile(sched).peak
-        ratios.append(abs(th_num - th_ad) / (peak * abs(th_ad)))
-    assert max(ratios) < 10.0
+    # the exact kernel is the only gate-angle route
+    for use in ("adiabtic", "adiabatic"):
+        with pytest.raises(ParameterError):
+            calibrate(reference_params(), use=use)
 
 
 # ---------------------------------------------------------------------------
