@@ -19,8 +19,7 @@ __version__ = "0.1.0"
 
 from .errors import (ConfigError, ConvergenceError, DomainError, GridError,
                      ParameterError, TruncationError)
-from .filterfn import (DEFAULT_VARIANCES, FilterFunction, PowerLawPsd,
-                       SampledPsd, filter_function_numeric,
+from .filterfn import (FilterFunction, PowerLawPsd, SampledPsd, filter_function_numeric,
                        filter_function_walsh_analytic, noise_infidelity_integral)
 from .quantum import (BRANCH_EIGENVALUES, SPIN_LABELS, CompositeState,
                       FockConfig, GateOutcome, ThermalEnsemble, branch_factorized_blocks,
@@ -30,7 +29,7 @@ from .schedule import (PulseSchedule, Segment, SmoothGateParams, WalshGateParams
                        build_smooth_schedule, build_walsh_schedule, walsh_function)
 from .semiclassical import (BranchTrajectory, branch_endpoints, calibrate_delta_min,
                             calibrate_omega, gate_angle_exact, perturbative_infidelity,
-                            propagate_displacement, spin_variances)
+                            propagate_displacement)
 from .slerb import (DecayFit, FullScheduleModel, ParametricModel,
                     SlerbDataset, SlerbSequence, SubspaceClifford,
                     bootstrap_ci, clifford_table, collect_dataset,

@@ -38,12 +38,19 @@ from .slerb import (FullScheduleModel, ParametricModel, SlerbDataset, bootstrap_
 
 TWO_PI = 2.0 * math.pi
 
-_SCHEMA = """\
+# Largest array a config may size, in elements: 1 GiB of float64.
+_MAX_ELEMENTS = 2 ** 27
+
+_SCHEMA = f"""\
 Scenario config reference (INI format, flat key = value sections).
 
 UNITS: every *_hz key is a plain cyclic frequency in Hz and is converted to
 angular units (2*pi rad/s) internally.  Times are seconds.  Detunings keep
 their sign.  Every comma list needs at least one value.
+
+SIZES: no array a config sizes may exceed {_MAX_ELEMENTS} elements (1 GiB
+of float64): points in [filterfn], [scan] and [trajectory]; in [slerb],
+sequences x sum of lengths and resamples x number of lengths.
 
 [scenario]
   name    one of: filterfn, calibration-scan, offset-scan, thermal-sweep,
@@ -331,6 +338,13 @@ class _Config:
         return [int(v) for v in values]
 
 
+def _check_size(cfg: _Config, section: str, what: str, elements: int) -> None:
+    """Config error if ``what`` sizes an array of more than ``_MAX_ELEMENTS`` elements."""
+    if elements > _MAX_ELEMENTS:
+        raise ConfigError(f"{cfg.path}: {what} in [{section}] sizes {elements} elements, "
+                          f"above the limit of {_MAX_ELEMENTS}")
+
+
 def _smooth_params(cfg: _Config) -> SmoothGateParams:
     if not cfg.has("smooth"):
         raise ConfigError(f"{cfg.path}: this scenario needs a [smooth] section")
@@ -377,6 +391,7 @@ def _scan(cfg: _Config, nbar_default: float):
     points = cfg.integer("scan", "points", required=True)
     if points < 2:
         raise ConfigError(f"{cfg.path}: scan needs at least two points")
+    _check_size(cfg, "scan", "points", points)
     ensemble = ThermalEnsemble.build(cfg.number("scan", "nbar", nbar_default))
     return TWO_PI * np.linspace(start, stop, points), ensemble
 
@@ -397,6 +412,7 @@ def _parse_filterfn(cfg: _Config):
     hi = TWO_PI * cfg.number("filterfn", "omega_max_hz", 1.6e6)
     if points < 2 or hi <= lo or lo <= 0:
         raise ConfigError(f"{cfg.path}: bad filter-function frequency grid")
+    _check_size(cfg, "filterfn", "points", points)
     if min(nbars) < 0:
         raise ConfigError(f"{cfg.path}: nbars in [filterfn] must be >= 0")
     # output columns are keyed by f"{value:g}", so a repeat would collapse
@@ -500,6 +516,8 @@ def _parse_slerb(cfg: _Config):
             raise ConfigError(f"{cfg.path}: lengths in [slerb] repeats a value")
         if sequences < 1 or shots < 1:
             raise ConfigError(f"{cfg.path}: sequences and shots in [slerb] must be >= 1")
+        _check_size(cfg, "slerb", "sequences x the sum of lengths", sequences * sum(lengths))
+        _check_size(cfg, "slerb", "resamples x the number of lengths", resamples * len(lengths))
 
     def job(seed: int):
         if source is not None:
@@ -508,6 +526,8 @@ def _parse_slerb(cfg: _Config):
             if missing:
                 raise ConfigError(f"{source}: missing dataset column {missing[0]!r}")
             data = SlerbDataset.from_columns(*(columns[k] for k in _DATASET_COLUMNS))
+            _check_size(cfg, "slerb", "resamples x the number of lengths",
+                        resamples * np.unique(data.n).size)
         else:
             data = collect_dataset(lengths, sequences, shots, model, seed,
                                    pauli_randomize=pauli_randomize)
@@ -569,6 +589,7 @@ def _parse_trajectory(cfg: _Config):
     if points is not None:
         if points < 2:
             raise ConfigError(f"{cfg.path}: trajectory needs at least two points")
+        _check_size(cfg, "trajectory", "points", points)
         t_eval = np.linspace(0.0, schedule.duration, points)
         check_output_grid(schedule, t_eval)
 

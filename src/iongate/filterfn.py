@@ -7,15 +7,16 @@ delta_theta = 2*int eps*|gamma|^2 dt, with gamma the per-unit-eigenvalue
 branch displacement.  Averaging the resulting infidelity over the noise
 phases phi_f in {0, -pi/2} gives the filter function
 
-    S(omega) = (2*nbar+1)*lam2_S *(|A_c|^2 + |A_s|^2)/2
-             +            lam2_S2*(T_c^2   + T_s^2  )/2,
+    S(omega) = (2*nbar+1)*Var S  *(|A_c|^2 + |A_s|^2)/2
+             +            Var S^2*(T_c^2   + T_s^2  )/2,
 
-with A_{c,s} = int cos/sin(omega*t)*gamma dt and T_{c,s} = int cos/sin
-(omega*t)*|gamma|^2 dt, so that the infidelity under noise of power
-spectral density P is int P(omega)*S(omega) domega.  The one-half phase
-average is applied to the displacement and angle components alike; by the
-cos^2+sin^2 completeness this equals the average over any full phase
-cycle.
+with Var S = 2 and Var S^2 = 4 the spin moments of the |up,up> input the
+benchmarking protocol starts from, A_{c,s} = int cos/sin(omega*t)*gamma dt
+and T_{c,s} = int cos/sin(omega*t)*|gamma|^2 dt, so that the infidelity
+under noise of power spectral density P is int P(omega)*S(omega) domega.
+The one-half phase average is applied to the displacement and angle
+components alike; by the cos^2+sin^2 completeness this equals the average
+over any full phase cycle.
 
 The numeric path takes these integrals for any schedule as Clenshaw-Curtis
 sums at the nodes of the trajectory kernel's panels, each panel split into
@@ -34,11 +35,7 @@ import numpy as np
 
 from .errors import GridError, ParameterError
 from .schedule import PulseSchedule, WalshGateParams
-from .semiclassical import SpinStateVariances, _fourier_sums
-
-# Variances of the bright-state input |up,up> in the gate basis, the
-# worst-case input relevant to the benchmarking protocol.
-DEFAULT_VARIANCES = SpinStateVariances(mean_s=0.0, mean_s2=2.0, var_s=2.0, var_s2=4.0)
+from .semiclassical import _UU_VARIANCES, _fourier_sums
 
 
 @dataclass(frozen=True)
@@ -71,24 +68,25 @@ def _checked_omega(nbar: float, omega) -> np.ndarray:
     return om
 
 
-def _assemble(omega, a_c, a_s, t_c, t_s, nbar, variances) -> FilterFunction:
-    disp = 0.5 * (2 * nbar + 1) * variances.var_s * (np.abs(a_c) ** 2 + np.abs(a_s) ** 2)
-    ang = 0.5 * variances.var_s2 * (t_c ** 2 + t_s ** 2)
+def _assemble(omega, a_c, a_s, t_c, t_s, nbar) -> FilterFunction:
+    var_s, var_s2 = _UU_VARIANCES
+    disp = 0.5 * (2 * nbar + 1) * var_s * (np.abs(a_c) ** 2 + np.abs(a_s) ** 2)
+    ang = 0.5 * var_s2 * (t_c ** 2 + t_s ** 2)
     return FilterFunction(omega=omega, total=disp + ang, displacement=disp, angle=ang)
 
 
-def filter_function_numeric(schedule: PulseSchedule, nbar: float = 0.0,
-                            variances: SpinStateVariances = DEFAULT_VARIANCES, *,
+def filter_function_numeric(schedule: PulseSchedule, nbar: float = 0.0, *,
                             omega: np.ndarray, rtol: float = 1e-11,
                             atol: float = 1e-13) -> FilterFunction:
     """Filter function of an arbitrary schedule from the exact trajectory.
 
     The Fourier integrals of the unit-branch gamma(t) are Clenshaw-Curtis
-    sums at the trajectory kernel's nodes (``rtol`` and ``atol`` as in
-    :func:`propagate_displacement`), on sub-panels of at most 4 rad of omega*t.
+    sums at the trajectory kernel's nodes (panels bisected to ``rtol`` as
+    in :func:`propagate_displacement`, with ``atol`` in place of its
+    1e-13), on sub-panels of at most 4 rad of omega*t.
     """
     om = _checked_omega(nbar, omega)
-    return _assemble(om, *_fourier_sums(schedule, om, rtol, atol), nbar, variances)
+    return _assemble(om, *_fourier_sums(schedule, om, rtol, atol), nbar)
 
 
 def _exp_integral(q: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -97,8 +95,7 @@ def _exp_integral(q: np.ndarray, a: float, b: float) -> np.ndarray:
     return (b - a) * np.exp(1j * q * (a + b) / 2.0) * np.sinc(q * half / np.pi)
 
 
-def filter_function_walsh_analytic(p: WalshGateParams, nbar: float = 0.0,
-                                   variances: SpinStateVariances = DEFAULT_VARIANCES, *,
+def filter_function_walsh_analytic(p: WalshGateParams, nbar: float = 0.0, *,
                                    omega: np.ndarray) -> FilterFunction:
     """Closed-form filter function of a Walsh-modulated constant-drive gate.
 
@@ -131,7 +128,7 @@ def filter_function_walsh_analytic(p: WalshGateParams, nbar: float = 0.0,
     e_wm = _exp_integral(om - de, 0.0, t_g)
     t_c = (og ** 2 / (2 * de ** 2)) * (e_w.real - (e_wp.real + e_wm.real) / 2.0)
     t_s = (og ** 2 / (2 * de ** 2)) * (e_w.imag - (e_wp.imag + e_wm.imag) / 2.0)
-    return _assemble(om, a_c, a_s, t_c, t_s, nbar, variances)
+    return _assemble(om, a_c, a_s, t_c, t_s, nbar)
 
 
 # ---------------------------------------------------------------------------

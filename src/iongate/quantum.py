@@ -13,9 +13,10 @@ evaluates every occupation on one set of endpoints.  The one Fock-space route,
 :func:`gate_propagator`, builds the exact blocks from the same endpoints,
 the +2 block alone, the rest by :func:`_branch_blocks`; nothing is
 stepped in time.  D(gamma) comes from one numpy eigendecomposition, so
-the module needs no scipy.  An outcome's fidelity is measured against
-the fully entangling gate of the schedule's handedness, theta = +-pi/2
-with the sign of the schedule's detuning.
+the module needs no scipy.  Every outcome starts from spin input |uu>,
+and its fidelity is measured against the fully entangling gate of the
+schedule's handedness, theta = +-pi/2 with the sign of the schedule's
+detuning, applied to |uu>.
 
 States are stored spin-major in the measurement (z) basis with spin order
 (uu, ud, du, dd): amplitude index = spin_index * (n_max + 1) + n.
@@ -280,13 +281,14 @@ def _hermitian_exp(h: np.ndarray) -> np.ndarray:
     return (vecs * np.exp(-1j * vals)) @ vecs.conj().T
 
 
-def _target_spin(psi0_spin: np.ndarray, schedule: PulseSchedule) -> np.ndarray:
-    """The fully entangling gate of the schedule's handedness applied to
-    ``psi0_spin``: theta = +-pi/2 with the sign of its detuning."""
+def _uu_input(schedule: PulseSchedule) -> tuple[np.ndarray, np.ndarray]:
+    """|uu> in the gate eigenbasis, and in the z basis the target: the fully entangling
+    gate of the schedule's handedness, theta = +-pi/2 with its detuning's sign, on |uu>."""
     target_angle = math.copysign(math.pi / 2, schedule.delta(0.0))
     basis = gate_eigenbasis()
+    spin_eig = basis[:, 0]
     phases = np.exp(1j * target_angle * (np.asarray(BRANCH_EIGENVALUES) / 2.0) ** 2)
-    return basis.conj().T @ (phases * (basis @ psi0_spin))
+    return spin_eig, basis.conj().T @ (phases * spin_eig)
 
 
 def _outcomes_from_densities(rho_z: np.ndarray, target: np.ndarray) -> list[GateOutcome]:
@@ -304,18 +306,11 @@ def _outcomes_from_densities(rho_z: np.ndarray, target: np.ndarray) -> list[Gate
             for p, f, pur, ang, c in zip(pops, fid, purity, angle, coherence)]
 
 
-def outcome_from_state(state: CompositeState, psi0_spin,
-                       schedule: PulseSchedule) -> GateOutcome:
+def outcome_from_state(state: CompositeState, schedule: PulseSchedule) -> GateOutcome:
     """Populations, fidelity and angle of the composite state that
-    ``schedule`` made from ``psi0_spin``.
-
-    The fidelity is the spin overlap, traced over the motion, with the
-    fully entangling gate of the schedule's handedness applied to
-    ``psi0_spin``.
-    """
-    spin = np.asarray(psi0_spin, dtype=complex)
-    spin = spin / np.linalg.norm(spin)
-    target = _target_spin(spin, schedule)
+    ``schedule`` made from spin input |uu>; the fidelity is the spin overlap,
+    traced over the motion, with the target of :func:`_uu_input`."""
+    _, target = _uu_input(schedule)
     return _outcomes_from_densities(state.reduced_spin_density()[None], target)[0]
 
 
@@ -336,16 +331,13 @@ def _displacement_kernel(gamma_end: np.ndarray, theta_end: np.ndarray,
 
 
 def _thermal_outcomes(schedule: PulseSchedule, offsets: np.ndarray, ensembles,
-                      psi0_spin, fock: FockConfig | None = None,
+                      fock: FockConfig | None = None,
                       props: BranchPropagators | None = None) -> list[GateOutcome]:
     """Thermal outcomes under each static detuning offset, ensemble by ensemble,
     from one endpoint integration; see :func:`thermal_average`.  The
     ``props`` oracle takes a single ensemble."""
-    spin = np.asarray(psi0_spin, dtype=complex)
-    spin = spin / np.linalg.norm(spin)
     basis = gate_eigenbasis()
-    spin_eig = basis @ spin
-    target = _target_spin(spin, schedule)
+    spin_eig, target = _uu_input(schedule)
 
     if props is None:
         if fock is not None:
@@ -373,14 +365,13 @@ def _thermal_outcomes(schedule: PulseSchedule, offsets: np.ndarray, ensembles,
 
 
 def thermal_average(schedule: PulseSchedule, ensemble: ThermalEnsemble,
-                    psi0_spin=(1.0, 0.0, 0.0, 0.0),
                     fock: FockConfig | None = None,
                     props: BranchPropagators | None = None) -> GateOutcome:
-    """Thermally averaged gate outcome over initial Fock states.
+    """Thermally averaged gate outcome of spin input |uu> over initial Fock states.
 
-    The spin density rho_ij = c_i conj(c_j) <U_j^dag U_i> (c: the spin state
-    in the gate eigenbasis) is closed-form in the branch endpoints, over the
-    untruncated thermal state of ``ensemble.nbar``.
+    The spin density rho_ij = c_i conj(c_j) <U_j^dag U_i> (c: |uu> in the
+    gate eigenbasis, 1/2 on every branch) is closed-form in the branch
+    endpoints, over the untruncated thermal state of ``ensemble.nbar``.
 
     Given branch propagators ``props`` (the exact ones of
     :func:`gate_propagator`, or blocks built another way, such as by
@@ -388,13 +379,13 @@ def thermal_average(schedule: PulseSchedule, ensemble: ThermalEnsemble,
     instead, the Fock-space oracle of the closed form; ``fock``, accepted
     only with ``props``, must match its cutoff.
     """
-    return _thermal_outcomes(schedule, np.zeros(1), [ensemble], psi0_spin, fock, props)[0]
+    return _thermal_outcomes(schedule, np.zeros(1), [ensemble], fock, props)[0]
 
 
 def thermal_sweep(schedule: PulseSchedule, ensembles) -> list[GateOutcome]:
     """:func:`thermal_average` of one schedule for each of ``ensembles``, in
     closed form from one :func:`branch_endpoints` call."""
-    return _thermal_outcomes(schedule, np.zeros(1), list(ensembles), (1.0, 0.0, 0.0, 0.0))
+    return _thermal_outcomes(schedule, np.zeros(1), list(ensembles))
 
 
 def _max_branch_displacement(schedule: PulseSchedule, gates: int = 0) -> float:
@@ -431,8 +422,7 @@ def calibration_scan(base: SmoothGateParams, delta_min_grid,
     return outcomes, float(crossing)
 
 
-def offset_scan(schedule: PulseSchedule, offsets, ensemble: ThermalEnsemble,
-                psi0_spin=(1.0, 0.0, 0.0, 0.0)) -> list[GateOutcome]:
+def offset_scan(schedule: PulseSchedule, offsets, ensemble: ThermalEnsemble) -> list[GateOutcome]:
     """Outcomes of one schedule under constant mode-frequency offsets, one
     per offset.
 
@@ -443,4 +433,4 @@ def offset_scan(schedule: PulseSchedule, offsets, ensemble: ThermalEnsemble,
     offs = np.asarray(offsets, dtype=float)
     if offs.ndim != 1 or offs.size == 0:
         raise GridError("need a 1-D array of offsets")
-    return _thermal_outcomes(schedule, offs, [ensemble], psi0_spin)
+    return _thermal_outcomes(schedule, offs, [ensemble])

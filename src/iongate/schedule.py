@@ -58,10 +58,6 @@ class SmoothGateParams:
     j : int
         Positive exponent of the detuning ramp shape; larger values
         concentrate dwell time near ``delta_min``.
-    merge_ramps : bool
-        Run the amplitude ramps concurrently with the start and end of the
-        detuning ramps (requires ``tau_g <= tau_d``), shortening the gate
-        to ``2*tau_d + t_c``.
     """
 
     delta_max: float
@@ -71,7 +67,6 @@ class SmoothGateParams:
     tau_d: float
     t_c: float = 0.0
     j: int = 3
-    merge_ramps: bool = False
 
     def __post_init__(self):
         if not (self.tau_g > 0 and self.tau_d > 0):
@@ -88,8 +83,6 @@ class SmoothGateParams:
             raise ParameterError("delta_max and delta_min must share a sign")
         if not abs(self.delta_min) < abs(self.delta_max):
             raise ParameterError("|delta_min| must be smaller than |delta_max|")
-        if self.merge_ramps and self.tau_g > self.tau_d:
-            raise ParameterError("merged ramps require tau_g <= tau_d")
 
     @property
     def sign(self) -> float:
@@ -97,8 +90,6 @@ class SmoothGateParams:
 
     @property
     def duration(self) -> float:
-        if self.merge_ramps:
-            return 2 * self.tau_d + self.t_c
         return 2 * self.tau_g + 2 * self.tau_d + self.t_c
 
     def with_delta_min(self, delta_min: float) -> "SmoothGateParams":
@@ -322,9 +313,6 @@ class PulseSchedule:
         """Drive detuning delta(t) in rad/s."""
         return self._eval(t, "delta")
 
-    def max_abs_delta(self) -> float:
-        return max(s.max_abs_delta() for s in self.segments)
-
     def with_detuning_offset(self, offset: float) -> "PulseSchedule":
         """New schedule with a constant mode-frequency error added to delta(t)."""
         if not math.isfinite(offset):
@@ -336,35 +324,20 @@ def build_smooth_schedule(p: SmoothGateParams) -> PulseSchedule:
     """Assemble the five-step smooth-gate schedule.
 
     Steps: ramp Omega up at delta_max, ramp delta down to delta_min, hold
-    for t_c, ramp delta back up, ramp Omega down.  With ``p.merge_ramps``
-    the amplitude ramps run concurrently with the start/end of the
-    detuning ramps; each amplitude ramp is then a segment of its own
-    (ramp-in, det-down, [hold,] det-up, ramp-out), so that Omega is smooth
-    inside every segment.  Zero-length pieces (no hold, or tau_g = tau_d)
-    are omitted rather than kept as degenerate segments.
+    for t_c, ramp delta back up, ramp Omega down.  A zero-length hold is
+    omitted rather than kept as a degenerate segment.
     """
     abs_ramp = lambda u: _ramp_magnitude(p.tau_d, abs(p.delta_max), abs(p.delta_min), p.j, np.asarray(u, dtype=float))
     down = lambda u: p.sign * abs_ramp(u)
     up = lambda u: p.sign * abs_ramp(p.tau_d - np.asarray(u, dtype=float))
     amp_up = lambda u: eval_amplitude_ramp(p.tau_g, p.omega_g, np.asarray(u, dtype=float), "up")
     amp_down = lambda u: eval_amplitude_ramp(p.tau_g, p.omega_g, np.asarray(u, dtype=float), "down")
-
-    full, at_full = _const_fn(p.omega_g), dict(const_omega=p.omega_g)
-    hold = (p.t_c, full, _const_fn(p.delta_min), dict(at_full, const_delta=p.delta_min), "hold")
-    if p.merge_ramps:
-        rest = p.tau_d - p.tau_g
-        pieces = [(p.tau_g, amp_up, down, {}, "ramp-in"),
-                  (rest, full, lambda u: down(np.add(u, p.tau_g)), at_full, "det-down"),
-                  hold,
-                  (rest, full, up, at_full, "det-up"),
-                  (p.tau_g, amp_down, lambda u: up(np.add(u, rest)), {}, "ramp-out")]
-    else:
-        at_max = dict(const_delta=p.delta_max)
-        pieces = [(p.tau_g, amp_up, _const_fn(p.delta_max), at_max, "amp-up"),
-                  (p.tau_d, full, down, at_full, "det-down"),
-                  hold,
-                  (p.tau_d, full, up, at_full, "det-up"),
-                  (p.tau_g, amp_down, _const_fn(p.delta_max), at_max, "amp-down")]
+    full, at_full, at_max = _const_fn(p.omega_g), dict(const_omega=p.omega_g), dict(const_delta=p.delta_max)
+    pieces = [(p.tau_g, amp_up, _const_fn(p.delta_max), at_max, "amp-up"),
+              (p.tau_d, full, down, at_full, "det-down"),
+              (p.t_c, full, _const_fn(p.delta_min), dict(at_full, const_delta=p.delta_min), "hold"),
+              (p.tau_d, full, up, at_full, "det-up"),
+              (p.tau_g, amp_down, _const_fn(p.delta_max), at_max, "amp-down")]
     segs = [Segment(duration, omega, delta, label=label, **const)
             for duration, omega, delta, const, label in pieces if duration > 0]
     return PulseSchedule(segs)

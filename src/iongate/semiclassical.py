@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -287,8 +287,8 @@ def branch_endpoints(schedule: PulseSchedule, offsets, branch_eigenvalue: float 
 
 
 def propagate_displacement(schedule: PulseSchedule, branch_eigenvalue: float = 1.0,
-                           t_eval: np.ndarray | None = None, rtol: float = 1e-11,
-                           atol: float = 1e-13) -> BranchTrajectory:
+                           t_eval: np.ndarray | None = None,
+                           rtol: float = 1e-11) -> BranchTrajectory:
     """Integrate eta, gamma and theta for one spin branch along a schedule.
 
     Each segment is cut into panels of at most 1 rad of phase budget
@@ -296,7 +296,7 @@ def propagate_displacement(schedule: PulseSchedule, branch_eigenvalue: float = 1
     Chebyshev-Lobatto nodes, and bisected until the trailing Chebyshev
     coefficients of Omega and delta fall below ``rtol`` (floored at 100
     machine epsilons) times their scale on the segment plus
-    ``atol``/duration; an unresolved segment raises
+    1e-13/duration; an unresolved segment raises
     :class:`ConvergenceError`.  The node values are interpolated onto the
     output times per panel (barycentric, exact at the nodes).
 
@@ -307,7 +307,7 @@ def propagate_displacement(schedule: PulseSchedule, branch_eigenvalue: float = 1
     locals_per_seg = ([_segment_grid(seg) for seg in schedule.segments] if t_eval is None
                       else check_output_grid(schedule, t_eval))
     ts, cols = [], []
-    nodes = _node_trajectory(schedule, float(branch_eigenvalue), rtol, atol)
+    nodes = _node_trajectory(schedule, float(branch_eigenvalue), rtol, 1e-13)
     for seg, u, start in zip(nodes, locals_per_seg, schedule.boundaries):
         if u.size:
             ts.append(u + start)
@@ -373,52 +373,11 @@ def calibrate_delta_min(p: SmoothGateParams, use: str = "exact",
 
 
 # ---------------------------------------------------------------------------
-# spin algebra of the two-qubit collective operator
-
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-_ID2 = np.eye(2, dtype=complex)
-
-
-def collective_spin_operator(phi: float = 0.0) -> np.ndarray:
-    """S_phi = sigma_phi(1) + sigma_phi(2) on the basis (uu, ud, du, dd)."""
-    sp = math.cos(phi) * _SIGMA_X + math.sin(phi) * _SIGMA_Y
-    return np.kron(sp, _ID2) + np.kron(_ID2, sp)
-
-
-@dataclass(frozen=True)
-class SpinStateVariances:
-    """Moments of S_alpha in the initial spin state entering the error formulas."""
-
-    mean_s: float
-    mean_s2: float
-    var_s: float
-    var_s2: float
-
-    def __post_init__(self):
-        if self.var_s < -1e-12 or self.var_s2 < -1e-12:
-            raise ParameterError("variances must be non-negative")
-
-
-def spin_variances(psi0: Sequence[complex], phi: float = 0.0) -> SpinStateVariances:
-    """Variances of S_phi and S_phi^2 in a normalized two-qubit state."""
-    psi = np.asarray(psi0, dtype=complex).reshape(4)
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-9:
-        raise ParameterError(f"spin state norm {norm} is not 1")
-    s_op = collective_spin_operator(phi)
-    s1 = psi.conj() @ (s_op @ psi)
-    s2_vec = s_op @ (s_op @ psi)
-    s2 = psi.conj() @ s2_vec
-    s4 = s2_vec.conj() @ s2_vec
-    mean_s, mean_s2, mean_s4 = float(s1.real), float(s2.real), float(s4.real)
-    return SpinStateVariances(mean_s=mean_s, mean_s2=mean_s2,
-                              var_s=max(mean_s2 - mean_s ** 2, 0.0),
-                              var_s2=max(mean_s4 - mean_s2 ** 2, 0.0))
-
-
-# ---------------------------------------------------------------------------
 # perturbative infidelity from a mode-frequency error epsilon(t)
+
+
+# Var S_phi and Var S_phi^2 of the |up,up> input, the same at every phi.
+_UU_VARIANCES = (2.0, 4.0)
 
 
 @dataclass(frozen=True)
@@ -427,7 +386,7 @@ class PerturbativeInfidelity:
 
     ``residual_displacement`` is alpha_t = int eps*gamma dt and
     ``gate_angle_error`` is delta_theta = 2*int eps*|gamma|^2 dt on the unit
-    branch; the total combines them with the initial spin moments.
+    branch; the total weights them with the |up,up> spin variances.
     """
 
     residual_displacement: complex
@@ -439,9 +398,8 @@ class PerturbativeInfidelity:
 
 def perturbative_infidelity(schedule: PulseSchedule,
                             eps: float | Callable[[np.ndarray], np.ndarray],
-                            variances: SpinStateVariances,
                             nbar: float = 0.0) -> PerturbativeInfidelity:
-    """Leading-order infidelity of a schedule under a mode-frequency error eps(t).
+    """Leading-order infidelity of the |up,up> input under a mode-frequency error eps(t).
 
     ``eps`` (rad/s) is a constant or a callable of an array of schedule
     times.  Both integrals are Clenshaw-Curtis sums at the nodes of the
@@ -462,8 +420,9 @@ def perturbative_infidelity(schedule: PulseSchedule,
                                    f"kernel's panels (Chebyshev tail {tail:.3g})")
         alpha_t += complex(np.sum(seg.weights * e * seg.gamma))
         dtheta += 2.0 * float(np.sum(seg.weights * e * np.abs(seg.gamma) ** 2))
-    disp = (2.0 * nbar + 1.0) * abs(alpha_t) ** 2 * variances.var_s
-    ang = dtheta ** 2 / 4.0 * variances.var_s2
+    var_s, var_s2 = _UU_VARIANCES
+    disp = (2.0 * nbar + 1.0) * abs(alpha_t) ** 2 * var_s
+    ang = dtheta ** 2 / 4.0 * var_s2
     return PerturbativeInfidelity(residual_displacement=alpha_t, gate_angle_error=dtheta,
                                   displacement=disp, angle=ang, total=disp + ang)
 

@@ -1,6 +1,7 @@
 """CLI tests: config parsing, scenario runs, CSV contract, exit codes."""
 
 import ast
+import dataclasses
 import importlib.util
 import inspect
 import os
@@ -745,6 +746,40 @@ def test_output_csv_headers(tmp_path, text, output, header):
     assert list(cols) == header
 
 
+@pytest.mark.parametrize("base,key,value", [
+    (SLERB_PARAMETRIC, "lengths", "2,5,1e15"),
+    (SLERB_PARAMETRIC, "sequences", "2e6"),  # 2e6 x 82 Clifford draws
+    (SLERB_PARAMETRIC, "resamples", "5e7"),  # 5e7 x 3 lengths
+    (FILTERFN, "points", "1e9"),
+    (OFFSET_SCAN, "points", "1e9"),
+    (CALIBRATION_SCAN, "points", "1e9"),
+    (TRAJECTORY, "points", "1e9"),
+], ids=["slerb-lengths", "slerb-sequences", "slerb-resamples", "filterfn-points",
+        "offset-scan-points", "calibration-scan-points", "trajectory-points"])
+def test_array_sizes_beyond_the_limit_are_config_errors(tmp_path, capsys, base, key, value):
+    # each would ask numpy for gigabytes in `run`; `validate` allocates nothing
+    path = write_config(tmp_path, set_key(base, key, value))
+    assert cli.main(["validate", path, "--quiet"]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_array_size_limit_is_inclusive(tmp_path):
+    # sequences x the sum of lengths at the limit validates, one above does not
+    for last, code in ((cli._MAX_ELEMENTS - 3, 0), (cli._MAX_ELEMENTS - 2, 1)):
+        text = set_key(set_key(SLERB_PARAMETRIC, "lengths", f"1,2,{last}"), "sequences", "1")
+        assert cli.main(["validate", write_config(tmp_path, text), "--quiet"]) == code
+
+
+def test_refit_resamples_beyond_the_limit_is_config_error(tmp_path, capsys):
+    # a refit's lengths are known only once `run` reads the dataset
+    path = write_config(tmp_path, SLERB_PARAMETRIC, name="rb.ini")
+    assert cli.main(["run", path, "--output-dir", str(tmp_path), "--quiet"]) == 0
+    refit = write_config(tmp_path, set_key(REFIT.format(dir=tmp_path), "resamples", "5e7"))
+    assert cli.main(["run", refit, "--output-dir", str(tmp_path), "--quiet"]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "refit.csv").exists()
+
+
 AGREEMENT_CASES = {
     "trajectory-points-1": set_key(TRAJECTORY, "points", "1"),
     "trajectory-points-too-coarse": set_key(TRAJECTORY, "points", "10"),
@@ -837,6 +872,42 @@ def load_bench_module(name):
     return module
 
 
+def package_imports(tree):
+    """Each name ``tree`` imports from iongate, bound to a one-item list of its object."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("iongate"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+                names[alias.asname or alias.name] = [getattr(module, alias.name)]
+        elif isinstance(node, ast.Import):
+            names.update((alias.asname or alias.name, [importlib.import_module(alias.name)])
+                         for alias in node.names if alias.name.startswith("iongate"))
+    return names
+
+
+def resolved_calls(tree, names):
+    """(call, callables) for each call in ``tree``: the objects its callee can
+    name through ``names``, by a bound name, a method or attribute of one,
+    either branch of a conditional, or a name assigned one of these
+    (``solve = a if c else b``)."""
+    names = dict(names)
+
+    def callees(expr):
+        if isinstance(expr, ast.IfExp):
+            return callees(expr.body) + callees(expr.orelse)
+        if isinstance(expr, ast.Attribute):
+            return [getattr(owner, expr.attr) for owner in callees(expr.value)]
+        return names.get(expr.id, []) if isinstance(expr, ast.Name) else []
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                and isinstance(node.targets[0], ast.Name) and callees(node.value):
+            names[node.targets[0].id] = callees(node.value)
+    return [(call, callees(call.func)) for call in ast.walk(tree) if isinstance(call, ast.Call)]
+
+
 def test_bench_contract_with_the_package():
     # the benchmark harness imports and traces these names; a rename in the
     # package would otherwise only show up as a failed traced bench run
@@ -849,37 +920,14 @@ def test_bench_contract_with_the_package():
         assert name in vars(owner), f"{layer}.{attr}"
     with open(os.path.join(BENCH, "references.py")) as handle:
         tree = ast.parse(handle.read())
-    imports = [node for node in ast.walk(tree)
-               if isinstance(node, ast.ImportFrom) and node.module.startswith("iongate")]
-    assert imports
-    callables = {}
-    for node in imports:
-        module = importlib.import_module(node.module)
-        for alias in node.names:
-            assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
-            callables[alias.asname or alias.name] = [getattr(module, alias.name)]
-
-    def callees(expr):
-        """The package callables an expression can name: an imported name, a
-        method of one, or either branch of a conditional (``solve = a if c else b``)."""
-        if isinstance(expr, ast.IfExp):
-            return callees(expr.body) + callees(expr.orelse)
-        if isinstance(expr, ast.Attribute):
-            return [getattr(owner, expr.attr) for owner in callees(expr.value)]
-        return callables.get(expr.id, []) if isinstance(expr, ast.Name) else []
-
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                and isinstance(node.targets[0], ast.Name) and callees(node.value):
-            callables[node.targets[0].id] = callees(node.value)
+    callables = package_imports(tree)
+    assert callables
     # every keyword the references pass must still be a parameter of its
     # callee; **solver_kwargs are passed on to the kernel's tolerances
     kernel = inspect.signature(semiclassical.branch_endpoints).parameters
     checked = set()
-    for call in ast.walk(tree):
-        if not isinstance(call, ast.Call):
-            continue
-        for target in callees(call.func):
+    for call, targets in resolved_calls(tree, callables):
+        for target in targets:
             params = dict(inspect.signature(target).parameters)
             if "solver_kwargs" in params:
                 params.update(kernel)
@@ -947,6 +995,65 @@ def test_package_private_names_are_read():
     unread = sorted(f"{module}: {target}" for target, module in defined.items()
                     if target not in read)
     assert not unread, f"private names nothing reads: {unread}"
+
+
+def test_package_options_are_set_by_some_caller():
+    # a defaulted parameter or dataclass field of a public callable that no
+    # call in the package or the benchmark sets is a constant dressed as an
+    # option.  Calls are resolved to objects, so an alias such as
+    # branch_factorized_blocks counts for gate_propagator; keywords passed on
+    # through **solver_kwargs count for branch_endpoints, and keywords of
+    # dataclasses.replace for every package dataclass field of that name.
+    # A script's `if __name__ == "__main__"` block is the command line's
+    # call, not the package's.
+    package = os.path.dirname(iongate.__file__)
+    sources = [(os.path.join(package, name), importlib.import_module(f"iongate.{name[:-3]}"))
+               for name in sorted(os.listdir(package))
+               if name.endswith(".py") and name != "__init__.py"]
+    sources += [(os.path.join(BENCH, name), None)
+                for name in sorted(os.listdir(BENCH)) if name.endswith(".py")]
+    kernel = semiclassical.branch_endpoints
+    options, supplied, replaced = {}, set(), set()
+
+    def public(obj):
+        qualname = getattr(obj, "__qualname__", "_")
+        return (getattr(obj, "__module__", None) or "").startswith("iongate") \
+            and not any(part.startswith("_") for part in qualname.split("."))
+
+    for path, module in sources:
+        with open(path) as handle:
+            tree = ast.parse(handle.read())
+        names = {key: [value] for key, value in vars(module).items()} if module else {}
+        script = {id(node) for guard in tree.body if isinstance(guard, ast.If)
+                  and "__main__" in ast.unparse(guard.test) for node in ast.walk(guard)}
+        for call, targets in resolved_calls(tree, {**names, **package_imports(tree)}):
+            if id(call) in script:
+                continue
+            for target in targets:
+                if target is dataclasses.replace:
+                    replaced.update(keyword.arg for keyword in call.keywords)
+                # the error classes have no Python signature, and no options
+                if not public(target) or isinstance(target, type) and issubclass(target, Exception):
+                    continue
+                key = getattr(target, "__func__", target)
+                params = inspect.signature(target).parameters
+                for name, param in params.items():
+                    if param.default is not param.empty:
+                        options[key, name] = f"{key.__qualname__}({name})"
+                positional = [name for name, param in params.items()
+                              if param.kind in (param.POSITIONAL_ONLY, param.POSITIONAL_OR_KEYWORD)]
+                starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+                supplied.update((key, name) for name in
+                                positional[:len(positional) if starred else len(call.args)])
+                for keyword in call.keywords:
+                    if keyword.arg in params:
+                        supplied.add((key, keyword.arg))
+                    elif "solver_kwargs" in params:
+                        supplied.add((kernel, keyword.arg))
+    unset = sorted(label for (key, name), label in options.items()
+                   if (key, name) not in supplied
+                   and not (dataclasses.is_dataclass(key) and name in replaced))
+    assert not unset, f"options no call in the package or the benchmark sets: {unset}"
 
 
 def test_failing_hypothesis_test_is_reported_as_one_failure(tmp_path):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from iongate import semiclassical
 from iongate.errors import GridError, ParameterError
 from iongate.filterfn import (
-    DEFAULT_VARIANCES,
     FilterFunction,
     PowerLawPsd,
     SampledPsd,
@@ -91,8 +90,8 @@ def test_analytic_matches_numeric(loops):
     om = np.unique(np.concatenate([np.geomspace(1e2, 1e7, 120),
                                    np.geomspace(dg / 3, dg * 3, 20),
                                    np.geomspace(og / 3, og * 3, 20)]))
-    fa = filter_function_walsh_analytic(p, 1.5, DEFAULT_VARIANCES, omega=om)
-    fn = filter_function_numeric(sched, 1.5, DEFAULT_VARIANCES, omega=om)
+    fa = filter_function_walsh_analytic(p, 1.5, omega=om)
+    fn = filter_function_numeric(sched, 1.5, omega=om)
     mask = fa.total > 1e-3 * fa.total.max()
     rel = np.abs(fn.total[mask] - fa.total[mask]) / fa.total[mask]
     assert rel.max() < 1e-12
@@ -106,8 +105,8 @@ def test_numeric_matches_walsh_closed_form(loops, omega_hz, nbar):
     # closed form to rounding wherever the filter is not negligible
     p = WalshGateParams.calibrated(loops, TWO_PI * omega_hz)
     om = np.geomspace(1e2, 1e7, 200)
-    fa = filter_function_walsh_analytic(p, nbar, DEFAULT_VARIANCES, omega=om)
-    fn = filter_function_numeric(build_walsh_schedule(p), nbar, DEFAULT_VARIANCES, omega=om)
+    fa = filter_function_walsh_analytic(p, nbar, omega=om)
+    fn = filter_function_numeric(build_walsh_schedule(p), nbar, omega=om)
     mask = fa.total > 1e-3 * fa.total.max()
     rel = np.abs(fn.total[mask] - fa.total[mask]) / fa.total[mask]
     assert rel.max() < 1e-12
@@ -119,10 +118,9 @@ def test_smooth_gate_matches_phase_averaged_perturbation_theory(smooth_reference
     # resolving cos(omega*t)
     sched = build_smooth_schedule(smooth_reference)
     om = np.geomspace(1e2, 4.4e5, 12)
-    ff = filter_function_numeric(sched, 1.0, DEFAULT_VARIANCES, omega=om)
+    ff = filter_function_numeric(sched, 1.0, omega=om)
     for k, w in enumerate(om):
-        total = sum(perturbative_infidelity(sched, lambda t: np.cos(w * t + phase),
-                                            DEFAULT_VARIANCES, 1.0).total
+        total = sum(perturbative_infidelity(sched, lambda t: np.cos(w * t + phase), 1.0).total
                     for phase in (0.0, -np.pi / 2))
         assert 0.5 * total == pytest.approx(ff.total[k], rel=1e-12, abs=0)
 
@@ -143,20 +141,21 @@ def test_sub_panel_phase_budget_is_converged(smooth_reference, monkeypatch, budg
 def test_angle_component_low_frequency_limit(loops):
     # For a calibrated K-loop gate the integrated |gamma|^2 is pi/(8*sqrt(K)*Omega)
     # per unit branch eigenvalue, so the dc angle component is
-    # var_s2 * pi^2 / (128 * K * Omega^2) under the two-phase average.
+    # Var S^2 * pi^2 / (128 * K * Omega^2) under the two-phase average, with
+    # Var S^2 = 4 for the |uu> input.
     p = WalshGateParams.calibrated(loops, OMEGA_G)
     om = np.array([1e-2, 1e-1])
     ff = filter_function_walsh_analytic(p, omega=om)
-    expected = DEFAULT_VARIANCES.var_s2 * np.pi**2 / (128.0 * loops * OMEGA_G**2)
+    expected = 4.0 * np.pi**2 / (128.0 * loops * OMEGA_G**2)
     assert ff.angle[0] == pytest.approx(expected, rel=1e-9)
     assert ff.displacement[0] <= 1e-12 * ff.angle[0] or loops == 1
 
 
 def test_thermal_occupation_scales_displacement_only(walsh3):
     om = np.geomspace(1e3, 1e6, 60)
-    f0 = filter_function_walsh_analytic(walsh3, 0.0, DEFAULT_VARIANCES, omega=om)
-    f2 = filter_function_walsh_analytic(walsh3, 2.0, DEFAULT_VARIANCES, omega=om)
-    f8 = filter_function_walsh_analytic(walsh3, 8.0, DEFAULT_VARIANCES, omega=om)
+    f0 = filter_function_walsh_analytic(walsh3, 0.0, omega=om)
+    f2 = filter_function_walsh_analytic(walsh3, 2.0, omega=om)
+    f8 = filter_function_walsh_analytic(walsh3, 8.0, omega=om)
     np.testing.assert_allclose(f2.angle, f0.angle, rtol=1e-14)
     np.testing.assert_allclose(f2.displacement, 5.0 * f0.displacement, rtol=1e-12)
     np.testing.assert_allclose(f8.displacement, 17.0 * f0.displacement, rtol=1e-12)
@@ -182,12 +181,11 @@ def test_matches_phase_averaged_perturbation_theory(walsh3):
     # the filter function values are 1.8e-13 to 8.3e-10, so abs must be 0
     sched = build_walsh_schedule(walsh3)
     om = np.array([3e3, 1.3e4, 9e4, walsh3.delta_g * -1.0, 4e5])
-    ff = filter_function_walsh_analytic(walsh3, 1.0, DEFAULT_VARIANCES, omega=om)
+    ff = filter_function_walsh_analytic(walsh3, 1.0, omega=om)
     for k, w in enumerate(om):
         total = 0.0
         for phase in (0.0, -np.pi / 2):
-            total += perturbative_infidelity(sched, lambda t: np.cos(w * t + phase),
-                                             DEFAULT_VARIANCES, 1.0).total
+            total += perturbative_infidelity(sched, lambda t: np.cos(w * t + phase), 1.0).total
         assert 0.5 * total == pytest.approx(ff.total[k], rel=1e-10, abs=0)
 
 
@@ -196,13 +194,11 @@ def test_two_phase_average_equals_four_phase_average(walsh3):
     rng = np.random.default_rng(7)
     for w in rng.uniform(2e3, 2e5, 6):
         two = sum(
-            perturbative_infidelity(sched, lambda t: np.cos(w * t + ph),
-                                    DEFAULT_VARIANCES, 0.5).total
+            perturbative_infidelity(sched, lambda t: np.cos(w * t + ph), 0.5).total
             for ph in (0.0, -np.pi / 2)
         ) / 2.0
         four = sum(
-            perturbative_infidelity(sched, lambda t: np.cos(w * t + ph),
-                                    DEFAULT_VARIANCES, 0.5).total
+            perturbative_infidelity(sched, lambda t: np.cos(w * t + ph), 0.5).total
             for ph in (0.0, np.pi / 2, np.pi, 3 * np.pi / 2)
         ) / 4.0
         assert two == pytest.approx(four, rel=1e-10)
@@ -229,10 +225,10 @@ def test_thermal_divergence_frequency_ordering(walsh3, smooth_reference):
         assert above.any()
         return om[np.argmax(above)]
 
-    div_s = divergence(filter_function_numeric(sched, 0.0, DEFAULT_VARIANCES, omega=om),
-                       filter_function_numeric(sched, 10.0, DEFAULT_VARIANCES, omega=om))
-    div_w = divergence(filter_function_walsh_analytic(walsh3, 0.0, DEFAULT_VARIANCES, omega=om),
-                       filter_function_walsh_analytic(walsh3, 10.0, DEFAULT_VARIANCES, omega=om))
+    div_s = divergence(filter_function_numeric(sched, 0.0, omega=om),
+                       filter_function_numeric(sched, 10.0, omega=om))
+    div_w = divergence(filter_function_walsh_analytic(walsh3, 0.0, omega=om),
+                       filter_function_walsh_analytic(walsh3, 10.0, omega=om))
     assert div_s > om[0] and div_w > om[0]
     assert div_s > 2.0 * div_w
 
@@ -248,14 +244,13 @@ def test_noise_integral_zero_psd(walsh3):
 def test_noise_integral_narrowband_recovers_filter_value(walsh3):
     w0 = 5e4
     om = np.geomspace(1e3, 1e6, 600)
-    ff = filter_function_walsh_analytic(walsh3, 3.0, DEFAULT_VARIANCES, omega=om)
+    ff = filter_function_walsh_analytic(walsh3, 3.0, omega=om)
     width = 0.01 * w0
     grid = np.linspace(w0 - 3 * width, w0 + 3 * width, 257)
     p0 = 2.5e5
     vals = p0 * np.exp(-0.5 * ((grid - w0) / width) ** 2) / (width * np.sqrt(TWO_PI))
     out = noise_infidelity_integral(ff, SampledPsd(grid, vals))
-    ff_at = filter_function_walsh_analytic(walsh3, 3.0, DEFAULT_VARIANCES,
-                                           omega=np.array([w0, 2 * w0]))
+    ff_at = filter_function_walsh_analytic(walsh3, 3.0, omega=np.array([w0, 2 * w0]))
     assert out.value == pytest.approx(p0 * ff_at.total[0], rel=0.02)
 
 

@@ -192,7 +192,7 @@ def test_ideal_walsh_gate_makes_bell_state():
     p = WalshGateParams.calibrated(1, TWO_PI * 5e3)
     sched = build_walsh_schedule(p)
     psi0 = CompositeState.from_spin_fock((1.0, 0.0, 0.0, 0.0), n=0, n_max=24)
-    out = outcome_from_state(propagate(sched, psi0), (1.0, 0.0, 0.0, 0.0), sched)
+    out = outcome_from_state(propagate(sched, psi0), sched)
     assert out.p_uu == pytest.approx(0.5, abs=1e-9)
     assert out.p_dd == pytest.approx(0.5, abs=1e-9)
     assert out.p_odd < 1e-8
@@ -208,7 +208,7 @@ def test_gate_angle_tracks_drive_strength():
         sched = PulseSchedule([flat_segment(t, omega, sgn * delta)])
         expected = sgn * omega**2 * t / delta
         psi0 = CompositeState.from_spin_fock((1.0, 0.0, 0.0, 0.0), n=0, n_max=30)
-        out = outcome_from_state(propagate(sched, psi0), (1.0, 0.0, 0.0, 0.0), sched)
+        out = outcome_from_state(propagate(sched, psi0), sched)
         assert out.gate_angle == pytest.approx(expected, abs=1e-8)
         assert out.p_uu == pytest.approx(math.cos(expected / 2) ** 2, abs=1e-9)
 
@@ -353,8 +353,7 @@ def test_thermal_average_matches_explicit_fock_sum():
     ens = ThermalEnsemble.build(1.2)
     fock = FockConfig.auto(1.2, 1.5)
     spin = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-    avg = thermal_average(sched, ens, psi0_spin=spin, fock=fock,
-                          props=gate_propagator(sched, fock))
+    avg = thermal_average(sched, ens, fock=fock, props=gate_propagator(sched, fock))
     rho = np.zeros((4, 4), dtype=complex)
     for n, w in enumerate(ens.weights):
         psi0 = CompositeState.from_spin_fock(spin, n=n, n_max=fock.n_max)
@@ -366,7 +365,7 @@ def test_thermal_average_matches_explicit_fock_sum():
     assert avg.p_odd == pytest.approx((rho[1, 1] + rho[2, 2]).real, abs=1e-12)
     assert avg.fidelity == pytest.approx(
         float((target.conj() @ rho @ target).real), abs=1e-12)
-    closed = thermal_average(sched, ens, psi0_spin=spin)
+    closed = thermal_average(sched, ens)
     assert max_outcome_difference(closed, avg) <= 2.0 * ens.tail_mass + 1e-12
 
 
@@ -375,7 +374,7 @@ def test_thermal_average_at_zero_temperature_matches_pure_state():
     ens = ThermalEnsemble.build(0.0)
     avg = thermal_average(sched, ens)
     psi0 = CompositeState.from_spin_fock((1.0, 0.0, 0.0, 0.0), n=0, n_max=30)
-    pure = outcome_from_state(propagate(sched, psi0), (1.0, 0.0, 0.0, 0.0), sched)
+    pure = outcome_from_state(propagate(sched, psi0), sched)
     assert avg.fidelity == pytest.approx(pure.fidelity, abs=1e-10)
     assert avg.p_uu == pytest.approx(pure.p_uu, abs=1e-10)
 
@@ -487,7 +486,7 @@ def test_positive_detuning_gates_are_scored_against_their_own_handedness():
                                                  omega_g=TWO_PI * 5e3))
     assert 1.0 - thermal_average(walsh, ThermalEnsemble.build(0.0)).fidelity < 1e-14
     psi0 = CompositeState.from_spin_fock((1.0, 0.0, 0.0, 0.0), n=0, n_max=24)
-    out = outcome_from_state(propagate(walsh, psi0), (1.0, 0.0, 0.0, 0.0), walsh)
+    out = outcome_from_state(propagate(walsh, psi0), walsh)
     assert out.gate_angle == pytest.approx(math.pi / 2, abs=1e-9)
     assert 1.0 - out.fidelity < 1e-14
 
@@ -580,15 +579,20 @@ def test_non_finite_offsets_are_parameter_errors(bad):
         sched.with_detuning_offset(bad)
 
 
-def test_offset_scan_matches_per_offset_thermal_averages(calibration_schedule):
+def test_offset_scan_matches_per_offset_thermal_averages():
+    # |uu> weighs every branch pair of the (4, 4) kernel by 1/4, so each
+    # kernel entry enters every outcome; both detuning signs, so both targets
     offsets = TWO_PI * np.array([-2e3, -0.5e3, 0.0, 0.7e3, 2e3])
     ens = ThermalEnsemble.build(3.5)
-    spin = (0.6, 0.0, 0.8j, 0.0)
-    scan = offset_scan(calibration_schedule, offsets, ens, psi0_spin=spin)
-    for k, eps in enumerate(offsets):
-        own = thermal_average(calibration_schedule.with_detuning_offset(eps), ens, spin)
-        for key in ("p_uu", "p_dd", "p_odd", "fidelity"):
-            assert abs(getattr(scan[k], key) - getattr(own, key)) < 1e-14
+    for sign in (-1.0, 1.0):
+        schedule = build_smooth_schedule(calibrate_omega(SmoothGateParams(
+            delta_max=sign * TWO_PI * 400e3, delta_min=sign * TWO_PI * 21.7e3,
+            omega_g=TWO_PI * 6e3, tau_g=5e-6, tau_d=100e-6, t_c=15.8e-6, j=3)))
+        scan = offset_scan(schedule, offsets, ens)
+        for k, eps in enumerate(offsets):
+            own = thermal_average(schedule.with_detuning_offset(eps), ens)
+            for key in ("p_uu", "p_dd", "p_odd", "fidelity"):
+                assert abs(getattr(scan[k], key) - getattr(own, key)) < 1e-14
 
 
 def test_thermal_routes_build_no_fock_space(monkeypatch, tmp_path):

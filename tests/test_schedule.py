@@ -6,7 +6,6 @@ expressions independently of the schedule machinery and frozen here.
 
 import decimal
 import math
-from dataclasses import replace
 from decimal import Decimal
 
 import numpy as np
@@ -38,8 +37,8 @@ def reference_params(**overrides) -> SmoothGateParams:
 
 
 def eval_detuning_ramp(p: SmoothGateParams, t):
-    """Detuning of the down ramp as built: the det-down segment of the unmerged gate."""
-    return build_smooth_schedule(replace(p, merge_ramps=False)).segments[1].delta(t)
+    """Detuning of the down ramp as built: the det-down segment of the gate."""
+    return build_smooth_schedule(p).segments[1].delta(t)
 
 
 # ---------------------------------------------------------------------------
@@ -202,25 +201,6 @@ def test_smooth_schedule_continuity_and_zero_ends():
     assert d2 <= d1 + 1e-3
 
 
-def test_smooth_schedule_merged_ramps():
-    p = reference_params(merge_ramps=True)
-    s = build_smooth_schedule(p)
-    assert s.duration == pytest.approx(2 * p.tau_d + p.t_c)
-    # amplitude reaches full scale after tau_g and is zero at the ends
-    assert s.omega(0.0) == 0.0
-    assert s.omega(p.tau_g) == pytest.approx(p.omega_g)
-    assert s.omega(s.duration) == pytest.approx(0.0, abs=1e-9)
-    assert s.delta(0.0) == pytest.approx(p.delta_max)
-    # each amplitude ramp is a segment of its own; a zero-length
-    # full-amplitude piece is omitted like a zero-length hold
-    assert [seg.label for seg in s.segments] == ["ramp-in", "det-down", "hold", "det-up", "ramp-out"]
-    flush = build_smooth_schedule(reference_params(tau_g=p.tau_d, t_c=0.0, merge_ramps=True))
-    assert [seg.label for seg in flush.segments] == ["ramp-in", "ramp-out"]
-    # merged ramps need tau_g <= tau_d, checked when the gate is described
-    with pytest.raises(ParameterError, match="merged ramps"):
-        reference_params(tau_g=2 * p.tau_d, merge_ramps=True)
-
-
 @st.composite
 def smooth_params(draw):
     """Valid smooth-gate parameters, tau_g = tau_d and t_c = 0 included."""
@@ -234,9 +214,8 @@ def smooth_params(draw):
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
-@given(p=smooth_params(), merge=st.booleans())
-def test_smooth_schedule_continuous_bounded_and_mirror_symmetric(p, merge):
-    p = replace(p, merge_ramps=merge)
+@given(p=smooth_params())
+def test_smooth_schedule_continuous_bounded_and_mirror_symmetric(p):
     s = build_smooth_schedule(p)
     assert s.duration == pytest.approx(p.duration, rel=1e-12)  # the segment sum rounds differently
     for left, right in zip(s.segments[:-1], s.segments[1:]):
@@ -254,23 +233,23 @@ def test_smooth_schedule_continuous_bounded_and_mirror_symmetric(p, merge):
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
-@given(p=smooth_params(), merge=st.booleans(),
-       x=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
-def test_smooth_schedule_symmetric_and_built_from_the_ramps(p, merge, x):
-    p = replace(p, merge_ramps=merge)
+@given(p=smooth_params(), x=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+def test_smooth_schedule_symmetric_and_built_from_the_ramps(p, x):
     s = build_smooth_schedule(p)
     assert s.duration == pytest.approx(p.duration, rel=1e-12)
     t = np.array(x) * s.duration
     mirror = s.duration - t
     assert np.allclose(s.omega(mirror), s.omega(t), rtol=0.0, atol=1e-9 * p.omega_g)
     assert np.allclose(s.delta(mirror), s.delta(t), rtol=1e-9, atol=0.0)
-    if merge:
-        # on the first half the merged gate is the amplitude ramp over the
-        # start of the detuning ramp
-        u = t[t <= p.tau_d]
-        amp = eval_amplitude_ramp(p.tau_g, p.omega_g, np.minimum(u, p.tau_g))
-        assert np.allclose(s.omega(u), amp, rtol=0.0, atol=1e-9 * p.omega_g)
-        assert np.allclose(s.delta(u), eval_detuning_ramp(p, u), rtol=1e-9, atol=0.0)
+    # the first half is the amplitude ramp at delta_max, then the detuning
+    # ramp at full drive
+    u = t[t <= p.tau_g]
+    amp = eval_amplitude_ramp(p.tau_g, p.omega_g, u)
+    assert np.allclose(s.omega(u), amp, rtol=0.0, atol=1e-9 * p.omega_g)
+    assert np.allclose(s.delta(u), p.delta_max, rtol=1e-9, atol=0.0)
+    v = t[(t > p.tau_g) & (t <= p.tau_g + p.tau_d)]
+    assert np.allclose(s.omega(v), p.omega_g, rtol=0.0, atol=1e-9 * p.omega_g)
+    assert np.allclose(s.delta(v), eval_detuning_ramp(p, v - p.tau_g), rtol=1e-9, atol=0.0)
 
 
 def test_smooth_schedule_constant_when_detunings_equal():

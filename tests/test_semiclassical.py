@@ -32,11 +32,9 @@ from iongate.semiclassical import (
     branch_endpoints,
     calibrate_delta_min,
     calibrate_omega,
-    collective_spin_operator,
     gate_angle_exact,
     perturbative_infidelity,
     propagate_displacement,
-    spin_variances,
 )
 
 TWO_PI = 2 * np.pi
@@ -130,8 +128,8 @@ def calibration_gate():
     return calibrate_omega(reference_params(), use="exact")
 
 
-def kinked_merged_schedule(p):
-    """Merged-ramp gate with each amplitude ramp inside its detuning-ramp segment.
+def kinked_ramp_schedule(p):
+    """Gate whose amplitude ramps run inside its detuning ramps, each in one segment.
 
     Omega'' jumps at tau_g inside the first segment and at tau_d - tau_g
     inside the last, kinks that only panel bisection resolves.
@@ -140,7 +138,7 @@ def kinked_merged_schedule(p):
         return np.where(u < p.tau_g, eval_amplitude_ramp(p.tau_g, p.omega_g, np.minimum(u, p.tau_g)),
                         p.omega_g)
 
-    ramp = build_smooth_schedule(dataclasses.replace(p, merge_ramps=False)).segments[1].delta
+    ramp = build_smooth_schedule(p).segments[1].delta
     segs = [Segment(p.tau_d, omega_in, ramp, label="ramp-in"),
             Segment(p.t_c, lambda u: np.full_like(u, p.omega_g), lambda u: np.full_like(u, p.delta_min),
                     const_omega=p.omega_g, const_delta=p.delta_min, label="hold"),
@@ -149,10 +147,10 @@ def kinked_merged_schedule(p):
     return PulseSchedule(segs)
 
 
-@pytest.mark.parametrize("merge_ramps", [False, True])
-def test_panel_kernel_matches_ode_oracle(calibration_gate, merge_ramps):
-    if merge_ramps:
-        sched = kinked_merged_schedule(calibration_gate)
+@pytest.mark.parametrize("kinked", [False, True])
+def test_panel_kernel_matches_ode_oracle(calibration_gate, kinked):
+    if kinked:
+        sched = kinked_ramp_schedule(calibration_gate)
     else:
         sched = build_smooth_schedule(calibration_gate)
     traj = propagate_displacement(sched, branch_eigenvalue=2.0)
@@ -170,7 +168,7 @@ def test_panel_kernel_refinement(calibration_gate, deep):
         sched = build_smooth_schedule(reference_params(
             omega_g=TWO_PI * 5e3, delta_min=-TWO_PI * 1e3, tau_d=95e-6, t_c=0.0, j=4))
     else:
-        sched = kinked_merged_schedule(calibration_gate)
+        sched = kinked_ramp_schedule(calibration_gate)
     coarse = propagate_displacement(sched, branch_eigenvalue=2.0, rtol=1e-11)
     fine = propagate_displacement(sched, branch_eigenvalue=2.0, rtol=1e-13)
     assert np.array_equal(coarse.t, fine.t)
@@ -383,9 +381,6 @@ def test_reference_omega_calibration():
     assert abs(exact.omega_g - TWO_PI * 6e3) < TWO_PI * 0.9e3
     sched = build_smooth_schedule(exact)
     assert abs(gate_angle_exact(sched)) == pytest.approx(np.pi / 2, rel=1e-6)
-    # a merged-ramp gate calibrates on its own, shorter schedule
-    merged = calibrate_omega(reference_params(merge_ramps=True), use="exact")
-    assert gate_angle_exact(build_smooth_schedule(merged)) == pytest.approx(-np.pi / 2, rel=1e-12)
 
 
 def test_delta_min_calibration_roundtrip():
@@ -407,7 +402,7 @@ def test_calibration_rejects_unknown_angle(calibrate):
 
 
 # ---------------------------------------------------------------------------
-# spin variances
+# spin variances of the |uu> input
 
 
 def brute_force_variances(psi, phi):
@@ -421,33 +416,13 @@ def brute_force_variances(psi, phi):
     return m2 - m1 ** 2, m4 - m2 ** 2
 
 
-def test_spin_variances_up_up():
+def test_uu_variances_match_brute_force():
+    # the moments the error formulas fold in are those of |uu> at every phi,
+    # up to the round-off of |exp(i*phi)|^2 in the brute-force products
     psi = np.array([1, 0, 0, 0], dtype=complex)
-    v = spin_variances(psi, phi=0.0)
-    assert v.var_s == pytest.approx(2.0)
-    assert v.var_s2 == pytest.approx(4.0)
-    assert v.mean_s == pytest.approx(0.0)
-    assert v.mean_s2 == pytest.approx(2.0)
-
-
-def test_spin_variances_eigenstate():
-    vals, vecs = np.linalg.eigh(collective_spin_operator(0.3))
-    v = spin_variances(vecs[:, -1], phi=0.3)
-    assert v.var_s == pytest.approx(0.0, abs=1e-12)
-
-
-def test_spin_variances_random_states_against_brute_force():
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-        psi /= np.linalg.norm(psi)
-        phi = rng.uniform(0, TWO_PI)
-        v = spin_variances(psi, phi)
-        ref_s, ref_s2 = brute_force_variances(psi, phi)
-        assert v.var_s == pytest.approx(ref_s, abs=1e-10)
-        assert v.var_s2 == pytest.approx(ref_s2, abs=1e-10)
-    with pytest.raises(ParameterError):
-        spin_variances(np.array([1, 0, 0, 1], dtype=complex))
+    for phi in (0.0, 0.3, np.pi / 4):
+        assert brute_force_variances(psi, phi) == pytest.approx(semiclassical._UU_VARIANCES,
+                                                                rel=1e-15, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -455,14 +430,13 @@ def test_spin_variances_random_states_against_brute_force():
 
 
 def test_perturbative_zero_eps_and_null_branch():
-    v = spin_variances(np.array([1, 0, 0, 0], dtype=complex))
-    out = perturbative_infidelity(constant_schedule(), 0.0, v, nbar=5.0)
+    out = perturbative_infidelity(constant_schedule(), 0.0, nbar=5.0)
     assert out.total == 0.0
     # without drive every branch is null (gamma = 0), so no eps acts on it
     undriven = PulseSchedule([Segment(1e-4, lambda u: np.zeros_like(u),
                                       lambda u: np.full_like(u, -1e5),
                                       const_omega=0.0, const_delta=-1e5)])
-    out0 = perturbative_infidelity(undriven, 123.0, v, nbar=5.0)
+    out0 = perturbative_infidelity(undriven, 123.0, nbar=5.0)
     assert out0.total == 0.0 and out0.residual_displacement == 0
 
 
@@ -472,35 +446,32 @@ def test_perturbative_constant_eps_single_loop_oracle():
     om, de, eps = TWO_PI * 5e3, -TWO_PI * 20e3, TWO_PI * 150.0
     sched = constant_schedule(om, de, loops=1)
     t_k = sched.duration
-    v = spin_variances(np.array([1, 0, 0, 0], dtype=complex))
-    out = perturbative_infidelity(sched, eps, v, nbar=2.0)
+    out = perturbative_infidelity(sched, eps, nbar=2.0)
     alpha_ref = eps * om * t_k / (2 * de)
     dtheta_ref = eps * om ** 2 * t_k / de ** 2
     assert out.residual_displacement.real == pytest.approx(alpha_ref, rel=1e-12)
     assert abs(out.residual_displacement.imag) < abs(alpha_ref) * 1e-12
     assert out.gate_angle_error == pytest.approx(dtheta_ref, rel=1e-12)
-    expected_total = (2 * 2.0 + 1) * abs(alpha_ref) ** 2 * v.var_s \
-        + dtheta_ref ** 2 / 4 * v.var_s2
+    # |uu> weights: Var S = 2, Var S^2 = 4
+    expected_total = (2 * 2.0 + 1) * abs(alpha_ref) ** 2 * 2.0 + dtheta_ref ** 2 / 4 * 4.0
     assert out.total == pytest.approx(expected_total, rel=1e-12)
 
 
 def test_perturbative_eps_forms_agree():
     sched = constant_schedule()
-    v = spin_variances(np.array([1, 0, 0, 0], dtype=complex))
     eps = TWO_PI * 150.0
-    as_constant = perturbative_infidelity(sched, eps, v)
-    assert perturbative_infidelity(sched, lambda t: np.full_like(t, eps), v) == as_constant
-    assert perturbative_infidelity(sched, lambda t: eps, v) == as_constant
+    as_constant = perturbative_infidelity(sched, eps)
+    assert perturbative_infidelity(sched, lambda t: np.full_like(t, eps)) == as_constant
+    assert perturbative_infidelity(sched, lambda t: eps) == as_constant
     # an array of samples is no longer a form of eps
     with pytest.raises(ValueError):
-        perturbative_infidelity(sched, np.ones(7), v)
+        perturbative_infidelity(sched, np.ones(7))
 
 
 @pytest.mark.parametrize("w", [1e6, 1e7])
 def test_perturbative_unresolved_eps_raises_convergence_error(w):
     # the 4-loop 5 kHz Walsh gate's panels resolve cos(w*t) up to w = 5e5 rad/s
     sched = build_walsh_schedule(WalshGateParams.calibrated(4, TWO_PI * 5e3))
-    v = spin_variances(np.array([1, 0, 0, 0], dtype=complex))
-    perturbative_infidelity(sched, lambda t: np.cos(5e5 * t), v)
+    perturbative_infidelity(sched, lambda t: np.cos(5e5 * t))
     with pytest.raises(ConvergenceError, match="eps not resolved"):
-        perturbative_infidelity(sched, lambda t: np.cos(w * t), v)
+        perturbative_infidelity(sched, lambda t: np.cos(w * t))
