@@ -21,6 +21,8 @@ import math
 import os
 import sys
 import tempfile
+import textwrap
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,88 +43,9 @@ TWO_PI = 2.0 * math.pi
 # Largest array a config may size, in elements: 1 GiB of float64.
 _MAX_ELEMENTS = 2 ** 27
 
-_SCHEMA = f"""\
-Scenario config reference (INI format, flat key = value sections).
-
-UNITS: every *_hz key is a plain cyclic frequency in Hz and is converted to
-angular units (2*pi rad/s) internally.  Times are seconds.  Detunings keep
-their sign.  Every comma list needs at least one value.
-
-SIZES: no array a config sizes may exceed {_MAX_ELEMENTS} elements (1 GiB
-of float64): points in [filterfn], [scan] and [trajectory]; in [slerb],
-sequences x sum of lengths and resamples x number of lengths.
-
-[scenario]
-  name    one of: filterfn, calibration-scan, offset-scan, thermal-sweep,
-          slerb, walsh-compare, trajectory          (required)
-  output  output file name, written under --output-dir   (required)
-  seed    integer RNG seed >= 0, overridden by --seed    (default 0)
-
-[smooth]          five-step adiabatic gate (needed when a scenario uses it)
-  delta_max_hz    signed starting detuning, e.g. -400e3  (required)
-  delta_min_hz    signed detuning at the ramp bottom     (required)
-  omega_hz        gate Rabi frequency                    (required)
-  tau_g           amplitude ramp time, s                 (required)
-  tau_d           detuning ramp time, s                  (required)
-  t_c             hold time at delta_min, s              (default 0)
-  j               detuning ramp exponent, integer        (required)
-  calibrate       none | delta_min | omega: solve the named parameter so
-                  |angle| = pi/2, signed as the detuning (default none)
-
-[walsh]           sign-flip loop gate
-  loops           number of loops, power of two          (required)
-  omega_hz        gate Rabi frequency                    (required)
-
-[schedule]        scenario-level schedule choice (offset-scan, thermal-sweep,
-                  trajectory)
-  type            smooth | walsh -> which block above to use
-
-[filterfn]        filterfn scenario
-  nbars           comma list of thermal occupations      (default 0,10)
-  walsh_orders    comma list of integer Walsh orders     (default 1,3)
-  points          frequency grid size                    (default 400)
-  omega_min_hz    grid start                             (default 20)
-  omega_max_hz    grid stop                              (default 1.6e6)
-
-[scan]            calibration-scan and offset-scan grids
-  start_hz        first grid value (delta_min or offset) (required)
-  stop_hz         last grid value                        (required)
-  points          grid size                              (required)
-  nbar            thermal occupation                     (default 3.5 / 0)
-
-[sweep]           thermal-sweep scenario
-  nbars           comma list of occupations              (required)
-  offset_hz       static detuning error                  (default 0)
-
-[slerb]           benchmarking scenario
-  lengths         comma list of sequence lengths, at least
-                  three positive integers, none repeated (required)
-  sequences       random sequences per length, >= 1      (required)
-  shots           shots per sequence, >= 1               (required)
-  model           ideal | parametric | full              (required)
-  eps_rb          parametric depolarizing rate           (parametric only)
-  eps_leak        parametric leak rate                   (parametric only)
-  resamples       bootstrap resamples, >= 100            (default 10000)
-                  (memory: 24 bytes per length per resample;
-                  the fit runs 1024 resamples at a time)
-  input           existing dataset CSV to fit instead of simulating
-                  (model/lengths/... ignored when set; read by
-                  run, not by validate)
-  pauli_randomize boolean: fold a logical X into the inverter of
-                  about half the sequences               (default true)
-  (model = full also needs a [walsh] block; its Fock cutoff is automatic)
-
-[walsh-compare]   walsh-compare scenario
-  loops           comma list of integer loop counts      (required)
-  omega_hz        shared Rabi frequency                  (required)
-  nbar            occupation for the leak filter value   (default 0)
-
-[trajectory]      trajectory scenario
-  branch          collective-spin eigenvalue             (default 2)
-  points          uniform time samples, >= 20 per detuning period
-                  (default: 20 per fastest period of each segment)
-"""
-
+# Most loops a Walsh gate may have: the schedule holds one segment per loop,
+# and validating 4096 loops takes about 0.1 s.
+_MAX_LOOPS = 4096
 
 # ---------------------------------------------------------------------------
 # CSV plumbing
@@ -235,31 +158,68 @@ def _render_report(entries: dict) -> str:
 # config parsing
 
 
-_KNOWN_KEYS = {
-    "scenario": {"name", "output", "seed"},
-    "smooth": {"delta_max_hz", "delta_min_hz", "omega_hz", "tau_g", "tau_d",
-               "t_c", "j", "calibrate"},
-    "walsh": {"loops", "omega_hz"},
-    "schedule": {"type"},
-    "filterfn": {"nbars", "walsh_orders", "points", "omega_min_hz", "omega_max_hz"},
-    "scan": {"start_hz", "stop_hz", "points", "nbar"},
-    "sweep": {"nbars", "offset_hz"},
-    "slerb": {"lengths", "sequences", "shots", "model", "eps_rb", "eps_leak",
-              "resamples", "input", "pauli_randomize"},
-    "walsh-compare": {"loops", "omega_hz", "nbar"},
-    "trajectory": {"branch", "points"},
-}
-
-
-def _finite(text: str) -> float:
+def _number(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
-        raise ValueError(f"{text} is not finite")
+        raise ValueError(f"{text!r} is not a finite number")
     return value
 
 
+def _integer(text: str) -> int:
+    value = _number(text)
+    if value != int(value) or abs(value) >= 2 ** 53:
+        raise ValueError(f"{text!r} is not an integer below 2**53 in magnitude")
+    return int(value)
+
+
+class _Kind(NamedTuple):
+    """How a key's value is read: ``parse`` turns the text of one value into
+    a value (ValueError if it cannot), ``ok`` bounds it, and ``doc`` says what
+    the value must be.  A list kind reads a comma list of such values."""
+
+    doc: str
+    parse: Callable = str
+    ok: Callable = lambda value: True
+    is_list: bool = False
+
+    def read(self, token: str):
+        value = self.parse(token)
+        if not self.ok(value):
+            raise ValueError(f"{token!r} is not {self.doc}")
+        return value
+
+
+def _choice(*values: str) -> _Kind:
+    return _Kind(" | ".join(values), ok=values.__contains__)
+
+
+def _list_of(kind: _Kind) -> _Kind:
+    return kind._replace(is_list=True)
+
+
+_TEXT = _Kind("")
+_NUMBER = _Kind("a finite number", _number)
+_NONNEGATIVE = _Kind("a finite number >= 0", _number, lambda v: v >= 0)
+_SEED = _Kind("an integer >= 0", _integer, lambda v: v >= 0)
+_COUNT = _Kind("an integer >= 1", _integer, lambda v: v >= 1)
+_POINTS = _Kind(f"an integer from 2 to {_MAX_ELEMENTS}", _integer,
+                lambda v: 2 <= v <= _MAX_ELEMENTS)
+_RESAMPLES = _Kind("an integer >= 100", _integer, lambda v: v >= 100)
+_LOOPS = _Kind(f"a power of two up to {_MAX_LOOPS}", _integer,
+               lambda v: 1 <= v <= _MAX_LOOPS and v & (v - 1) == 0)
+_WALSH_ORDER = _Kind(f"K - 1 for K a power of two up to {_MAX_LOOPS}", _integer,
+                     lambda v: _LOOPS.ok(v + 1))
+# the spellings ConfigParser.getboolean accepts: 1/0, true/false, yes/no, on/off
+_BOOLEAN = _Kind("true or false",
+                 lambda text: configparser.ConfigParser.BOOLEAN_STATES.get(text.lower()),
+                 lambda v: v is not None)
+
+# the default of a key that a config must set wherever a parser reads it
+_REQUIRED = object()
+
+
 class _Config:
-    """Typed accessors over one parsed INI file; numbers must be finite."""
+    """One parsed INI file, checked and read by the key table."""
 
     def __init__(self, text: str, path: str):
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -270,72 +230,31 @@ class _Config:
         self._cp = parser
         self.path = path
         for section in parser.sections():
-            if section not in _KNOWN_KEYS:
+            if section not in _KEYS:
                 raise ConfigError(f"{path}: unknown section [{section}]")
-            unknown = set(parser[section]) - _KNOWN_KEYS[section]
+            unknown = set(parser[section]) - set(_KEYS[section][1])
             if unknown:
-                raise ConfigError(
-                    f"{path}: unknown key {sorted(unknown)[0]!r} in [{section}]")
+                raise ConfigError(f"{path}: unknown key {min(unknown)!r} in [{section}]")
 
-    def has(self, section: str) -> bool:
-        return self._cp.has_section(section)
-
-    def _raw(self, section: str, key: str, default=None, required=False):
-        if self._cp.has_option(section, key):
-            return self._cp.get(section, key).strip()
-        if required:
+    def get(self, section: str, key: str):
+        """The value of ``key`` in ``[section]``, read and bounded by its kind.
+        A key left out takes its table default, None when the table has none."""
+        kind, default, _ = _KEYS[section][1][key]
+        text = self._cp.get(section, key, fallback=default)
+        if text is _REQUIRED:
             raise ConfigError(f"{self.path}: missing {key!r} in [{section}]")
-        return default
-
-    def text(self, section, key, default=None, required=False):
-        return self._raw(section, key, default, required)
-
-    def number(self, section, key, default=None, required=False) -> float | None:
-        raw = self._raw(section, key, default, required)
-        if raw is None or isinstance(raw, (int, float)):
-            return raw
-        try:
-            return _finite(raw)
-        except ValueError:
-            raise ConfigError(f"{self.path}: {key} in [{section}] is not a finite number") from None
-
-    def integer(self, section, key, default=None, required=False) -> int | None:
-        value = self.number(section, key, default, required)
-        if value is None:
+        if isinstance(text, dict):  # a default that depends on the scenario
+            text = text[self.get("scenario", "name")]
+        if text is None:
             return None
-        if float(value) != int(value) or abs(value) >= 2 ** 53:
-            raise ConfigError(f"{self.path}: {key} in [{section}] must be an integer below 2**53 "
-                              "in magnitude")
-        return int(value)
-
-    def boolean(self, section, key, default=False) -> bool:
-        raw = self._raw(section, key, None)
-        if raw is None:
-            return default
-        low = str(raw).lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"{self.path}: {key} in [{section}] is not a boolean")
-
-    def number_list(self, section, key, default=None, required=False) -> list[float]:
-        """A non-empty comma list; ``default`` is list text such as "0,10"."""
-        raw = self._raw(section, key, default, required)
-        try:
-            values = [_finite(tok) for tok in raw.split(",") if tok.strip()]
-        except ValueError:
-            raise ConfigError(f"{self.path}: {key} in [{section}] is not a list of finite numbers") from None
-        if not values:
+        tokens = [tok for tok in text.split(",") if tok.strip()] if kind.is_list else [text]
+        if not tokens:
             raise ConfigError(f"{self.path}: {key} in [{section}] needs at least one value")
-        return values
-
-    def integer_list(self, section, key, default=None, required=False) -> list[int]:
-        values = self.number_list(section, key, default, required)
-        if any(v != int(v) or abs(v) >= 2 ** 53 for v in values):
-            raise ConfigError(f"{self.path}: {key} in [{section}] must hold integers below 2**53 "
-                              "in magnitude")
-        return [int(v) for v in values]
+        try:
+            values = [kind.read(tok.strip()) for tok in tokens]
+        except ValueError as exc:
+            raise ConfigError(f"{self.path}: {key} in [{section}]: {exc}") from None
+        return values if kind.is_list else values[0]
 
 
 def _check_size(cfg: _Config, section: str, what: str, elements: int) -> None:
@@ -346,53 +265,40 @@ def _check_size(cfg: _Config, section: str, what: str, elements: int) -> None:
 
 
 def _smooth_params(cfg: _Config) -> SmoothGateParams:
-    if not cfg.has("smooth"):
-        raise ConfigError(f"{cfg.path}: this scenario needs a [smooth] section")
     params = SmoothGateParams(
-        delta_max=TWO_PI * cfg.number("smooth", "delta_max_hz", required=True),
-        delta_min=TWO_PI * cfg.number("smooth", "delta_min_hz", required=True),
-        omega_g=TWO_PI * cfg.number("smooth", "omega_hz", required=True),
-        tau_g=cfg.number("smooth", "tau_g", required=True),
-        tau_d=cfg.number("smooth", "tau_d", required=True),
-        t_c=cfg.number("smooth", "t_c", 0.0),
-        j=cfg.integer("smooth", "j", required=True),
+        delta_max=TWO_PI * cfg.get("smooth", "delta_max_hz"),
+        delta_min=TWO_PI * cfg.get("smooth", "delta_min_hz"),
+        omega_g=TWO_PI * cfg.get("smooth", "omega_hz"),
+        tau_g=cfg.get("smooth", "tau_g"),
+        tau_d=cfg.get("smooth", "tau_d"),
+        t_c=cfg.get("smooth", "t_c"),
+        j=cfg.get("smooth", "j"),
     )
-    mode = cfg.text("smooth", "calibrate", "none")
+    mode = cfg.get("smooth", "calibrate")
     if mode == "delta_min":
         params = calibrate_delta_min(params, use="exact")
     elif mode == "omega":
         params = calibrate_omega(params, use="exact")
-    elif mode != "none":
-        raise ConfigError(f"{cfg.path}: calibrate must be none, delta_min or omega")
     return params
 
 
 def _walsh_params(cfg: _Config) -> WalshGateParams:
-    if not cfg.has("walsh"):
-        raise ConfigError(f"{cfg.path}: this scenario needs a [walsh] section")
-    return WalshGateParams.calibrated(
-        cfg.integer("walsh", "loops", required=True),
-        TWO_PI * cfg.number("walsh", "omega_hz", required=True))
+    return WalshGateParams.calibrated(cfg.get("walsh", "loops"),
+                                      TWO_PI * cfg.get("walsh", "omega_hz"))
 
 
 def _scenario_schedule(cfg: _Config):
-    kind = cfg.text("schedule", "type", required=True)
-    if kind == "smooth":
+    if cfg.get("schedule", "type") == "smooth":
         return build_smooth_schedule(_smooth_params(cfg))
-    if kind == "walsh":
-        return build_walsh_schedule(_walsh_params(cfg))
-    raise ConfigError(f"{cfg.path}: schedule type must be smooth or walsh")
+    return build_walsh_schedule(_walsh_params(cfg))
 
 
-def _scan(cfg: _Config, nbar_default: float):
+def _scan(cfg: _Config):
     """The [scan] grid in rad/s and the ensemble at its occupation."""
-    start = cfg.number("scan", "start_hz", required=True)
-    stop = cfg.number("scan", "stop_hz", required=True)
-    points = cfg.integer("scan", "points", required=True)
-    if points < 2:
-        raise ConfigError(f"{cfg.path}: scan needs at least two points")
-    _check_size(cfg, "scan", "points", points)
-    ensemble = ThermalEnsemble.build(cfg.number("scan", "nbar", nbar_default))
+    start = cfg.get("scan", "start_hz")
+    stop = cfg.get("scan", "stop_hz")
+    points = cfg.get("scan", "points")
+    ensemble = ThermalEnsemble.build(cfg.get("scan", "nbar"))
     return TWO_PI * np.linspace(start, stop, points), ensemble
 
 
@@ -403,22 +309,19 @@ def _scan(cfg: _Config, nbar_default: float):
 
 
 def _parse_filterfn(cfg: _Config):
-    params = _smooth_params(cfg)
-    schedule = build_smooth_schedule(params)
-    nbars = cfg.number_list("filterfn", "nbars", "0,10")
-    orders = cfg.integer_list("filterfn", "walsh_orders", "1,3")
-    points = cfg.integer("filterfn", "points", 400)
-    lo = TWO_PI * cfg.number("filterfn", "omega_min_hz", 20.0)
-    hi = TWO_PI * cfg.number("filterfn", "omega_max_hz", 1.6e6)
-    if points < 2 or hi <= lo or lo <= 0:
+    nbars = cfg.get("filterfn", "nbars")
+    orders = cfg.get("filterfn", "walsh_orders")
+    points = cfg.get("filterfn", "points")
+    lo = TWO_PI * cfg.get("filterfn", "omega_min_hz")
+    hi = TWO_PI * cfg.get("filterfn", "omega_max_hz")
+    if not 0 < lo < hi:
         raise ConfigError(f"{cfg.path}: bad filter-function frequency grid")
-    _check_size(cfg, "filterfn", "points", points)
-    if min(nbars) < 0:
-        raise ConfigError(f"{cfg.path}: nbars in [filterfn] must be >= 0")
     # output columns are keyed by f"{value:g}", so a repeat would collapse
     for key, values in (("nbars", nbars), ("walsh_orders", orders)):
         if len({f"{v:g}" for v in values}) < len(values):
             raise ConfigError(f"{cfg.path}: {key} in [filterfn] repeats a value")
+    params = _smooth_params(cfg)
+    schedule = build_smooth_schedule(params)
     omega = np.geomspace(lo, hi, points)
     walsh = {order: WalshGateParams.calibrated(order + 1, params.omega_g) for order in orders}
 
@@ -441,9 +344,11 @@ def _parse_filterfn(cfg: _Config):
 
 def _parse_calibration_scan(cfg: _Config):
     base = _smooth_params(cfg)
-    grid, ensemble = _scan(cfg, 3.5)
-    for delta_min in grid:
-        base.with_delta_min(delta_min)  # SmoothGateParams checks each grid gate
+    grid, ensemble = _scan(cfg)
+    # SmoothGateParams accepts delta_min on an interval, so a linspace is a
+    # valid grid exactly when both its ends are
+    base.with_delta_min(grid[0])
+    base.with_delta_min(grid[-1])
 
     def job(seed: int):
         outcomes, crossing = calibration_scan(base, grid, ensemble)
@@ -455,7 +360,7 @@ def _parse_calibration_scan(cfg: _Config):
 
 def _parse_offset_scan(cfg: _Config):
     schedule = _scenario_schedule(cfg)
-    offsets, ensemble = _scan(cfg, 0.0)
+    offsets, ensemble = _scan(cfg)
 
     def job(seed: int):
         table = _outcome_table("offset_hz", offsets / TWO_PI,
@@ -467,8 +372,8 @@ def _parse_offset_scan(cfg: _Config):
 
 def _parse_thermal_sweep(cfg: _Config):
     schedule = _scenario_schedule(cfg)
-    nbars = cfg.number_list("sweep", "nbars", required=True)
-    offset = TWO_PI * cfg.number("sweep", "offset_hz", 0.0)
+    nbars = cfg.get("sweep", "nbars")
+    offset = TWO_PI * cfg.get("sweep", "offset_hz")
     if offset:
         schedule = schedule.with_detuning_offset(offset)
     ensembles = [ThermalEnsemble.build(nbar) for nbar in nbars]
@@ -483,39 +388,31 @@ def _parse_thermal_sweep(cfg: _Config):
 
 def _slerb_model(cfg: _Config):
     """The simulated error model, (name, model); builds no propagator."""
-    name = cfg.text("slerb", "model", required=True)
+    name = cfg.get("slerb", "model")
     if name == "ideal":
         return name, ParametricModel(eps_rb=0.0, eps_leak=0.0)
     if name == "parametric":
-        return name, ParametricModel(eps_rb=cfg.number("slerb", "eps_rb", required=True),
-                                     eps_leak=cfg.number("slerb", "eps_leak", required=True))
-    if name == "full":
-        return name, FullScheduleModel(build_walsh_schedule(_walsh_params(cfg)))
-    raise ConfigError(f"{cfg.path}: slerb model must be ideal, parametric or full")
+        return name, ParametricModel(eps_rb=cfg.get("slerb", "eps_rb"),
+                                     eps_leak=cfg.get("slerb", "eps_leak"))
+    return name, FullScheduleModel(build_walsh_schedule(_walsh_params(cfg)))
 
 
 def _parse_slerb(cfg: _Config):
     """Read and check [slerb].  An ``input`` dataset is read by the job, not
     here: it may be the output of a run that has not happened yet."""
-    resamples = cfg.integer("slerb", "resamples", 10000)
-    if resamples < 100:
-        raise ConfigError(f"{cfg.path}: resamples in [slerb] must be >= 100")
-    source = cfg.text("slerb", "input")
+    resamples = cfg.get("slerb", "resamples")
+    source = cfg.get("slerb", "input")
     model_name = "external"
     if source is None:
         model_name, model = _slerb_model(cfg)
-        lengths = cfg.integer_list("slerb", "lengths", required=True)
-        sequences = cfg.integer("slerb", "sequences", required=True)
-        shots = cfg.integer("slerb", "shots", required=True)
-        pauli_randomize = cfg.boolean("slerb", "pauli_randomize", True)
-        if min(lengths) < 1 or len(set(lengths)) < 3:
-            raise ConfigError(f"{cfg.path}: lengths in [slerb] must hold at least "
-                              "three distinct positive integers")
+        lengths = cfg.get("slerb", "lengths")
+        sequences = cfg.get("slerb", "sequences")
+        shots = cfg.get("slerb", "shots")
+        pauli_randomize = cfg.get("slerb", "pauli_randomize")
         # a repeat would write its rows twice, with colliding sequence ids
-        if len(set(lengths)) < len(lengths):
-            raise ConfigError(f"{cfg.path}: lengths in [slerb] repeats a value")
-        if sequences < 1 or shots < 1:
-            raise ConfigError(f"{cfg.path}: sequences and shots in [slerb] must be >= 1")
+        if len(set(lengths)) < max(3, len(lengths)):
+            raise ConfigError(f"{cfg.path}: lengths in [slerb] must hold at least three "
+                              "values, none repeated")
         _check_size(cfg, "slerb", "sequences x the sum of lengths", sequences * sum(lengths))
         _check_size(cfg, "slerb", "resamples x the number of lengths", resamples * len(lengths))
 
@@ -558,11 +455,9 @@ def _parse_slerb(cfg: _Config):
 
 
 def _parse_walsh_compare(cfg: _Config):
-    loops = cfg.integer_list("walsh-compare", "loops", required=True)
-    omega = TWO_PI * cfg.number("walsh-compare", "omega_hz", required=True)
-    nbar = cfg.number("walsh-compare", "nbar", 0.0)
-    if nbar < 0:
-        raise ConfigError(f"{cfg.path}: nbar in [walsh-compare] must be >= 0")
+    loops = cfg.get("walsh-compare", "loops")
+    omega = TWO_PI * cfg.get("walsh-compare", "omega_hz")
+    nbar = cfg.get("walsh-compare", "nbar")
     gates = [WalshGateParams.calibrated(k, omega) for k in loops]
 
     def job(seed: int):
@@ -583,13 +478,10 @@ def _parse_walsh_compare(cfg: _Config):
 
 def _parse_trajectory(cfg: _Config):
     schedule = _scenario_schedule(cfg)
-    branch = cfg.number("trajectory", "branch", 2.0)
-    points = cfg.integer("trajectory", "points")
+    branch = cfg.get("trajectory", "branch")
+    points = cfg.get("trajectory", "points")
     t_eval = None
     if points is not None:
-        if points < 2:
-            raise ConfigError(f"{cfg.path}: trajectory needs at least two points")
-        _check_size(cfg, "trajectory", "points", points)
         t_eval = np.linspace(0.0, schedule.duration, points)
         check_output_grid(schedule, t_eval)
 
@@ -613,6 +505,113 @@ _PARSERS = {
 }
 
 
+# ---------------------------------------------------------------------------
+# the key table: `iongate schema` prints it and _Config reads by it; the
+# parsers keep only the checks that involve more than one key.
+
+_KEYS = {
+    "scenario": ("", {
+        "name": (_choice(*_PARSERS), _REQUIRED, "the scenario to run"),
+        "output": (_TEXT, _REQUIRED, "output file name, written under --output-dir"),
+        "seed": (_SEED, "0", "RNG seed, overridden by --seed"),
+    }),
+    "smooth": ("five-step adiabatic gate (needed when a scenario uses it)", {
+        "delta_max_hz": (_NUMBER, _REQUIRED, "signed starting detuning, e.g. -400e3"),
+        "delta_min_hz": (_NUMBER, _REQUIRED, "signed detuning at the ramp bottom"),
+        "omega_hz": (_NUMBER, _REQUIRED, "gate Rabi frequency"),
+        "tau_g": (_NUMBER, _REQUIRED, "amplitude ramp time, s"),
+        "tau_d": (_NUMBER, _REQUIRED, "detuning ramp time, s"),
+        "t_c": (_NUMBER, "0", "hold time at delta_min, s"),
+        "j": (_COUNT, _REQUIRED, "detuning ramp exponent"),
+        "calibrate": (_choice("none", "delta_min", "omega"), "none",
+                      "solve the named parameter so |angle| = pi/2, signed as the detuning"),
+    }),
+    "walsh": ("sign-flip loop gate", {
+        "loops": (_LOOPS, _REQUIRED, "number of loops"),
+        "omega_hz": (_NUMBER, _REQUIRED, "gate Rabi frequency"),
+    }),
+    "schedule": ("scenario-level schedule choice (offset-scan, thermal-sweep, trajectory)", {
+        "type": (_choice("smooth", "walsh"), _REQUIRED, "which gate block above to use"),
+    }),
+    "filterfn": ("filterfn scenario", {
+        "nbars": (_list_of(_NONNEGATIVE), "0,10", "thermal occupations"),
+        "walsh_orders": (_list_of(_WALSH_ORDER), "1,3", "Walsh gate orders"),
+        "points": (_POINTS, "400", "frequency grid size"),
+        "omega_min_hz": (_NUMBER, "20", "grid start, above 0"),
+        "omega_max_hz": (_NUMBER, "1.6e6", "grid stop, above the start"),
+    }),
+    "scan": ("calibration-scan and offset-scan grids", {
+        "start_hz": (_NUMBER, _REQUIRED, "first grid value (delta_min or offset)"),
+        "stop_hz": (_NUMBER, _REQUIRED, "last grid value"),
+        "points": (_POINTS, _REQUIRED, "grid size"),
+        "nbar": (_NONNEGATIVE, {"calibration-scan": "3.5", "offset-scan": "0"},
+                 "thermal occupation"),
+    }),
+    "sweep": ("thermal-sweep scenario", {
+        "nbars": (_list_of(_NONNEGATIVE), _REQUIRED, "thermal occupations"),
+        "offset_hz": (_NUMBER, "0", "static detuning error"),
+    }),
+    "slerb": ("benchmarking scenario (model = full also needs a [walsh] block; its Fock "
+              "cutoff is automatic).  Neither sequences x sum of lengths nor resamples x "
+              f"number of lengths may exceed {_MAX_ELEMENTS} (1 GiB of float64)", {
+        "lengths": (_list_of(_COUNT), _REQUIRED, "sequence lengths, at least three, none repeated"),
+        "sequences": (_COUNT, _REQUIRED, "random sequences per length"),
+        "shots": (_COUNT, _REQUIRED, "shots per sequence"),
+        "model": (_choice("ideal", "parametric", "full"), _REQUIRED, "simulated error model"),
+        "eps_rb": (_NUMBER, _REQUIRED, "depolarizing rate, read for model = parametric"),
+        "eps_leak": (_NUMBER, _REQUIRED, "leak rate, read for model = parametric"),
+        "resamples": (_RESAMPLES, "10000", "bootstrap resamples (memory: 24 bytes per length "
+                      "per resample; the fit runs 1024 resamples at a time)"),
+        "input": (_TEXT, None, "existing dataset CSV to fit instead of simulating (model, "
+                  "lengths, sequences, shots and pauli_randomize are ignored when set; read "
+                  "by run, not by validate)"),
+        "pauli_randomize": (_BOOLEAN, "true",
+                            "fold a logical X into the inverter of about half the sequences"),
+    }),
+    "walsh-compare": ("walsh-compare scenario", {
+        "loops": (_list_of(_LOOPS), _REQUIRED, "loop counts"),
+        "omega_hz": (_NUMBER, _REQUIRED, "shared Rabi frequency"),
+        "nbar": (_NONNEGATIVE, "0", "occupation for the leak filter value"),
+    }),
+    "trajectory": ("trajectory scenario", {
+        "branch": (_NUMBER, "2", "collective-spin eigenvalue"),
+        "points": (_POINTS, None, "uniform time samples, at least 20 per detuning period "
+                   "(left out: 20 per fastest period of each segment)"),
+    }),
+}
+
+_SCHEMA_HEAD = """\
+Scenario config reference (INI format, flat key = value sections), printed
+from the key table that `validate` and `run` check every config against.
+
+UNITS: every *_hz key is a plain cyclic frequency in Hz and is converted to
+angular units (2*pi rad/s) internally.  Times are seconds.  Detunings keep
+their sign.  Every comma list needs at least one value.  Integers must lie
+below 2**53 in magnitude, where the float they are parsed through holds
+them exactly."""
+
+
+def _schema() -> str:
+    """The config reference, printed from the key table."""
+    def fill(line):
+        return textwrap.fill(line, 78, subsequent_indent=" " * 18, break_on_hyphens=False)
+
+    lines = [_SCHEMA_HEAD]
+    for section, (about, keys) in _KEYS.items():
+        lines += ["", fill(f"[{section}]".ljust(18) + about)]
+        for key, (kind, default, doc) in keys.items():
+            if kind.doc:
+                doc += f"; {'comma list, each ' if kind.is_list else ''}{kind.doc}"
+            if default is _REQUIRED:
+                doc += " (required)"
+            elif isinstance(default, dict):
+                doc += " (default " + ", ".join(f"{v} for {k}" for k, v in default.items()) + ")"
+            elif default is not None:
+                doc += f" (default {default})"
+            lines.append(fill(f"  {key:<15} {doc}"))
+    return "\n".join(lines) + "\n"
+
+
 def _load_config(path: str) -> tuple[_Config, str, bytes]:
     try:
         with open(path, "rb") as handle:
@@ -620,12 +619,9 @@ def _load_config(path: str) -> tuple[_Config, str, bytes]:
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     cfg = _Config(raw.decode("utf-8"), path)
-    name = cfg.text("scenario", "name", required=True)
-    if name not in _PARSERS:
-        raise ConfigError(f"{path}: unknown scenario {name!r}")
-    cfg.text("scenario", "output", required=True)
-    if cfg.integer("scenario", "seed", 0) < 0:
-        raise ConfigError(f"{path}: seed in [scenario] must be >= 0")
+    name = cfg.get("scenario", "name")
+    cfg.get("scenario", "output")
+    cfg.get("scenario", "seed")
     return cfg, name, raw
 
 
@@ -635,8 +631,8 @@ def run_scenario(config_path: str, output_dir: str = ".", seed: int | None = Non
     cfg, name, raw = _load_config(config_path)
     if seed is not None and seed < 0:
         raise ConfigError("--seed must be >= 0")
-    effective_seed = seed if seed is not None else cfg.integer("scenario", "seed", 0)
-    output_name = cfg.text("scenario", "output", required=True)
+    effective_seed = seed if seed is not None else cfg.get("scenario", "seed")
+    output_name = cfg.get("scenario", "output")
 
     table, extra_meta, report = _PARSERS[name](cfg)(effective_seed)
 
@@ -696,7 +692,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "schema":
-            print(_SCHEMA, end="")
+            print(_schema(), end="")
             return 0
         if args.command == "validate":
             cfg, name, _ = _load_config(args.config)

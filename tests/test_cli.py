@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -130,6 +131,9 @@ CALIBRATION_SCAN = SCAN_GATE + """
     points = 2
     nbar = 0
 """
+# this grid brackets the balanced point, so `run` succeeds
+CALIBRATION_SCAN_CROSSING = set_key(set_key(CALIBRATION_SCAN, "start_hz", "-25e3"),
+                                    "stop_hz", "-19e3")
 
 SLERB_PARAMETRIC = """\
     [scenario]
@@ -209,10 +213,10 @@ def test_schema_documents_every_known_key(capsys):
     out = capsys.readouterr().out
     # split the reference into its [section] blocks
     blocks = dict(re.findall(r"^\[([\w-]+)\](.*?)(?=^\[|\Z)", out, re.M | re.S))
-    for section, keys in cli._KNOWN_KEYS.items():
+    for section, (_, keys) in cli._KEYS.items():
         assert section in blocks
         documented = set(re.findall(r"^  (\w+)", blocks[section], re.M))
-        assert keys <= documented, (section, keys - documented)
+        assert keys.keys() <= documented, (section, keys.keys() - documented)
 
 
 def test_validate_ok(tmp_path, capsys):
@@ -796,6 +800,8 @@ AGREEMENT_CASES = {
     "calibration-scan-points-1": set_key(CALIBRATION_SCAN, "points", "1"),
     "calibration-scan-start-wrong-sign": set_key(CALIBRATION_SCAN, "start_hz", "40e3"),
     "calibration-scan-start-at-delta-max": set_key(CALIBRATION_SCAN, "start_hz", "-400e3"),
+    # only the grid's end at +5 kHz has the wrong sign
+    "calibration-scan-grid-crosses-zero": set_key(CALIBRATION_SCAN, "stop_hz", "5e3"),
     "walsh-compare-fractional-loops": set_key(WALSH_COMPARE, "loops", "1.5,2"),
     "walsh-compare-loops-empty": set_key(WALSH_COMPARE, "loops", ""),
     "walsh-compare-nbar-negative": WALSH_COMPARE + "    nbar = -1\n",
@@ -821,6 +827,95 @@ def test_agreement_bases_validate_and_cover_every_scenario(tmp_path):
         assert cli.main(["validate", path, "--quiet"]) == 0
         names.add(re.search(r"(?m)^\s*name = (\S+)$", text).group(1))
     assert names == set(cli._PARSERS)
+
+
+@pytest.mark.parametrize("base,key,template", [
+    (OFFSET_SCAN, "loops", "{loops}"),
+    (WALSH_COMPARE, "loops", "1,{loops}"),
+    (FILTERFN, "walsh_orders", "1,{order}"),
+], ids=["walsh", "walsh-compare", "filterfn-walsh-orders"])
+def test_walsh_loop_counts_are_bounded(tmp_path, capsys, base, key, template):
+    # a Walsh schedule holds one segment per loop: at the limit the config
+    # validates, at twice the limit `validate` and `run` reject it
+    def text(loops):
+        return set_key(base, key, template.format(loops=loops, order=loops - 1))
+
+    assert cli.main(["validate", write_config(tmp_path, text(cli._MAX_LOOPS)), "--quiet"]) == 0
+    assert_both_reject(tmp_path, capsys, text(2 * cli._MAX_LOOPS))
+
+
+def test_huge_loop_count_is_rejected_before_any_schedule_is_built(tmp_path, capsys, monkeypatch):
+    def build(params):
+        raise AssertionError(f"built a schedule of {params.loops} loops")
+
+    monkeypatch.setattr(cli, "build_walsh_schedule", build)
+    start = time.perf_counter()
+    assert_both_reject(tmp_path, capsys, set_key(OFFSET_SCAN, "loops", str(2 ** 40)))
+    assert time.perf_counter() - start < 2.0
+
+
+def test_calibration_scan_checks_its_grid_at_the_two_ends(tmp_path, monkeypatch):
+    calls = []
+    with_delta_min = cli.SmoothGateParams.with_delta_min
+
+    def counting(self, delta_min):
+        calls.append(delta_min)
+        return with_delta_min(self, delta_min)
+
+    monkeypatch.setattr(cli.SmoothGateParams, "with_delta_min", counting)
+    path = write_config(tmp_path, set_key(CALIBRATION_SCAN_CROSSING, "points", "1000"))
+    assert cli.main(["validate", path, "--quiet"]) == 0
+    assert len(calls) <= 2
+
+
+def with_key(text, section, key, value=None):
+    """The config text with ``key`` left out of ``[section]``, or set to ``value``."""
+    head, header, tail = textwrap.dedent(text).partition(f"[{section}]\n")
+    assert header, section
+    own, next_header, rest = tail.partition("\n[")
+    own = re.sub(rf"(?m)^{key} = .*\n?", "", own)
+    if value is not None:
+        own = f"{key} = {value}\n" + own
+    return head + header + own + next_header + rest
+
+
+def test_printed_defaults_are_the_defaults_used(tmp_path, capsys):
+    # each defaulted key the schema prints, run on the agreement base that
+    # reads it: left out and set to its printed default, the outputs agree
+    # apart from the creation time and the config hash
+    assert cli.main(["schema"]) == 0
+    out = re.sub(r"\n {18}", " ", capsys.readouterr().out)
+    blocks = dict(re.findall(r"^\[([\w-]+)\](.*?)(?=^\[|\Z)", out, re.M | re.S))
+    bases = {"scenario": SLERB_PARAMETRIC, "smooth": FILTERFN, "filterfn": FILTERFN,
+             "calibration-scan": CALIBRATION_SCAN_CROSSING, "offset-scan": OFFSET_SCAN,
+             "sweep": THERMAL_SWEEP, "slerb": SLERB_PARAMETRIC, "walsh-compare": WALSH_COMPARE,
+             "trajectory": TRAJECTORY}
+    cases = []
+    for section, block in blocks.items():
+        for key, default in re.findall(r"(?m)^  (\w+) .*\(default ([^)]*)\)$", block):
+            if " for " in default:  # "3.5 for calibration-scan, 0 for offset-scan"
+                cases += [(bases[name], section, key, value) for value, name in
+                          (part.split(" for ") for part in default.split(", "))]
+            else:
+                cases.append((bases[section], section, key, default))
+    # one case per printed default: two for a default that depends on the scenario
+    table = [(section, key, default) for section, (_, keys) in cli._KEYS.items()
+             for key, (_, default, _) in keys.items()]
+    expected = [(section, key) for section, key, default in table if isinstance(default, str)]
+    expected += [(section, key) for section, key, default in table
+                 if isinstance(default, dict) for _ in default]
+    assert sorted((section, key) for _, section, key, _ in cases) == sorted(expected)
+    for k, (base, section, key, value) in enumerate(cases):
+        outputs = []
+        for variant, text in (("omitted", with_key(base, section, key)),
+                              ("printed", with_key(base, section, key, value))):
+            out_dir = tmp_path / f"{k}-{variant}"
+            path = write_config(tmp_path, text, name=f"{k}-{variant}.ini")
+            assert cli.main(["run", path, "--output-dir", str(out_dir), "--quiet"]) == 0
+            outputs.append({name: [line for line in (out_dir / name).read_text().splitlines()
+                                   if not re.match(r"(# )?(created|config_hash) = ", line)]
+                            for name in sorted(os.listdir(out_dir))})
+        assert outputs[0] == outputs[1], (section, key, value)
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
