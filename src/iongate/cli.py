@@ -101,20 +101,21 @@ def emit_csv(table: dict, path: str, metadata: dict | None = None) -> None:
 def read_csv(path: str) -> tuple[dict, dict]:
     """Read a file written by :func:`emit_csv`; returns (metadata, columns)."""
     metadata, header, rows = {}, None, []
-    with open(path, "r") as handle:
-        for raw in handle:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if "=" in line:
-                    key, _, value = line[1:].partition("=")
-                    metadata[key.strip()] = value.strip()
-                continue
-            if header is None:
-                header = line.split(",")
-            else:
-                rows.append(line.split(","))
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = [raw.strip() for raw in handle]
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    for line in filter(None, lines):  # blank lines carry nothing
+        if line.startswith("#"):
+            if "=" in line:
+                key, _, value = line[1:].partition("=")
+                metadata[key.strip()] = value.strip()
+            continue
+        if header is None:
+            header = line.split(",")
+        else:
+            rows.append(line.split(","))
     if header is None:
         raise ConfigError(f"{path}: no CSV header found")
     bad = next((k for k, row in enumerate(rows, 1) if len(row) != len(header)), None)
@@ -616,9 +617,12 @@ def _load_config(path: str) -> tuple[_Config, str, bytes]:
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
+        text = raw.decode("utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
-    cfg = _Config(raw.decode("utf-8"), path)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    cfg = _Config(text, path)
     name = cfg.get("scenario", "name")
     cfg.get("scenario", "output")
     cfg.get("scenario", "seed")

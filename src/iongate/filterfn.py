@@ -40,7 +40,7 @@ from .semiclassical import _UU_VARIANCES, _fourier_sums
 
 @dataclass(frozen=True)
 class FilterFunction:
-    """Sampled noise filter function S(omega) and its two components.
+    """Sampled noise filter function S(omega) = ``displacement + angle``.
 
     ``displacement`` carries the (2*nbar+1) thermal enhancement;
     ``angle`` is temperature independent.  Units are 1/(rad/s)^2 per unit
@@ -48,15 +48,16 @@ class FilterFunction:
     """
 
     omega: np.ndarray = field(repr=False)
-    total: np.ndarray = field(repr=False)
     displacement: np.ndarray = field(repr=False)
     angle: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if np.any(self.displacement < 0) or np.any(self.angle < 0):
             raise ParameterError("filter function components must be >= 0")
-        if not np.allclose(self.total, self.displacement + self.angle, rtol=1e-12, atol=0):
-            raise ParameterError("total must equal displacement + angle")
+
+    @property
+    def total(self) -> np.ndarray:
+        return self.displacement + self.angle
 
 
 def _checked_omega(nbar: float, omega) -> np.ndarray:
@@ -72,7 +73,7 @@ def _assemble(omega, a_c, a_s, t_c, t_s, nbar) -> FilterFunction:
     var_s, var_s2 = _UU_VARIANCES
     disp = 0.5 * (2 * nbar + 1) * var_s * (np.abs(a_c) ** 2 + np.abs(a_s) ** 2)
     ang = 0.5 * var_s2 * (t_c ** 2 + t_s ** 2)
-    return FilterFunction(omega=omega, total=disp + ang, displacement=disp, angle=ang)
+    return FilterFunction(omega=omega, displacement=disp, angle=ang)
 
 
 def filter_function_numeric(schedule: PulseSchedule, nbar: float = 0.0, *,

@@ -203,18 +203,16 @@ def eval_amplitude_ramp(tau_g: float, omega_g: float, t, direction: str = "up") 
 class Segment:
     """One closed-form piece of a schedule, evaluated in local time.
 
-    ``omega`` and ``delta`` map local time u in [0, duration] to rad/s;
-    ``sign`` is the Walsh drive sign (+1 or -1, a drive-phase offset of 0 or
-    pi).  ``const_omega``/``const_delta`` are set when the corresponding
-    function is constant, which lets propagators take exact steps.
+    ``omega`` and ``delta`` map local time u in [0, duration] to rad/s and
+    are the only record of the drive: every other quantity is sampled from
+    them.  ``sign`` is the Walsh drive sign (+1 or -1, a drive-phase offset
+    of 0 or pi).
     """
 
     duration: float
     omega: Callable[[np.ndarray], np.ndarray]
     delta: Callable[[np.ndarray], np.ndarray]
     sign: float = 1.0
-    const_omega: float | None = None
-    const_delta: float | None = None
     label: str = ""
 
     def __post_init__(self):
@@ -224,8 +222,6 @@ class Segment:
             raise ParameterError("segment sign must be +1 or -1")
 
     def max_abs_delta(self) -> float:
-        if self.const_delta is not None:
-            return abs(self.const_delta)
         u = np.linspace(0.0, self.duration, 65)
         return float(np.max(np.abs(self.delta(u))))
 
@@ -246,15 +242,10 @@ class Segment:
 
     def shifted(self, offset: float) -> "Segment":
         """Copy with a constant added to the detuning."""
-        if self.const_delta is not None:
-            new_delta = self.const_delta + offset
-            return replace(self, delta=lambda u, v=new_delta: np.full_like(np.asarray(u, dtype=float), v),
-                           const_delta=new_delta)
-        old = self.delta
-        return replace(self, delta=lambda u, f=old, d=offset: f(u) + d, const_delta=None)
+        return replace(self, delta=lambda u, f=self.delta, d=offset: f(u) + d)
 
 
-def _const_fn(value: float) -> Callable[[np.ndarray], np.ndarray]:
+def _constant(value: float) -> Callable[[np.ndarray], np.ndarray]:
     return lambda u, v=value: np.full_like(np.asarray(u, dtype=float), v)
 
 
@@ -332,22 +323,22 @@ def build_smooth_schedule(p: SmoothGateParams) -> PulseSchedule:
     up = lambda u: p.sign * abs_ramp(p.tau_d - np.asarray(u, dtype=float))
     amp_up = lambda u: eval_amplitude_ramp(p.tau_g, p.omega_g, np.asarray(u, dtype=float), "up")
     amp_down = lambda u: eval_amplitude_ramp(p.tau_g, p.omega_g, np.asarray(u, dtype=float), "down")
-    full, at_full, at_max = _const_fn(p.omega_g), dict(const_omega=p.omega_g), dict(const_delta=p.delta_max)
-    pieces = [(p.tau_g, amp_up, _const_fn(p.delta_max), at_max, "amp-up"),
-              (p.tau_d, full, down, at_full, "det-down"),
-              (p.t_c, full, _const_fn(p.delta_min), dict(at_full, const_delta=p.delta_min), "hold"),
-              (p.tau_d, full, up, at_full, "det-up"),
-              (p.tau_g, amp_down, _const_fn(p.delta_max), at_max, "amp-down")]
-    segs = [Segment(duration, omega, delta, label=label, **const)
-            for duration, omega, delta, const, label in pieces if duration > 0]
+    full, at_max = _constant(p.omega_g), _constant(p.delta_max)
+    pieces = [(p.tau_g, amp_up, at_max, "amp-up"),
+              (p.tau_d, full, down, "det-down"),
+              (p.t_c, full, _constant(p.delta_min), "hold"),
+              (p.tau_d, full, up, "det-up"),
+              (p.tau_g, amp_down, at_max, "amp-down")]
+    segs = [Segment(duration, omega, delta, label=label)
+            for duration, omega, delta, label in pieces if duration > 0]
     return PulseSchedule(segs)
 
 
 def build_walsh_schedule(p: WalshGateParams) -> PulseSchedule:
     """Constant Omega_g and delta_g with Walsh drive-sign flips at loop closures."""
     segs = [
-        Segment(p.loop_time, _const_fn(p.omega_g), _const_fn(p.delta_g), sign=float(w),
-                const_omega=p.omega_g, const_delta=p.delta_g, label=f"loop{m}")
+        Segment(p.loop_time, _constant(p.omega_g), _constant(p.delta_g), sign=float(w),
+                label=f"loop{m}")
         for m, w in enumerate(p.signs)
     ]
     return PulseSchedule(segs)

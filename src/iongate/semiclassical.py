@@ -393,7 +393,10 @@ class PerturbativeInfidelity:
     gate_angle_error: float
     displacement: float
     angle: float
-    total: float
+
+    @property
+    def total(self) -> float:
+        return self.displacement + self.angle
 
 
 def perturbative_infidelity(schedule: PulseSchedule,
@@ -424,7 +427,7 @@ def perturbative_infidelity(schedule: PulseSchedule,
     disp = (2.0 * nbar + 1.0) * abs(alpha_t) ** 2 * var_s
     ang = dtheta ** 2 / 4.0 * var_s2
     return PerturbativeInfidelity(residual_displacement=alpha_t, gate_angle_error=dtheta,
-                                  displacement=disp, angle=ang, total=disp + ang)
+                                  displacement=disp, angle=ang)
 
 
 def _fourier_sums(schedule: PulseSchedule, omega: np.ndarray, rtol: float, atol: float):

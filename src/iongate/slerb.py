@@ -102,12 +102,13 @@ class SubspaceClifford:
     """One element of the effective-qubit Clifford group.
 
     ``gates`` is the shortest product of entangling gates realizing the
-    element: (angle, basis_phase) pairs applied left to right.
+    element, applied left to right: each an index into
+    ``GENERATOR_PHASES``, the ``GATE_ANGLE`` gate at that basis phase.
     """
 
     index: int
     matrix: np.ndarray = field(repr=False)
-    gates: tuple[tuple[float, float], ...] = ()
+    gates: tuple[int, ...] = ()
 
 
 @lru_cache(maxsize=1)
@@ -117,17 +118,17 @@ def clifford_table() -> tuple[SubspaceClifford, ...]:
     Index 0 is the identity; indices are assigned in discovery order so the
     table is deterministic.  Every element stores a shortest compilation.
     """
-    gens = [(GATE_ANGLE, phi) for phi in GENERATOR_PHASES]
+    gens = [logical_gate_unitary(GATE_ANGLE, phi) for phi in GENERATOR_PHASES]
     table = [SubspaceClifford(0, np.eye(2, dtype=complex), ())]
     frontier = [table[0]]
     while frontier:
         nxt = []
         for elem in frontier:
-            for angle, phase in gens:
-                u = logical_gate_unitary(angle, phase) @ elem.matrix
+            for k, gen in enumerate(gens):
+                u = gen @ elem.matrix
                 if _index_up_to_phase(u, [c.matrix for c in table]) is not None:
                     continue
-                item = SubspaceClifford(len(table), u, elem.gates + ((angle, phase),))
+                item = SubspaceClifford(len(table), u, elem.gates + (k,))
                 table.append(item)
                 nxt.append(item)
         frontier = nxt
@@ -148,13 +149,11 @@ def find_clifford(u: np.ndarray) -> int:
 class CliffordGroup:
     """Integer arithmetic on :func:`clifford_table` indices: ``mul[a][b]`` is
     table[a].matrix @ table[b].matrix, ``inv[a]`` the inverse of a,
-    ``gate_count[a]`` its compiled length, ``generators[a]`` its compiled
-    gates as indices into ``GENERATOR_PHASES``, ``x`` the logical X."""
+    ``gate_count[a]`` its compiled length, ``x`` the logical X."""
 
     mul: tuple[tuple[int, ...], ...]
     inv: tuple[int, ...]
     gate_count: tuple[int, ...]
-    generators: tuple[tuple[int, ...], ...]
     x: int
 
     def compose(self, cliffords: Sequence[int]) -> int:
@@ -172,8 +171,6 @@ def clifford_group() -> CliffordGroup:
     mul = tuple(tuple(find_clifford(a.matrix @ b.matrix) for b in table) for a in table)
     return CliffordGroup(mul=mul, inv=tuple(row.index(0) for row in mul),
                          gate_count=tuple(len(c.gates) for c in table),
-                         generators=tuple(tuple(GENERATOR_PHASES.index(phase)
-                                                for _, phase in c.gates) for c in table),
                          x=find_clifford(np.array([[0.0, 1.0], [1.0, 0.0]])))
 
 
@@ -291,8 +288,9 @@ class FullScheduleModel:
         The cutoff is sized for the longest sequence.  Rows are stepped
         longest first, ``SEQUENCE_BLOCK`` at a time.
         """
-        gens = clifford_group().generators
-        gates = [[g for c in seq.cliffords + (seq.inverter,) for g in gens[c]] for seq in seqs]
+        table = clifford_table()
+        gates = [[g for c in seq.cliffords + (seq.inverter,) for g in table[c].gates]
+                 for seq in seqs]
         counts = np.array([len(g) for g in gates], dtype=int)
         props = self.blocks(int(counts.max(initial=0)))
         order = np.argsort(-counts, kind="stable")
@@ -535,20 +533,27 @@ def collect_dataset(lengths: Sequence[int], n_sequences: int, shots: int,
 
 @dataclass(frozen=True)
 class DecayFit:
-    """Fitted decay rates and the derived per-gate error."""
+    """Fitted decay rates; the flip rate and per-gate error derive from them."""
 
     eps_rb: float
     eps_leak: float
-    eps_flip: float
-    eps_2q: float
 
     def __post_init__(self):
-        for name in ("eps_rb", "eps_leak", "eps_flip"):
+        for name in ("eps_rb", "eps_leak"):
             if getattr(self, name) < 0:
                 raise ParameterError(f"{name} must be >= 0")
-        expected = _eps_2q(self.eps_rb, self.eps_leak)
-        if abs(self.eps_2q - expected) > 1e-9 * max(expected, 1e-12):
-            raise ParameterError("eps_2q inconsistent with fitted rates")
+
+    @property
+    def eps_flip(self) -> float:
+        """Initial slope of the fitted flip curve, ~ eps_rb at small rates."""
+        b = 1.0 - 2.0 * self.eps_leak
+        a = (1.0 - self.eps_leak) * (1.0 - 2.0 * self.eps_rb)
+        return max(0.0, 0.5 * (0.5 * math.log(max(b, 1e-300))
+                               - math.log(max(a, 1e-300))))
+
+    @property
+    def eps_2q(self) -> float:
+        return _eps_2q(self.eps_rb, self.eps_leak)
 
 
 def _eps_2q(eps_rb: float, eps_leak: float) -> float:
@@ -627,14 +632,7 @@ def fit_decays(data: SlerbDataset) -> DecayFit:
     lengths = lengths.astype(float)
     eps_rb, eps_leak = _fit_rates_batch(
         lengths, f_surv[:, None], f_flip[:, None], tot[:, None])
-    eps_rb, eps_leak = float(eps_rb[0]), float(eps_leak[0])
-    # initial slope of the fitted flip curve, ~ eps_rb at small rates
-    b = 1.0 - 2.0 * eps_leak
-    a = (1.0 - eps_leak) * (1.0 - 2.0 * eps_rb)
-    eps_flip = max(0.0, 0.5 * (0.5 * math.log(max(b, 1e-300))
-                               - math.log(max(a, 1e-300))))
-    return DecayFit(eps_rb=eps_rb, eps_leak=eps_leak, eps_flip=eps_flip,
-                    eps_2q=_eps_2q(eps_rb, eps_leak))
+    return DecayFit(eps_rb=float(eps_rb[0]), eps_leak=float(eps_leak[0]))
 
 
 def bootstrap_ci(data: SlerbDataset, resamples: int = 10000,

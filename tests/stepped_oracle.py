@@ -2,12 +2,12 @@
 
 :func:`iongate.quantum.gate_propagator` builds the +2 block in closed form
 from the trajectory integrals.  This module instead multiplies the +2
-oscillator's short-time exponentials along the schedule: constant segments
-in one shot, ramps by midpoint (second-order Magnus) steps cut at equal
-increments of the phase budget int max(|delta|, |Omega|) dt, at most
-2 pi / steps_per_period each, each step exponentiated by scipy's
-tridiagonal eigensolver.  It shares with the package only the assembly of
-the other three blocks.
+oscillator's short-time exponentials along the schedule: a segment whose
+Omega and delta are constant on 65 samples in one shot, ramps by midpoint
+(second-order Magnus) steps cut at equal increments of the phase budget
+int max(|delta|, |Omega|) dt, at most 2 pi / steps_per_period each, each
+step exponentiated by scipy's tridiagonal eigensolver.  It shares with the
+package only the assembly of the other three blocks.
 """
 
 import numpy as np
@@ -34,8 +34,10 @@ def stepped_blocks(schedule: PulseSchedule, fock: FockConfig,
     """Branch propagators of one schedule, stepped in time."""
     u_plus = np.eye(fock.dim, dtype=complex)
     for seg in schedule.segments:
-        if seg.const_omega is not None and seg.const_delta is not None:
-            steps = [(seg.const_delta, seg.const_omega, seg.duration)]
+        u = np.linspace(0.0, seg.duration, 65)
+        d, o = seg.delta(u), seg.omega(u)
+        if np.ptp(d) == 0.0 and np.ptp(o) == 0.0:  # constant on the sample
+            steps = [(d[0], o[0], seg.duration)]
         else:
             edges = seg.phase_edges(steps_per_period)
             mids = (edges[1:] + edges[:-1]) / 2.0

@@ -63,8 +63,6 @@ def flat_segment(duration, omega, delta, sign=1.0):
         lambda t, v=omega: np.full_like(np.asarray(t, dtype=float), v),
         lambda t, v=delta: np.full_like(np.asarray(t, dtype=float), v),
         sign=sign,
-        const_omega=omega,
-        const_delta=delta,
     )
 
 

@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import importlib.util
 import inspect
+import math
 import os
 import re
 import subprocess
@@ -592,11 +593,12 @@ SLERB_ROWS = ("N,sequence_id,shots,n_survival,n_flip,n_leak\n"
                                   "2,0,100,ninety,5,5\n",
                                   SLERB_ROWS + "2.5,1,100,90,5,5\n",
                                   SLERB_ROWS + "nan,1,100,90,5,5\n",
-                                  SLERB_ROWS + "0,1,100,90,5,5\n"],
+                                  SLERB_ROWS + "0,1,100,90,5,5\n",
+                                  SLERB_ROWS.encode() + b"# note = \xff\n"],
                          ids=["short-row", "non-numeric-cell", "fractional-length",
-                              "nan-length", "zero-length"])
+                              "nan-length", "zero-length", "not-utf8"])
 def test_run_slerb_malformed_input_is_config_error(tmp_path, capsys, body):
-    (tmp_path / "bad.csv").write_text(body)
+    (tmp_path / "bad.csv").write_bytes(body if isinstance(body, bytes) else body.encode())
     path = write_config(tmp_path, f"""\
         [scenario]
         name = slerb
@@ -608,6 +610,16 @@ def test_run_slerb_malformed_input_is_config_error(tmp_path, capsys, body):
     assert cli.main(["run", path, "--output-dir", str(tmp_path), "--quiet"]) == 1
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "refit.csv").exists()
+
+
+def test_non_utf8_config_is_config_error(tmp_path, capsys):
+    path = tmp_path / "conf.ini"
+    path.write_bytes(textwrap.dedent(WALSH_COMPARE).encode() + b"# \xff\n")
+    codes = [cli.main(["validate", str(path), "--quiet"]),
+             cli.main(["run", str(path), "--output-dir", str(tmp_path / "out"), "--quiet"])]
+    assert codes == [1, 1]
+    assert capsys.readouterr().err.count(f"config error: {path}: not UTF-8") == 2
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -986,21 +998,41 @@ def resolved_calls(tree, names):
     """(call, callables) for each call in ``tree``: the objects its callee can
     name through ``names``, by a bound name, a method or attribute of one,
     either branch of a conditional, or a name assigned one of these
-    (``solve = a if c else b``)."""
+    (``solve = a if c else b``).  Names are bound for the whole file, so only
+    callables and modules are bound, and only attributes an owner has are
+    followed: ``value = math.nan`` in one function leaves ``value.strip()``
+    in another unresolved."""
     names = dict(names)
 
     def callees(expr):
         if isinstance(expr, ast.IfExp):
             return callees(expr.body) + callees(expr.orelse)
         if isinstance(expr, ast.Attribute):
-            return [getattr(owner, expr.attr) for owner in callees(expr.value)]
+            return [getattr(owner, expr.attr) for owner in callees(expr.value)
+                    if hasattr(owner, expr.attr)]
         return names.get(expr.id, []) if isinstance(expr, ast.Name) else []
 
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                and isinstance(node.targets[0], ast.Name) and callees(node.value):
-            names[node.targets[0].id] = callees(node.value)
+                and isinstance(node.targets[0], ast.Name):
+            bound = [obj for obj in callees(node.value) if callable(obj) or inspect.ismodule(obj)]
+            if bound:
+                names[node.targets[0].id] = bound
     return [(call, callees(call.func)) for call in ast.walk(tree) if isinstance(call, ast.Call)]
+
+
+def test_resolved_calls_binds_only_callables_and_modules():
+    source = textwrap.dedent("""\
+        def f():
+            value = math.nan
+            return math.sqrt(value)
+
+        def g(value):
+            solve = math.floor if value else math.ceil
+            return value.strip(), math.no_such_name(), solve(value)
+    """)
+    calls = resolved_calls(ast.parse(source), {"math": [math]})
+    assert [targets for _, targets in calls] == [[math.sqrt], [], [], [math.floor, math.ceil]]
 
 
 def test_bench_contract_with_the_package():

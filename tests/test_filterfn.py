@@ -56,8 +56,7 @@ def smooth_reference():
 
 def test_zero_drive_gives_zero_filter_function():
     sched = PulseSchedule(
-        (Segment(50e-6, lambda t: 0.0 * t, lambda t: 0.0 * t + 1e5,
-                 const_omega=0.0, const_delta=1e5),)
+        (Segment(50e-6, lambda t: 0.0 * t, lambda t: 0.0 * t + 1e5),)
     )
     om = np.geomspace(1e3, 1e6, 40)
     ff = filter_function_numeric(sched, omega=om)
@@ -268,7 +267,7 @@ def test_noise_integral_error_estimate_on_even_grid():
     # estimate vanishes when the coarse sum keeps the band's last point
     om = np.linspace(1e3, 1e4, 10)
     s = 1e-12 * om
-    ff = FilterFunction(omega=om, total=s, displacement=s, angle=np.zeros_like(om))
+    ff = FilterFunction(omega=om, displacement=s, angle=np.zeros_like(om))
     out = noise_infidelity_integral(ff, SampledPsd(om[[0, -1]], np.array([2.0, 2.0])))
     assert out.value == pytest.approx(1e-12 * (1e4 ** 2 - 1e3 ** 2), rel=1e-12)
     assert out.quad_error <= 1e-14 * out.value
@@ -314,8 +313,6 @@ def test_omega_grid_validation(walsh3):
 def test_filter_function_validation():
     om = np.array([1.0, 2.0])
     with pytest.raises(ParameterError):
-        FilterFunction(omega=om, total=np.ones(2), displacement=np.zeros(2),
-                       angle=np.zeros(2))
-    ff = FilterFunction(omega=om, total=np.ones(2), displacement=np.ones(2) * 0.25,
-                        angle=np.ones(2) * 0.75)
+        FilterFunction(omega=om, displacement=-np.ones(2), angle=np.zeros(2))
+    ff = FilterFunction(omega=om, displacement=np.ones(2) * 0.25, angle=np.ones(2) * 0.75)
     assert np.array_equal(ff.total, ff.displacement + ff.angle)

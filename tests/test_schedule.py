@@ -286,16 +286,14 @@ def test_schedule_sampling_and_offset():
     s = build_walsh_schedule(WalshGateParams.calibrated(2, TWO_PI * 5e3))
     t = np.linspace(0.0, s.duration, 101)
     assert s.omega(t).shape == s.delta(t).shape == (101,)
-    assert np.all(s.delta(t) == s.segments[0].const_delta)
+    assert np.all(s.delta(t) == s.segments[0].delta(0.0))
     off = s.with_detuning_offset(TWO_PI * 500.0)
     assert off.delta(0.3 * s.duration) - s.delta(0.3 * s.duration) == pytest.approx(TWO_PI * 500.0)
-    assert off.segments[0].const_delta == pytest.approx(s.segments[0].const_delta + TWO_PI * 500.0)
+    assert off.segments[0].delta(0.0) == pytest.approx(s.segments[0].delta(0.0) + TWO_PI * 500.0)
 
 
 def test_schedule_rejects_discontinuity():
-    seg1 = Segment(1e-5, lambda u: np.full_like(u, 1.0), lambda u: np.full_like(u, 2.0),
-                   const_omega=1.0, const_delta=2.0)
-    seg2 = Segment(1e-5, lambda u: np.full_like(u, 3.0), lambda u: np.full_like(u, 2.0),
-                   const_omega=3.0, const_delta=2.0)
+    seg1 = Segment(1e-5, lambda u: np.full_like(u, 1.0), lambda u: np.full_like(u, 2.0))
+    seg2 = Segment(1e-5, lambda u: np.full_like(u, 3.0), lambda u: np.full_like(u, 2.0))
     with pytest.raises(ParameterError):
         PulseSchedule([seg1, seg2])

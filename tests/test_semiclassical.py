@@ -56,8 +56,8 @@ def constant_schedule(omega=TWO_PI * 5e3, delta=-TWO_PI * 20e3, loops=1):
 
 
 def test_zero_drive_gives_zero_trajectory():
-    sched = PulseSchedule([Segment(1e-4, lambda u: np.zeros_like(u), lambda u: np.full_like(u, -1e5),
-                                   const_omega=0.0, const_delta=-1e5)])
+    sched = PulseSchedule([Segment(1e-4, lambda u: np.zeros_like(u),
+                                   lambda u: np.full_like(u, -1e5))])
     traj = propagate_displacement(sched, branch_eigenvalue=2.0)
     assert np.all(traj.gamma == 0)
     assert np.all(traj.theta == 0)
@@ -141,7 +141,7 @@ def kinked_ramp_schedule(p):
     ramp = build_smooth_schedule(p).segments[1].delta
     segs = [Segment(p.tau_d, omega_in, ramp, label="ramp-in"),
             Segment(p.t_c, lambda u: np.full_like(u, p.omega_g), lambda u: np.full_like(u, p.delta_min),
-                    const_omega=p.omega_g, const_delta=p.delta_min, label="hold"),
+                    label="hold"),
             Segment(p.tau_d, lambda u: omega_in(p.tau_d - u),
                     lambda u: ramp(p.tau_d - u), label="ramp-out")]
     return PulseSchedule(segs)
@@ -259,7 +259,7 @@ def test_batched_endpoints_match_per_offset_propagation(calibration_gate, gate, 
         sched = build_walsh_schedule(WalshGateParams.calibrated(2, TWO_PI * 5e3))
     else:
         sched = build_smooth_schedule(calibration_gate)
-    zero = -sched.segments[-1 if gate == "walsh" else 2].const_delta
+    zero = -float(sched.segments[-1 if gate == "walsh" else 2].delta(0.0))
     offset = st.one_of(st.just(zero), st.floats(-TWO_PI * 30e3, TWO_PI * 30e3))
     offsets = np.array(data.draw(st.lists(offset, min_size=1, max_size=5)))
     gamma, theta, eta = branch_endpoints(sched, offsets)
@@ -292,8 +292,8 @@ def test_offset_family_matches_the_per_segment_closed_form():
     gamma, theta, eta = branch_endpoints(sched, offsets)
     g, th, et = np.zeros(offsets.size, dtype=complex), np.zeros(offsets.size), 0.0 * offsets
     for seg in sched.segments:
-        d, T = seg.const_delta + offsets, seg.duration
-        c = -1j * seg.sign * seg.const_omega * np.exp(1j * et)
+        d, T = seg.delta(0.0) + offsets, seg.duration
+        c = -1j * seg.sign * seg.omega(0.0) * np.exp(1j * et)
         E = (np.exp(1j * d * T) - 1.0) / (1j * d)
         th = th + np.imag(np.conj(g) * c * E + 1j * np.abs(c) ** 2 * (T - E) / d)
         g, et = g + c * E, et + d * T
@@ -434,8 +434,7 @@ def test_perturbative_zero_eps_and_null_branch():
     assert out.total == 0.0
     # without drive every branch is null (gamma = 0), so no eps acts on it
     undriven = PulseSchedule([Segment(1e-4, lambda u: np.zeros_like(u),
-                                      lambda u: np.full_like(u, -1e5),
-                                      const_omega=0.0, const_delta=-1e5)])
+                                      lambda u: np.full_like(u, -1e5))])
     out0 = perturbative_infidelity(undriven, 123.0, nbar=5.0)
     assert out0.total == 0.0 and out0.residual_displacement == 0
 

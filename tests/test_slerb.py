@@ -121,9 +121,8 @@ def test_inverter_closes_sequence_in_matrix_fold(n, seed, pauli_randomize):
 def test_compiled_gate_lists_reproduce_every_element():
     for c in clifford_table():
         u = np.eye(2, dtype=complex)
-        for angle, phase in c.gates:
-            assert angle == GATE_ANGLE
-            u = logical_gate_unitary(angle, phase) @ u
+        for k in c.gates:
+            u = logical_gate_unitary(GATE_ANGLE, slerb.GENERATOR_PHASES[k]) @ u
         assert equal_up_to_phase(u, c.matrix)
 
 
@@ -285,8 +284,8 @@ def stepped_probabilities(seq, step_gate, n_max):
     state = CompositeState.from_spin_fock([1.0, 0.0, 0.0, 0.0], n=0, n_max=n_max)
     table = clifford_table()
     for c in seq.cliffords + (seq.inverter,):
-        for _, phase in table[c].gates:
-            state = step_gate(state, phase)
+        for k in table[c].gates:
+            state = step_gate(state, slerb.GENERATOR_PHASES[k])
     pops = state.spin_populations()
     kept, flipped = ("uu", "dd") if seq.expected_state == "uu" else ("dd", "uu")
     return np.array([pops[kept], pops[flipped], pops["ud"] + pops["du"]])
@@ -382,8 +381,8 @@ def per_gate_populations(props, seq):
     state = np.zeros((4, props.dim), dtype=complex)
     state[0, 0] = 1.0
     for c in seq.cliffords + (seq.inverter,):
-        for _, phase in table[c].gates:
-            state = props.apply(state, phase)
+        for k in table[c].gates:
+            state = props.apply(state, slerb.GENERATOR_PHASES[k])
     return np.sum(np.abs(state) ** 2, axis=1)
 
 
@@ -634,16 +633,12 @@ def test_truncation_is_flat_on_markovian_data():
 
 def test_decay_fit_validation_and_eps2q():
     with pytest.raises(ParameterError):
-        DecayFit(eps_rb=-1e-4, eps_leak=0.0, eps_flip=0.0, eps_2q=0.0)
-    with pytest.raises(ParameterError):
-        DecayFit(eps_rb=1e-3, eps_leak=0.0, eps_flip=1e-3, eps_2q=1e-3)
-    fit = DecayFit(eps_rb=1e-3, eps_leak=0.0, eps_flip=1e-3,
-                   eps_2q=(1.2e-3) * 6 / 13)
+        DecayFit(eps_rb=-1e-4, eps_leak=0.0)
+    fit = DecayFit(eps_rb=1e-3, eps_leak=0.0)
     assert fit.eps_2q == pytest.approx(5.538e-4, rel=1e-3)
-    zero = DecayFit(0.0, 0.0, 0.0, 0.0)
+    zero = DecayFit(0.0, 0.0)
     assert zero.eps_2q == 0.0
-    near_paper = DecayFit(eps_rb=1.5e-4, eps_leak=8e-5, eps_flip=1.5e-4,
-                          eps_2q=(1.2 * 1.5e-4 + 0.8 * 8e-5) * 6 / 13)
+    near_paper = DecayFit(eps_rb=1.5e-4, eps_leak=8e-5)
     assert near_paper.eps_2q == pytest.approx(1.13e-4, rel=0.02)
 
 
