@@ -205,6 +205,8 @@ _SEED = _Kind("an integer >= 0", _integer, lambda v: v >= 0)
 _COUNT = _Kind("an integer >= 1", _integer, lambda v: v >= 1)
 _POINTS = _Kind(f"an integer from 2 to {_MAX_ELEMENTS}", _integer,
                 lambda v: 2 <= v <= _MAX_ELEMENTS)
+_FILE_NAME = _Kind("a plain file name, without a directory",
+                   ok=lambda v: v == os.path.basename(v) and v not in ("", ".", ".."))
 _RESAMPLES = _Kind("an integer >= 100", _integer, lambda v: v >= 100)
 _LOOPS = _Kind(f"a power of two up to {_MAX_LOOPS}", _integer,
                lambda v: 1 <= v <= _MAX_LOOPS and v & (v - 1) == 0)
@@ -513,7 +515,7 @@ _PARSERS = {
 _KEYS = {
     "scenario": ("", {
         "name": (_choice(*_PARSERS), _REQUIRED, "the scenario to run"),
-        "output": (_TEXT, _REQUIRED, "output file name, written under --output-dir"),
+        "output": (_FILE_NAME, _REQUIRED, "output file name, written under --output-dir"),
         "seed": (_SEED, "0", "RNG seed, overridden by --seed"),
     }),
     "smooth": ("five-step adiabatic gate (needed when a scenario uses it)", {
@@ -561,8 +563,9 @@ _KEYS = {
         "model": (_choice("ideal", "parametric", "full"), _REQUIRED, "simulated error model"),
         "eps_rb": (_NUMBER, _REQUIRED, "depolarizing rate, read for model = parametric"),
         "eps_leak": (_NUMBER, _REQUIRED, "leak rate, read for model = parametric"),
-        "resamples": (_RESAMPLES, "10000", "bootstrap resamples (memory: 24 bytes per length "
-                      "per resample; the fit runs 1024 resamples at a time)"),
+        "resamples": (_RESAMPLES, "10000", "bootstrap resamples (memory: per-length sums of "
+                      "shots, survivals and flips, 24 bytes per length per resample; the fit "
+                      "runs 1024 resamples at a time)"),
         "input": (_TEXT, None, "existing dataset CSV to fit instead of simulating (model, "
                   "lengths, sequences, shots and pauli_randomize are ignored when set; read "
                   "by run, not by validate)"),

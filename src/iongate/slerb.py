@@ -30,9 +30,10 @@ longest sequence, to every compiled gate.
 
 Bootstrap intervals resample sequences within each length.  Each length
 draws its row positions ``RESAMPLE_BLOCK`` resamples at a time; the
-per-length fractions and shot totals of every resample are stored (24
-bytes per length per resample), and the lengths-major fit refits them
-one block at a time, so nothing else grows with the resample count.
+per-length sums of shots, survivals and flips of every resample are
+stored (24 bytes per length per resample), and the lengths-major fit
+refits them one block at a time, so nothing else grows with the resample
+count.
 """
 
 from __future__ import annotations
@@ -465,6 +466,8 @@ class SlerbDataset:
             raise ParameterError("negative shot count")
         if self.n.min() < 1:
             raise ParameterError("sequence lengths must be >= 1")
+        if self.shots.min() < 1:
+            raise ParameterError("shots must be >= 1 in every row")
 
     @property
     def lengths(self) -> np.ndarray:
@@ -478,19 +481,6 @@ class SlerbDataset:
         return SlerbDataset(*(np.asarray(c)[keep] for c in (
             self.n, self.sequence_id, self.shots,
             self.n_survival, self.n_flip, self.n_leak)))
-
-    def fractions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Aggregate over sequences: lengths, f_survival, f_flip, total shots."""
-        lengths = self.lengths
-        f_surv = np.empty_like(lengths, dtype=float)
-        f_flip = np.empty_like(lengths, dtype=float)
-        tot = np.empty_like(lengths, dtype=float)
-        for i, length in enumerate(lengths):
-            rows = self.n == length
-            tot[i] = self.shots[rows].sum()
-            f_surv[i] = self.n_survival[rows].sum() / tot[i]
-            f_flip[i] = self.n_flip[rows].sum() / tot[i]
-        return lengths, f_surv, f_flip, tot
 
     @classmethod
     def from_columns(cls, n, sequence_id, shots, n_survival, n_flip, n_leak):
@@ -560,8 +550,8 @@ def _eps_2q(eps_rb: float, eps_leak: float) -> float:
     return (1.2 * eps_rb + 0.8 * eps_leak) / GATES_PER_CLIFFORD_REPORTING
 
 
-def _gauss_newton_power(n, y, variance_fn, forward, jacobian, x0, lo, hi):
-    """Fit y ~ forward(x, N) for a scalar decay parameter per column.
+def _gauss_newton_power(n, y, variance_fn, forward, jacobian, x0):
+    """Fit y ~ forward(x, N) for a scalar decay parameter in [0, 1] per column.
 
     Weights are recomputed from the model at the current parameter
     (iteratively reweighted least squares); observed-fraction weights would
@@ -569,7 +559,7 @@ def _gauss_newton_power(n, y, variance_fn, forward, jacobian, x0, lo, hi):
     batch), ``n`` the (n_lengths, 1) lengths and ``x0`` the (batch,) start,
     so every ufunc runs along a batch-long row.
     """
-    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    x = np.clip(np.asarray(x0, dtype=float), 0.0, 1.0)
     for _ in range(80):
         f = forward(x, n)
         jac = jacobian(x, n)
@@ -577,7 +567,7 @@ def _gauss_newton_power(n, y, variance_fn, forward, jacobian, x0, lo, hi):
         num = np.sum(wj * (y - f), axis=0)
         den = np.sum(wj * jac, axis=0)
         step = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
-        x = np.clip(x + step, lo, hi)
+        x = np.clip(x + step, 0.0, 1.0)
         if np.all(np.abs(step) < 1e-14):
             break
     else:
@@ -586,14 +576,18 @@ def _gauss_newton_power(n, y, variance_fn, forward, jacobian, x0, lo, hi):
     return x
 
 
-def _fit_rates_batch(lengths: np.ndarray, f_surv: np.ndarray, f_flip: np.ndarray,
-                     tot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized two-stage fit of every column of (n_lengths, batch) fractions.
+def _fit_rates_batch(lengths: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized two-stage fit of every column of per-length sums.
 
-    ``lengths`` is (n_lengths,) and the shot totals behind each fraction
-    ``tot`` are (n_lengths, batch); returns (eps_rb, eps_leak), each (batch,).
+    ``lengths`` is (n_lengths,) and ``sums`` the (3, n_lengths, batch)
+    integer sums of shots, survivals and flips; each column is weighted by
+    its own shot totals.  Returns (eps_rb, eps_leak), each (batch,).
     """
+    lengths = np.asarray(lengths, dtype=float)
     n = lengths[:, None]
+    tot = sums[0].astype(float)
+    f_surv = sums[1] / tot
+    f_flip = sums[2] / tot
     var_floor = 1.0 / (2.0 * tot)
     f_leak = 1.0 - f_surv - f_flip
 
@@ -605,7 +599,7 @@ def _fit_rates_batch(lengths: np.ndarray, f_surv: np.ndarray, f_flip: np.ndarray
         lambda f: np.maximum(f * (1.0 - f), var_floor) / tot,
         lambda x, n: 0.5 * (1.0 - x**n),
         lambda x, n: -0.5 * n * x ** (n - 1.0),
-        b0, 0.0, 1.0)
+        b0)
     eps_leak = 0.5 * (1.0 - b)
 
     # stage 2: polarization vs a^N with a = (1 - eps_leak)(1 - 2 eps_rb);
@@ -618,20 +612,27 @@ def _fit_rates_batch(lengths: np.ndarray, f_surv: np.ndarray, f_flip: np.ndarray
         lambda f: np.maximum(big_l - f**2, var_floor) / tot,
         lambda x, n: x**n,
         lambda x, n: n * x ** (n - 1.0),
-        a0, 0.0, 1.0)
+        a0)
     eps_rb = np.clip(0.5 * (1.0 - a / np.maximum(1.0 - eps_leak, 1e-12)), 0.0, None)
     return eps_rb, eps_leak
 
 
-def fit_decays(data: SlerbDataset) -> DecayFit:
-    """Weighted least-squares rates from aggregated per-length fractions;
-    fit ``data.truncated(max_n)`` to fit the shorter sequences alone."""
-    lengths, f_surv, f_flip, tot = data.fractions()
+def _by_length(data: SlerbDataset) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The distinct lengths, the (3, rows) stack of shots, survivals and
+    flips, and the row indices of each length."""
+    lengths = data.lengths
     if lengths.size < 3:
         raise GridError("need at least three distinct sequence lengths")
-    lengths = lengths.astype(float)
-    eps_rb, eps_leak = _fit_rates_batch(
-        lengths, f_surv[:, None], f_flip[:, None], tot[:, None])
+    columns = np.stack([data.shots, data.n_survival, data.n_flip])
+    return lengths, columns, [np.flatnonzero(data.n == length) for length in lengths]
+
+
+def fit_decays(data: SlerbDataset) -> DecayFit:
+    """Weighted least-squares rates from the per-length sums of shot counts;
+    fit ``data.truncated(max_n)`` to fit the shorter sequences alone."""
+    lengths, columns, row_sets = _by_length(data)
+    sums = np.stack([columns[:, rows].sum(axis=1, keepdims=True) for rows in row_sets], axis=1)
+    eps_rb, eps_leak = _fit_rates_batch(lengths, sums)
     return DecayFit(eps_rb=float(eps_rb[0]), eps_leak=float(eps_leak[0]))
 
 
@@ -643,35 +644,29 @@ def bootstrap_ci(data: SlerbDataset, resamples: int = 10000,
     ``RESAMPLE_BLOCK`` resamples at a time; the blocks are consecutive
     slices of one (resamples, rows) draw.  Each resample is weighted by its
     own per-length shot totals, as :func:`fit_decays` of that resample
-    would be.  Only the per-length fractions and totals are stored for
-    every resample (24 bytes per length per resample); the lengths-major
-    fit then works on one block of resamples at a time.
+    would be.  Only the per-length sums of shots, survivals and flips are
+    stored for every resample (24 bytes per length per resample); the
+    lengths-major fit then works on one block of resamples at a time.
     """
     if resamples < 100:
         raise ParameterError("resamples must be >= 100")
-    lengths = data.lengths
-    if lengths.size < 3:
-        raise GridError("need at least three distinct sequence lengths")
-    row_sets = [np.flatnonzero(data.n == length) for length in lengths]
+    lengths, columns, row_sets = _by_length(data)
     if min(rows.size for rows in row_sets) < 2:
         raise DomainError("bootstrap needs at least two sequences per length")
     blocks = [slice(start, min(start + RESAMPLE_BLOCK, resamples))
               for start in range(0, resamples, RESAMPLE_BLOCK)]
     rng = _rng(seed)
-    f_surv, f_flip, tot = (np.empty((lengths.size, resamples)) for _ in range(3))
+    sums = np.empty((3, lengths.size, resamples), dtype=np.int64)
     for j, rows in enumerate(row_sets):
-        shots, surv, flip = data.shots[rows], data.n_survival[rows], data.n_flip[rows]
+        length_columns = columns[:, rows]
         for block in blocks:
             # a slice of the Philox draws of rng.choice(rows, size=(resamples, rows.size))
             pick = rng.integers(0, rows.size, size=(block.stop - block.start, rows.size))
-            tot[j, block] = shots[pick].sum(axis=1)
-            f_surv[j, block] = surv[pick].sum(axis=1) / tot[j, block]
-            f_flip[j, block] = flip[pick].sum(axis=1) / tot[j, block]
-    n = lengths.astype(float)
+            for column, total in zip(length_columns, sums[:, j, block]):
+                np.sum(column[pick], axis=1, out=total)
     eps_rb, eps_leak = np.empty(resamples), np.empty(resamples)
     for block in blocks:
-        eps_rb[block], eps_leak[block] = _fit_rates_batch(
-            n, f_surv[:, block], f_flip[:, block], tot[:, block])
+        eps_rb[block], eps_leak[block] = _fit_rates_batch(lengths, sums[:, :, block])
     eps_2q = _eps_2q(eps_rb, eps_leak)
 
     def interval(values):

@@ -594,9 +594,12 @@ SLERB_ROWS = ("N,sequence_id,shots,n_survival,n_flip,n_leak\n"
                                   SLERB_ROWS + "2.5,1,100,90,5,5\n",
                                   SLERB_ROWS + "nan,1,100,90,5,5\n",
                                   SLERB_ROWS + "0,1,100,90,5,5\n",
-                                  SLERB_ROWS.encode() + b"# note = \xff\n"],
+                                  SLERB_ROWS.encode() + b"# note = \xff\n",
+                                  "N,sequence_id,shots,n_survival,n_flip,n_leak\n"
+                                  + "".join(f"{n},{k},0,0,0,0\n" for n in (2, 20, 60, 150, 400)
+                                            for k in range(10))],
                          ids=["short-row", "non-numeric-cell", "fractional-length",
-                              "nan-length", "zero-length", "not-utf8"])
+                              "nan-length", "zero-length", "not-utf8", "zero-shot-rows"])
 def test_run_slerb_malformed_input_is_config_error(tmp_path, capsys, body):
     (tmp_path / "bad.csv").write_bytes(body if isinstance(body, bytes) else body.encode())
     path = write_config(tmp_path, f"""\
@@ -610,6 +613,31 @@ def test_run_slerb_malformed_input_is_config_error(tmp_path, capsys, body):
     assert cli.main(["run", path, "--output-dir", str(tmp_path), "--quiet"]) == 1
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "refit.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["../escaped.csv", "sub/x.csv", "/abs/x.csv"],
+                         ids=["parent-dir", "subdir", "absolute"])
+def test_scenario_output_must_be_a_plain_file_name(tmp_path, capsys, name):
+    assert_both_reject(tmp_path, capsys, set_key(WALSH_COMPARE, "output", name))
+    assert not (tmp_path / "escaped.csv").exists()
+
+
+def test_scenario_output_plain_file_name_is_written_under_output_dir(tmp_path):
+    path = write_config(tmp_path, set_key(WALSH_COMPARE, "output", "plain.csv"))
+    assert cli.main(["validate", path, "--quiet"]) == 0
+    assert cli.main(["run", path, "--output-dir", str(tmp_path / "out"), "--quiet"]) == 0
+    assert (tmp_path / "out" / "plain.csv").exists()
+
+
+def test_readme_example_configs_validate(tmp_path):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        blocks = re.findall(r"(?ms)^```ini\n(.*?)^```", handle.read())
+    assert blocks
+    for k, block in enumerate(blocks):
+        path = tmp_path / f"readme_{k}.ini"
+        path.write_text(block)
+        assert cli.main(["validate", str(path), "--quiet"]) == 0, block
 
 
 def test_non_utf8_config_is_config_error(tmp_path, capsys):

@@ -522,6 +522,14 @@ def test_dataset_validation():
         data.truncated(1)
 
 
+def test_dataset_rejects_zero_shot_rows():
+    with pytest.raises(ParameterError, match="shots"):
+        SlerbDataset.from_columns([2], [0], [0], [0], [0], [0])
+    with pytest.raises(ParameterError, match="shots"):
+        SlerbDataset.from_columns([2, 8, 20], [0, 0, 0], [10, 0, 10], [9, 0, 7], [1, 0, 2],
+                                  [0, 0, 1])
+
+
 @pytest.mark.parametrize("column", [0, 3], ids=["N", "n_survival"])
 @pytest.mark.parametrize("bad", [0.5, np.nan, np.inf], ids=["fractional", "nan", "inf"])
 def test_dataset_rejects_non_integral_cells(column, bad):
@@ -616,8 +624,10 @@ def test_fit_residuals_sit_at_shot_noise():
         d = collect_dataset([2, 50, 150, 400, 900], n_sequences=30, shots=100,
                             model=ParametricModel(2e-3, 1e-3), seed=8000 + s)
         f = fit_decays(d)
-        lengths, f_surv, f_flip, tot = d.fractions()
-        y = 1.0 - f_surv - f_flip
+        lengths = d.lengths
+        tot, n_surv, n_flip = (np.array([col[d.n == m].sum() for m in lengths])
+                               for col in (d.shots, d.n_survival, d.n_flip))
+        y = 1.0 - n_surv / tot - n_flip / tot
         model_leak = 0.5 * (1.0 - (1.0 - 2.0 * f.eps_leak) ** lengths.astype(float))
         var = np.maximum(model_leak * (1.0 - model_leak), 1.0 / (2.0 * tot)) / tot
         chis.append(np.sum((y - model_leak) ** 2 / var) / (lengths.size - 1))
@@ -722,38 +732,43 @@ def test_bootstrap_slow_path_agrees_with_fast_path(data):
         assert fast[key] == pytest.approx(slow[key], rel=1e-9, abs=0.0)
 
 
-def choice_fractions(data, resamples, seed):
+def choice_sums(data, resamples, seed):
     """Reference resampling: rng.choice over each length's row indices,
-    returning (resamples, n_lengths) fractions and shot totals."""
+    returning the (3, n_lengths, resamples) sums of shots, survivals and
+    flips and the (resamples, n_lengths) survival and flip fractions."""
     rng = slerb._rng(seed)
-    f_surv, f_flip, tot = [], [], []
+    sums, f_surv, f_flip = [], [], []
     for length in data.lengths:
         rows = np.flatnonzero(data.n == length)
         pick = rng.choice(rows, size=(resamples, rows.size))
         shots = data.shots[pick].sum(axis=1)
-        f_surv.append(data.n_survival[pick].sum(axis=1) / shots)
-        f_flip.append(data.n_flip[pick].sum(axis=1) / shots)
-        tot.append(shots)
-    return np.array(f_surv).T, np.array(f_flip).T, np.array(tot, dtype=float).T
+        surv, flip = data.n_survival[pick].sum(axis=1), data.n_flip[pick].sum(axis=1)
+        sums.append((shots, surv, flip))
+        f_surv.append(surv / shots)
+        f_flip.append(flip / shots)
+    return np.array(sums).swapaxes(0, 1), np.array(f_surv).T, np.array(f_flip).T
 
 
 def assert_fit_inputs_match_choice_draws(monkeypatch, data, resamples, seed):
-    """The fit's inputs, joined over its blocks along the resample axis, are
-    the rng.choice fractions and totals bit for bit."""
-    seen = {"f_surv": [], "f_flip": [], "tot": []}
+    """The fit's integer sums, joined over its blocks along the resample
+    axis, are the rng.choice sums bit for bit, and so are the fractions
+    formed from them."""
+    seen = []
     fit = slerb._fit_rates_batch
 
-    def capture(lengths, f_surv, f_flip, tot):
-        for key, value in zip(seen, (f_surv, f_flip, tot)):
-            seen[key].append(value.copy())
-        return fit(lengths, f_surv, f_flip, tot)
+    def capture(lengths, sums):
+        seen.append(sums.copy())
+        return fit(lengths, sums)
 
     monkeypatch.setattr(slerb, "_fit_rates_batch", capture)
     bootstrap_ci(data, resamples=resamples, seed=seed)
-    f_surv, f_flip, tot = choice_fractions(data, resamples, seed)
-    assert np.array_equal(np.concatenate(seen["f_surv"], axis=1), f_surv.T)
-    assert np.array_equal(np.concatenate(seen["f_flip"], axis=1), f_flip.T)
-    assert np.array_equal(np.concatenate(seen["tot"], axis=1), tot.T)
+    sums, f_surv, f_flip = choice_sums(data, resamples, seed)
+    seen = np.concatenate(seen, axis=2)
+    assert seen.dtype == np.int64
+    assert np.array_equal(seen, sums)
+    tot = seen[0].astype(float)
+    assert np.array_equal(seen[1] / tot, f_surv.T)
+    assert np.array_equal(seen[2] / tot, f_flip.T)
 
 
 @pytest.mark.parametrize("data", [
@@ -783,12 +798,12 @@ def test_block_layout_does_not_change_intervals(monkeypatch):
 
 
 def test_bootstrap_memory_stays_near_stored_fractions():
-    # the fractions and totals stored per length and resample are all that
-    # grows with the resample count; the fit's temporaries are per block
+    # the sums stored per length and resample are all that grows with the
+    # resample count; the fit's temporaries are per block
     d = collect_dataset([2, 50, 150, 300, 500], n_sequences=50, shots=100,
                         model=ParametricModel(1.5e-4, 8e-5), seed=3)
     resamples = 20_000
-    stored = 3 * d.lengths.size * resamples * np.dtype(float).itemsize
+    stored = 3 * d.lengths.size * resamples * np.dtype(np.int64).itemsize
     tracemalloc.start()
     try:
         bootstrap_ci(d, resamples=resamples, seed=1)
@@ -838,11 +853,10 @@ def row_major_fit_rates(lengths, f_surv, f_flip, tot):
 def test_lengths_major_fit_matches_row_major_reference(seed):
     d = collect_dataset([2, 50, 150, 300, 500], n_sequences=30, shots=100,
                         model=ParametricModel(1.5e-4, 8e-5), seed=seed)
-    f_surv, f_flip, tot = choice_fractions(d, 2000, seed)
+    sums, f_surv, f_flip = choice_sums(d, 2000, seed)
     lengths = d.lengths.astype(float)
-    eps_rb, eps_leak = slerb._fit_rates_batch(lengths, f_surv.T.copy(), f_flip.T.copy(),
-                                              tot.T.copy())
-    ref_rb, ref_leak = row_major_fit_rates(lengths, f_surv, f_flip, tot)
+    eps_rb, eps_leak = slerb._fit_rates_batch(lengths, sums)
+    ref_rb, ref_leak = row_major_fit_rates(lengths, f_surv, f_flip, sums[0].T.astype(float))
     assert eps_rb.shape == eps_leak.shape == (2000,)
     assert np.all(eps_leak > 0) and np.all(eps_rb > 0)
     assert eps_rb == pytest.approx(ref_rb, rel=1e-12, abs=0.0)
