@@ -26,7 +26,7 @@ from .quantum import (BRANCH_EIGENVALUES, SPIN_LABELS, CompositeState,
                       calibration_scan, gate_eigenbasis, gate_propagator,
                       offset_scan, propagate, thermal_average, thermal_sweep)
 from .schedule import (PulseSchedule, Segment, SmoothGateParams, WalshGateParams,
-                       build_smooth_schedule, build_walsh_schedule, walsh_function)
+                       build_smooth_schedule, build_walsh_schedule)
 from .semiclassical import (BranchTrajectory, branch_endpoints, calibrate_delta_min,
                             calibrate_omega, gate_angle_exact, perturbative_infidelity,
                             propagate_displacement)

@@ -33,8 +33,9 @@ from .filterfn import filter_function_numeric, filter_function_walsh_analytic
 from .quantum import ThermalEnsemble, calibration_scan, offset_scan, thermal_sweep
 from .schedule import (SmoothGateParams, WalshGateParams, build_smooth_schedule,
                        build_walsh_schedule)
-from .semiclassical import (calibrate_delta_min, calibrate_omega, check_output_grid,
-                            gate_angle_exact, propagate_displacement)
+from .semiclassical import (_FOURIER_BLOCK, _FOURIER_PHASE, PANEL_NODES, calibrate_delta_min,
+                            calibrate_omega, check_output_grid, gate_angle_exact,
+                            propagate_displacement)
 from .slerb import (FullScheduleModel, ParametricModel, SlerbDataset, bootstrap_ci,
                     collect_dataset, fit_decays, mean_gates_per_clifford)
 
@@ -125,8 +126,8 @@ def read_csv(path: str) -> tuple[dict, dict]:
     for j, name in enumerate(header):
         values = [row[j] for row in rows]
         try:
-            columns[name] = np.array([int(v) for v in values])
-        except ValueError:
+            columns[name] = np.array([int(v) for v in values], dtype=np.int64)
+        except (ValueError, OverflowError):  # a cell beyond int64 makes the column float
             try:
                 columns[name] = np.array([float(v) for v in values])
             except ValueError:
@@ -260,10 +261,10 @@ class _Config:
         return values if kind.is_list else values[0]
 
 
-def _check_size(cfg: _Config, section: str, what: str, elements: int) -> None:
+def _check_size(cfg: _Config, section: str, what: str, elements: float) -> None:
     """Config error if ``what`` sizes an array of more than ``_MAX_ELEMENTS`` elements."""
     if elements > _MAX_ELEMENTS:
-        raise ConfigError(f"{cfg.path}: {what} in [{section}] sizes {elements} elements, "
+        raise ConfigError(f"{cfg.path}: {what} in [{section}] sizes {elements:.0f} elements, "
                           f"above the limit of {_MAX_ELEMENTS}")
 
 
@@ -325,6 +326,10 @@ def _parse_filterfn(cfg: _Config):
             raise ConfigError(f"{cfg.path}: {key} in [filterfn] repeats a value")
     params = _smooth_params(cfg)
     schedule = build_smooth_schedule(params)
+    # the Fourier sums' (_FOURIER_BLOCK, nodes) and (nodes, PANEL_NODES) arrays, at the top
+    # frequency with PANEL_NODES nodes per _FOURIER_PHASE rad of omega*t or more
+    _check_size(cfg, "filterfn", "omega_max_hz", max(_FOURIER_BLOCK, PANEL_NODES) * PANEL_NODES
+                * schedule.duration * hi / _FOURIER_PHASE)
     omega = np.geomspace(lo, hi, points)
     walsh = {order: WalshGateParams.calibrated(order + 1, params.omega_g) for order in orders}
 
@@ -418,6 +423,8 @@ def _parse_slerb(cfg: _Config):
                               "values, none repeated")
         _check_size(cfg, "slerb", "sequences x the sum of lengths", sequences * sum(lengths))
         _check_size(cfg, "slerb", "resamples x the number of lengths", resamples * len(lengths))
+        if sequences * shots >= 2 ** 53:
+            raise ConfigError(f"{cfg.path}: sequences x shots in [slerb] must lie below 2**53")
 
     def job(seed: int):
         if source is not None:
@@ -555,8 +562,7 @@ _KEYS = {
         "offset_hz": (_NUMBER, "0", "static detuning error"),
     }),
     "slerb": ("benchmarking scenario (model = full also needs a [walsh] block; its Fock "
-              "cutoff is automatic).  Neither sequences x sum of lengths nor resamples x "
-              f"number of lengths may exceed {_MAX_ELEMENTS} (1 GiB of float64)", {
+              "cutoff is automatic)", {
         "lengths": (_list_of(_COUNT), _REQUIRED, "sequence lengths, at least three, none repeated"),
         "sequences": (_COUNT, _REQUIRED, "random sequences per length"),
         "shots": (_COUNT, _REQUIRED, "shots per sequence"),
@@ -584,7 +590,7 @@ _KEYS = {
     }),
 }
 
-_SCHEMA_HEAD = """\
+_SCHEMA_HEAD = f"""\
 Scenario config reference (INI format, flat key = value sections), printed
 from the key table that `validate` and `run` check every config against.
 
@@ -592,7 +598,14 @@ UNITS: every *_hz key is a plain cyclic frequency in Hz and is converted to
 angular units (2*pi rad/s) internally.  Times are seconds.  Detunings keep
 their sign.  Every comma list needs at least one value.  Integers must lie
 below 2**53 in magnitude, where the float they are parsed through holds
-them exactly."""
+them exactly.
+
+SIZES: no array a config sizes may exceed {_MAX_ELEMENTS} elements (1 GiB of
+float64): in [slerb], sequences x the sum of lengths and resamples x the
+number of lengths; in [filterfn], the smooth gate's Fourier sums, {max(_FOURIER_BLOCK, PANEL_NODES)} x {PANEL_NODES}
+nodes per {_FOURIER_PHASE:g} rad of 2*pi x omega_max_hz x t over the gate.  In [slerb],
+sequences x shots must lie below 2**53, so that every per-length sum of shots
+is exact."""
 
 
 def _schema() -> str:

@@ -189,7 +189,7 @@ def gate_eigenbasis(basis_phase: float = 0.0) -> np.ndarray:
     """
     ph = np.exp(-1j * basis_phase)
     u = np.array([[1.0, ph], [1.0, -ph]], dtype=complex) / np.sqrt(2.0)
-    # np.kron(u, u), spelled out: BranchPropagators.apply calls this per gate
+    # np.kron(u, u), spelled out; the SLERB full model caches its bases in slerb._basis_changes
     return (u[:, None, :, None] * u[None, :, None, :]).reshape(4, 4)
 
 

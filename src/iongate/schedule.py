@@ -32,11 +32,6 @@ TWO_PI = 2.0 * math.pi
 _EDGE_TOL = 1e-9
 
 
-def _as_array(t) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(t, dtype=float)
-    return arr, arr.ndim == 0
-
-
 @dataclass(frozen=True)
 class SmoothGateParams:
     """Parameters of the five-step smooth gate.
@@ -127,12 +122,10 @@ class WalshGateParams:
         return self.loops * self.loop_time
 
     @property
-    def walsh_order(self) -> int:
-        return self.loops - 1
-
-    @property
     def signs(self) -> tuple[int, ...]:
-        return tuple(walsh_function(self.walsh_order, m) for m in range(self.loops))
+        """+1 for even and -1 for odd parity of (K-1) & m: [+1, -1, -1, +1] for K = 4."""
+        return tuple(-1 if bin((self.loops - 1) & m).count("1") % 2 else 1
+                     for m in range(self.loops))
 
     @classmethod
     def calibrated(cls, loops: int, omega_g: float) -> "WalshGateParams":
@@ -143,21 +136,6 @@ class WalshGateParams:
         t_g = pi*sqrt(K)/omega_g.
         """
         return cls(loops=loops, delta_g=-2.0 * omega_g * math.sqrt(loops), omega_g=omega_g)
-
-
-def walsh_function(order: int, m: int) -> int:
-    """Walsh function of the given order at loop index m, in {+1, -1}.
-
-    Orders used for K-loop gates are K-1 with K a power of two; the sign
-    pattern is +1 for even and -1 for odd parity of ``order & m``:
-    order 0 -> [+1], order 1 -> [+1, -1], order 3 -> [+1, -1, -1, +1].
-    """
-    k = order + 1
-    if order < 0 or (k & (k - 1)) != 0:
-        raise ParameterError("order must be K-1 with K a power of two")
-    if not 0 <= m < k:
-        raise IndexError(f"loop index {m} outside [0, {k})")
-    return -1 if bin(order & m).count("1") % 2 else 1
 
 
 def _x_minus_sin(x: np.ndarray) -> np.ndarray:
@@ -182,21 +160,9 @@ def _ramp_magnitude(tau_d: float, abs_max: float, abs_min: float, j: int, t: np.
     return (b + c * g) ** (-1.0 / j)
 
 
-def eval_amplitude_ramp(tau_g: float, omega_g: float, t, direction: str = "up") -> np.ndarray | float:
-    """sin^2 amplitude ramp between 0 and omega_g over [0, tau_g]."""
-    if direction not in ("up", "down"):
-        raise ParameterError("direction must be 'up' or 'down'")
-    if tau_g <= 0:
-        raise ParameterError("tau_g must be positive")
-    arr, scalar = _as_array(t)
-    tol = _EDGE_TOL * tau_g
-    if np.any(arr < -tol) or np.any(arr > tau_g + tol):
-        raise DomainError("ramp time outside [0, tau_g]")
-    arr = np.clip(arr, 0.0, tau_g)
-    if direction == "down":
-        arr = tau_g - arr
-    out = omega_g * np.sin(np.pi * arr / (2.0 * tau_g)) ** 2
-    return float(out) if scalar else out
+def _amplitude_ramp(tau_g: float, omega_g: float, u: np.ndarray) -> np.ndarray:
+    """sin^2 amplitude ramp, 0 at u = 0 to omega_g at u = tau_g."""
+    return omega_g * np.sin(np.pi * u / (2.0 * tau_g)) ** 2
 
 
 @dataclass(frozen=True)
@@ -287,14 +253,14 @@ class PulseSchedule:
         return idx, tc - self.boundaries[idx]
 
     def _eval(self, t, attr: str):
-        arr, scalar = _as_array(t)
+        arr = np.asarray(t, dtype=float)
         idx, local = self._locate(np.atleast_1d(arr))
         out = np.empty_like(np.atleast_1d(arr))
         for i, seg in enumerate(self.segments):
             m = idx == i
             if np.any(m):
                 out[m] = getattr(seg, attr)(local[m])
-        return float(out[0]) if scalar else out.reshape(arr.shape)
+        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     def omega(self, t):
         """Drive amplitude magnitude Omega(t) in rad/s."""
@@ -321,8 +287,8 @@ def build_smooth_schedule(p: SmoothGateParams) -> PulseSchedule:
     abs_ramp = lambda u: _ramp_magnitude(p.tau_d, abs(p.delta_max), abs(p.delta_min), p.j, np.asarray(u, dtype=float))
     down = lambda u: p.sign * abs_ramp(u)
     up = lambda u: p.sign * abs_ramp(p.tau_d - np.asarray(u, dtype=float))
-    amp_up = lambda u: eval_amplitude_ramp(p.tau_g, p.omega_g, np.asarray(u, dtype=float), "up")
-    amp_down = lambda u: eval_amplitude_ramp(p.tau_g, p.omega_g, np.asarray(u, dtype=float), "down")
+    amp_up = lambda u: _amplitude_ramp(p.tau_g, p.omega_g, np.asarray(u, dtype=float))
+    amp_down = lambda u: _amplitude_ramp(p.tau_g, p.omega_g, p.tau_g - np.asarray(u, dtype=float))
     full, at_max = _constant(p.omega_g), _constant(p.delta_max)
     pieces = [(p.tau_g, amp_up, at_max, "amp-up"),
               (p.tau_d, full, down, "det-down"),

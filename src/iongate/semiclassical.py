@@ -241,8 +241,8 @@ def _sweep(panels, offsets: np.ndarray, s: float):
 
 # One segment of a branch at the kernel's panel nodes: the panel edges lo and
 # hi in segment-local time, then (panels, nodes) arrays of schedule times,
-# Clenshaw-Curtis weights, W*Omega, delta, eta, gamma and theta.
-_Nodes = namedtuple("_Nodes", "lo hi t weights om de eta gamma theta")
+# Clenshaw-Curtis weights, eta, gamma and theta.
+_Nodes = namedtuple("_Nodes", "lo hi t weights eta gamma theta")
 
 
 def _node_trajectory(schedule: PulseSchedule, s: float, rtol: float, atol: float) -> list[_Nodes]:
@@ -250,11 +250,11 @@ def _node_trajectory(schedule: PulseSchedule, s: float, rtol: float, atol: float
     zero = np.zeros(1)
     panels = [_panels(seg, zero, rtol, atol) for seg in schedule.segments]
     nodes = []
-    for start, (lo, hi, om, de), (gamma, eta, theta) in zip(schedule.boundaries, panels,
-                                                            _sweep(panels, zero, s)):
+    for start, (lo, hi, _, _), (gamma, eta, theta) in zip(schedule.boundaries, panels,
+                                                          _sweep(panels, zero, s)):
         half = ((hi - lo) / 2.0)[:, None]
         t = start + ((lo + hi) / 2.0)[:, None] + half * _X
-        nodes.append(_Nodes(lo, hi, t, _CUMINT[-1] * half, om, de, eta[0], gamma[0], theta[0]))
+        nodes.append(_Nodes(lo, hi, t, _CUMINT[-1] * half, eta[0], gamma[0], theta[0]))
     return nodes
 
 

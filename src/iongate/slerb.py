@@ -200,8 +200,6 @@ class SlerbSequence:
 
 
 def _rng(seed) -> np.random.Generator:
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
     return np.random.Generator(np.random.Philox(seed))
 
 
@@ -623,8 +621,11 @@ def _by_length(data: SlerbDataset) -> tuple[np.ndarray, np.ndarray, list[np.ndar
     lengths = data.lengths
     if lengths.size < 3:
         raise GridError("need at least three distinct sequence lengths")
-    columns = np.stack([data.shots, data.n_survival, data.n_flip])
-    return lengths, columns, [np.flatnonzero(data.n == length) for length in lengths]
+    row_sets = [np.flatnonzero(data.n == length) for length in lengths]
+    # below 2**53 every resampled sum of shots and every float total is exact
+    if any(rows.size * int(data.shots[rows].max()) >= 2 ** 53 for rows in row_sets):
+        raise ParameterError("rows x largest shots of one length must lie below 2**53")
+    return lengths, np.stack([data.shots, data.n_survival, data.n_flip]), row_sets
 
 
 def fit_decays(data: SlerbDataset) -> DecayFit:

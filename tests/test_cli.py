@@ -597,9 +597,15 @@ SLERB_ROWS = ("N,sequence_id,shots,n_survival,n_flip,n_leak\n"
                                   SLERB_ROWS.encode() + b"# note = \xff\n",
                                   "N,sequence_id,shots,n_survival,n_flip,n_leak\n"
                                   + "".join(f"{n},{k},0,0,0,0\n" for n in (2, 20, 60, 150, 400)
-                                            for k in range(10))],
+                                            for k in range(10)),
+                                  SLERB_ROWS + "2,1,100000000000000000000000,"
+                                               "100000000000000000000000,0,0\n",
+                                  # each cell fits, but length 2's 1024 x 9e15 shots sum past 2**53
+                                  SLERB_ROWS + "".join(f"2,{k},9000000000000000,9000000000000000,"
+                                                       "0,0\n" for k in range(1, 1025))],
                          ids=["short-row", "non-numeric-cell", "fractional-length",
-                              "nan-length", "zero-length", "not-utf8", "zero-shot-rows"])
+                              "nan-length", "zero-length", "not-utf8", "zero-shot-rows",
+                              "cell-beyond-int64", "shot-sum-beyond-2**53"])
 def test_run_slerb_malformed_input_is_config_error(tmp_path, capsys, body):
     (tmp_path / "bad.csv").write_bytes(body if isinstance(body, bytes) else body.encode())
     path = write_config(tmp_path, f"""\
@@ -807,6 +813,14 @@ def test_array_sizes_beyond_the_limit_are_config_errors(tmp_path, capsys, base, 
     assert "config error" in capsys.readouterr().err
 
 
+def test_filterfn_top_frequency_size_limit(tmp_path):
+    # the Fourier sums of this 200 us gate pass the limit between 1.5 and 2 GHz;
+    # the benchmark's 1.6 MHz grid stays far below it
+    for top, code in (("1.6e6", 0), ("1.5e9", 0), ("2e9", 1)):
+        path = write_config(tmp_path, set_key(FILTERFN, "omega_max_hz", top))
+        assert cli.main(["validate", path, "--quiet"]) == code
+
+
 def test_array_size_limit_is_inclusive(tmp_path):
     # sequences x the sum of lengths at the limit validates, one above does not
     for last, code in ((cli._MAX_ELEMENTS - 3, 0), (cli._MAX_ELEMENTS - 2, 1)):
@@ -836,6 +850,8 @@ AGREEMENT_CASES = {
     # output columns are keyed by f"{value:g}": a repeat would collapse to one
     "filterfn-nbars-repeated": set_key(FILTERFN, "nbars", "3,3.0"),
     "filterfn-walsh-orders-repeated": set_key(FILTERFN, "walsh_orders", "1,1"),
+    # the Fourier sums would ask numpy for petabytes
+    "filterfn-omega-max-1e20": set_key(FILTERFN, "omega_max_hz", "1e20"),
     "calibration-scan-without-scan": SCAN_GATE,
     "calibration-scan-points-1": set_key(CALIBRATION_SCAN, "points", "1"),
     "calibration-scan-start-wrong-sign": set_key(CALIBRATION_SCAN, "start_hz", "40e3"),
@@ -848,6 +864,9 @@ AGREEMENT_CASES = {
     "sweep-nbars-empty": set_key(THERMAL_SWEEP, "nbars", ""),
     # a repeated length would write its rows twice, with colliding sequence ids
     "slerb-lengths-repeated": set_key(SLERB_PARAMETRIC, "lengths", "2,2,50,150"),
+    # 3 x 4e15 shots per length: the per-length sums of shots are no longer exact
+    "slerb-sequences-x-shots-2**53": set_key(set_key(SLERB_PARAMETRIC, "sequences", "3"),
+                                             "shots", "4e15"),
 }
 
 

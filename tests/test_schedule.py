@@ -21,8 +21,6 @@ from iongate.schedule import (
     WalshGateParams,
     build_smooth_schedule,
     build_walsh_schedule,
-    eval_amplitude_ramp,
-    walsh_function,
 )
 
 TWO_PI = 2 * np.pi
@@ -136,16 +134,17 @@ def test_detuning_ramp_domain_and_parameter_errors():
 
 
 def test_amplitude_ramp_values():
-    og = TWO_PI * 6e3
-    assert eval_amplitude_ramp(5e-6, og, 0.0, "up") == 0.0
-    assert eval_amplitude_ramp(5e-6, og, 5e-6, "up") == pytest.approx(og)
-    assert eval_amplitude_ramp(5e-6, og, 2.5e-6, "up") == pytest.approx(og / 2)
-    assert eval_amplitude_ramp(5e-6, og, 0.0, "down") == pytest.approx(og)
-    assert eval_amplitude_ramp(5e-6, og, 5e-6, "down") == 0.0
+    # tau_g = 5 us: the up ramp opens the gate, the down ramp closes it
+    s = build_smooth_schedule(reference_params())
+    og, end = TWO_PI * 6e3, s.duration
+    assert s.omega(0.0) == 0.0
+    assert s.omega(5e-6) == pytest.approx(og)
+    assert s.omega(2.5e-6) == pytest.approx(og / 2)
+    assert s.omega(end - 5e-6) == pytest.approx(og)
+    assert s.omega(end - 2.5e-6) == pytest.approx(og / 2)
+    assert s.omega(end) == pytest.approx(0.0, abs=1e-9 * og)
     with pytest.raises(DomainError):
-        eval_amplitude_ramp(5e-6, og, 6e-6, "up")
-    with pytest.raises(ParameterError):
-        eval_amplitude_ramp(5e-6, og, 1e-6, "sideways")
+        s.omega(end + 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -153,14 +152,9 @@ def test_amplitude_ramp_values():
 
 
 def test_walsh_function_values():
-    assert [walsh_function(0, m) for m in range(1)] == [1]
-    assert [walsh_function(1, m) for m in range(2)] == [1, -1]
-    assert [walsh_function(3, m) for m in range(4)] == [1, -1, -1, 1]
-    assert [walsh_function(7, m) for m in range(8)] == [1, -1, -1, 1, -1, 1, 1, -1]
-    with pytest.raises(IndexError):
-        walsh_function(1, 2)
-    with pytest.raises(ParameterError):
-        walsh_function(2, 0)  # order 2 is not K-1 for a power-of-two K
+    signs = {loops: WalshGateParams(loops, -TWO_PI * 20e3, TWO_PI * 5e3).signs
+             for loops in (1, 2, 4, 8)}
+    assert signs == {1: (1,), 2: (1, -1), 4: (1, -1, -1, 1), 8: (1, -1, -1, 1, -1, 1, 1, -1)}
 
 
 def test_walsh_sequence_flip_count():
@@ -244,7 +238,7 @@ def test_smooth_schedule_symmetric_and_built_from_the_ramps(p, x):
     # the first half is the amplitude ramp at delta_max, then the detuning
     # ramp at full drive
     u = t[t <= p.tau_g]
-    amp = eval_amplitude_ramp(p.tau_g, p.omega_g, u)
+    amp = p.omega_g * np.sin(np.pi * u / (2 * p.tau_g)) ** 2
     assert np.allclose(s.omega(u), amp, rtol=0.0, atol=1e-9 * p.omega_g)
     assert np.allclose(s.delta(u), p.delta_max, rtol=1e-9, atol=0.0)
     v = t[(t > p.tau_g) & (t <= p.tau_g + p.tau_d)]

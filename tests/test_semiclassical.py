@@ -26,7 +26,6 @@ from iongate.schedule import (
     WalshGateParams,
     build_smooth_schedule,
     build_walsh_schedule,
-    eval_amplitude_ramp,
 )
 from iongate.semiclassical import (
     branch_endpoints,
@@ -135,7 +134,7 @@ def kinked_ramp_schedule(p):
     inside the last, kinks that only panel bisection resolves.
     """
     def omega_in(u):
-        return np.where(u < p.tau_g, eval_amplitude_ramp(p.tau_g, p.omega_g, np.minimum(u, p.tau_g)),
+        return np.where(u < p.tau_g, p.omega_g * np.sin(np.pi * u / (2 * p.tau_g)) ** 2,
                         p.omega_g)
 
     ramp = build_smooth_schedule(p).segments[1].delta
