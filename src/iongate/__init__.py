@@ -30,8 +30,7 @@ from .schedule import (PulseSchedule, Segment, SmoothGateParams, WalshGateParams
 from .semiclassical import (BranchTrajectory, branch_endpoints, calibrate_delta_min,
                             calibrate_omega, gate_angle_exact, perturbative_infidelity,
                             propagate_displacement)
-from .slerb import (DecayFit, FullScheduleModel, ParametricModel,
-                    SlerbDataset, SlerbSequence, SubspaceClifford,
-                    bootstrap_ci, clifford_table, collect_dataset,
+from .slerb import (DecayFit, FullScheduleModel, ParametricModel, SlerbDataset,
+                    SlerbSequence, bootstrap_ci, clifford_table, collect_dataset,
                     fit_decays, generate_sequence, mean_gates_per_clifford,
                     simulate_sequence)

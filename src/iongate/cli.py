@@ -33,16 +33,26 @@ from .filterfn import filter_function_numeric, filter_function_walsh_analytic
 from .quantum import ThermalEnsemble, calibration_scan, offset_scan, thermal_sweep
 from .schedule import (SmoothGateParams, WalshGateParams, build_smooth_schedule,
                        build_walsh_schedule)
-from .semiclassical import (_FOURIER_BLOCK, _FOURIER_PHASE, PANEL_NODES, calibrate_delta_min,
-                            calibrate_omega, check_output_grid, gate_angle_exact,
-                            propagate_displacement)
+from .semiclassical import (_FOURIER_PHASE, PANEL_NODES, calibrate_delta_min, calibrate_omega,
+                            check_output_grid, gate_angle_exact, propagate_displacement)
 from .slerb import (FullScheduleModel, ParametricModel, SlerbDataset, bootstrap_ci,
                     collect_dataset, fit_decays, mean_gates_per_clifford)
 
 TWO_PI = 2.0 * math.pi
 
-# Largest array a config may size, in elements: 1 GiB of float64.
-_MAX_ELEMENTS = 2 ** 27
+# Most memory a config may make `run` hold.  The checks count what `run`
+# holds at its peak, from per-item costs measured with tracemalloc.
+_MAX_BYTES = 2 ** 30
+# Per row of a [scan] or [trajectory] grid: an offset scan peaks at about
+# 1.4 kB per offset, the most of any grid (a five-cell CSV row takes 0.74 kB).
+_ROW_BYTES = 1536
+# Per cell of a [filterfn] table: about 148 B of CSV text, plus the filter
+# functions' own arrays.
+_CELL_BYTES = 176
+# Per node of the numeric filter function's Fourier sums: about 410 B for the
+# node columns, the (nodes, PANEL_NODES) interpolation weights and the
+# (_FOURIER_BLOCK, nodes) phase blocks that are held together.
+_NODE_BYTES = 448
 
 # Most loops a Walsh gate may have: the schedule holds one segment per loop,
 # and validating 4096 loops takes about 0.1 s.
@@ -94,13 +104,8 @@ def _write_atomic(path: str, body: str) -> None:
         raise
 
 
-def emit_csv(table: dict, path: str, metadata: dict | None = None) -> None:
-    """Write a column table as CSV; see :func:`_render_csv` for the format."""
-    _write_atomic(path, _render_csv(table, metadata))
-
-
 def read_csv(path: str) -> tuple[dict, dict]:
-    """Read a file written by :func:`emit_csv`; returns (metadata, columns)."""
+    """Read a CSV table written by :func:`run_scenario`; returns (metadata, columns)."""
     metadata, header, rows = {}, None, []
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -204,8 +209,8 @@ _NUMBER = _Kind("a finite number", _number)
 _NONNEGATIVE = _Kind("a finite number >= 0", _number, lambda v: v >= 0)
 _SEED = _Kind("an integer >= 0", _integer, lambda v: v >= 0)
 _COUNT = _Kind("an integer >= 1", _integer, lambda v: v >= 1)
-_POINTS = _Kind(f"an integer from 2 to {_MAX_ELEMENTS}", _integer,
-                lambda v: 2 <= v <= _MAX_ELEMENTS)
+_POINTS = _Kind(f"an integer from 2 to {_MAX_BYTES // _ROW_BYTES}", _integer,
+                lambda v: 2 <= v <= _MAX_BYTES // _ROW_BYTES)
 _FILE_NAME = _Kind("a plain file name, without a directory",
                    ok=lambda v: v == os.path.basename(v) and v not in ("", ".", ".."))
 _RESAMPLES = _Kind("an integer >= 100", _integer, lambda v: v >= 100)
@@ -261,11 +266,11 @@ class _Config:
         return values if kind.is_list else values[0]
 
 
-def _check_size(cfg: _Config, section: str, what: str, elements: float) -> None:
-    """Config error if ``what`` sizes an array of more than ``_MAX_ELEMENTS`` elements."""
-    if elements > _MAX_ELEMENTS:
-        raise ConfigError(f"{cfg.path}: {what} in [{section}] sizes {elements:.0f} elements, "
-                          f"above the limit of {_MAX_ELEMENTS}")
+def _check_size(cfg: _Config, section: str, what: str, nbytes: float) -> None:
+    """Config error if ``what`` makes `run` hold more than ``_MAX_BYTES``."""
+    if nbytes > _MAX_BYTES:
+        raise ConfigError(f"{cfg.path}: {what} in [{section}] would take about "
+                          f"{nbytes / 2 ** 20:.0f} MiB, above the limit of {_MAX_BYTES >> 20} MiB")
 
 
 def _smooth_params(cfg: _Config) -> SmoothGateParams:
@@ -324,12 +329,14 @@ def _parse_filterfn(cfg: _Config):
     for key, values in (("nbars", nbars), ("walsh_orders", orders)):
         if len({f"{v:g}" for v in values}) < len(values):
             raise ConfigError(f"{cfg.path}: {key} in [filterfn] repeats a value")
+    _check_size(cfg, "filterfn", "points x output columns",
+                _CELL_BYTES * points * (1 + len(nbars) * (1 + len(orders))))
     params = _smooth_params(cfg)
     schedule = build_smooth_schedule(params)
-    # the Fourier sums' (_FOURIER_BLOCK, nodes) and (nodes, PANEL_NODES) arrays, at the top
-    # frequency with PANEL_NODES nodes per _FOURIER_PHASE rad of omega*t or more
-    _check_size(cfg, "filterfn", "omega_max_hz", max(_FOURIER_BLOCK, PANEL_NODES) * PANEL_NODES
-                * schedule.duration * hi / _FOURIER_PHASE)
+    # the Fourier sums' nodes at the top frequency: PANEL_NODES per
+    # _FOURIER_PHASE rad of omega*t or more
+    _check_size(cfg, "filterfn", "omega_max_hz",
+                _NODE_BYTES * PANEL_NODES * schedule.duration * hi / _FOURIER_PHASE)
     omega = np.geomspace(lo, hi, points)
     walsh = {order: WalshGateParams.calibrated(order + 1, params.omega_g) for order in orders}
 
@@ -421,8 +428,9 @@ def _parse_slerb(cfg: _Config):
         if len(set(lengths)) < max(3, len(lengths)):
             raise ConfigError(f"{cfg.path}: lengths in [slerb] must hold at least three "
                               "values, none repeated")
-        _check_size(cfg, "slerb", "sequences x the sum of lengths", sequences * sum(lengths))
-        _check_size(cfg, "slerb", "resamples x the number of lengths", resamples * len(lengths))
+        _check_size(cfg, "slerb", "sequences x the sum of lengths", 8 * sequences * sum(lengths))
+        _check_size(cfg, "slerb", "resamples x the number of lengths",
+                    8 * resamples * len(lengths))
         if sequences * shots >= 2 ** 53:
             raise ConfigError(f"{cfg.path}: sequences x shots in [slerb] must lie below 2**53")
 
@@ -434,7 +442,7 @@ def _parse_slerb(cfg: _Config):
                 raise ConfigError(f"{source}: missing dataset column {missing[0]!r}")
             data = SlerbDataset.from_columns(*(columns[k] for k in _DATASET_COLUMNS))
             _check_size(cfg, "slerb", "resamples x the number of lengths",
-                        resamples * np.unique(data.n).size)
+                        8 * resamples * np.unique(data.n).size)
         else:
             data = collect_dataset(lengths, sequences, shots, model, seed,
                                    pauli_randomize=pauli_randomize)
@@ -600,12 +608,14 @@ their sign.  Every comma list needs at least one value.  Integers must lie
 below 2**53 in magnitude, where the float they are parsed through holds
 them exactly.
 
-SIZES: no array a config sizes may exceed {_MAX_ELEMENTS} elements (1 GiB of
-float64): in [slerb], sequences x the sum of lengths and resamples x the
-number of lengths; in [filterfn], the smooth gate's Fourier sums, {max(_FOURIER_BLOCK, PANEL_NODES)} x {PANEL_NODES}
-nodes per {_FOURIER_PHASE:g} rad of 2*pi x omega_max_hz x t over the gate.  In [slerb],
-sequences x shots must lie below 2**53, so that every per-length sum of shots
-is exact."""
+SIZES: a config may make `run` hold at most {_MAX_BYTES >> 20} MiB, counted from
+measured peaks: {_ROW_BYTES} bytes per row of a grid in [scan] or [trajectory];
+{_CELL_BYTES} bytes per cell of the filterfn table, points x (1 + nbars x (1 +
+walsh_orders)) cells; {_NODE_BYTES} bytes per node of the smooth gate's Fourier sums
+in [filterfn], {PANEL_NODES} nodes per {_FOURIER_PHASE:g} rad of 2*pi x omega_max_hz x t over the
+gate; and 8 bytes each for sequences x the sum of lengths and for resamples
+x the number of lengths in [slerb].  In [slerb], sequences x shots must lie
+below 2**53, so that every per-length sum of shots is exact."""
 
 
 def _schema() -> str:

@@ -20,7 +20,11 @@ with no vertical offset (state preparation and measurement errors are
 assumed negligible).  For small rates P_leak ~ N * eps_leak and
 P_flip ~ N * eps_rb.
 
-Sequences are integer arithmetic on the group's Cayley table.  A dataset
+The group is one cached table, :func:`clifford_table`: the breadth-first
+search that finds each element's shortest gate word also records where
+each generator takes each element, and the Cayley table, the inverses and
+the logical X follow from those moves, with no matrix compared after the
+search.  Sequences are integer arithmetic on that table.  A dataset
 is simulated in one pass: every sequence is drawn first, then one model
 call returns all outcome probabilities.  The parametric model evaluates
 its closed form over the array of compiled gate counts; the
@@ -91,70 +95,26 @@ def logical_gate_unitary(angle: float, basis_phase: float) -> np.ndarray:
 
 
 def _index_up_to_phase(u: np.ndarray, matrices) -> int | None:
-    """Position in ``matrices`` of ``u`` up to phase: |tr(A^dag U)| = |A| |U| iff U = e^{ia} A."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2) or abs(np.vdot(u, u).real - 2.0) > 1e-9:
-        return None
+    """Position in ``matrices`` of the 2x2 unitary ``u`` up to phase:
+    |tr(A^dag U)| = 2 iff U = e^{ia} A."""
     return next((k for k, a in enumerate(matrices) if abs(np.vdot(a, u)) > 2.0 - 1e-9), None)
 
 
 @dataclass(frozen=True)
-class SubspaceClifford:
-    """One element of the effective-qubit Clifford group.
-
-    ``gates`` is the shortest product of entangling gates realizing the
-    element, applied left to right: each an index into
-    ``GENERATOR_PHASES``, the ``GATE_ANGLE`` gate at that basis phase.
-    """
-
-    index: int
-    matrix: np.ndarray = field(repr=False)
-    gates: tuple[int, ...] = ()
-
-
-@lru_cache(maxsize=1)
-def clifford_table() -> tuple[SubspaceClifford, ...]:
-    """All 24 subspace Cliffords, breadth-first from the four generators.
-
-    Index 0 is the identity; indices are assigned in discovery order so the
-    table is deterministic.  Every element stores a shortest compilation.
-    """
-    gens = [logical_gate_unitary(GATE_ANGLE, phi) for phi in GENERATOR_PHASES]
-    table = [SubspaceClifford(0, np.eye(2, dtype=complex), ())]
-    frontier = [table[0]]
-    while frontier:
-        nxt = []
-        for elem in frontier:
-            for k, gen in enumerate(gens):
-                u = gen @ elem.matrix
-                if _index_up_to_phase(u, [c.matrix for c in table]) is not None:
-                    continue
-                item = SubspaceClifford(len(table), u, elem.gates + (k,))
-                table.append(item)
-                nxt.append(item)
-        frontier = nxt
-    if len(table) != 24:
-        raise ConvergenceError(f"Clifford closure found {len(table)} elements, expected 24")
-    return tuple(table)
-
-
-def find_clifford(u: np.ndarray) -> int:
-    """Index of the Clifford equal to ``u`` up to global phase."""
-    k = _index_up_to_phase(u, [c.matrix for c in clifford_table()])
-    if k is None:
-        raise ParameterError("matrix is not a subspace Clifford")
-    return k
-
-
-@dataclass(frozen=True)
 class CliffordGroup:
-    """Integer arithmetic on :func:`clifford_table` indices: ``mul[a][b]`` is
-    table[a].matrix @ table[b].matrix, ``inv[a]`` the inverse of a,
-    ``gate_count[a]`` its compiled length, ``x`` the logical X."""
+    """The 24 effective-qubit Cliffords and their integer arithmetic.
 
+    Element a is ``matrices[a]``, realized by the word ``gates[a]``: a
+    shortest product of entangling gates, applied left to right, each an
+    index into ``GENERATOR_PHASES`` (the ``GATE_ANGLE`` gate at that basis
+    phase).  ``mul[a][b]`` is the index of matrices[a] @ matrices[b],
+    ``inv[a]`` that of the inverse of a, and ``x`` that of the logical X.
+    """
+
+    matrices: tuple[np.ndarray, ...] = field(repr=False)
+    gates: tuple[tuple[int, ...], ...]
     mul: tuple[tuple[int, ...], ...]
     inv: tuple[int, ...]
-    gate_count: tuple[int, ...]
     x: int
 
     def compose(self, cliffords: Sequence[int]) -> int:
@@ -166,19 +126,44 @@ class CliffordGroup:
 
 
 @lru_cache(maxsize=1)
-def clifford_group() -> CliffordGroup:
-    """Cayley table, inverses and gate counts of the 24-element group."""
-    table = clifford_table()
-    mul = tuple(tuple(find_clifford(a.matrix @ b.matrix) for b in table) for a in table)
-    return CliffordGroup(mul=mul, inv=tuple(row.index(0) for row in mul),
-                         gate_count=tuple(len(c.gates) for c in table),
-                         x=find_clifford(np.array([[0.0, 1.0], [1.0, 0.0]])))
+def clifford_table() -> CliffordGroup:
+    """The group, breadth-first from the four generators.
+
+    Index 0 is the identity; indices are assigned in discovery order, so
+    the table is deterministic, and every element gets a shortest word.
+    The search records where each generator takes each element; every
+    product then follows from those moves, by folding a word over an index.
+    """
+    gens = [logical_gate_unitary(GATE_ANGLE, phi) for phi in GENERATOR_PHASES]
+    matrices, gates = [np.eye(2, dtype=complex)], [()]
+    left = [[] for _ in gens]  # left[k][a]: index of gens[k] @ matrices[a]
+    for a, m in enumerate(matrices):  # reaches the elements appended below, in order
+        for k, gen in enumerate(gens):
+            u = gen @ m
+            j = _index_up_to_phase(u, matrices)
+            if j is None:
+                j = len(matrices)
+                matrices.append(u)
+                gates.append(gates[a] + (k,))
+            left[k].append(j)
+    if len(matrices) != 24:
+        raise ConvergenceError(f"Clifford closure found {len(matrices)} elements, expected 24")
+
+    def product(a: int, b: int) -> int:
+        for k in gates[a]:
+            b = left[k][b]
+        return b
+
+    mul = tuple(tuple(product(a, b) for b in range(24)) for a in range(24))
+    return CliffordGroup(matrices=tuple(matrices), gates=tuple(gates), mul=mul,
+                         inv=tuple(row.index(0) for row in mul),
+                         x=_index_up_to_phase(np.array([[0.0, 1.0], [1.0, 0.0]]), matrices))
 
 
 def mean_gates_per_clifford() -> float:
     """Average compiled gate count over the 24-element table."""
-    count = clifford_group().gate_count
-    return sum(count) / len(count)
+    gates = clifford_table().gates
+    return sum(map(len, gates)) / len(gates)
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +180,8 @@ class SlerbSequence:
 
     @property
     def total_gates(self) -> int:
-        count = clifford_group().gate_count
-        return sum(count[c] for c in self.cliffords) + count[self.inverter]
+        gates = clifford_table().gates
+        return sum(len(gates[c]) for c in self.cliffords + (self.inverter,))
 
 
 def _rng(seed) -> np.random.Generator:
@@ -211,7 +196,7 @@ def generate_sequence(n: int, seed: int, pauli_randomize: bool = True) -> SlerbS
     """
     if n < 1:
         raise ParameterError("sequence length must be >= 1")
-    group = clifford_group()
+    group = clifford_table()
     rng = _rng(seed)
     draws = tuple(rng.integers(0, len(group.inv), size=n).tolist())
     inverter = group.inv[group.compose(draws)]
@@ -287,8 +272,8 @@ class FullScheduleModel:
         The cutoff is sized for the longest sequence.  Rows are stepped
         longest first, ``SEQUENCE_BLOCK`` at a time.
         """
-        table = clifford_table()
-        gates = [[g for c in seq.cliffords + (seq.inverter,) for g in table[c].gates]
+        words = clifford_table().gates
+        gates = [[g for c in seq.cliffords + (seq.inverter,) for g in words[c]]
                  for seq in seqs]
         counts = np.array([len(g) for g in gates], dtype=int)
         props = self.blocks(int(counts.max(initial=0)))
@@ -374,7 +359,7 @@ def _closed_form_probabilities(seqs: Sequence[SlerbSequence],
     ((1-2r)(1-q))^M over its M compiled gates (inverter excluded), and the
     in/out-of-subspace populations follow a two-state exchange chain.
     """
-    group = clifford_group()
+    group = clifford_table()
     index = np.uint8  # 24 elements; keeps the padded table small
     draws = np.zeros((len(seqs), max(len(seq.cliffords) for seq in seqs)), dtype=index)
     for row, seq in zip(draws, seqs):  # identity-padded
@@ -387,7 +372,7 @@ def _closed_form_probabilities(seqs: Sequence[SlerbSequence],
     target = np.where([seq.expected_state == "uu" for seq in seqs], 0, group.x)
     if np.any(product != target):
         raise ConvergenceError("inverter does not return the expected state")
-    total_gates = np.array(group.gate_count, dtype=index)[draws].sum(axis=1)
+    total_gates = np.array([len(word) for word in group.gates], dtype=index)[draws].sum(axis=1)
     r, q = model.per_gate_rates()
     trace_in = 0.5 * (1.0 + _libm_powers(1.0 - 2.0 * q, total_gates))
     polarization = _libm_powers((1.0 - 2.0 * r) * (1.0 - q), total_gates)
@@ -418,11 +403,6 @@ def _probabilities(seqs: Sequence[SlerbSequence], model: ErrorModel) -> np.ndarr
     return probs / total[:, None]
 
 
-def _sequence_probabilities(seq: SlerbSequence, model: ErrorModel) -> np.ndarray:
-    """(P_survival, P_flip, P_leak) for one sequence: the one-row case."""
-    return _probabilities([seq], model)[0]
-
-
 def _shot_counts(probs: np.ndarray, shots: int, seed) -> tuple[int, int, int]:
     counts = _rng(seed).multinomial(shots, probs)
     return int(counts[0]), int(counts[1]), int(counts[2])
@@ -433,7 +413,7 @@ def simulate_sequence(seq: SlerbSequence, model: ErrorModel, shots: int,
     """Multinomial shot counts (n_survival, n_flip, n_leak)."""
     if shots < 1:
         raise ParameterError("shots must be >= 1")
-    return _shot_counts(_sequence_probabilities(seq, model), shots, seed)
+    return _shot_counts(_probabilities([seq], model)[0], shots, seed)
 
 
 # ---------------------------------------------------------------------------

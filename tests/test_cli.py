@@ -164,7 +164,7 @@ def test_emit_read_round_trip(tmp_path):
         "y": np.array([0.1, 0.2, 0.3, 0.4]) / 3.0,
     }
     path = str(tmp_path / "t.csv")
-    cli.emit_csv(table, path, {"seed": "0"})
+    cli._write_atomic(path, cli._render_csv(table, {"seed": "0"}))
     meta, back = cli.read_csv(path)
     assert meta["seed"] == "0"
     assert back["k"].dtype.kind == "i"
@@ -172,13 +172,14 @@ def test_emit_read_round_trip(tmp_path):
         assert np.array_equal(back[key], table[key])
     # a second emit of the parsed columns reproduces the bytes exactly
     path2 = str(tmp_path / "t2.csv")
-    cli.emit_csv(back, path2, {"seed": "0"})
+    cli._write_atomic(path2, cli._render_csv(back, {"seed": "0"}))
     assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
 
 
 def test_emit_csv_empty_table(tmp_path):
     path = str(tmp_path / "e.csv")
-    cli.emit_csv({"a": np.array([]), "b": np.array([])}, path, {"note": "x"})
+    cli._write_atomic(path, cli._render_csv({"a": np.array([]), "b": np.array([])},
+                                            {"note": "x"}))
     lines = (tmp_path / "e.csv").read_text().splitlines()
     assert lines == ["# note = x", "a,b"]
     _, back = cli.read_csv(path)
@@ -187,13 +188,14 @@ def test_emit_csv_empty_table(tmp_path):
 
 def test_emit_csv_rejects_nan(tmp_path):
     with pytest.raises(ConvergenceError):
-        cli.emit_csv({"a": np.array([1.0, np.nan])}, str(tmp_path / "n.csv"))
+        cli._write_atomic(str(tmp_path / "n.csv"), cli._render_csv({"a": np.array([1.0, np.nan])}))
     assert not (tmp_path / "n.csv").exists()
 
 
 def test_emit_csv_rejects_ragged(tmp_path):
     with pytest.raises(ParameterError):
-        cli.emit_csv({"a": np.zeros(3), "b": np.zeros(2)}, str(tmp_path / "r.csv"))
+        cli._write_atomic(str(tmp_path / "r.csv"),
+                          cli._render_csv({"a": np.zeros(3), "b": np.zeros(2)}))
 
 
 # ---------------------------------------------------------------------------
@@ -814,18 +816,38 @@ def test_array_sizes_beyond_the_limit_are_config_errors(tmp_path, capsys, base, 
 
 
 def test_filterfn_top_frequency_size_limit(tmp_path):
-    # the Fourier sums of this 200 us gate pass the limit between 1.5 and 2 GHz;
-    # the benchmark's 1.6 MHz grid stays far below it
-    for top, code in (("1.6e6", 0), ("1.5e9", 0), ("2e9", 1)):
+    # the Fourier sums of this 200 us gate pass the limit between 450 and
+    # 500 MHz; the benchmark's 1.6 MHz grid stays far below it
+    for top, code in (("1.6e6", 0), ("4.5e8", 0), ("5e8", 1)):
         path = write_config(tmp_path, set_key(FILTERFN, "omega_max_hz", top))
         assert cli.main(["validate", path, "--quiet"]) == code
 
 
 def test_array_size_limit_is_inclusive(tmp_path):
     # sequences x the sum of lengths at the limit validates, one above does not
-    for last, code in ((cli._MAX_ELEMENTS - 3, 0), (cli._MAX_ELEMENTS - 2, 1)):
+    for last, code in ((cli._MAX_BYTES // 8 - 3, 0), (cli._MAX_BYTES // 8 - 2, 1)):
         text = set_key(set_key(SLERB_PARAMETRIC, "lengths", f"1,2,{last}"), "sequences", "1")
         assert cli.main(["validate", write_config(tmp_path, text), "--quiet"]) == code
+
+
+@pytest.mark.parametrize("base", [OFFSET_SCAN, CALIBRATION_SCAN, TRAJECTORY],
+                         ids=["offset-scan", "calibration-scan", "trajectory"])
+def test_grid_rows_are_bounded_by_their_peak_memory(tmp_path, base):
+    # an offset scan peaks at about 1.4 kB per offset, so a million rows
+    # would take more than the 1 GiB limit; the bound is inclusive
+    limit = cli._MAX_BYTES // cli._ROW_BYTES
+    for points, code in ((limit, 0), (limit + 1, 1), ("1e6", 1)):
+        path = write_config(tmp_path, set_key(base, "points", points))
+        assert cli.main(["validate", path, "--quiet"]) == code, points
+
+
+def test_filterfn_table_size_counts_its_columns(tmp_path):
+    # 200 000 frequencies fit with the 7 columns of 2 occupations x 3 filter
+    # functions, not with the 51 of 10 occupations x 5
+    wide = set_key(set_key(FILTERFN, "nbars", "0,1,2,3,4,5,6,7,8,9"), "walsh_orders", "1,3,7,15")
+    for text, code in ((FILTERFN, 0), (wide, 1)):
+        path = write_config(tmp_path, set_key(text, "points", "200000"))
+        assert cli.main(["validate", path, "--quiet"]) == code
 
 
 def test_refit_resamples_beyond_the_limit_is_config_error(tmp_path, capsys):
@@ -1083,8 +1105,8 @@ def test_resolved_calls_binds_only_callables_and_modules():
 
 
 def test_bench_contract_with_the_package():
-    # the benchmark harness imports and traces these names; a rename in the
-    # package would otherwise only show up as a failed traced bench run
+    # the benchmark harness imports, calls and traces these names; a rename
+    # in the package would otherwise only show up as a failed bench run
     tracing = load_bench_module("tracing")
     for layer, attr, _ in tracing.TARGETS:
         owner = getattr(iongate, layer)
@@ -1092,23 +1114,33 @@ def test_bench_contract_with_the_package():
         for cls in classes:
             owner = getattr(owner, cls)
         assert name in vars(owner), f"{layer}.{attr}"
-    with open(os.path.join(BENCH, "references.py")) as handle:
-        tree = ast.parse(handle.read())
-    callables = package_imports(tree)
-    assert callables
-    # every keyword the references pass must still be a parameter of its
-    # callee; **solver_kwargs are passed on to the kernel's tolerances
+    # every iongate import of every bench file, inside functions too, must
+    # resolve, and every call it names must bind: each keyword a parameter
+    # of its callee (**solver_kwargs are passed on to the kernel's
+    # tolerances), and the arguments enough and not too many
     kernel = inspect.signature(semiclassical.branch_endpoints).parameters
-    checked = set()
-    for call, targets in resolved_calls(tree, callables):
-        for target in targets:
-            params = dict(inspect.signature(target).parameters)
-            if "solver_kwargs" in params:
-                params.update(kernel)
-            for keyword in call.keywords:
-                assert keyword.arg in params, f"{target.__qualname__}({keyword.arg}=)"
-                checked.add((target.__qualname__, keyword.arg))
-    assert {("calibrate_omega", "use"), ("thermal_average", "props")} <= checked
+    imported, checked = set(), set()
+    for name in sorted(os.listdir(BENCH)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(BENCH, name)) as handle:
+            tree = ast.parse(handle.read())
+        callables = package_imports(tree)
+        imported.update(callables)
+        for call, targets in resolved_calls(tree, callables):
+            for target in targets:
+                signature = inspect.signature(target)
+                params = dict(signature.parameters)
+                if "solver_kwargs" in params:
+                    params.update(kernel)
+                for keyword in call.keywords:
+                    assert keyword.arg in params, f"{target.__qualname__}({keyword.arg}=)"
+                    checked.add((target.__qualname__, keyword.arg))
+                if not any(isinstance(arg, ast.Starred) for arg in call.args):
+                    signature.bind(*call.args, **{k.arg: k.value for k in call.keywords})
+    assert {"clifford_table", "read_csv", "cli"} <= imported
+    assert {("calibrate_omega", "use"), ("thermal_average", "props"),
+            ("run_scenario", "seed")} <= checked
 
 
 @pytest.mark.parametrize("workload", ["gate", "slerb"])

@@ -22,17 +22,14 @@ from iongate.slerb import (
     ParametricModel,
     SlerbDataset,
     bootstrap_ci,
-    clifford_group,
     clifford_table,
     collect_dataset,
-    find_clifford,
     fit_decays,
     generate_sequence,
     logical_gate_unitary,
     mean_gates_per_clifford,
     simulate_sequence,
 )
-from iongate.slerb import _sequence_probabilities
 from stepped_oracle import stepped_blocks, stepped_propagate
 
 TWO_PI = 2.0 * math.pi
@@ -46,18 +43,22 @@ def equal_up_to_phase(a, b, tol=1e-12):
     return np.abs(a * ratio - b).max() < tol
 
 
+def index_of(u):
+    """Position of ``u`` in the table's matrices, up to phase."""
+    return next(k for k, m in enumerate(clifford_table().matrices) if equal_up_to_phase(m, u))
+
+
 # ---------------------------------------------------------------------------
 # compilation table
 
 
 def test_clifford_table_has_24_unitary_elements():
     table = clifford_table()
-    assert len(table) == 24
-    assert table[0].gates == ()
-    assert np.allclose(table[0].matrix, np.eye(2))
-    for c in table:
-        prod = c.matrix @ c.matrix.conj().T
-        assert np.allclose(prod, np.eye(2), atol=1e-12)
+    assert len(table.matrices) == len(table.gates) == 24
+    assert table.gates[0] == ()
+    assert np.allclose(table.matrices[0], np.eye(2))
+    for m in table.matrices:
+        assert np.allclose(m @ m.conj().T, np.eye(2), atol=1e-12)
 
 
 def test_table_matches_independent_group_construction():
@@ -77,32 +78,31 @@ def test_table_matches_independent_group_construction():
         frontier = fresh
     assert len(group) == 24
     # every table element is exactly one member of the H, S closure
-    for c in clifford_table():
-        assert sum(equal_up_to_phase(v, c.matrix) for v in group) == 1
-    assert sorted(find_clifford(v) for v in group) == list(range(24))
+    for m in clifford_table().matrices:
+        assert sum(equal_up_to_phase(v, m) for v in group) == 1
+    assert sorted(index_of(v) for v in group) == list(range(24))
 
 
 def test_cayley_table_matches_matrix_products():
+    # the table is built from the search's generator moves; matrix products
+    # over all 576 pairs are the independent route
     table = clifford_table()
-    group = clifford_group()
-    for a in table:
-        for b in table:
-            product = table[group.mul[a.index][b.index]].matrix
-            assert equal_up_to_phase(product, a.matrix @ b.matrix)
-        inverse = table[group.inv[a.index]].matrix
-        assert equal_up_to_phase(inverse, a.matrix.conj().T)
-        assert group.mul[a.index][group.inv[a.index]] == 0
-        assert group.gate_count[a.index] == len(a.gates)
+    mats = table.matrices
+    for a in range(24):
+        for b in range(24):
+            assert equal_up_to_phase(mats[table.mul[a][b]], mats[a] @ mats[b])
+        assert equal_up_to_phase(mats[table.inv[a]], mats[a].conj().T)
+        assert table.mul[a][table.inv[a]] == 0
     x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    assert equal_up_to_phase(table[group.x].matrix, x)
+    assert equal_up_to_phase(mats[table.x], x)
 
 
 def matrix_fold(cliffords):
     """2x2 product of table matrices, applied left to right."""
-    table = clifford_table()
+    mats = clifford_table().matrices
     u = np.eye(2, dtype=complex)
     for c in cliffords:
-        u = table[c].matrix @ u
+        u = mats[c] @ u
     return u
 
 
@@ -119,11 +119,12 @@ def test_inverter_closes_sequence_in_matrix_fold(n, seed, pauli_randomize):
 
 
 def test_compiled_gate_lists_reproduce_every_element():
-    for c in clifford_table():
+    table = clifford_table()
+    for word, m in zip(table.gates, table.matrices):
         u = np.eye(2, dtype=complex)
-        for k in c.gates:
+        for k in word:
             u = logical_gate_unitary(GATE_ANGLE, slerb.GENERATOR_PHASES[k]) @ u
-        assert equal_up_to_phase(u, c.matrix)
+        assert equal_up_to_phase(u, m)
 
 
 def test_mean_gate_count_is_table_constant():
@@ -142,12 +143,6 @@ def test_logical_gate_unitary_rotation_axes():
     u = logical_gate_unitary(-math.pi / 2, 0.0)
     v = logical_gate_unitary(-math.pi / 2, math.pi / 2)
     assert equal_up_to_phase(u @ v, np.eye(2, dtype=complex))
-
-
-def test_find_clifford_rejects_non_members():
-    assert find_clifford(np.eye(2)) == 0
-    with pytest.raises(ParameterError):
-        find_clifford(np.diag([1.0, np.exp(0.3j)]))
 
 
 # ---------------------------------------------------------------------------
@@ -209,22 +204,22 @@ def test_parametric_closed_form_matches_channel_loop():
         rho[0, 0] = 1.0
         p_out = 0.0
         for c in seq.cliffords:
-            u = table[c].matrix
+            u = table.matrices[c]
             rho = u @ rho @ u.conj().T
-            for _ in range(len(table[c].gates)):
+            for _ in range(len(table.gates[c])):
                 trace = rho[0, 0].real + rho[1, 1].real
                 rho = (1.0 - 2.0 * r) * rho + r * trace * np.eye(2)
                 trace = rho[0, 0].real + rho[1, 1].real
                 rho = (1.0 - q) * rho + 0.5 * q * p_out * np.eye(2)
                 p_out = (1.0 - q) * p_out + q * trace
-        u = table[seq.inverter].matrix
+        u = table.matrices[seq.inverter]
         rho = u @ rho @ u.conj().T
         e = 0 if seq.expected_state == "uu" else 1
         return np.array([rho[e, e].real, rho[1 - e, 1 - e].real, p_out])
 
     for seed in range(6):
         seq = generate_sequence(25, seed=900 + seed)
-        fast = _sequence_probabilities(seq, model)
+        fast = slerb._probabilities([seq], model)[0]
         assert np.abs(fast - loop_probs(seq)).max() < 1e-12
 
 
@@ -241,7 +236,7 @@ def test_full_schedule_sequences_survive_at_gate_numerics_level():
     model = FullScheduleModel(sched)
     for seed in (1, 8):
         seq = generate_sequence(3, seed=seed)
-        probs = _sequence_probabilities(seq, model)
+        probs = slerb._probabilities([seq], model)[0]
         assert probs[0] > 1.0 - 1e-6
         counts = simulate_sequence(seq, model, shots=40, seed=seed)
         assert counts == (40, 0, 0)
@@ -261,13 +256,12 @@ def test_full_model_admits_either_gate_handedness(sign):
 
 def test_wrong_inverter_raises_convergence_error():
     # Z keeps |uu> in place up to phase, so only the group identity catches it
-    group = clifford_group()
-    z = find_clifford(np.diag([1.0, -1.0]))
+    z = index_of(np.diag([1.0, -1.0]))
     seq = generate_sequence(6, seed=3, pauli_randomize=False)
-    bad = dataclasses.replace(seq, inverter=group.mul[z][seq.inverter])
+    bad = dataclasses.replace(seq, inverter=clifford_table().mul[z][seq.inverter])
     for model in (ParametricModel(0.0, 0.0), ParametricModel(1e-3, 1e-3)):
         with pytest.raises(ConvergenceError):
-            _sequence_probabilities(bad, model)
+            slerb._probabilities([bad], model)[0]
 
 
 def test_probability_sum_is_checked_at_norm_tolerance(monkeypatch):
@@ -276,15 +270,15 @@ def test_probability_sum_is_checked_at_norm_tolerance(monkeypatch):
     monkeypatch.setattr(FullScheduleModel, "spin_populations",
                         lambda self, seqs: np.array([[0.5, 0.0, 0.0, 0.5 + 1e-6]]))
     with pytest.raises(ConvergenceError):
-        _sequence_probabilities(seq, model)
+        slerb._probabilities([seq], model)[0]
 
 
 def stepped_probabilities(seq, step_gate, n_max):
     """Sequence outcome from a gate callback acting on a CompositeState."""
     state = CompositeState.from_spin_fock([1.0, 0.0, 0.0, 0.0], n=0, n_max=n_max)
-    table = clifford_table()
+    words = clifford_table().gates
     for c in seq.cliffords + (seq.inverter,):
-        for k in table[c].gates:
+        for k in words[c]:
             state = step_gate(state, slerb.GENERATOR_PHASES[k])
     pops = state.spin_populations()
     kept, flipped = ("uu", "dd") if seq.expected_state == "uu" else ("dd", "uu")
@@ -303,7 +297,7 @@ def test_full_model_matches_per_gate_propagate_on_walsh_gate(offset_hz):
         oracle = stepped_probabilities(
             seq, lambda state, phase: stepped_propagate(sched, state, basis_phase=phase),
             n_max)
-        gap = np.abs(_sequence_probabilities(seq, model) - oracle).max()
+        gap = np.abs(slerb._probabilities([seq], model)[0] - oracle).max()
         assert gap <= 1e-10
     if offset_hz:
         assert oracle[2] > 1e-4  # the offset leaves a visible error to compare
@@ -360,8 +354,8 @@ def test_full_model_guards_cutoff(monkeypatch):
     # an offset gate leaves the mode displaced; three Fock levels cannot hold it
     monkeypatch.setattr(FockConfig, "auto", classmethod(lambda cls, *a: cls(n_max=2)))
     with pytest.raises(TruncationError):
-        _sequence_probabilities(seq, FullScheduleModel(
-            sched.with_detuning_offset(TWO_PI * 2e3)))
+        slerb._probabilities([seq], FullScheduleModel(
+            sched.with_detuning_offset(TWO_PI * 2e3)))[0]
 
 
 def walsh_gate(offset_hz=0.0):
@@ -377,11 +371,11 @@ def calibrated_smooth_gate():
 
 def per_gate_populations(props, seq):
     """Oracle: one BranchPropagators.apply per compiled gate, in z between gates."""
-    table = clifford_table()
+    words = clifford_table().gates
     state = np.zeros((4, props.dim), dtype=complex)
     state[0, 0] = 1.0
     for c in seq.cliffords + (seq.inverter,):
-        for k in table[c].gates:
+        for k in words[c]:
             state = props.apply(state, slerb.GENERATOR_PHASES[k])
     return np.sum(np.abs(state) ** 2, axis=1)
 
@@ -448,7 +442,7 @@ def test_unclosed_loop_cutoff_is_sized_for_the_sequence():
                             omega_g=TWO_PI * 30e3, tau_g=2e-6, tau_d=8e-6, j=3)
     model = FullScheduleModel(build_smooth_schedule(calibrate_omega(base, use="exact")))
     seq = generate_sequence(4, seed=0)
-    probs = _sequence_probabilities(seq, model)
+    probs = slerb._probabilities([seq], model)[0]
     uu, ud, du, dd = per_gate_populations(model.blocks(seq.total_gates), seq)
     kept, flipped = (uu, dd) if seq.expected_state == "uu" else (dd, uu)
     assert np.abs(probs - [kept, flipped, ud + du]).max() <= 1e-12
@@ -460,8 +454,8 @@ def test_unclosed_loop_cutoff_is_sized_for_the_sequence():
 
 def scalar_closed_form(seq, model):
     """Reference: the per-sequence closed form in Python floats."""
-    group = clifford_group()
-    total = sum(group.gate_count[c] for c in seq.cliffords)
+    words = clifford_table().gates
+    total = sum(len(words[c]) for c in seq.cliffords)
     r, q = model.per_gate_rates()
     trace_in = 0.5 * (1.0 + (1.0 - 2.0 * q) ** total)
     polarization = ((1.0 - 2.0 * r) * (1.0 - q)) ** total
