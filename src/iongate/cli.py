@@ -35,8 +35,8 @@ from .schedule import (SmoothGateParams, WalshGateParams, build_smooth_schedule,
                        build_walsh_schedule)
 from .semiclassical import (_FOURIER_PHASE, PANEL_NODES, calibrate_delta_min, calibrate_omega,
                             check_output_grid, gate_angle_exact, propagate_displacement)
-from .slerb import (FullScheduleModel, ParametricModel, SlerbDataset, bootstrap_ci,
-                    collect_dataset, fit_decays, mean_gates_per_clifford)
+from .slerb import (SEQUENCE_BLOCK, FullScheduleModel, ParametricModel, SlerbDataset,
+                    bootstrap_ci, collect_dataset, fit_decays, mean_gates_per_clifford)
 
 TWO_PI = 2.0 * math.pi
 
@@ -53,6 +53,19 @@ _CELL_BYTES = 176
 # node columns, the (nodes, PANEL_NODES) interpolation weights and the
 # (_FOURIER_BLOCK, nodes) phase blocks that are held together.
 _NODE_BYTES = 448
+# Per sequence of a simulated [slerb] dataset: about 1.1 kB, most of it the
+# row's three SeedSequences.  Per Clifford draw: 26 B on the full model (the
+# draw and its compiled generator gates in Python lists), 8-14 B on the
+# parametric one with its padded uint8 tables.  The full model also steps
+# SEQUENCE_BLOCK rows at a time on an int64 gate path padded to the longest
+# sequence: at most 4 gates of 8 B per Clifford of the longest length.
+_SEQUENCE_BYTES = 1152
+_DRAW_BYTES = 32
+_PATH_BYTES = 32
+# Per bootstrap resample: 24 B per length for the int64 sums of shots,
+# survivals and flips, and about 30 B for the fitted rates and percentiles.
+_SUM_BYTES = 24
+_RESAMPLE_BYTES = 32
 
 # Most loops a Walsh gate may have: the schedule holds one segment per loop,
 # and validating 4096 loops takes about 0.1 s.
@@ -428,9 +441,12 @@ def _parse_slerb(cfg: _Config):
         if len(set(lengths)) < max(3, len(lengths)):
             raise ConfigError(f"{cfg.path}: lengths in [slerb] must hold at least three "
                               "values, none repeated")
-        _check_size(cfg, "slerb", "sequences x the sum of lengths", 8 * sequences * sum(lengths))
+        rows = sequences * len(lengths)
+        _check_size(cfg, "slerb", "sequences x the sum of lengths",
+                    _DRAW_BYTES * sequences * sum(lengths) + _SEQUENCE_BYTES * rows
+                    + _PATH_BYTES * max(lengths) * min(rows, SEQUENCE_BLOCK))
         _check_size(cfg, "slerb", "resamples x the number of lengths",
-                    8 * resamples * len(lengths))
+                    resamples * (_SUM_BYTES * len(lengths) + _RESAMPLE_BYTES))
         if sequences * shots >= 2 ** 53:
             raise ConfigError(f"{cfg.path}: sequences x shots in [slerb] must lie below 2**53")
 
@@ -442,7 +458,7 @@ def _parse_slerb(cfg: _Config):
                 raise ConfigError(f"{source}: missing dataset column {missing[0]!r}")
             data = SlerbDataset.from_columns(*(columns[k] for k in _DATASET_COLUMNS))
             _check_size(cfg, "slerb", "resamples x the number of lengths",
-                        8 * resamples * np.unique(data.n).size)
+                        resamples * (_SUM_BYTES * np.unique(data.n).size + _RESAMPLE_BYTES))
         else:
             data = collect_dataset(lengths, sequences, shots, model, seed,
                                    pauli_randomize=pauli_randomize)
@@ -561,7 +577,8 @@ _KEYS = {
     "scan": ("calibration-scan and offset-scan grids", {
         "start_hz": (_NUMBER, _REQUIRED, "first grid value (delta_min or offset)"),
         "stop_hz": (_NUMBER, _REQUIRED, "last grid value"),
-        "points": (_POINTS, _REQUIRED, "grid size"),
+        "points": (_POINTS, _REQUIRED, "grid size (calibration-scan integrates one gate per "
+                   "point, about 3 ms each)"),
         "nbar": (_NONNEGATIVE, {"calibration-scan": "3.5", "offset-scan": "0"},
                  "thermal occupation"),
     }),
@@ -578,8 +595,9 @@ _KEYS = {
         "eps_rb": (_NUMBER, _REQUIRED, "depolarizing rate, read for model = parametric"),
         "eps_leak": (_NUMBER, _REQUIRED, "leak rate, read for model = parametric"),
         "resamples": (_RESAMPLES, "10000", "bootstrap resamples (memory: per-length sums of "
-                      "shots, survivals and flips, 24 bytes per length per resample; the fit "
-                      "runs 1024 resamples at a time)"),
+                      "shots, survivals and flips, 24 bytes per length per resample, and the "
+                      "fitted rates, 32 bytes per resample; the fit runs 1024 resamples "
+                      "at a time)"),
         "input": (_TEXT, None, "existing dataset CSV to fit instead of simulating (model, "
                   "lengths, sequences, shots and pauli_randomize are ignored when set; read "
                   "by run, not by validate)"),
@@ -613,9 +631,12 @@ measured peaks: {_ROW_BYTES} bytes per row of a grid in [scan] or [trajectory];
 {_CELL_BYTES} bytes per cell of the filterfn table, points x (1 + nbars x (1 +
 walsh_orders)) cells; {_NODE_BYTES} bytes per node of the smooth gate's Fourier sums
 in [filterfn], {PANEL_NODES} nodes per {_FOURIER_PHASE:g} rad of 2*pi x omega_max_hz x t over the
-gate; and 8 bytes each for sequences x the sum of lengths and for resamples
-x the number of lengths in [slerb].  In [slerb], sequences x shots must lie
-below 2**53, so that every per-length sum of shots is exact."""
+gate.  In [slerb]: {_DRAW_BYTES} bytes per Clifford draw, sequences x the sum of
+lengths; {_SEQUENCE_BYTES} bytes per sequence of each length; {_PATH_BYTES} bytes per
+Clifford of the longest length for each of up to {SEQUENCE_BLOCK} sequences stepped
+together; and for the bootstrap, {_SUM_BYTES} bytes per length per resample plus
+{_RESAMPLE_BYTES} per resample.  In [slerb], sequences x shots must lie below 2**53,
+so that every per-length sum of shots is exact."""
 
 
 def _schema() -> str:

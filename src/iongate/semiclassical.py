@@ -348,28 +348,56 @@ def calibrate_omega(p: SmoothGateParams, use: str = "exact",
     return replace(p, omega_g=math.sqrt(math.pi / 2 / coeff))
 
 
+def _bracketed_root(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Root of f between lo and hi to a relative 1e-12, by Illinois regula falsi.
+
+    Each secant point c replaces b.  If f(c) has the sign of f(b), a is
+    kept again and its f is halved, so that both ends close in (Dowell &
+    Jarratt, BIT 11, 168, 1971).  Raises :class:`ConvergenceError` if f(lo)
+    and f(hi) share a sign, or after 100 steps.
+    """
+    a, b = lo, hi
+    fa, fb = f(a), f(b)
+    if fa * fb > 0:
+        raise ConvergenceError(f"root not bracketed: f(lo) = {fa:.3g}, f(hi) = {fb:.3g}")
+    for _ in range(100):
+        c = (a * fb - b * fa) / (fb - fa)
+        fc = f(c)
+        if fc * fb < 0:
+            a, fa = b, fb
+        else:
+            fa /= 2
+        b, fb = c, fc
+        if fc == 0 or abs(b - a) <= 1e-12 * abs(b):
+            return b
+    raise ConvergenceError(f"root not converged in 100 steps, bracket [{a:.6g}, {b:.6g}]")
+
+
 def calibrate_delta_min(p: SmoothGateParams, use: str = "exact",
                         **solver_kwargs) -> SmoothGateParams:
     """Solve for |delta_min| at fixed Omega_g so that |theta_g| = pi/2.
 
-    The angle grows monotonically as |delta_min| shrinks; brentq brackets
-    on |delta_min| from 2*pi*1 kHz up to 0.9*|delta_max|.
+    The search interval is |delta_min| from 2*pi*1 kHz to 0.9*|delta_max|,
+    a :class:`ParameterError` if that is empty.  The angle grows
+    monotonically as |delta_min| shrinks, and nearly linearly in
+    u = 1/|delta_min|, so :func:`_bracketed_root` solves in u: about a
+    dozen kernel calls, the two ends included.
     """
     lo, hi = TWO_PI * 1e3, 0.9 * abs(p.delta_max)
+    if not lo < hi:
+        raise ParameterError(f"|delta_min| is searched from 2*pi*1 kHz to 0.9*|delta_max| = "
+                             f"2*pi*{hi / TWO_PI / 1e3:.4g} kHz, an empty interval")
     angle = _gate_angle(use, **solver_kwargs)
 
-    def f(absdm: float) -> float:
-        return angle(build_smooth_schedule(replace(p, delta_min=p.sign * absdm))) - math.pi / 2
+    def f(u: float) -> float:
+        return angle(build_smooth_schedule(replace(p, delta_min=p.sign / u))) - math.pi / 2
 
-    flo, fhi = f(lo), f(hi)
-    if flo * fhi > 0:
-        raise ConvergenceError(
-            f"target angle {math.pi / 2:.4g} not bracketed: theta({lo:.4g})-target={flo:.3g}, "
-            f"theta({hi:.4g})-target={fhi:.3g}")
-    from scipy.optimize import brentq  # loaded on use: ~20 MB resident
-
-    root = brentq(f, lo, hi, rtol=1e-12)
-    return replace(p, delta_min=p.sign * root)
+    try:
+        u = _bracketed_root(f, 1 / hi, 1 / lo)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"target angle pi/2 with |delta_min| from {hi:.4g} to {lo:.4g} "
+                               f"rad/s, f = |theta_g| - pi/2: {exc}") from None
+    return replace(p, delta_min=p.sign / u)
 
 
 # ---------------------------------------------------------------------------

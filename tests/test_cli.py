@@ -824,10 +824,21 @@ def test_filterfn_top_frequency_size_limit(tmp_path):
 
 
 def test_array_size_limit_is_inclusive(tmp_path):
-    # sequences x the sum of lengths at the limit validates, one above does not
-    for last, code in ((cli._MAX_BYTES // 8 - 3, 0), (cli._MAX_BYTES // 8 - 2, 1)):
-        text = set_key(set_key(SLERB_PARAMETRIC, "lengths", f"1,2,{last}"), "sequences", "1")
+    # one sequence of lengths 1, 3 and N holds 32 B per Clifford draw, 1152 B
+    # per row and 32 B per Clifford of N for each of its 3 rows: 128 N + 3584
+    # bytes, the limit at N = 8388580; one more draw does not validate
+    for last, code in ((8388580, 0), (8388581, 1)):
+        text = set_key(set_key(SLERB_PARAMETRIC, "lengths", f"1,3,{last}"), "sequences", "1")
         assert cli.main(["validate", write_config(tmp_path, text), "--quiet"]) == code
+
+
+def test_bootstrap_size_limit_is_inclusive(tmp_path):
+    # 24 B per length per resample and 32 B per resample: four lengths take
+    # 128 B per resample, so 2**23 resamples fill the limit and one more does not
+    text = set_key(SLERB_PARAMETRIC, "lengths", "2,20,60,100")
+    for resamples, code in ((2 ** 23, 0), (2 ** 23 + 1, 1)):
+        path = write_config(tmp_path, set_key(text, "resamples", str(resamples)))
+        assert cli.main(["validate", path, "--quiet"]) == code, resamples
 
 
 @pytest.mark.parametrize("base", [OFFSET_SCAN, CALIBRATION_SCAN, TRAJECTORY],
@@ -999,10 +1010,16 @@ def test_printed_defaults_are_the_defaults_used(tmp_path, capsys):
         assert outputs[0] == outputs[1], (section, key, value)
 
 
+DELTA_MIN_SWEEP = THERMAL_SWEEP.replace(SCAN_SCHEDULE, """\
+    [schedule]
+    type = smooth
+
+""" + set_key(CALIBRATION_GATE, "calibrate", "delta_min"))
+
+
 def test_cli_import_loads_no_scipy(tmp_path):
-    # scipy.linalg alone is most of the start-up time; the closed-form
-    # scenarios and the full SLERB model never need it, so every scipy
-    # import is deferred to its use
+    # scipy is a test dependency only: importing the CLI, the closed-form
+    # scenarios, the full SLERB model and both calibrations load none of it
     package_root = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": package_root}
     loaded = "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
@@ -1034,6 +1051,27 @@ def test_cli_import_loads_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", calibrate], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+    # calibrate = delta_min runs where scipy cannot be imported, and writes
+    # what an in-process run of the same config writes
+    path = write_config(tmp_path, DELTA_MIN_SWEEP)
+    blocked = ("import sys; sys.modules['scipy'] = None; from iongate import cli; "
+               "sys.exit(cli.main(['run', sys.argv[1], '--output-dir', sys.argv[2], '--quiet']))")
+    subprocess.run([sys.executable, "-c", blocked, path, str(tmp_path / "blocked")], env=env,
+                   capture_output=True, text=True, check=True, timeout=60)
+    assert cli.main(["run", path, "--output-dir", str(tmp_path / "here"), "--quiet"]) == 0
+    written = [[line for line in (tmp_path / where / "th.csv").read_text().splitlines()
+                if not re.match(r"# (created|config_hash) = ", line)]
+               for where in ("blocked", "here")]
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("delta_max_hz", ["-900", "-1.05e3"])
+def test_empty_delta_min_search_is_config_error(tmp_path, capsys, monkeypatch, delta_max_hz):
+    # 0.9*|delta_max| at or below 1 kHz leaves nothing to search: a config
+    # error before any gate is integrated
+    monkeypatch.setattr(semiclassical, "gate_angle_exact", None)
+    text = set_key(set_key(DELTA_MIN_SWEEP, "delta_max_hz", delta_max_hz), "delta_min_hz", "-500")
+    assert_both_reject(tmp_path, capsys, text)
 
 
 BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")

@@ -392,6 +392,63 @@ def test_delta_min_calibration_roundtrip():
         calibrate_delta_min(reference_params(omega_g=TWO_PI * 0.1e3), use="exact")
 
 
+def counted_kernel(monkeypatch):
+    """The schedules that semiclassical.gate_angle_exact is called on from now on."""
+    calls = []
+    kernel = semiclassical.gate_angle_exact
+
+    def counting(schedule, **kw):
+        calls.append(schedule)
+        return kernel(schedule, **kw)
+
+    monkeypatch.setattr(semiclassical, "gate_angle_exact", counting)
+    return calls
+
+
+@pytest.mark.parametrize("params", [
+    reference_params(omega_g=TWO_PI * 5.926e3),
+    reference_params(delta_min=-TWO_PI * 14161.0, omega_g=TWO_PI * 5e3, tau_d=95e-6, t_c=0.0,
+                     j=4),
+    reference_params(delta_max=TWO_PI * 400e3, delta_min=TWO_PI * 20e3, t_c=0.0, j=2),
+], ids=["calibration-shape", "matched-200us-j4", "positive-j2"])
+def test_delta_min_solver_matches_brentq(monkeypatch, params):
+    # the Illinois solve in 1/|delta_min| lands on brentq's root over the same
+    # bracket, in at most 12 kernel calls with the bracket ends
+    from scipy.optimize import brentq
+
+    def f(absdm):
+        p = dataclasses.replace(params, delta_min=params.sign * absdm)
+        return abs(gate_angle_exact(build_smooth_schedule(p))) - np.pi / 2
+
+    root = brentq(f, TWO_PI * 1e3, 0.9 * abs(params.delta_max), rtol=1e-12)
+    calls = counted_kernel(monkeypatch)
+    solved = calibrate_delta_min(params, use="exact")
+    assert solved.delta_min == pytest.approx(params.sign * root, rel=1e-12, abs=0)
+    assert len(calls) <= 12
+
+
+@pytest.mark.parametrize("delta_max", [-TWO_PI * 900, -TWO_PI * 1.05e3],
+                         ids=["-900Hz", "-1.05kHz"])
+def test_empty_delta_min_search_raises_before_any_kernel_call(monkeypatch, delta_max):
+    # 0.9*|delta_max| at or below 2*pi*1 kHz leaves an empty or reversed bracket
+    calls = counted_kernel(monkeypatch)
+    p = reference_params(delta_max=delta_max, delta_min=-TWO_PI * 500)
+    with pytest.raises(ParameterError, match=r"2\*pi\*1 kHz to 0\.9\*\|delta_max\|"):
+        calibrate_delta_min(p, use="exact")
+    assert calls == []
+
+
+def test_bracketed_root_stops_on_a_bad_bracket_or_no_convergence():
+    with pytest.raises(ConvergenceError, match="not bracketed"):
+        semiclassical._bracketed_root(lambda x: x * x + 1.0, -1.0, 2.0)
+    # a kernel that fails inside the bracket never closes it
+    with pytest.raises(ConvergenceError, match="not converged"):
+        semiclassical._bracketed_root(lambda x: x - 0.5 if x in (0.0, 1.0) else math.nan,
+                                      0.0, 1.0)
+    assert semiclassical._bracketed_root(lambda x: x ** 3 - 2.0, 0.0, 2.0) == pytest.approx(
+        2.0 ** (1 / 3), rel=1e-12)
+
+
 @pytest.mark.parametrize("calibrate", [calibrate_omega, calibrate_delta_min])
 def test_calibration_rejects_unknown_angle(calibrate):
     # the exact kernel is the only gate-angle route
