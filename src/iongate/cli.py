@@ -53,15 +53,14 @@ _CELL_BYTES = 176
 # node columns, the (nodes, PANEL_NODES) interpolation weights and the
 # (_FOURIER_BLOCK, nodes) phase blocks that are held together.
 _NODE_BYTES = 448
-# Per sequence of a simulated [slerb] dataset: about 1.1 kB, most of it the
-# row's three SeedSequences.  Per Clifford draw: 26 B on the full model (the
-# draw and its compiled generator gates in Python lists), 8-14 B on the
-# parametric one with its padded uint8 tables.  The full model also steps
-# SEQUENCE_BLOCK rows at a time on an int64 gate path padded to the longest
-# sequence: at most 4 gates of 8 B per Clifford of the longest length.
-_SEQUENCE_BYTES = 1152
-_DRAW_BYTES = 32
-_PATH_BYTES = 32
+# Per sequence of a simulated [slerb] dataset: about 270 B on the parametric
+# model and 190 B on the full one, mostly the SlerbSequence and its outcome
+# columns.  Per Clifford draw: about 12 B, 8 B of it the row's tuple.  Both
+# models compile SEQUENCE_BLOCK rows at a time into a uint8 table padded to
+# the block's longest row: at most 4 gates of 1 B per Clifford.
+_SEQUENCE_BYTES = 384
+_DRAW_BYTES = 16
+_PATH_BYTES = 4
 # Per bootstrap resample: 24 B per length for the int64 sums of shots,
 # survivals and flips, and about 30 B for the fitted rates and percentiles.
 _SUM_BYTES = 24
@@ -633,7 +632,7 @@ walsh_orders)) cells; {_NODE_BYTES} bytes per node of the smooth gate's Fourier 
 in [filterfn], {PANEL_NODES} nodes per {_FOURIER_PHASE:g} rad of 2*pi x omega_max_hz x t over the
 gate.  In [slerb]: {_DRAW_BYTES} bytes per Clifford draw, sequences x the sum of
 lengths; {_SEQUENCE_BYTES} bytes per sequence of each length; {_PATH_BYTES} bytes per
-Clifford of the longest length for each of up to {SEQUENCE_BLOCK} sequences stepped
+Clifford of the longest length for each of up to {SEQUENCE_BLOCK} sequences compiled
 together; and for the bootstrap, {_SUM_BYTES} bytes per length per resample plus
 {_RESAMPLE_BYTES} per resample.  In [slerb], sequences x shots must lie below 2**53,
 so that every per-length sum of shots is exact."""

@@ -44,7 +44,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -248,23 +249,16 @@ class FullScheduleModel:
     The schedule must be calibrated to a gate angle of -pi/2 or +pi/2: the
     +pi/2 generators are the -pi/2 ones conjugated by Z, which fixes |uu>
     and the z readout.  One set of :func:`gate_propagator` blocks, built
-    once per Fock cutoff, serves all four generator bases.  The mode starts
+    once per dataset, serves all four generator bases.  The mode starts
     in |0>.
     """
 
     schedule: PulseSchedule
 
-    @cached_property
-    def _blocks_by_dim(self) -> dict[int, BranchPropagators]:
-        return {}
-
     def blocks(self, max_gates: int) -> BranchPropagators:
-        """Branch blocks at the ``FockConfig.auto`` cutoff for sequences of up
-        to ``max_gates`` compiled gates, built once per dim."""
+        """Branch blocks at the ``FockConfig.auto`` cutoff for up to ``max_gates`` gates."""
         fock = FockConfig.auto(0.0, _max_branch_displacement(self.schedule, max_gates))
-        if fock.dim not in self._blocks_by_dim:
-            self._blocks_by_dim[fock.dim] = gate_propagator(self.schedule, fock)
-        return self._blocks_by_dim[fock.dim]
+        return gate_propagator(self.schedule, fock)
 
     def spin_populations(self, seqs: Sequence[SlerbSequence]) -> np.ndarray:
         """(uu, ud, du, dd) populations at the end of each compiled sequence, (rows, 4).
@@ -272,16 +266,13 @@ class FullScheduleModel:
         The cutoff is sized for the longest sequence.  Rows are stepped
         longest first, ``SEQUENCE_BLOCK`` at a time.
         """
-        words = clifford_table().gates
-        gates = [[g for c in seq.cliffords + (seq.inverter,) for g in words[c]]
-                 for seq in seqs]
-        counts = np.array([len(g) for g in gates], dtype=int)
+        counts = np.array([seq.total_gates for seq in seqs], dtype=int)
         props = self.blocks(int(counts.max(initial=0)))
         order = np.argsort(-counts, kind="stable")
         pops = np.empty((len(seqs), 4))
         for start in range(0, order.size, SEQUENCE_BLOCK):
             rows = order[start:start + SEQUENCE_BLOCK]
-            pops[rows] = _step_sequences(props, [gates[r] for r in rows])
+            pops[rows] = _step_sequences(props, [seqs[r] for r in rows], counts[rows])
         return pops
 
 
@@ -300,20 +291,23 @@ def _flush(parts: np.ndarray) -> None:
     parts[np.abs(parts) < FLUSH_AMPLITUDE] = 0.0
 
 
-def _step_sequences(props: BranchPropagators, gates: list[list[int]]) -> np.ndarray:
-    """(rows, 4) z-basis spin populations after each row's generator list.
+def _step_sequences(props: BranchPropagators, seqs: Sequence[SlerbSequence],
+                    lengths: np.ndarray) -> np.ndarray:
+    """(rows, 4) z-basis spin populations after each row's ``lengths`` compiled gates.
 
     Rows must be sorted longest first, so the rows still running at step t
-    are the first ones.  Between gates a row stays in its last gate's
-    eigenbasis: each step rotates the running rows into the next gate's
-    basis with one batched 4x4 product, applies one matmul per branch, and
-    guards the norm and the cutoff population of every running row.
+    are the first ones; they compile into one byte-wide path of generators.
+    Between gates a row stays in its last gate's eigenbasis: each step
+    rotates the running rows into the next gate's basis with one batched 4x4
+    product, applies one matmul per branch, and guards the norm and the
+    cutoff population of every running row.
     """
-    rows, dim = len(gates), props.dim
-    lengths = np.array([len(g) for g in gates], dtype=int)
-    path = np.full((rows, lengths.max(initial=0) + 1), Z_BASIS)
-    for r, g in enumerate(gates):
-        path[r, 1:len(g) + 1] = g
+    words = clifford_table().gates
+    rows, dim = len(seqs), props.dim
+    path = np.full((rows, lengths.max(initial=0) + 1), Z_BASIS, dtype=np.uint8)
+    for row, seq, n in zip(path, seqs, lengths):
+        row[1:n + 1] = np.fromiter(
+            (g for c in chain(seq.cliffords, (seq.inverter,)) for g in words[c]), np.uint8, n)
     change = _basis_changes()
     blocks_t = np.ascontiguousarray(props.blocks.swapaxes(-1, -2))
     _flush(blocks_t.view(float))
@@ -361,18 +355,23 @@ def _closed_form_probabilities(seqs: Sequence[SlerbSequence],
     """
     group = clifford_table()
     index = np.uint8  # 24 elements; keeps the padded table small
-    draws = np.zeros((len(seqs), max(len(seq.cliffords) for seq in seqs)), dtype=index)
-    for row, seq in zip(draws, seqs):  # identity-padded
-        row[:len(seq.cliffords)] = seq.cliffords
     mul = np.array(group.mul, dtype=index)
-    product = np.zeros(len(seqs), dtype=index)
-    for column in draws.T:
-        product = mul[column, product]
-    product = mul[[seq.inverter for seq in seqs], product]
-    target = np.where([seq.expected_state == "uu" for seq in seqs], 0, group.x)
-    if np.any(product != target):
-        raise ConvergenceError("inverter does not return the expected state")
-    total_gates = np.array([len(word) for word in group.gates], dtype=index)[draws].sum(axis=1)
+    word_lengths = np.array([len(word) for word in group.gates], dtype=index)
+    total_gates = np.empty(len(seqs), dtype=int)
+    # identity-padded draws, SEQUENCE_BLOCK rows at a time: no larger than the full model's path
+    for start in range(0, len(seqs), SEQUENCE_BLOCK):
+        block = seqs[start:start + SEQUENCE_BLOCK]
+        draws = np.zeros((len(block), max(len(seq.cliffords) for seq in block)), dtype=index)
+        for row, seq in zip(draws, block):
+            row[:len(seq.cliffords)] = seq.cliffords
+        product = np.zeros(len(block), dtype=index)
+        for column in draws.T:
+            product = mul[column, product]
+        product = mul[[seq.inverter for seq in block], product]
+        target = np.where([seq.expected_state == "uu" for seq in block], 0, group.x)
+        if np.any(product != target):
+            raise ConvergenceError("inverter does not return the expected state")
+        total_gates[start:start + len(block)] = word_lengths[draws].sum(axis=1)
     r, q = model.per_gate_rates()
     trace_in = 0.5 * (1.0 + _libm_powers(1.0 - 2.0 * q, total_gates))
     polarization = _libm_powers((1.0 - 2.0 * r) * (1.0 - q), total_gates)
@@ -474,7 +473,10 @@ def collect_dataset(lengths: Sequence[int], n_sequences: int, shots: int,
     """Run the benchmark: fresh random sequences per length, fixed shots each.
 
     Every sequence is drawn first; one model call then gives all outcome
-    probabilities, and each row draws its shots from its own seed.
+    probabilities.  Row r (lengths-major) draws its Cliffords from
+    ``SeedSequence(seed, spawn_key=(r, 0))`` and its shots from
+    ``spawn_key=(r, 1)``: the two children of the r-th child of
+    ``SeedSequence(seed)``, each made where it is used.
     """
     if len(lengths) == 0:
         raise ParameterError("need at least one sequence length")
@@ -482,14 +484,12 @@ def collect_dataset(lengths: Sequence[int], n_sequences: int, shots: int,
         raise ParameterError("need at least one sequence per length")
     if shots < 1:
         raise ParameterError("shots must be >= 1")
-    root = np.random.SeedSequence(seed)
-    seeds = [child.spawn(2) for child in root.spawn(len(lengths) * n_sequences)]
     rows_n = [int(length) for length in lengths for _ in range(n_sequences)]
-    seqs = [generate_sequence(n, gen_seed, pauli_randomize)
-            for n, (gen_seed, _) in zip(rows_n, seeds)]
-    probs = _probabilities(seqs, model)
-    counts = np.array([_shot_counts(p, shots, shot_seed)
-                       for p, (_, shot_seed) in zip(probs, seeds)], dtype=int)
+    seqs = [generate_sequence(n, np.random.SeedSequence(seed, spawn_key=(r, 0)), pauli_randomize)
+            for r, n in enumerate(rows_n)]
+    counts = np.empty((len(seqs), 3), dtype=int)
+    for r, p in enumerate(_probabilities(seqs, model)):
+        counts[r] = _shot_counts(p, shots, np.random.SeedSequence(seed, spawn_key=(r, 1)))
     return SlerbDataset.from_columns(
         rows_n, list(range(n_sequences)) * len(lengths), np.full(len(rows_n), shots),
         counts[:, 0], counts[:, 1], counts[:, 2])

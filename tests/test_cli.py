@@ -11,6 +11,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ import pytest
 import iongate
 from iongate import cli, quantum, semiclassical
 from iongate.errors import ConvergenceError, ParameterError
+from iongate.schedule import WalshGateParams, build_walsh_schedule
+from iongate.slerb import FullScheduleModel, ParametricModel, collect_dataset
 
 
 def write_config(tmp_path, text, name="conf.ini"):
@@ -824,12 +827,63 @@ def test_filterfn_top_frequency_size_limit(tmp_path):
 
 
 def test_array_size_limit_is_inclusive(tmp_path):
-    # one sequence of lengths 1, 3 and N holds 32 B per Clifford draw, 1152 B
-    # per row and 32 B per Clifford of N for each of its 3 rows: 128 N + 3584
-    # bytes, the limit at N = 8388580; one more draw does not validate
-    for last, code in ((8388580, 0), (8388581, 1)):
-        text = set_key(set_key(SLERB_PARAMETRIC, "lengths", f"1,3,{last}"), "sequences", "1")
+    # one sequence of lengths 1, 8 and N holds 16 B per Clifford draw, 384 B
+    # per row and 4 B per Clifford of N for each of its 3 rows: 28 N + 1296
+    # bytes, the limit at N = 38347876; one more draw does not validate
+    for last, code in ((38347876, 0), (38347877, 1)):
+        text = set_key(set_key(SLERB_PARAMETRIC, "lengths", f"1,8,{last}"), "sequences", "1")
         assert cli.main(["validate", write_config(tmp_path, text), "--quiet"]) == code
+
+
+def charged_dataset_bytes(tmp_path, monkeypatch, text):
+    """The bytes `validate` charges a [slerb] config for its simulated dataset."""
+    charged = {}
+    check = cli._check_size
+
+    def record(cfg, section, what, nbytes):
+        charged[what] = nbytes
+        return check(cfg, section, what, nbytes)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_check_size", record)
+        assert cli.main(["validate", write_config(tmp_path, text), "--quiet"]) == 0
+    return charged["sequences x the sum of lengths"]
+
+
+def traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind,small,large", [
+    ("parametric", ((1, 2, 3), 300), ((1, 2, 3), 600)),
+    ("full", ((1, 2, 3), 50), ((1, 2, 3), 100)),
+    ("parametric", ((1, 2, 3, 4, 5, 6, 7, 8, 200), 100), ((1, 2, 3, 4, 5, 6, 7, 8, 400), 100)),
+    ("full", ((100, 200, 400), 10), ((200, 400, 800), 10)),
+], ids=["parametric-rows", "full-rows", "parametric-draws", "full-draws"])
+def test_slerb_byte_costs_cover_the_measured_peaks(tmp_path, monkeypatch, kind, small, large):
+    # many short rows weigh the cost per row; long ones the cost per Clifford
+    # draw and per entry of the table padded to the longest row, which holds
+    # SEQUENCE_BLOCK rows however many are short.  The growth of the
+    # tracemalloc peak of collect_dataset between two sizes is at most the
+    # growth of what _parse_slerb charges; the propagator blocks and the
+    # stepped state do not grow with the config, and are not charged.
+    base = SLERB_PARAMETRIC if kind == "parametric" else FULL_MODEL.format(lengths="1,2,3")
+    gate = WalshGateParams.calibrated(1, 2 * math.pi * 20e3)
+    model = (ParametricModel(eps_rb=2e-3, eps_leak=1e-3) if kind == "parametric"
+             else FullScheduleModel(build_walsh_schedule(gate)))
+    collect_dataset([1, 2, 3], 2, 50, model, seed=1)  # builds the cached tables
+    peaks, charges = [], []
+    for lengths, sequences in (small, large):
+        text = set_key(set_key(base, "lengths", ",".join(map(str, lengths))),
+                       "sequences", sequences)
+        charges.append(charged_dataset_bytes(tmp_path, monkeypatch, text))
+        peaks.append(traced_peak(lambda: collect_dataset(lengths, sequences, 50, model, seed=1)))
+    assert peaks[1] - peaks[0] <= charges[1] - charges[0]
 
 
 def test_bootstrap_size_limit_is_inclusive(tmp_path):

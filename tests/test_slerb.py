@@ -481,6 +481,23 @@ def test_closed_form_dataset_equals_the_per_sequence_loop_bit_for_bit(model):
                           [scalar_closed_form(q, model) for q in seqs])
 
 
+def test_full_model_dataset_follows_the_per_row_seed_tree():
+    # row r draws its Cliffords and its shots from the two children of the
+    # r-th child of SeedSequence(seed); at a 500 Hz offset some rows leak
+    model = FullScheduleModel(walsh_gate(500.0))
+    lengths, n_sequences, shots, seed = [1, 8, 32], 4, 100, 7
+    data = collect_dataset(lengths, n_sequences, shots, model, seed)
+    tree = [child.spawn(2)
+            for child in np.random.SeedSequence(seed).spawn(len(lengths) * n_sequences)]
+    seqs = [generate_sequence(n, gen_seed)
+            for n, (gen_seed, _) in zip(np.repeat(lengths, n_sequences).tolist(), tree)]
+    probs = slerb._probabilities(seqs, model)
+    rows = [np.random.Generator(np.random.Philox(shot_seed)).multinomial(shots, p)
+            for p, (_, shot_seed) in zip(probs, tree)]
+    assert np.array_equal(np.column_stack([data.n_survival, data.n_flip, data.n_leak]), rows)
+    assert data.n_leak.sum() > 0
+
+
 @pytest.mark.parametrize("kind", ["parametric", "full"])
 def test_collect_dataset_makes_one_model_call(monkeypatch, kind):
     model = (ParametricModel(1e-3, 5e-4) if kind == "parametric"
