@@ -21,10 +21,9 @@ from .errors import (ConfigError, ConvergenceError, DomainError, GridError,
                      ParameterError, TruncationError)
 from .filterfn import (FilterFunction, PowerLawPsd, SampledPsd, filter_function_numeric,
                        filter_function_walsh_analytic, noise_infidelity_integral)
-from .quantum import (BRANCH_EIGENVALUES, SPIN_LABELS, CompositeState,
-                      FockConfig, GateOutcome, ThermalEnsemble, branch_factorized_blocks,
-                      calibration_scan, gate_eigenbasis, gate_propagator,
-                      offset_scan, propagate, thermal_average, thermal_sweep)
+from .quantum import (BRANCH_EIGENVALUES, FockConfig, GateOutcome, ThermalEnsemble,
+                      branch_factorized_blocks, calibration_scan, gate_eigenbasis,
+                      gate_propagator, offset_scan, propagate, thermal_average, thermal_sweep)
 from .schedule import (PulseSchedule, Segment, SmoothGateParams, WalshGateParams,
                        build_smooth_schedule, build_walsh_schedule)
 from .semiclassical import (BranchTrajectory, branch_endpoints, calibrate_delta_min,

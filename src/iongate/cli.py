@@ -53,11 +53,12 @@ _CELL_BYTES = 176
 # node columns, the (nodes, PANEL_NODES) interpolation weights and the
 # (_FOURIER_BLOCK, nodes) phase blocks that are held together.
 _NODE_BYTES = 448
-# Per sequence of a simulated [slerb] dataset: about 270 B on the parametric
-# model and 190 B on the full one, mostly the SlerbSequence and its outcome
-# columns.  Per Clifford draw: about 12 B, 8 B of it the row's tuple.  Both
-# models compile SEQUENCE_BLOCK rows at a time into a uint8 table padded to
-# the block's longest row: at most 4 gates of 1 B per Clifford.
+# Per sequence of a simulated [slerb] dataset: about 250 B on the parametric
+# model and 190 B on the full one (marginal tracemalloc peaks), mostly the
+# slotted SlerbSequence and its outcome columns.  Per Clifford draw: about
+# 12 B, 8 B of it the row's tuple.  Both models compile SEQUENCE_BLOCK rows
+# at a time into a uint8 table padded to the block's longest row: at most 4
+# gates of 1 B per Clifford.
 _SEQUENCE_BYTES = 384
 _DRAW_BYTES = 16
 _PATH_BYTES = 4

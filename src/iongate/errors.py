@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the finiteness checks every parameter set shares."""
+
+import math
 
 
 class ParameterError(ValueError):
@@ -23,3 +25,17 @@ class TruncationError(RuntimeError):
 
 class ConfigError(ValueError):
     """Raised for malformed or inconsistent run configurations."""
+
+
+def check_finite(**values: float) -> None:
+    """Raise ParameterError naming the first value that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite")
+
+
+def check_nbar(nbar: float) -> None:
+    """Raise ParameterError unless the mean occupation nbar is finite and >= 0."""
+    check_finite(nbar=nbar)
+    if nbar < 0:
+        raise ParameterError("nbar must be >= 0")

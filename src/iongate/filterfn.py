@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridError, ParameterError
+from .errors import GridError, ParameterError, check_finite, check_nbar
 from .schedule import PulseSchedule, WalshGateParams
 from .semiclassical import _UU_VARIANCES, _fourier_sums
 
@@ -61,11 +61,11 @@ class FilterFunction:
 
 
 def _checked_omega(nbar: float, omega) -> np.ndarray:
-    if nbar < 0:
-        raise ParameterError("nbar must be >= 0")
+    check_nbar(nbar)
     om = np.asarray(omega, dtype=float)
-    if om.ndim != 1 or om.size == 0 or np.any(om <= 0) or np.any(np.diff(om) <= 0):
-        raise GridError("omega grid must be positive and strictly increasing")
+    if (om.ndim != 1 or om.size == 0 or not np.all(np.isfinite(om)) or np.any(om <= 0)
+            or np.any(np.diff(om) <= 0)):
+        raise GridError("omega grid must be positive, finite and strictly increasing")
     return om
 
 
@@ -150,6 +150,7 @@ class PowerLawPsd:
     omega_max: float
 
     def __post_init__(self):
+        check_finite(**vars(self))
         if self.amplitude < 0:
             raise ParameterError("amplitude must be >= 0")
         if not 0 <= self.omega_min < self.omega_max:
@@ -183,10 +184,10 @@ class SampledPsd:
         v = np.asarray(self.values, dtype=float)
         if w.ndim != 1 or w.shape != v.shape or w.size < 2:
             raise ParameterError("need matching 1-D omega and value arrays")
-        if np.any(np.diff(w) <= 0) or np.any(w <= 0):
-            raise ParameterError("omega samples must be positive and increasing")
-        if np.any(v < 0):
-            raise ParameterError("PSD values must be >= 0")
+        if not np.all(np.isfinite(w)) or np.any(w <= 0) or np.any(np.diff(w) <= 0):
+            raise ParameterError("omega samples must be positive, finite and increasing")
+        if not np.all(np.isfinite(v)) or np.any(v < 0):
+            raise ParameterError("PSD values must be finite and >= 0")
         object.__setattr__(self, "omega", w)
         object.__setattr__(self, "values", v)
 

@@ -18,8 +18,8 @@ and its fidelity is measured against the fully entangling gate of the
 schedule's handedness, theta = +-pi/2 with the sign of the schedule's
 detuning, applied to |uu>.
 
-States are stored spin-major in the measurement (z) basis with spin order
-(uu, ud, du, dd): amplitude index = spin_index * (n_max + 1) + n.
+A state is a (4, dim) block in the measurement (z) basis, one row per spin
+state in the order (uu, ud, du, dd), one column per Fock state.
 """
 
 from __future__ import annotations
@@ -30,11 +30,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConvergenceError, GridError, ParameterError, TruncationError
+from .errors import (ConvergenceError, GridError, ParameterError, TruncationError,
+                     check_finite, check_nbar)
 from .schedule import PulseSchedule, SmoothGateParams, build_smooth_schedule
 from .semiclassical import branch_endpoints, propagate_displacement
 
-SPIN_LABELS = ("uu", "ud", "du", "dd")
 BRANCH_EIGENVALUES = (2.0, 0.0, 0.0, -2.0)
 TRUNCATION_GUARD = 1e-8
 TAIL_MASS_LIMIT = 1e-6
@@ -63,8 +63,8 @@ class FockConfig:
         non-negligible weight (tail mass below ``TAIL_MASS_LIMIT``), which
         for hot ensembles is stricter than the mean-plus-spread heuristic.
         """
-        if nbar < 0:
-            raise ParameterError("nbar must be >= 0")
+        check_nbar(nbar)
+        check_finite(max_displacement=max_displacement)
         spread = nbar + 10.0 * math.sqrt(nbar + 1.0)
         tail = 0.0
         if nbar > 0:
@@ -79,48 +79,6 @@ class FockConfig:
 
 
 @dataclass(frozen=True)
-class CompositeState:
-    """Two qubits plus truncated mode, spin-major in the z basis."""
-
-    amplitudes: np.ndarray
-    n_max: int
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", amps)
-        if amps.shape != (4 * (self.n_max + 1),):
-            raise ParameterError("amplitude vector must have length 4*(n_max+1)")
-        if abs(self.norm() - 1.0) > NORM_TOL:
-            raise ParameterError("state norm must be 1 within 1e-9")
-
-    @classmethod
-    def from_spin_fock(cls, spin_amplitudes, n: int, n_max: int) -> "CompositeState":
-        spin = np.asarray(spin_amplitudes, dtype=complex)
-        if spin.shape != (4,):
-            raise ParameterError("need 4 spin amplitudes (uu, ud, du, dd)")
-        if not 0 <= n <= n_max:
-            raise ParameterError("Fock index outside truncation")
-        amps = np.zeros((4, n_max + 1), dtype=complex)
-        amps[:, n] = spin / np.linalg.norm(spin)
-        return cls(amplitudes=amps.ravel(), n_max=n_max)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def block(self) -> np.ndarray:
-        """View as a (4, n_max+1) array, spin index first."""
-        return self.amplitudes.reshape(4, self.n_max + 1)
-
-    def spin_populations(self) -> dict[str, float]:
-        probs = np.sum(np.abs(self.block()) ** 2, axis=1)
-        return dict(zip(SPIN_LABELS, probs.tolist()))
-
-    def reduced_spin_density(self) -> np.ndarray:
-        b = self.block()
-        return b @ b.conj().T
-
-
-@dataclass(frozen=True)
 class ThermalEnsemble:
     """Thermal state of mean occupation ``nbar``.
 
@@ -132,10 +90,7 @@ class ThermalEnsemble:
     nbar: float
 
     def __post_init__(self):
-        if not math.isfinite(self.nbar):
-            raise ParameterError("nbar must be finite")
-        if self.nbar < 0:
-            raise ParameterError("nbar must be >= 0")
+        check_nbar(self.nbar)
 
     @classmethod
     def build(cls, nbar: float) -> "ThermalEnsemble":
@@ -214,8 +169,10 @@ class BranchPropagators:
     def apply(self, block: np.ndarray, basis_phase: float) -> np.ndarray:
         """Evolve a (4, dim) z-basis block in the S_phi basis, guarding norm and cutoff."""
         basis = gate_eigenbasis(basis_phase)
-        psi = basis @ block
-        return _leave_gate_basis(basis, (self.blocks @ psi[:, :, None])[:, :, 0])
+        out = (self.blocks @ (basis @ block)[:, :, None])[:, :, 0]
+        amps = basis.conj().T @ out
+        _guard_state(np.linalg.norm(amps), np.sum(np.abs(out[:, -1]) ** 2))
+        return amps
 
 
 def _branch_blocks(u_plus: np.ndarray, eta: float) -> BranchPropagators:
@@ -241,7 +198,7 @@ def gate_propagator(schedule: PulseSchedule, fock: FockConfig,
     exp(G) with G = gamma a^dag - conj(gamma) a anti-Hermitian, so it is
     exp(-i H) for the Hermitian H = iG.
     """
-    (gamma,), (theta,), (eta,) = branch_endpoints(schedule, [0.0], 2.0, rtol=rtol)
+    (gamma,), (theta,), (eta,) = branch_endpoints(schedule, [0.0], rtol=rtol)
     a = np.diag(np.sqrt(np.arange(1, fock.dim, dtype=float)), k=1)
     disp = _hermitian_exp(1j * (gamma * a.conj().T - np.conj(gamma) * a))
     null = np.diag(np.exp(-1j * eta * np.arange(fock.dim)))
@@ -251,11 +208,13 @@ def gate_propagator(schedule: PulseSchedule, fock: FockConfig,
 branch_factorized_blocks = gate_propagator
 
 
-def propagate(schedule: PulseSchedule, psi0: CompositeState) -> CompositeState:
-    """Evolve a composite state through a schedule by the exact blocks of
-    :func:`gate_propagator` at the state's Fock cutoff."""
-    props = gate_propagator(schedule, FockConfig(n_max=psi0.n_max))
-    return CompositeState(amplitudes=props.apply(psi0.block(), 0.0).ravel(), n_max=psi0.n_max)
+def propagate(schedule: PulseSchedule, psi0: np.ndarray) -> np.ndarray:
+    """Evolve a (4, dim) z-basis block through a schedule by the exact
+    blocks of :func:`gate_propagator` at Fock cutoff dim - 1."""
+    psi = np.asarray(psi0, dtype=complex)
+    if psi.ndim != 2 or psi.shape[0] != 4 or not abs(np.linalg.norm(psi) - 1.0) <= NORM_TOL:
+        raise ParameterError("need a (4, dim) state block of norm 1 within 1e-9")
+    return gate_propagator(schedule, FockConfig(n_max=psi.shape[1] - 1)).apply(psi, 0.0)
 
 
 def _guard_state(norm, top) -> None:
@@ -266,13 +225,6 @@ def _guard_state(norm, top) -> None:
     if not np.all(np.asarray(top) <= TRUNCATION_GUARD):
         raise TruncationError("population at the Fock cutoff exceeds 1e-8; "
                               "increase n_max")
-
-
-def _leave_gate_basis(basis: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Rotate a propagated gate-basis block back to z, guarding norm and cutoff."""
-    amps = basis.conj().T @ out
-    _guard_state(np.linalg.norm(amps), np.sum(np.abs(out[:, -1]) ** 2))
-    return amps
 
 
 def _hermitian_exp(h: np.ndarray) -> np.ndarray:
@@ -306,12 +258,12 @@ def _outcomes_from_densities(rho_z: np.ndarray, target: np.ndarray) -> list[Gate
             for p, f, pur, ang, c in zip(pops, fid, purity, angle, coherence)]
 
 
-def outcome_from_state(state: CompositeState, schedule: PulseSchedule) -> GateOutcome:
-    """Populations, fidelity and angle of the composite state that
-    ``schedule`` made from spin input |uu>; the fidelity is the spin overlap,
-    traced over the motion, with the target of :func:`_uu_input`."""
+def outcome_from_state(psi: np.ndarray, schedule: PulseSchedule) -> GateOutcome:
+    """Populations, fidelity and angle of the (4, dim) block that ``schedule``
+    made from spin input |uu>; the fidelity is the spin overlap, traced over
+    the motion, with the target of :func:`_uu_input`."""
     _, target = _uu_input(schedule)
-    return _outcomes_from_densities(state.reduced_spin_density()[None], target)[0]
+    return _outcomes_from_densities((psi @ psi.conj().T)[None], target)[0]
 
 
 def _displacement_kernel(gamma_end: np.ndarray, theta_end: np.ndarray,

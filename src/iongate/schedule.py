@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, check_finite
 
 TWO_PI = 2.0 * math.pi
 
@@ -64,6 +64,7 @@ class SmoothGateParams:
     j: int = 3
 
     def __post_init__(self):
+        check_finite(**vars(self))
         if not (self.tau_g > 0 and self.tau_d > 0):
             raise ParameterError("tau_g and tau_d must be positive")
         if self.t_c < 0:
@@ -104,6 +105,7 @@ class WalshGateParams:
     omega_g: float
 
     def __post_init__(self):
+        check_finite(**vars(self))
         k = self.loops
         if k < 1 or (k & (k - 1)) != 0:
             raise ParameterError("loops must be a power of two")

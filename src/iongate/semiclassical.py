@@ -42,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, GridError, ParameterError
+from .errors import ConvergenceError, GridError, ParameterError, check_nbar
 from .schedule import PulseSchedule, Segment, SmoothGateParams, TWO_PI, build_smooth_schedule
 
 # Output grids must resolve the fastest detuning period by at least this
@@ -258,9 +258,8 @@ def _node_trajectory(schedule: PulseSchedule, s: float, rtol: float, atol: float
     return nodes
 
 
-def branch_endpoints(schedule: PulseSchedule, offsets, branch_eigenvalue: float = 2.0,
-                     rtol: float = 1e-11, atol: float = 1e-13):
-    """gamma, theta and eta at the end of one branch under each static offset.
+def branch_endpoints(schedule: PulseSchedule, offsets, rtol: float = 1e-11, atol: float = 1e-13):
+    """gamma, theta and eta at the end of the +2 branch under each static offset.
 
     Offset eps adds eps to delta(t), as :meth:`PulseSchedule.with_detuning_offset`
     does; the whole family shares one panel set per segment, cut and
@@ -279,7 +278,7 @@ def branch_endpoints(schedule: PulseSchedule, offsets, branch_eigenvalue: float 
     theta_end, eta_end = np.empty_like(offs), np.empty_like(offs)
     for start in range(0, offs.size, OFFSET_BLOCK):
         block = slice(start, start + OFFSET_BLOCK)
-        for gamma, eta, theta in _sweep(panels, offs[block], float(branch_eigenvalue)):
+        for gamma, eta, theta in _sweep(panels, offs[block], 2.0):
             pass
         gamma_end[block], theta_end[block], eta_end[block] = \
             gamma[:, -1, -1], theta[:, -1, -1], eta[:, -1, -1]
@@ -322,7 +321,7 @@ def propagate_displacement(schedule: PulseSchedule, branch_eigenvalue: float = 1
 
 def gate_angle_exact(schedule: PulseSchedule, **solver_kwargs) -> float:
     """Gate angle theta_g: geometric phase of the |s|=2 branch at t_g."""
-    _, theta, _ = branch_endpoints(schedule, [0.0], 2.0, **solver_kwargs)
+    _, theta, _ = branch_endpoints(schedule, [0.0], **solver_kwargs)
     return float(theta[0])
 
 
@@ -439,12 +438,13 @@ def perturbative_infidelity(schedule: PulseSchedule,
     1e-11 times its largest magnitude on the segment plus 1e-13/duration,
     else :class:`ConvergenceError`.
     """
-    if nbar < 0:
-        raise ParameterError("nbar must be >= 0")
+    check_nbar(nbar)
     alpha_t, dtheta = 0j, 0.0
     for seg, piece in zip(_node_trajectory(schedule, 1.0, 1e-11, 1e-13), schedule.segments):
         e = np.broadcast_to(np.asarray(eps(seg.t) if callable(eps) else eps, dtype=float),
                             seg.t.shape)
+        if not np.all(np.isfinite(e)):
+            raise ParameterError(f"segment {piece.label or '?'}: eps must be finite")
         tail = np.max(np.abs(e @ _TO_COEF[-2:].T))
         if tail > 1e-11 * np.max(np.abs(e)) + 1e-13 / piece.duration:
             raise ConvergenceError(f"segment {piece.label or '?'}: eps not resolved by the "

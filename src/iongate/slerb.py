@@ -171,7 +171,7 @@ def mean_gates_per_clifford() -> float:
 # sequences
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SlerbSequence:
     """A benchmarking sequence: random Cliffords plus the computed inverse."""
 

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from iongate import quantum
-from iongate.quantum import BranchPropagators, CompositeState, FockConfig
+from iongate.quantum import BranchPropagators, FockConfig
 from iongate.schedule import PulseSchedule
 from iongate.semiclassical import propagate_displacement
 
@@ -48,9 +48,17 @@ def stepped_blocks(schedule: PulseSchedule, fock: FockConfig,
     return quantum._branch_blocks(u_plus, eta)
 
 
-def stepped_propagate(schedule: PulseSchedule, psi0: CompositeState, basis_phase: float = 0.0,
-                      steps_per_period: int = 50) -> CompositeState:
-    """One composite state through :func:`stepped_blocks` at its own cutoff."""
-    props = stepped_blocks(schedule, FockConfig(n_max=psi0.n_max), steps_per_period)
-    return CompositeState(amplitudes=props.apply(psi0.block(), basis_phase).ravel(),
-                          n_max=psi0.n_max)
+def spin_fock(spin, n: int, n_max: int) -> np.ndarray:
+    """The normalized spin amplitudes (uu, ud, du, dd) times |n>, as a
+    (4, n_max + 1) z-basis block."""
+    spin = np.asarray(spin, dtype=complex)
+    psi = np.zeros((4, n_max + 1), dtype=complex)
+    psi[:, n] = spin / np.linalg.norm(spin)
+    return psi
+
+
+def stepped_propagate(schedule: PulseSchedule, psi0: np.ndarray, basis_phase: float = 0.0,
+                      steps_per_period: int = 50) -> np.ndarray:
+    """One (4, dim) block through :func:`stepped_blocks` at cutoff dim - 1."""
+    props = stepped_blocks(schedule, FockConfig(n_max=psi0.shape[1] - 1), steps_per_period)
+    return props.apply(psi0, basis_phase)

@@ -1089,10 +1089,10 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert out.stdout.strip() == "[]"
     assert (tmp_path / "out" / "full.csv").exists()
     # propagate applies the exact blocks, built with numpy's eigensolver
-    walsh = ("import math, sys; from iongate import (CompositeState, WalshGateParams, "
-             "build_walsh_schedule, propagate); "
+    walsh = ("import math, sys; import numpy as np; "
+             "from iongate import WalshGateParams, build_walsh_schedule, propagate; "
              "s = build_walsh_schedule(WalshGateParams.calibrated(2, 2 * math.pi * 5e3)); "
-             "psi0 = CompositeState.from_spin_fock((1, 0, 0, 0), 0, 30); propagate(s, psi0); "
+             "psi0 = np.zeros((4, 31)); psi0[0, 0] = 1; propagate(s, psi0); "
              + loaded)
     out = subprocess.run([sys.executable, "-c", walsh], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
@@ -1302,7 +1302,7 @@ def test_package_options_are_set_by_some_caller():
     # branch_factorized_blocks counts for gate_propagator; keywords passed on
     # through **solver_kwargs count for branch_endpoints, and keywords of
     # dataclasses.replace for every package dataclass field of that name.
-    # A script's `if __name__ == "__main__"` block is the command line's
+    # A literal equal to the default does not set the option.  A script's `if __name__ == "__main__"` block is the command line's
     # call, not the package's.
     package = os.path.dirname(iongate.__file__)
     sources = [(os.path.join(package, name), importlib.import_module(f"iongate.{name[:-3]}"))
@@ -1311,7 +1311,18 @@ def test_package_options_are_set_by_some_caller():
     sources += [(os.path.join(BENCH, name), None)
                 for name in sorted(os.listdir(BENCH)) if name.endswith(".py")]
     kernel = semiclassical.branch_endpoints
+    kernel_params = inspect.signature(kernel).parameters
     options, supplied, replaced = {}, set(), set()
+    # bench/references.py pins use="exact"; these go when the benchmark's
+    # pins do (ROADMAP item 1)
+    exempt = {"calibrate_omega(use)", "calibrate_delta_min(use)"}
+
+    def is_default(node, param):
+        try:
+            value = ast.literal_eval(node)
+        except ValueError:
+            return False
+        return type(value) is type(param.default) and value == param.default
 
     def public(obj):
         qualname = getattr(obj, "__qualname__", "_")
@@ -1340,16 +1351,22 @@ def test_package_options_are_set_by_some_caller():
                         options[key, name] = f"{key.__qualname__}({name})"
                 positional = [name for name, param in params.items()
                               if param.kind in (param.POSITIONAL_ONLY, param.POSITIONAL_OR_KEYWORD)]
-                starred = any(isinstance(arg, ast.Starred) for arg in call.args)
-                supplied.update((key, name) for name in
-                                positional[:len(positional) if starred else len(call.args)])
+                if any(isinstance(arg, ast.Starred) for arg in call.args):
+                    supplied.update((key, name) for name in positional)
+                else:
+                    supplied.update((key, name) for name, arg in zip(positional, call.args)
+                                    if not is_default(arg, params[name]))
                 for keyword in call.keywords:
                     if keyword.arg in params:
-                        supplied.add((key, keyword.arg))
-                    elif "solver_kwargs" in params:
-                        supplied.add((kernel, keyword.arg))
+                        owner, param = key, params[keyword.arg]
+                    elif "solver_kwargs" in params and keyword.arg in kernel_params:
+                        owner, param = kernel, kernel_params[keyword.arg]
+                    else:
+                        continue
+                    if not is_default(keyword.value, param):
+                        supplied.add((owner, keyword.arg))
     unset = sorted(label for (key, name), label in options.items()
-                   if (key, name) not in supplied
+                   if (key, name) not in supplied and label not in exempt
                    and not (dataclasses.is_dataclass(key) and name in replaced))
     assert not unset, f"options no call in the package or the benchmark sets: {unset}"
 

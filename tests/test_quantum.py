@@ -10,7 +10,6 @@ from iongate import cli, quantum
 from iongate.errors import ConvergenceError, GridError, ParameterError, TruncationError
 from iongate.quantum import (
     BRANCH_EIGENVALUES,
-    CompositeState,
     FockConfig,
     GateOutcome,
     ThermalEnsemble,
@@ -33,7 +32,7 @@ from iongate.schedule import (
     build_walsh_schedule,
 )
 from iongate.semiclassical import branch_endpoints, calibrate_omega, propagate_displacement
-from stepped_oracle import stepped_blocks, stepped_propagate
+from stepped_oracle import spin_fock, stepped_blocks, stepped_propagate
 
 TWO_PI = 2.0 * math.pi
 
@@ -74,7 +73,7 @@ def reassemble_from_branches(schedule, spin, n0, fock, basis_phase=0.0, rtol=1e-
     out = np.zeros((4, fock.dim), dtype=complex)
     for k in range(4):
         out += coeff[k] * np.outer(basis[k].conj(), blocks[k][:, n0])
-    return out.reshape(-1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -99,19 +98,6 @@ def test_auto_fock_covers_thermal_ensemble():
     cfg = FockConfig.auto(nbar=3.5, max_displacement=0.8)
     # every retained thermal state must fit below the cutoff with room to move
     assert cfg.dim > ens.n_states + 8
-
-
-def test_composite_state_shapes_and_populations():
-    psi = CompositeState.from_spin_fock((1.0, 0.0, 0.0, 0.0), n=2, n_max=5)
-    pops = psi.spin_populations()
-    assert list(pops) == ["uu", "ud", "du", "dd"]
-    assert list(pops.values()) == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-12)
-    fock = np.sum(np.abs(psi.block()) ** 2, axis=0)
-    assert fock[2] == pytest.approx(1.0, abs=1e-12)
-    rho = psi.reduced_spin_density()
-    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ParameterError):
-        CompositeState(np.zeros(24, dtype=complex), n_max=5)
 
 
 def test_thermal_ensemble_weights():
@@ -178,18 +164,16 @@ def test_zero_coupling_leaves_spin_untouched():
     for _ in range(4):
         spin = rng.normal(size=4) + 1j * rng.normal(size=4)
         spin /= np.linalg.norm(spin)
-        psi0 = CompositeState.from_spin_fock(spin, n=1, n_max=12)
-        out = propagate(sched, psi0)
-        assert list(out.spin_populations().values()) == pytest.approx(
-            np.abs(spin) ** 2, abs=1e-12)
+        out = propagate(sched, spin_fock(spin, n=1, n_max=12))
+        assert np.sum(np.abs(out) ** 2, axis=1) == pytest.approx(np.abs(spin) ** 2, abs=1e-12)
         # motional phase exp(-i eta n) on |n=1> is global here, populations only
-        assert np.sum(np.abs(out.block()[:, 1]) ** 2) == pytest.approx(1.0, abs=1e-12)
+        assert np.sum(np.abs(out[:, 1]) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ideal_walsh_gate_makes_bell_state():
     p = WalshGateParams.calibrated(1, TWO_PI * 5e3)
     sched = build_walsh_schedule(p)
-    psi0 = CompositeState.from_spin_fock((1.0, 0.0, 0.0, 0.0), n=0, n_max=24)
+    psi0 = spin_fock((1.0, 0.0, 0.0, 0.0), n=0, n_max=24)
     out = outcome_from_state(propagate(sched, psi0), sched)
     assert out.p_uu == pytest.approx(0.5, abs=1e-9)
     assert out.p_dd == pytest.approx(0.5, abs=1e-9)
@@ -205,7 +189,7 @@ def test_gate_angle_tracks_drive_strength():
     for omega, sgn in ((TWO_PI * 3e3, 1.0), (TWO_PI * 4.5e3, -1.0)):
         sched = PulseSchedule([flat_segment(t, omega, sgn * delta)])
         expected = sgn * omega**2 * t / delta
-        psi0 = CompositeState.from_spin_fock((1.0, 0.0, 0.0, 0.0), n=0, n_max=30)
+        psi0 = spin_fock((1.0, 0.0, 0.0, 0.0), n=0, n_max=30)
         out = outcome_from_state(propagate(sched, psi0), sched)
         assert out.gate_angle == pytest.approx(expected, abs=1e-8)
         assert out.p_uu == pytest.approx(math.cos(expected / 2) ** 2, abs=1e-9)
@@ -245,8 +229,7 @@ def test_branch_factorization_matches_full_propagation():
         spin = rng.normal(size=4) + 1j * rng.normal(size=4)
         spin /= np.linalg.norm(spin)
         for n0 in (0, 3):
-            psi0 = CompositeState.from_spin_fock(spin, n=n0, n_max=fock.n_max)
-            full = stepped_propagate(sched, psi0).amplitudes
+            full = stepped_propagate(sched, spin_fock(spin, n=n0, n_max=fock.n_max))
             fact = reassemble_from_branches(sched, spin, n0, fock)
             assert np.linalg.norm(full - fact) < 1e-9
 
@@ -258,9 +241,9 @@ def test_branch_factorization_matches_full_on_ramped_schedule():
     sched = build_smooth_schedule(p)
     fock = FockConfig(n_max=40)
     spin = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
-    psi0 = CompositeState.from_spin_fock(spin, n=0, n_max=fock.n_max)
+    psi0 = spin_fock(spin, n=0, n_max=fock.n_max)
     # midpoint stepping is second order: 1.1e-5 at 100 steps/period, /4 per doubling
-    full = stepped_propagate(sched, psi0, steps_per_period=400).amplitudes
+    full = stepped_propagate(sched, psi0, steps_per_period=400)
     fact = reassemble_from_branches(sched, spin, 0, fock)
     assert np.linalg.norm(full - fact) < 1e-6
 
@@ -280,13 +263,13 @@ def test_factorized_blocks_make_one_kernel_call(monkeypatch):
     # the -2 block is the parity image of the +2 one, so one trajectory suffices
     calls = []
 
-    def counting(schedule, offsets, branch_eigenvalue, **kwargs):
-        calls.append(branch_eigenvalue)
-        return branch_endpoints(schedule, offsets, branch_eigenvalue, **kwargs)
+    def counting(schedule, offsets, **kwargs):
+        calls.append(list(offsets))
+        return branch_endpoints(schedule, offsets, **kwargs)
 
     monkeypatch.setattr(quantum, "branch_endpoints", counting)
     gate_propagator(sign_flip_schedule(np.random.default_rng(3)), FockConfig(n_max=20))
-    assert calls == [2.0]
+    assert calls == [[0.0]]
 
 
 @pytest.mark.parametrize("gamma_abs", [1.1e-15, 2.5e-5, 0.54, 3.0])
@@ -322,22 +305,27 @@ def test_every_block_follows_from_the_plus_two_block(route):
 
 def test_propagation_preserves_norm():
     sched = sign_flip_schedule(np.random.default_rng(5))
-    psi0 = CompositeState.from_spin_fock((0.0, 1.0, 0.0, 0.0), n=2, n_max=50)
-    out = propagate(sched, psi0)
-    assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
+    out = propagate(sched, spin_fock((0.0, 1.0, 0.0, 0.0), n=2, n_max=50))
+    assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_truncation_error_when_cutoff_too_low():
     omega, delta = TWO_PI * 8e3, TWO_PI * 10e3
     sched = PulseSchedule([flat_segment(0.5 * TWO_PI / delta, omega, delta)])
-    psi0 = CompositeState.from_spin_fock((1.0, 0.0, 0.0, 0.0), n=0, n_max=6)
+    psi0 = spin_fock((1.0, 0.0, 0.0, 0.0), n=0, n_max=6)
     with pytest.raises(TruncationError):
         propagate(sched, psi0)
 
 
 def test_propagate_parameter_errors():
-    with pytest.raises(ParameterError, match="outside truncation"):
-        CompositeState.from_spin_fock((1.0, 0.0, 0.0, 0.0), n=40, n_max=20)
+    # a state is a (4, dim) block of norm 1 with dim >= 2
+    sched = PulseSchedule([flat_segment(40e-6, TWO_PI * 3e3, TWO_PI * 25e3)])
+    psi = spin_fock((1.0, 0.0, 0.0, 0.0), n=2, n_max=5)
+    assert np.linalg.norm(propagate(sched, psi)) == pytest.approx(1.0, abs=1e-12)
+    dim_1 = spin_fock((1.0, 0.0, 0.0, 0.0), n=0, n_max=0)
+    for bad in (np.zeros((4, 6)), 1.5 * psi, psi[:3], psi.ravel(), dim_1):
+        with pytest.raises(ParameterError):
+            propagate(sched, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +342,8 @@ def test_thermal_average_matches_explicit_fock_sum():
     avg = thermal_average(sched, ens, fock=fock, props=gate_propagator(sched, fock))
     rho = np.zeros((4, 4), dtype=complex)
     for n, w in enumerate(ens.weights):
-        psi0 = CompositeState.from_spin_fock(spin, n=n, n_max=fock.n_max)
-        rho += w * stepped_propagate(sched, psi0).reduced_spin_density()
+        psi = stepped_propagate(sched, spin_fock(spin, n=n, n_max=fock.n_max))
+        rho += w * psi @ psi.conj().T
     basis = gate_eigenbasis(0.0)
     phases = np.exp(-1j * (math.pi / 2) * (np.array(BRANCH_EIGENVALUES) / 2) ** 2)
     target = basis.conj().T @ (phases * (basis @ spin))
@@ -371,7 +359,7 @@ def test_thermal_average_at_zero_temperature_matches_pure_state():
     sched = build_walsh_schedule(WalshGateParams.calibrated(2, TWO_PI * 5e3))
     ens = ThermalEnsemble.build(0.0)
     avg = thermal_average(sched, ens)
-    psi0 = CompositeState.from_spin_fock((1.0, 0.0, 0.0, 0.0), n=0, n_max=30)
+    psi0 = spin_fock((1.0, 0.0, 0.0, 0.0), n=0, n_max=30)
     pure = outcome_from_state(propagate(sched, psi0), sched)
     assert avg.fidelity == pytest.approx(pure.fidelity, abs=1e-10)
     assert avg.p_uu == pytest.approx(pure.p_uu, abs=1e-10)
@@ -483,7 +471,7 @@ def test_positive_detuning_gates_are_scored_against_their_own_handedness():
     walsh = build_walsh_schedule(WalshGateParams(loops=2, delta_g=2 * TWO_PI * 5e3 * math.sqrt(2),
                                                  omega_g=TWO_PI * 5e3))
     assert 1.0 - thermal_average(walsh, ThermalEnsemble.build(0.0)).fidelity < 1e-14
-    psi0 = CompositeState.from_spin_fock((1.0, 0.0, 0.0, 0.0), n=0, n_max=24)
+    psi0 = spin_fock((1.0, 0.0, 0.0, 0.0), n=0, n_max=24)
     out = outcome_from_state(propagate(walsh, psi0), walsh)
     assert out.gate_angle == pytest.approx(math.pi / 2, abs=1e-9)
     assert 1.0 - out.fidelity < 1e-14

@@ -14,6 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iongate.errors import DomainError, ParameterError
+from iongate.filterfn import (PowerLawPsd, SampledPsd, filter_function_numeric,
+                              filter_function_walsh_analytic)
+from iongate.quantum import FockConfig
 from iongate.schedule import (
     PulseSchedule,
     Segment,
@@ -22,6 +25,7 @@ from iongate.schedule import (
     build_smooth_schedule,
     build_walsh_schedule,
 )
+from iongate.semiclassical import perturbative_infidelity
 
 TWO_PI = 2 * np.pi
 
@@ -111,6 +115,44 @@ def test_detuning_ramp_flat_boundaries():
         slopes.append(max(abs(s0), abs(s1)))
     assert slopes[1] < slopes[0]
     assert slopes[1] < 1e-3 * abs(p.delta_max) / p.tau_d
+
+
+NAN, INF = float("nan"), float("inf")
+WALSH = WalshGateParams.calibrated(1, TWO_PI * 20e3)
+OMEGA = TWO_PI * np.array([1e3, 10e3])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: reference_params(t_c=NAN),
+    lambda: reference_params(t_c=INF),
+    lambda: reference_params(omega_g=NAN),
+    lambda: reference_params(delta_max=-INF),
+    lambda: reference_params(j=NAN),
+    lambda: reference_params(j=INF),
+    lambda: WalshGateParams(1, WALSH.delta_g, NAN),
+    lambda: WalshGateParams(1, WALSH.delta_g, INF),
+    lambda: WalshGateParams(1, NAN, WALSH.omega_g),
+    lambda: filter_function_numeric(build_walsh_schedule(WALSH), NAN, omega=OMEGA),
+    lambda: filter_function_walsh_analytic(WALSH, INF, omega=OMEGA),
+    lambda: perturbative_infidelity(build_walsh_schedule(WALSH), TWO_PI * 100, nbar=NAN),
+    lambda: perturbative_infidelity(build_walsh_schedule(WALSH), NAN),
+    lambda: FockConfig.auto(NAN),
+    lambda: FockConfig.auto(INF),
+    lambda: FockConfig.auto(1.0, max_displacement=NAN),
+    lambda: PowerLawPsd(amplitude=NAN, exponent=1.0, omega_min=1.0, omega_max=2.0),
+    lambda: PowerLawPsd(amplitude=1.0, exponent=NAN, omega_min=1.0, omega_max=2.0),
+    lambda: PowerLawPsd(amplitude=1.0, exponent=0.0, omega_min=0.0, omega_max=INF),
+    lambda: SampledPsd(omega=np.array([1.0, 2.0]), values=np.array([1.0, NAN])),
+    lambda: SampledPsd(omega=np.array([1.0, NAN]), values=np.array([1.0, 1.0])),
+], ids=["t_c-nan", "t_c-inf", "smooth-omega_g-nan", "delta_max-inf", "j-nan", "j-inf",
+        "walsh-omega_g-nan", "walsh-omega_g-inf", "walsh-delta_g-nan", "numeric-nbar-nan",
+        "analytic-nbar-inf", "perturbative-nbar-nan", "perturbative-eps-nan", "auto-nan",
+        "auto-inf", "auto-displacement-nan", "power-amplitude-nan", "power-exponent-nan",
+        "power-omega_max-inf", "sampled-value-nan", "sampled-omega-nan"])
+def test_non_finite_parameters_are_parameter_errors(make):
+    # NaN passes every `x < 0` check, so each float must be checked finite
+    with pytest.raises(ParameterError):
+        make()
 
 
 def test_detuning_ramp_domain_and_parameter_errors():

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from iongate import quantum, slerb
 from iongate.errors import (ConvergenceError, DomainError, GridError,
                             ParameterError, TruncationError)
-from iongate.quantum import CompositeState, FockConfig
+from iongate.quantum import FockConfig
 from iongate.schedule import (SmoothGateParams, WalshGateParams, build_smooth_schedule,
                               build_walsh_schedule)
 from iongate.semiclassical import calibrate_omega
@@ -30,7 +30,7 @@ from iongate.slerb import (
     mean_gates_per_clifford,
     simulate_sequence,
 )
-from stepped_oracle import stepped_blocks, stepped_propagate
+from stepped_oracle import spin_fock, stepped_blocks, stepped_propagate
 
 TWO_PI = 2.0 * math.pi
 
@@ -159,6 +159,14 @@ def test_generate_sequence_is_deterministic():
         generate_sequence(0, seed=1)
 
 
+def test_sequence_rows_carry_no_instance_dict():
+    # a slotted row costs its three fields, not a per-row __dict__ as well
+    seq = generate_sequence(3, seed=1)
+    assert not hasattr(seq, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        seq.inverter = 0
+
+
 def test_single_identity_draw_gets_identity_inverter():
     seq = generate_sequence(1, seed=124, pauli_randomize=False)
     assert seq.cliffords == (0,)
@@ -274,15 +282,15 @@ def test_probability_sum_is_checked_at_norm_tolerance(monkeypatch):
 
 
 def stepped_probabilities(seq, step_gate, n_max):
-    """Sequence outcome from a gate callback acting on a CompositeState."""
-    state = CompositeState.from_spin_fock([1.0, 0.0, 0.0, 0.0], n=0, n_max=n_max)
+    """Sequence outcome from a gate callback acting on a (4, n_max + 1) block."""
+    state = spin_fock([1.0, 0.0, 0.0, 0.0], n=0, n_max=n_max)
     words = clifford_table().gates
     for c in seq.cliffords + (seq.inverter,):
         for k in words[c]:
             state = step_gate(state, slerb.GENERATOR_PHASES[k])
-    pops = state.spin_populations()
-    kept, flipped = ("uu", "dd") if seq.expected_state == "uu" else ("dd", "uu")
-    return np.array([pops[kept], pops[flipped], pops["ud"] + pops["du"]])
+    uu, ud, du, dd = np.sum(np.abs(state) ** 2, axis=1)
+    kept, flipped = (uu, dd) if seq.expected_state == "uu" else (dd, uu)
+    return np.array([kept, flipped, ud + du])
 
 
 @pytest.mark.parametrize("offset_hz", [0.0, 500.0])
@@ -315,8 +323,7 @@ def test_full_model_is_the_limit_of_refined_stepping_on_smooth_gate():
     for steps in (200, 400):
         props = stepped_blocks(sched, FockConfig(n_max=n_max), steps_per_period=steps)
         stepped = np.array([stepped_probabilities(
-            q, lambda state, phase: CompositeState(
-                props.apply(state.block(), phase).ravel(), n_max=n_max), n_max)
+            q, lambda state, phase: props.apply(state, phase), n_max)
             for q in seqs])
         gaps.append(np.abs(stepped - exact).max())
     # midpoint stepping is second order: the gap shrinks 4x per doubling
