@@ -56,9 +56,10 @@ _NODE_BYTES = 448
 # Per sequence of a simulated [slerb] dataset: about 250 B on the parametric
 # model and 190 B on the full one (marginal tracemalloc peaks), mostly the
 # slotted SlerbSequence and its outcome columns.  Per Clifford draw: about
-# 12 B, 8 B of it the row's tuple.  Both models compile SEQUENCE_BLOCK rows
-# at a time into a uint8 table padded to the block's longest row: at most 4
-# gates of 1 B per Clifford.
+# 12 B, 8 B of it the row's tuple.  The full model compiles SEQUENCE_BLOCK
+# rows at a time into a uint8 path padded to the block's longest row: at most
+# 4 gates of 1 B per Clifford; the parametric model, which holds no path, is
+# charged the same as an upper bound.
 _SEQUENCE_BYTES = 384
 _DRAW_BYTES = 16
 _PATH_BYTES = 4
@@ -633,10 +634,10 @@ walsh_orders)) cells; {_NODE_BYTES} bytes per node of the smooth gate's Fourier 
 in [filterfn], {PANEL_NODES} nodes per {_FOURIER_PHASE:g} rad of 2*pi x omega_max_hz x t over the
 gate.  In [slerb]: {_DRAW_BYTES} bytes per Clifford draw, sequences x the sum of
 lengths; {_SEQUENCE_BYTES} bytes per sequence of each length; {_PATH_BYTES} bytes per
-Clifford of the longest length for each of up to {SEQUENCE_BLOCK} sequences compiled
-together; and for the bootstrap, {_SUM_BYTES} bytes per length per resample plus
-{_RESAMPLE_BYTES} per resample.  In [slerb], sequences x shots must lie below 2**53,
-so that every per-length sum of shots is exact."""
+Clifford of the longest length for each of up to {SEQUENCE_BLOCK} sequences that the
+full model compiles together (charged to both models); and for the bootstrap,
+{_SUM_BYTES} bytes per length per resample plus {_RESAMPLE_BYTES} per resample.  In [slerb],
+sequences x shots must lie below 2**53, so that every per-length sum of shots is exact."""
 
 
 def _schema() -> str:

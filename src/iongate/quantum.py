@@ -258,14 +258,6 @@ def _outcomes_from_densities(rho_z: np.ndarray, target: np.ndarray) -> list[Gate
             for p, f, pur, ang, c in zip(pops, fid, purity, angle, coherence)]
 
 
-def outcome_from_state(psi: np.ndarray, schedule: PulseSchedule) -> GateOutcome:
-    """Populations, fidelity and angle of the (4, dim) block that ``schedule``
-    made from spin input |uu>; the fidelity is the spin overlap, traced over
-    the motion, with the target of :func:`_uu_input`."""
-    _, target = _uu_input(schedule)
-    return _outcomes_from_densities((psi @ psi.conj().T)[None], target)[0]
-
-
 def _displacement_kernel(gamma_end: np.ndarray, theta_end: np.ndarray,
                          nbar: float) -> np.ndarray:
     """Thermal means of U_j^dag U_i from +2 branch endpoints, one (4, 4) per entry.

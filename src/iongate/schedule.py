@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
@@ -105,10 +106,10 @@ class WalshGateParams:
     omega_g: float
 
     def __post_init__(self):
-        check_finite(**vars(self))
         k = self.loops
-        if k < 1 or (k & (k - 1)) != 0:
-            raise ParameterError("loops must be a power of two")
+        if isinstance(k, bool) or not isinstance(k, Integral) or k < 1 or k & (k - 1):
+            raise ParameterError("loops must be an integer power of two")
+        check_finite(**vars(self))
         if self.delta_g == 0:
             raise ParameterError("delta_g must be nonzero")
         if self.omega_g <= 0:

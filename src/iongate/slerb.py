@@ -50,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, GridError, ParameterError
+from .errors import ConvergenceError, DomainError, GridError, ParameterError, check_finite
 from .quantum import (NORM_TOL, BranchPropagators, FockConfig, _guard_state,
                       _max_branch_displacement, gate_eigenbasis, gate_propagator)
 from .schedule import PulseSchedule
@@ -74,10 +74,6 @@ FLUSH_AMPLITUDE = 1e-150
 # 1024 ran the bootstrap fastest: smaller blocks add per-call overhead to
 # the fit, and larger ones slow the draws.
 RESAMPLE_BLOCK = 1024
-
-# per-gate error -> per-Clifford error conversion constant used by the
-# standard reporting convention (13/6 entangling gates per Clifford)
-GATES_PER_CLIFFORD_REPORTING = 13.0 / 6.0
 
 
 def logical_gate_unitary(angle: float, basis_phase: float) -> np.ndarray:
@@ -173,11 +169,24 @@ def mean_gates_per_clifford() -> float:
 
 @dataclass(frozen=True, slots=True)
 class SlerbSequence:
-    """A benchmarking sequence: random Cliffords plus the computed inverse."""
+    """A benchmarking sequence: random Cliffords, closed by the inverting
+    Clifford that returns |uu> to ``expected_state``, "uu" or "dd"."""
 
     cliffords: tuple[int, ...]
-    inverter: int
     expected_state: str
+
+    def __post_init__(self):
+        if self.expected_state not in ("uu", "dd"):
+            raise ParameterError("expected_state must be 'uu' or 'dd'")
+        if min(self.cliffords, default=0) < 0 or max(self.cliffords, default=0) >= 24:
+            raise ParameterError("Clifford indices must lie in 0..23")
+
+    @property
+    def inverter(self) -> int:
+        """The inverse of the drawn product, times the logical X for "dd"."""
+        group = clifford_table()
+        inverter = group.inv[group.compose(self.cliffords)]
+        return group.mul[group.x][inverter] if self.expected_state == "dd" else inverter
 
     @property
     def total_gates(self) -> int:
@@ -190,22 +199,17 @@ def _rng(seed) -> np.random.Generator:
 
 
 def generate_sequence(n: int, seed: int, pauli_randomize: bool = True) -> SlerbSequence:
-    """Draw ``n`` uniform Cliffords and append the inverting element.
+    """Draw ``n`` uniform Cliffords.
 
     With ``pauli_randomize`` the inverter absorbs a logical X half the time,
     so the expected outcome is |dd> instead of |uu>.
     """
     if n < 1:
         raise ParameterError("sequence length must be >= 1")
-    group = clifford_table()
     rng = _rng(seed)
-    draws = tuple(rng.integers(0, len(group.inv), size=n).tolist())
-    inverter = group.inv[group.compose(draws)]
-    expected = "uu"
-    if pauli_randomize and rng.integers(0, 2):
-        inverter = group.mul[group.x][inverter]
-        expected = "dd"
-    return SlerbSequence(cliffords=draws, inverter=inverter, expected_state=expected)
+    draws = tuple(rng.integers(0, 24, size=n).tolist())
+    flipped = pauli_randomize and rng.integers(0, 2)
+    return SlerbSequence(cliffords=draws, expected_state="dd" if flipped else "uu")
 
 
 # ---------------------------------------------------------------------------
@@ -353,25 +357,9 @@ def _closed_form_probabilities(seqs: Sequence[SlerbSequence],
     ((1-2r)(1-q))^M over its M compiled gates (inverter excluded), and the
     in/out-of-subspace populations follow a two-state exchange chain.
     """
-    group = clifford_table()
-    index = np.uint8  # 24 elements; keeps the padded table small
-    mul = np.array(group.mul, dtype=index)
-    word_lengths = np.array([len(word) for word in group.gates], dtype=index)
-    total_gates = np.empty(len(seqs), dtype=int)
-    # identity-padded draws, SEQUENCE_BLOCK rows at a time: no larger than the full model's path
-    for start in range(0, len(seqs), SEQUENCE_BLOCK):
-        block = seqs[start:start + SEQUENCE_BLOCK]
-        draws = np.zeros((len(block), max(len(seq.cliffords) for seq in block)), dtype=index)
-        for row, seq in zip(draws, block):
-            row[:len(seq.cliffords)] = seq.cliffords
-        product = np.zeros(len(block), dtype=index)
-        for column in draws.T:
-            product = mul[column, product]
-        product = mul[[seq.inverter for seq in block], product]
-        target = np.where([seq.expected_state == "uu" for seq in block], 0, group.x)
-        if np.any(product != target):
-            raise ConvergenceError("inverter does not return the expected state")
-        total_gates[start:start + len(block)] = word_lengths[draws].sum(axis=1)
+    word_lengths = [len(word) for word in clifford_table().gates]
+    total_gates = np.array([sum(map(word_lengths.__getitem__, seq.cliffords)) for seq in seqs],
+                           dtype=int)
     r, q = model.per_gate_rates()
     trace_in = 0.5 * (1.0 + _libm_powers(1.0 - 2.0 * q, total_gates))
     polarization = _libm_powers((1.0 - 2.0 * r) * (1.0 - q), total_gates)
@@ -507,6 +495,7 @@ class DecayFit:
     eps_leak: float
 
     def __post_init__(self):
+        check_finite(eps_rb=self.eps_rb, eps_leak=self.eps_leak)
         for name in ("eps_rb", "eps_leak"):
             if getattr(self, name) < 0:
                 raise ParameterError(f"{name} must be >= 0")
@@ -525,7 +514,7 @@ class DecayFit:
 
 
 def _eps_2q(eps_rb: float, eps_leak: float) -> float:
-    return (1.2 * eps_rb + 0.8 * eps_leak) / GATES_PER_CLIFFORD_REPORTING
+    return (1.2 * eps_rb + 0.8 * eps_leak) / mean_gates_per_clifford()
 
 
 def _gauss_newton_power(n, y, variance_fn, forward, jacobian, x0):

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from iongate import quantum
-from iongate.quantum import BranchPropagators, FockConfig
+from iongate.quantum import BranchPropagators, FockConfig, GateOutcome
 from iongate.schedule import PulseSchedule
 from iongate.semiclassical import propagate_displacement
 
@@ -62,3 +62,11 @@ def stepped_propagate(schedule: PulseSchedule, psi0: np.ndarray, basis_phase: fl
     """One (4, dim) block through :func:`stepped_blocks` at cutoff dim - 1."""
     props = stepped_blocks(schedule, FockConfig(n_max=psi0.shape[1] - 1), steps_per_period)
     return props.apply(psi0, basis_phase)
+
+
+def outcome_from_state(psi: np.ndarray, schedule: PulseSchedule) -> GateOutcome:
+    """Populations, fidelity and angle of the (4, dim) block that ``schedule``
+    made from spin input |uu>; the fidelity is the spin overlap, traced over
+    the motion, with the package's target for the schedule's handedness."""
+    _, target = quantum._uu_input(schedule)
+    return quantum._outcomes_from_densities((psi @ psi.conj().T)[None], target)[0]

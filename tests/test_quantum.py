@@ -18,7 +18,6 @@ from iongate.quantum import (
     gate_eigenbasis,
     gate_propagator,
     offset_scan,
-    outcome_from_state,
     propagate,
     thermal_average,
     _max_branch_displacement,
@@ -32,7 +31,7 @@ from iongate.schedule import (
     build_walsh_schedule,
 )
 from iongate.semiclassical import branch_endpoints, calibrate_omega, propagate_displacement
-from stepped_oracle import spin_fock, stepped_blocks, stepped_propagate
+from stepped_oracle import outcome_from_state, spin_fock, stepped_blocks, stepped_propagate
 
 TWO_PI = 2.0 * math.pi
 

@@ -26,6 +26,7 @@ from iongate.schedule import (
     build_walsh_schedule,
 )
 from iongate.semiclassical import perturbative_infidelity
+from iongate.slerb import DecayFit
 
 TWO_PI = 2 * np.pi
 
@@ -144,11 +145,16 @@ OMEGA = TWO_PI * np.array([1e3, 10e3])
     lambda: PowerLawPsd(amplitude=1.0, exponent=0.0, omega_min=0.0, omega_max=INF),
     lambda: SampledPsd(omega=np.array([1.0, 2.0]), values=np.array([1.0, NAN])),
     lambda: SampledPsd(omega=np.array([1.0, NAN]), values=np.array([1.0, 1.0])),
+    lambda: DecayFit(eps_rb=NAN, eps_leak=0.0),
+    lambda: DecayFit(eps_rb=INF, eps_leak=0.0),
+    lambda: DecayFit(eps_rb=0.0, eps_leak=NAN),
+    lambda: DecayFit(eps_rb=0.0, eps_leak=INF),
 ], ids=["t_c-nan", "t_c-inf", "smooth-omega_g-nan", "delta_max-inf", "j-nan", "j-inf",
         "walsh-omega_g-nan", "walsh-omega_g-inf", "walsh-delta_g-nan", "numeric-nbar-nan",
         "analytic-nbar-inf", "perturbative-nbar-nan", "perturbative-eps-nan", "auto-nan",
         "auto-inf", "auto-displacement-nan", "power-amplitude-nan", "power-exponent-nan",
-        "power-omega_max-inf", "sampled-value-nan", "sampled-omega-nan"])
+        "power-omega_max-inf", "sampled-value-nan", "sampled-omega-nan", "fit-eps_rb-nan",
+        "fit-eps_rb-inf", "fit-eps_leak-nan", "fit-eps_leak-inf"])
 def test_non_finite_parameters_are_parameter_errors(make):
     # NaN passes every `x < 0` check, so each float must be checked finite
     with pytest.raises(ParameterError):
@@ -316,6 +322,13 @@ def test_walsh_calibrated_duration():
     assert p4.duration == pytest.approx(200e-6, rel=1e-9)
     with pytest.raises(ParameterError):
         WalshGateParams(loops=3, delta_g=-TWO_PI * 20e3, omega_g=TWO_PI * 5e3)
+
+
+@pytest.mark.parametrize("loops", [2.0, True, "2"], ids=["float", "bool", "str"])
+def test_walsh_loop_count_must_be_an_integer(loops):
+    # a float would reach the power-of-two bit test, and True would pass as 1
+    with pytest.raises(ParameterError):
+        WalshGateParams(loops=loops, delta_g=-TWO_PI * 20e3, omega_g=TWO_PI * 5e3)
 
 
 def test_schedule_sampling_and_offset():
