@@ -463,8 +463,7 @@ def _fourier_sums(schedule: PulseSchedule, omega: np.ndarray, rtol: float, atol:
 
     Clenshaw-Curtis sums on the fewest equal sub-panels of each kernel panel
     that keep ``_FOURIER_PHASE`` rad of omega*t at the top of each block of
-    ascending ``omega``; gamma is interpolated onto their nodes, or read at
-    the kernel's own in a segment where no panel is split.
+    ascending ``omega``; gamma is interpolated onto their nodes.
     """
     nodes = _node_trajectory(schedule, 1.0, rtol, atol)
     sums, m = [], None
@@ -475,9 +474,6 @@ def _fourier_sums(schedule: PulseSchedule, omega: np.ndarray, rtol: float, atol:
         if m is None or not all(map(np.array_equal, m, m_blk)):
             m, cols = m_blk, []
             for seg, t0, mk in zip(nodes, schedule.boundaries, m):
-                if np.all(mk == 1):
-                    cols.append((seg.t.ravel(), seg.weights.ravel(), seg.gamma.ravel()))
-                    continue
                 k = np.repeat(np.arange(mk.size), mk)
                 j = np.arange(k.size) - np.repeat(np.cumsum(mk) - mk, mk)
                 half = ((seg.hi - seg.lo) / mk / 2.0)[k, None]

@@ -7,7 +7,7 @@ rotated bases reach the whole 24-element single-qubit Clifford group without
 any one-qubit pulses.  Sequences of random Cliffords plus an inverting
 Clifford decay towards the subspace-depolarized steady state; leakage to
 |ud>, |du> and the in-subspace contrast decay at separate rates which a
-two-stage weighted fit extracts.
+two-stage fit extracts.
 
 Decay model, chosen for its exact match to the error channels below and
 documented here because no external reference form is assumed:
@@ -18,7 +18,9 @@ documented here because no external reference form is assumed:
 
 with no vertical offset (state preparation and measurement errors are
 assumed negligible).  For small rates P_leak ~ N * eps_leak and
-P_flip ~ N * eps_rb.
+P_flip ~ N * eps_rb.  Both stages fit a power law y ~ x^N, weighted by
+the shot-noise variance the model predicts: first the in-subspace
+contrast 1 - 2*P_leak = (1 - 2*eps_leak)^N, then P_survival - P_flip = c(N).
 
 The group is one cached table, :func:`clifford_table`: the breadth-first
 search that finds each element's shortest gate word also records where
@@ -178,6 +180,8 @@ class SlerbSequence:
     def __post_init__(self):
         if self.expected_state not in ("uu", "dd"):
             raise ParameterError("expected_state must be 'uu' or 'dd'")
+        if type(self.cliffords) is not tuple or not set(map(type, self.cliffords)) <= {int}:
+            raise ParameterError("cliffords must be a tuple of Python ints")
         if min(self.cliffords, default=0) < 0 or max(self.cliffords, default=0) >= 24:
             raise ParameterError("Clifford indices must lie in 0..23")
 
@@ -517,21 +521,22 @@ def _eps_2q(eps_rb: float, eps_leak: float) -> float:
     return (1.2 * eps_rb + 0.8 * eps_leak) / mean_gates_per_clifford()
 
 
-def _gauss_newton_power(n, y, variance_fn, forward, jacobian, x0):
-    """Fit y ~ forward(x, N) for a scalar decay parameter in [0, 1] per column.
+def _power_fit(n, y, variance):
+    """Fit y ~ x^N for a decay parameter x in [0, 1] per column.
 
-    Weights are recomputed from the model at the current parameter
-    (iteratively reweighted least squares); observed-fraction weights would
-    correlate with the noise and bias the rates low.  ``y`` is (n_lengths,
-    batch), ``n`` the (n_lengths, 1) lengths and ``x0`` the (batch,) start,
-    so every ufunc runs along a batch-long row.
+    Iteratively reweighted Gauss-Newton from x = |y|^(1/N) at the longest
+    length: ``variance`` maps the model to the data's variance at the
+    current parameter, because observed-fraction weights would correlate
+    with the noise and bias the rates low.  ``y`` is (n_lengths, batch) and
+    ``n`` the (n_lengths, 1) lengths, so every ufunc runs along a
+    batch-long row.
     """
-    x = np.clip(np.asarray(x0, dtype=float), 0.0, 1.0)
+    x = np.clip(np.abs(y[-1]), 1e-12, 1.0) ** (1.0 / n[-1])
     for _ in range(80):
-        f = forward(x, n)
-        jac = jacobian(x, n)
-        wj = 1.0 / variance_fn(f) * jac
-        num = np.sum(wj * (y - f), axis=0)
+        p = x ** (n - 1.0)
+        model, jac = x * p, n * p
+        wj = jac / variance(model)
+        num = np.sum(wj * (y - model), axis=0)
         den = np.sum(wj * jac, axis=0)
         step = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
         x = np.clip(x + step, 0.0, 1.0)
@@ -550,36 +555,19 @@ def _fit_rates_batch(lengths: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray,
     integer sums of shots, survivals and flips; each column is weighted by
     its own shot totals.  Returns (eps_rb, eps_leak), each (batch,).
     """
-    lengths = np.asarray(lengths, dtype=float)
-    n = lengths[:, None]
+    n = np.asarray(lengths, dtype=float)[:, None]
     tot = sums[0].astype(float)
-    f_surv = sums[1] / tot
-    f_flip = sums[2] / tot
-    var_floor = 1.0 / (2.0 * tot)
-    f_leak = 1.0 - f_surv - f_flip
 
-    # stage 1: leak fraction vs 1 - L(N), parametrized by b = 1 - 2 eps_leak
-    slope = np.clip(f_leak[-1] / lengths[-1], 1e-12, 0.49)
-    b0 = 1.0 - 2.0 * slope
-    b = _gauss_newton_power(
-        n, f_leak,
-        lambda f: np.maximum(f * (1.0 - f), var_floor) / tot,
-        lambda x, n: 0.5 * (1.0 - x**n),
-        lambda x, n: -0.5 * n * x ** (n - 1.0),
-        b0)
+    # stage 1: in-subspace contrast 1 - 2 P_leak = b^N with b = 1 - 2 eps_leak
+    y = 2.0 * (sums[1] + sums[2]) / tot - 1.0
+    b = _power_fit(n, y, lambda g: np.maximum(1.0 - g**2, 2.0 / tot) / tot)
     eps_leak = 0.5 * (1.0 - b)
 
     # stage 2: polarization vs a^N with a = (1 - eps_leak)(1 - 2 eps_rb);
     # the in-subspace probability L from stage 1 sets the contrast variance
-    z = f_surv - f_flip
+    z = (sums[1] - sums[2]) / tot
     big_l = 0.5 * (1.0 + b ** n)
-    a0 = np.clip(np.abs(z[-1]), 1e-12, 1.0) ** (1.0 / lengths[-1])
-    a = _gauss_newton_power(
-        n, z,
-        lambda f: np.maximum(big_l - f**2, var_floor) / tot,
-        lambda x, n: x**n,
-        lambda x, n: n * x ** (n - 1.0),
-        a0)
+    a = _power_fit(n, z, lambda g: np.maximum(big_l - g**2, 0.5 / tot) / tot)
     eps_rb = np.clip(0.5 * (1.0 - a / np.maximum(1.0 - eps_leak, 1e-12)), 0.0, None)
     return eps_rb, eps_leak
 

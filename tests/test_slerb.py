@@ -169,6 +169,8 @@ def test_sequence_rows_carry_no_instance_dict():
 
 @pytest.mark.parametrize("cliffords, state", [
     ((0, 1), "ud"), ((0, 1), "du"), ((0, 1), ""), ((0, -1), "uu"), ((24,), "dd"),
+    # containers the table arithmetic cannot use: a list, an array, a float entry
+    ([1, 2], "uu"), (np.array([1, 2]), "uu"), ((1.0, 2), "uu"),
 ])
 def test_sequence_rejects_states_and_indices_outside_the_table(cliffords, state):
     # the inverter is derived from these two fields, so only they can be wrong
@@ -866,16 +868,24 @@ def row_major_fit_rates(lengths, f_surv, f_flip, tot):
     return eps_rb, eps_leak
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-def test_lengths_major_fit_matches_row_major_reference(seed):
+@pytest.mark.parametrize("seed, rates", [
+    pytest.param(1, (1.5e-4, 8e-5), id="1"),
+    pytest.param(2, (1.5e-4, 8e-5), id="2"),
+    pytest.param(3, (2e-3, 1e-3), id="rb2e-3-leak1e-3"),
+    pytest.param(4, (0.02, 0.01), id="rb0.02-leak0.01"),
+    # leak-free data: stage 1 sees exactly 1 at every length, the edge of its start
+    pytest.param(5, (0.1, 0.0), id="rb0.1-leak0"),
+])
+def test_lengths_major_fit_matches_row_major_reference(seed, rates):
     d = collect_dataset([2, 50, 150, 300, 500], n_sequences=30, shots=100,
-                        model=ParametricModel(1.5e-4, 8e-5), seed=seed)
+                        model=ParametricModel(*rates), seed=seed)
     sums, f_surv, f_flip = choice_sums(d, 2000, seed)
     lengths = d.lengths.astype(float)
     eps_rb, eps_leak = slerb._fit_rates_batch(lengths, sums)
     ref_rb, ref_leak = row_major_fit_rates(lengths, f_surv, f_flip, sums[0].T.astype(float))
     assert eps_rb.shape == eps_leak.shape == (2000,)
-    assert np.all(eps_leak > 0) and np.all(eps_rb > 0)
+    assert np.all(eps_rb > 0)
+    assert np.all(eps_leak > 0) if rates[1] > 0 else np.all(eps_leak == 0)
     assert eps_rb == pytest.approx(ref_rb, rel=1e-12, abs=0.0)
     assert eps_leak == pytest.approx(ref_leak, rel=1e-12, abs=0.0)
 
