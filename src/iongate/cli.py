@@ -35,8 +35,9 @@ from .schedule import (SmoothGateParams, WalshGateParams, build_smooth_schedule,
                        build_walsh_schedule)
 from .semiclassical import (_FOURIER_PHASE, PANEL_NODES, calibrate_delta_min, calibrate_omega,
                             check_output_grid, gate_angle_exact, propagate_displacement)
-from .slerb import (SEQUENCE_BLOCK, FullScheduleModel, ParametricModel, SlerbDataset,
-                    bootstrap_ci, collect_dataset, fit_decays, mean_gates_per_clifford)
+from .slerb import (RESAMPLE_BLOCK, SEQUENCE_BLOCK, FullScheduleModel, ParametricModel,
+                    SlerbDataset, bootstrap_ci, collect_dataset, fit_decays,
+                    mean_gates_per_clifford)
 
 TWO_PI = 2.0 * math.pi
 
@@ -64,7 +65,8 @@ _SEQUENCE_BYTES = 384
 _DRAW_BYTES = 16
 _PATH_BYTES = 4
 # Per bootstrap resample: 24 B per length for the int64 sums of shots,
-# survivals and flips, and about 30 B for the fitted rates and percentiles.
+# survivals and flips, and 24 B for the three fitted rates, which the
+# percentiles partition in place; 32 B leaves a margin.
 _SUM_BYTES = 24
 _RESAMPLE_BYTES = 32
 
@@ -596,9 +598,9 @@ _KEYS = {
         "eps_rb": (_NUMBER, _REQUIRED, "depolarizing rate, read for model = parametric"),
         "eps_leak": (_NUMBER, _REQUIRED, "leak rate, read for model = parametric"),
         "resamples": (_RESAMPLES, "10000", "bootstrap resamples (memory: per-length sums of "
-                      "shots, survivals and flips, 24 bytes per length per resample, and the "
-                      "fitted rates, 32 bytes per resample; the fit runs 1024 resamples "
-                      "at a time)"),
+                      f"shots, survivals and flips, {_SUM_BYTES} bytes per length per resample, "
+                      f"and the fitted rates, {_RESAMPLE_BYTES} bytes per resample; the fit "
+                      f"runs {RESAMPLE_BLOCK} resamples at a time)"),
         "input": (_TEXT, None, "existing dataset CSV to fit instead of simulating (model, "
                   "lengths, sequences, shots and pauli_randomize are ignored when set; read "
                   "by run, not by validate)"),

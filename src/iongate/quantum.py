@@ -12,11 +12,11 @@ every offset's (4, 4) thermal kernel in one array, and a thermal sweep
 evaluates every occupation on one set of endpoints.  The one Fock-space route,
 :func:`gate_propagator`, builds the exact blocks from the same endpoints,
 the +2 block alone, the rest by :func:`_branch_blocks`; nothing is
-stepped in time.  D(gamma) comes from one numpy eigendecomposition, so
-the module needs no scipy.  Every outcome starts from spin input |uu>,
-and its fidelity is measured against the fully entangling gate of the
-schedule's handedness, theta = +-pi/2 with the sign of the schedule's
-detuning, applied to |uu>.
+stepped in time.  D(gamma) is a scaled and squared Taylor sum of matrix
+products, so the module needs no scipy and calls no LAPACK routine.
+Every outcome starts from spin input |uu>, and its fidelity is measured
+against the fully entangling gate of the schedule's handedness, theta =
++-pi/2 with the sign of the schedule's detuning, applied to |uu>.
 
 A state is a (4, dim) block in the measurement (z) basis, one row per spin
 state in the order (uu, ud, du, dd), one column per Fock state.
@@ -39,6 +39,7 @@ BRANCH_EIGENVALUES = (2.0, 0.0, 0.0, -2.0)
 TRUNCATION_GUARD = 1e-8
 TAIL_MASS_LIMIT = 1e-6
 NORM_TOL = 1e-9
+TAYLOR_DEGREE = 18
 
 
 @dataclass(frozen=True)
@@ -228,9 +229,25 @@ def _guard_state(norm, top) -> None:
 
 
 def _hermitian_exp(h: np.ndarray) -> np.ndarray:
-    """exp(-i h) for Hermitian h, from one eigendecomposition."""
-    vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(-1j * vals)) @ vecs.conj().T
+    """exp(-i h) for Hermitian h by scaling and squaring a Taylor sum, in matmuls only.
+
+    A = -i h is halved s = max(0, ceil(log2 ||A||_1)) times, so that
+    ||A / 2^s||_1 <= 1 and the degree-``TAYLOR_DEGREE`` remainder lies below
+    1/19! ~ 8e-18; the sum is squared back s times (Higham, SIAM J. Matrix
+    Anal. Appl. 26, 1179, 2005).  A LAPACK call would wake the BLAS worker
+    threads, which then slow the single-threaded work that follows.
+    """
+    a = -1j * np.asarray(h)
+    norm = float(np.abs(a).sum(axis=0).max())
+    squarings = math.ceil(math.log2(norm)) if norm > 1.0 else 0
+    a /= 2.0 ** squarings
+    eye = np.eye(a.shape[0])
+    u = eye + a / TAYLOR_DEGREE
+    for k in range(TAYLOR_DEGREE - 1, 0, -1):
+        u = eye + (a @ u) / k
+    for _ in range(squarings):
+        u = u @ u
+    return u
 
 
 def _uu_input(schedule: PulseSchedule) -> tuple[np.ndarray, np.ndarray]:

@@ -35,11 +35,13 @@ applying one exact gate propagator, at a Fock cutoff sized for the
 longest sequence, to every compiled gate.
 
 Bootstrap intervals resample sequences within each length.  Each length
-draws its row positions ``RESAMPLE_BLOCK`` resamples at a time; the
-per-length sums of shots, survivals and flips of every resample are
-stored (24 bytes per length per resample), and the lengths-major fit
-refits them one block at a time, so nothing else grows with the resample
-count.
+draws its row positions ``RESAMPLE_BLOCK`` resamples at a time.  Each
+row's shots, survivals and flips are packed into one int64 (two or three
+when the fields are wide), so a block's per-length sums take one gather
+and one sum, unpacked by shifts and masks.  The per-length sums of every
+resample are stored (24 bytes per length per resample), and the
+lengths-major fit refits them one block at a time, so nothing else grows
+with the resample count.
 """
 
 from __future__ import annotations
@@ -532,8 +534,9 @@ def _power_fit(n, y, variance):
     batch-long row.
     """
     x = np.clip(np.abs(y[-1]), 1e-12, 1.0) ** (1.0 / n[-1])
+    n_less_one = n - 1.0
     for _ in range(80):
-        p = x ** (n - 1.0)
+        p = x ** n_less_one
         model, jac = x * p, n * p
         wj = jac / variance(model)
         num = np.sum(wj * (y - model), axis=0)
@@ -560,14 +563,16 @@ def _fit_rates_batch(lengths: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray,
 
     # stage 1: in-subspace contrast 1 - 2 P_leak = b^N with b = 1 - 2 eps_leak
     y = 2.0 * (sums[1] + sums[2]) / tot - 1.0
-    b = _power_fit(n, y, lambda g: np.maximum(1.0 - g**2, 2.0 / tot) / tot)
+    floor = 2.0 / tot
+    b = _power_fit(n, y, lambda g: np.maximum(1.0 - g**2, floor) / tot)
     eps_leak = 0.5 * (1.0 - b)
 
     # stage 2: polarization vs a^N with a = (1 - eps_leak)(1 - 2 eps_rb);
     # the in-subspace probability L from stage 1 sets the contrast variance
     z = (sums[1] - sums[2]) / tot
     big_l = 0.5 * (1.0 + b ** n)
-    a = _power_fit(n, z, lambda g: np.maximum(big_l - g**2, 0.5 / tot) / tot)
+    floor = 0.5 / tot
+    a = _power_fit(n, z, lambda g: np.maximum(big_l - g**2, floor) / tot)
     eps_rb = np.clip(0.5 * (1.0 - a / np.maximum(1.0 - eps_leak, 1e-12)), 0.0, None)
     return eps_rb, eps_leak
 
@@ -602,9 +607,12 @@ def bootstrap_ci(data: SlerbDataset, resamples: int = 10000,
     ``RESAMPLE_BLOCK`` resamples at a time; the blocks are consecutive
     slices of one (resamples, rows) draw.  Each resample is weighted by its
     own per-length shot totals, as :func:`fit_decays` of that resample
-    would be.  Only the per-length sums of shots, survivals and flips are
-    stored for every resample (24 bytes per length per resample); the
-    lengths-major fit then works on one block of resamples at a time.
+    would be.  A row's shots, survivals and flips are packed into int64
+    fields wide enough for their sums over the length's rows, as many to a
+    word as fit in 63 bits, so one gather and one sum per block serve all
+    three.  Only the per-length sums are stored for every resample (24
+    bytes per length per resample); the lengths-major fit then works on one
+    block of resamples at a time.
     """
     if resamples < 100:
         raise ParameterError("resamples must be >= 100")
@@ -616,23 +624,22 @@ def bootstrap_ci(data: SlerbDataset, resamples: int = 10000,
     rng = _rng(seed)
     sums = np.empty((3, lengths.size, resamples), dtype=np.int64)
     for j, rows in enumerate(row_sets):
-        length_columns = columns[:, rows]
+        # shots bound the survivals and flips, so no field's sum reaches 2**width
+        width = (rows.size * int(data.shots[rows].max())).bit_length()
+        word, field = np.divmod(np.arange(3), 63 // width)
+        shifts, mask = (width * field)[:, None], (1 << width) - 1
+        packed = np.zeros((word[-1] + 1, rows.size), dtype=np.int64)
+        for k, column in enumerate(columns[:, rows]):
+            packed[word[k]] |= column << shifts[k]
         for block in blocks:
             # a slice of the Philox draws of rng.choice(rows, size=(resamples, rows.size))
             pick = rng.integers(0, rows.size, size=(block.stop - block.start, rows.size))
-            for column, total in zip(length_columns, sums[:, j, block]):
-                np.sum(column[pick], axis=1, out=total)
-    eps_rb, eps_leak = np.empty(resamples), np.empty(resamples)
+            totals = np.take(packed, pick, axis=1).sum(axis=2)
+            sums[:, j, block] = (totals[word] >> shifts) & mask
+    rates = np.empty((3, resamples))
     for block in blocks:
-        eps_rb[block], eps_leak[block] = _fit_rates_batch(lengths, sums[:, :, block])
-    eps_2q = _eps_2q(eps_rb, eps_leak)
-
-    def interval(values):
-        lo, hi = np.percentile(values, [16.0, 84.0])
-        return float(lo), float(hi)
-
-    return {
-        "eps_rb": interval(eps_rb),
-        "eps_leak": interval(eps_leak),
-        "eps_2q": interval(eps_2q),
-    }
+        rates[0, block], rates[1, block] = _fit_rates_batch(lengths, sums[:, :, block])
+    rates[2] = _eps_2q(rates[0], rates[1])
+    lo, hi = np.percentile(rates, [16.0, 84.0], axis=1, overwrite_input=True)
+    return {name: (float(a), float(b))
+            for name, a, b in zip(("eps_rb", "eps_leak", "eps_2q"), lo, hi)}

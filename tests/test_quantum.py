@@ -289,6 +289,25 @@ def test_factorized_blocks_match_expm_oracle_without_subnormals(monkeypatch, dim
     assert np.all(parts[parts != 0.0] >= np.finfo(float).tiny)
 
 
+@pytest.mark.parametrize("gamma", [1e-15, 0.3, 1.5 + 0.5j, 2.0])
+@pytest.mark.parametrize("dim", [9, 33, 60, 187])
+def test_hermitian_exp_matches_expm_and_stays_unitary(dim, gamma):
+    # the displacement generator of gate_propagator, from no squaring up to
+    # the six that |gamma| = 2 at dim 187 needs
+    a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1)
+    h = 1j * (gamma * a.T - np.conj(gamma) * a)
+    u = quantum._hermitian_exp(h)
+    assert np.abs(u - expm(-1j * h)).max() <= 1e-13
+    assert np.abs(u @ u.conj().T - np.eye(dim)).max() <= 1e-13
+
+
+def test_hermitian_exp_of_a_dense_hermitian_matrix():
+    rng = np.random.default_rng(5)
+    m = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
+    h = 3.0 * (m + m.conj().T)
+    assert np.abs(quantum._hermitian_exp(h) - expm(-1j * h)).max() <= 1e-12
+
+
 @pytest.mark.parametrize("route", ["stepped", "factorized"])
 def test_every_block_follows_from_the_plus_two_block(route):
     sched = sign_flip_schedule(np.random.default_rng(31), n_segments=3)

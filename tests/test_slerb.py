@@ -506,6 +506,19 @@ def test_full_model_dataset_follows_the_per_row_seed_tree():
     assert data.n_leak.sum() > 0
 
 
+def test_full_model_dataset_calls_no_linalg_routine(monkeypatch):
+    # one LAPACK call wakes the BLAS worker threads, which then slow the
+    # single-threaded stepping; the exact blocks need matrix products alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg called on the SLERB path")
+
+    for name in np.linalg.__all__:
+        if not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    data = collect_dataset([1, 8, 32], 3, 50, FullScheduleModel(walsh_gate()), seed=2)
+    assert data.n.size == 9
+
+
 @pytest.mark.parametrize("kind", ["parametric", "full"])
 def test_collect_dataset_makes_one_model_call(monkeypatch, kind):
     model = (ParametricModel(1e-3, 5e-4) if kind == "parametric"
@@ -795,7 +808,13 @@ def assert_fit_inputs_match_choice_draws(monkeypatch, data, resamples, seed):
                     model=ParametricModel(2e-3, 1e-3), seed=3),
     uneven_dataset(5),
     uneven_dataset(6),
-], ids=["equal", "uneven-0", "uneven-1"])
+    # rows x shots of 2**23: two packed fields to a word
+    collect_dataset([2, 40, 150], n_sequences=4, shots=2 ** 21,
+                    model=ParametricModel(2e-3, 1e-3), seed=5),
+    # rows x shots just below the 2**53 guard: one field to a word
+    collect_dataset([2, 40, 150], n_sequences=3, shots=(2 ** 53 - 1) // 3,
+                    model=ParametricModel(2e-3, 1e-3), seed=5),
+], ids=["equal", "uneven-0", "uneven-1", "two-per-word", "one-per-word"])
 def test_bootstrap_fractions_match_choice_draws_bit_for_bit(monkeypatch, data):
     assert_fit_inputs_match_choice_draws(monkeypatch, data, 400, 11)
 
