@@ -54,15 +54,17 @@ _CELL_BYTES = 176
 # node columns, the (nodes, PANEL_NODES) interpolation weights and the
 # (_FOURIER_BLOCK, nodes) phase blocks that are held together.
 _NODE_BYTES = 448
-# Per sequence of a simulated [slerb] dataset: about 250 B on the parametric
-# model and 190 B on the full one (marginal tracemalloc peaks), mostly the
-# slotted SlerbSequence and its outcome columns.  Per Clifford draw: about
-# 12 B, 8 B of it the row's tuple.  The full model compiles SEQUENCE_BLOCK
-# rows at a time into a uint8 path padded to the block's longest row: at most
-# 4 gates of 1 B per Clifford; the parametric model, which holds no path, is
-# charged the same as an upper bound.
+# Per sequence of a simulated [slerb] dataset: about 260 B on the parametric
+# model and 220 B on the full one (marginal tracemalloc peaks), mostly the
+# slotted SlerbSequence, its outcome columns and, on the full model, its gate
+# path.  Per Clifford draw: 1 B in the row's bytes, and on the full model
+# about 2.4 B more for its compiled gates in the row's gate path (3.4 B in
+# all).  The full model also copies SEQUENCE_BLOCK rows at a time into a
+# uint8 table padded to the block's longest row: at most 4 gates of 1 B per
+# Clifford; the parametric model, which holds no table, is charged the same
+# as an upper bound.
 _SEQUENCE_BYTES = 384
-_DRAW_BYTES = 16
+_DRAW_BYTES = 4
 _PATH_BYTES = 4
 # Per bootstrap resample: 24 B per length for the int64 sums of shots,
 # survivals and flips, and 24 B for the three fitted rates, which the

@@ -26,9 +26,10 @@ The group is one cached table, :func:`clifford_table`: the breadth-first
 search that finds each element's shortest gate word also records where
 each generator takes each element, and the Cayley table, the inverses and
 the logical X follow from those moves, with no matrix compared after the
-search.  Sequences are integer arithmetic on that table.  A dataset
-is simulated in one pass: every sequence is drawn first, then one model
-call returns all outcome probabilities.  The parametric model evaluates
+search.  Sequences are integer arithmetic on that table, their draws one
+byte each.  A dataset is simulated in one pass: every row's generator
+keys are hashed together, every sequence is drawn, then one model call
+returns all outcome probabilities.  The parametric model evaluates
 its closed form over the array of compiled gate counts; the
 full model steps all sequences together as one (sequences, 4, dim) state,
 applying one exact gate propagator, at a Fock cutoff sized for the
@@ -49,7 +50,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -171,20 +171,24 @@ def mean_gates_per_clifford() -> float:
 # sequences
 
 
+# every byte that is a Clifford index: deleting them leaves any other byte
+_CLIFFORD_INDICES = bytes(range(24))
+
+
 @dataclass(frozen=True, slots=True)
 class SlerbSequence:
-    """A benchmarking sequence: random Cliffords, closed by the inverting
-    Clifford that returns |uu> to ``expected_state``, "uu" or "dd"."""
+    """A benchmarking sequence: random Cliffords, one byte each, closed by
+    the inverting Clifford that returns |uu> to ``expected_state``, "uu" or "dd"."""
 
-    cliffords: tuple[int, ...]
+    cliffords: bytes
     expected_state: str
 
     def __post_init__(self):
         if self.expected_state not in ("uu", "dd"):
             raise ParameterError("expected_state must be 'uu' or 'dd'")
-        if type(self.cliffords) is not tuple or not set(map(type, self.cliffords)) <= {int}:
-            raise ParameterError("cliffords must be a tuple of Python ints")
-        if min(self.cliffords, default=0) < 0 or max(self.cliffords, default=0) >= 24:
+        if type(self.cliffords) is not bytes:
+            raise ParameterError("cliffords must be bytes, one Clifford index each")
+        if self.cliffords.translate(None, _CLIFFORD_INDICES):
             raise ParameterError("Clifford indices must lie in 0..23")
 
     @property
@@ -196,12 +200,33 @@ class SlerbSequence:
 
     @property
     def total_gates(self) -> int:
-        gates = clifford_table().gates
-        return sum(len(gates[c]) for c in self.cliffords + (self.inverter,))
+        return len(_gate_path(self))
+
+
+@lru_cache(maxsize=1)
+def _compiled_words() -> tuple[bytes, ...]:
+    """Each Clifford's compiled word as bytes of generator indices."""
+    return tuple(map(bytes, clifford_table().gates))
+
+
+def _gate_path(seq: SlerbSequence) -> bytes:
+    """The generator index of every compiled gate of ``seq``, inverter included."""
+    words = _compiled_words()
+    return b"".join(map(words.__getitem__, seq.cliffords + bytes((seq.inverter,))))
 
 
 def _rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
+
+
+def _draw(rng: np.random.Generator, n: int, pauli_randomize: bool) -> SlerbSequence:
+    """``n`` uniform Cliffords from ``rng``, then, with ``pauli_randomize``,
+    one bit that puts a logical X into the inverter."""
+    if n < 1:
+        raise ParameterError("sequence length must be >= 1")
+    draws = rng.integers(0, 24, size=n).astype(np.uint8).tobytes()
+    flipped = pauli_randomize and rng.integers(0, 2)
+    return SlerbSequence(cliffords=draws, expected_state="dd" if flipped else "uu")
 
 
 def generate_sequence(n: int, seed: int, pauli_randomize: bool = True) -> SlerbSequence:
@@ -210,12 +235,56 @@ def generate_sequence(n: int, seed: int, pauli_randomize: bool = True) -> SlerbS
     With ``pauli_randomize`` the inverter absorbs a logical X half the time,
     so the expected outcome is |dd> instead of |uu>.
     """
-    if n < 1:
-        raise ParameterError("sequence length must be >= 1")
-    rng = _rng(seed)
-    draws = tuple(rng.integers(0, 24, size=n).tolist())
-    flipped = pauli_randomize and rng.integers(0, 2)
-    return SlerbSequence(cliffords=draws, expected_state="dd" if flipped else "uu")
+    return _draw(_rng(seed), n, pauli_randomize)
+
+
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_constants(start: int, mult: int, count: int) -> np.ndarray:
+    """(count + 1, 1) uint32 column of start * mult**i mod 2**32."""
+    return np.array([start * pow(mult, i, 1 << 32) & _MASK32 for i in range(count + 1)],
+                    dtype=np.uint32)[:, None]
+
+
+def _row_keys(seed: int, rows: int, stream: int) -> np.ndarray:
+    """(rows, 2) uint64: row r's ``SeedSequence(seed, spawn_key=(r, stream))
+    .generate_state(2, np.uint64)``, for every r below ``rows`` (< 2**32) at once.
+
+    numpy's SeedSequence hash, in uint32 array arithmetic.  The entropy is
+    the seed's little-endian 32-bit words, zero-padded to the four words of
+    the pool, then r, then ``stream``.  Each hashmix xors and multiplies by
+    the next two of one geometric run of constants, so the k hashmixes that
+    feed k pool words are one (k, rows) operation.  The seed's own words are
+    the same in every row and stay (1,) columns until r mixes in.
+    """
+    words = [(seed >> shift) & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    later = [np.full(1, w, np.uint32) for w in words[4:]]
+    later += [np.arange(rows, dtype=np.uint32), np.full(1, stream, np.uint32)]
+    hash_const = _hash_constants(0x43B0D7E5, 0x931E8875, 16 + 4 * len(later))
+    calls = 0
+
+    def hashmix(value, k):
+        nonlocal calls
+        value = (value ^ hash_const[calls:calls + k]) * hash_const[calls + 1:calls + k + 1]
+        calls += k
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = 0xCA01F9DD * x - 0x4973F715 * y
+        return result ^ result >> 16
+
+    pool = hashmix(np.array(words[:4], dtype=np.uint32)[:, None], 4)
+    for src in range(4):
+        others = [dst for dst in range(4) if dst != src]
+        pool[others] = mix(pool[others], hashmix(pool[src], 3))
+    for word in later:
+        pool = mix(pool, hashmix(word, 4))
+    out_const = _hash_constants(0x8B51F9DD, 0x58F38DED, 4)
+    out = (pool ^ out_const[:4]) * out_const[1:]
+    out = (out ^ out >> 16).astype(np.uint64)
+    return (out[0::2] | out[1::2] << 32).T
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +345,14 @@ class FullScheduleModel:
         The cutoff is sized for the longest sequence.  Rows are stepped
         longest first, ``SEQUENCE_BLOCK`` at a time.
         """
-        counts = np.array([seq.total_gates for seq in seqs], dtype=int)
+        paths = list(map(_gate_path, seqs))
+        counts = np.array(list(map(len, paths)), dtype=int)
         props = self.blocks(int(counts.max(initial=0)))
         order = np.argsort(-counts, kind="stable")
         pops = np.empty((len(seqs), 4))
         for start in range(0, order.size, SEQUENCE_BLOCK):
             rows = order[start:start + SEQUENCE_BLOCK]
-            pops[rows] = _step_sequences(props, [seqs[r] for r in rows], counts[rows])
+            pops[rows] = _step_sequences(props, [paths[r] for r in rows], counts[rows])
         return pops
 
 
@@ -301,23 +371,22 @@ def _flush(parts: np.ndarray) -> None:
     parts[np.abs(parts) < FLUSH_AMPLITUDE] = 0.0
 
 
-def _step_sequences(props: BranchPropagators, seqs: Sequence[SlerbSequence],
+def _step_sequences(props: BranchPropagators, paths: Sequence[bytes],
                     lengths: np.ndarray) -> np.ndarray:
-    """(rows, 4) z-basis spin populations after each row's ``lengths`` compiled gates.
+    """(rows, 4) z-basis spin populations after each row's gate path, of
+    ``lengths`` compiled gates.
 
     Rows must be sorted longest first, so the rows still running at step t
-    are the first ones; they compile into one byte-wide path of generators.
+    are the first ones; their paths fill one byte-wide table of generators.
     Between gates a row stays in its last gate's eigenbasis: each step
     rotates the running rows into the next gate's basis with one batched 4x4
     product, applies one matmul per branch, and guards the norm and the
     cutoff population of every running row.
     """
-    words = clifford_table().gates
-    rows, dim = len(seqs), props.dim
+    rows, dim = len(paths), props.dim
     path = np.full((rows, lengths.max(initial=0) + 1), Z_BASIS, dtype=np.uint8)
-    for row, seq, n in zip(path, seqs, lengths):
-        row[1:n + 1] = np.fromiter(
-            (g for c in chain(seq.cliffords, (seq.inverter,)) for g in words[c]), np.uint8, n)
+    for row, gates, n in zip(path, paths, lengths):
+        row[1:n + 1] = np.frombuffer(gates, np.uint8)
     change = _basis_changes()
     blocks_t = np.ascontiguousarray(props.blocks.swapaxes(-1, -2))
     _flush(blocks_t.view(float))
@@ -363,8 +432,8 @@ def _closed_form_probabilities(seqs: Sequence[SlerbSequence],
     ((1-2r)(1-q))^M over its M compiled gates (inverter excluded), and the
     in/out-of-subspace populations follow a two-state exchange chain.
     """
-    word_lengths = [len(word) for word in clifford_table().gates]
-    total_gates = np.array([sum(map(word_lengths.__getitem__, seq.cliffords)) for seq in seqs],
+    word_lengths = bytes(map(len, _compiled_words())).ljust(256, b"\0")
+    total_gates = np.array([sum(seq.cliffords.translate(word_lengths)) for seq in seqs],
                            dtype=int)
     r, q = model.per_gate_rates()
     trace_in = 0.5 * (1.0 + _libm_powers(1.0 - 2.0 * q, total_gates))
@@ -396,17 +465,13 @@ def _probabilities(seqs: Sequence[SlerbSequence], model: ErrorModel) -> np.ndarr
     return probs / total[:, None]
 
 
-def _shot_counts(probs: np.ndarray, shots: int, seed) -> tuple[int, int, int]:
-    counts = _rng(seed).multinomial(shots, probs)
-    return int(counts[0]), int(counts[1]), int(counts[2])
-
-
 def simulate_sequence(seq: SlerbSequence, model: ErrorModel, shots: int,
                       seed: int) -> tuple[int, int, int]:
     """Multinomial shot counts (n_survival, n_flip, n_leak)."""
     if shots < 1:
         raise ParameterError("shots must be >= 1")
-    return _shot_counts(_probabilities([seq], model)[0], shots, seed)
+    n_survival, n_flip, n_leak = _rng(seed).multinomial(shots, _probabilities([seq], model)[0])
+    return int(n_survival), int(n_flip), int(n_leak)
 
 
 # ---------------------------------------------------------------------------
@@ -467,11 +532,16 @@ def collect_dataset(lengths: Sequence[int], n_sequences: int, shots: int,
     """Run the benchmark: fresh random sequences per length, fixed shots each.
 
     Every sequence is drawn first; one model call then gives all outcome
-    probabilities.  Row r (lengths-major) draws its Cliffords from
-    ``SeedSequence(seed, spawn_key=(r, 0))`` and its shots from
-    ``spawn_key=(r, 1)``: the two children of the r-th child of
-    ``SeedSequence(seed)``, each made where it is used.
+    probabilities.  Row r (lengths-major) draws its Cliffords from a Philox
+    generator seeded by ``SeedSequence(seed, spawn_key=(r, 0))`` and its
+    shots from one seeded by ``spawn_key=(r, 1)``: the two children of the
+    r-th child of ``SeedSequence(seed)``.  :func:`_row_keys` computes every
+    row's Philox key of one stream at once, and one generator is re-keyed
+    for each row, starting where a new one would.
     """
+    if type(seed) is bool or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ParameterError("seed must be an int >= 0")
+    seed = int(seed)
     if len(lengths) == 0:
         raise ParameterError("need at least one sequence length")
     if n_sequences < 1:
@@ -479,11 +549,20 @@ def collect_dataset(lengths: Sequence[int], n_sequences: int, shots: int,
     if shots < 1:
         raise ParameterError("shots must be >= 1")
     rows_n = [int(length) for length in lengths for _ in range(n_sequences)]
-    seqs = [generate_sequence(n, np.random.SeedSequence(seed, spawn_key=(r, 0)), pauli_randomize)
-            for r, n in enumerate(rows_n)]
+    rng = _rng(0)
+    state = rng.bit_generator.state  # counter 0, empty buffer: a new generator's start
+
+    def rekeyed(key):
+        state["state"]["key"] = key
+        rng.bit_generator.state = state
+        return rng
+
+    seqs = [_draw(rekeyed(key), n, pauli_randomize)
+            for n, key in zip(rows_n, _row_keys(seed, len(rows_n), 0))]
     counts = np.empty((len(seqs), 3), dtype=int)
-    for r, p in enumerate(_probabilities(seqs, model)):
-        counts[r] = _shot_counts(p, shots, np.random.SeedSequence(seed, spawn_key=(r, 1)))
+    for r, (p, key) in enumerate(zip(_probabilities(seqs, model),
+                                     _row_keys(seed, len(seqs), 1))):
+        counts[r] = rekeyed(key).multinomial(shots, p)
     return SlerbDataset.from_columns(
         rows_n, list(range(n_sequences)) * len(lengths), np.full(len(rows_n), shots),
         counts[:, 0], counts[:, 1], counts[:, 2])

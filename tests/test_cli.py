@@ -827,10 +827,10 @@ def test_filterfn_top_frequency_size_limit(tmp_path):
 
 
 def test_array_size_limit_is_inclusive(tmp_path):
-    # one sequence of lengths 1, 8 and N holds 16 B per Clifford draw, 384 B
-    # per row and 4 B per Clifford of N for each of its 3 rows: 28 N + 1296
-    # bytes, the limit at N = 38347876; one more draw does not validate
-    for last, code in ((38347876, 0), (38347877, 1)):
+    # one sequence of lengths 1, 8 and N holds 4 B per Clifford draw, 384 B
+    # per row and 4 B per Clifford of N for each of its 3 rows: 16 N + 1188
+    # bytes, the limit at N = 67108789; one more draw does not validate
+    for last, code in ((67108789, 0), (67108790, 1)):
         text = set_key(set_key(SLERB_PARAMETRIC, "lengths", f"1,8,{last}"), "sequences", "1")
         assert cli.main(["validate", write_config(tmp_path, text), "--quiet"]) == code
 

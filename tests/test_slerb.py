@@ -111,7 +111,7 @@ def matrix_fold(cliffords):
        pauli_randomize=st.booleans())
 def test_inverter_closes_sequence_in_matrix_fold(n, seed, pauli_randomize):
     seq = generate_sequence(n, seed=seed, pauli_randomize=pauli_randomize)
-    u = matrix_fold(seq.cliffords + (seq.inverter,))
+    u = matrix_fold(seq.cliffords + bytes((seq.inverter,)))
     x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     assert equal_up_to_phase(u, np.eye(2) if seq.expected_state == "uu" else x,
                              tol=1e-9)
@@ -167,11 +167,17 @@ def test_sequence_rows_carry_no_instance_dict():
         seq.expected_state = "dd"
 
 
-@pytest.mark.parametrize("cliffords, state", [
-    ((0, 1), "ud"), ((0, 1), "du"), ((0, 1), ""), ((0, -1), "uu"), ((24,), "dd"),
-    # containers the table arithmetic cannot use: a list, an array, a float entry
-    ([1, 2], "uu"), (np.array([1, 2]), "uu"), ((1.0, 2), "uu"),
-])
+BAD_SEQUENCES = [
+    (b"\x00\x01", "ud"), (b"\x00\x01", "du"), (b"\x00\x01", ""),
+    (bytes([0, 24]), "uu"), (bytes([24]), "dd"),
+    # anything but bytes: a list, an array, a tuple, a bytearray
+    ([1, 2], "uu"), (np.array([1, 2], dtype=np.uint8), "uu"), ((1, 2), "uu"),
+    (bytearray([1, 2]), "uu"), (bytes([3, 255, 1]), "uu"),
+]
+
+
+@pytest.mark.parametrize("cliffords, state", BAD_SEQUENCES, ids=[
+    f"cliffords{k}-{state}" for k, (_, state) in enumerate(BAD_SEQUENCES)])
 def test_sequence_rejects_states_and_indices_outside_the_table(cliffords, state):
     # the inverter is derived from these two fields, so only they can be wrong
     with pytest.raises(ParameterError):
@@ -180,7 +186,7 @@ def test_sequence_rejects_states_and_indices_outside_the_table(cliffords, state)
 
 def test_single_identity_draw_gets_identity_inverter():
     seq = generate_sequence(1, seed=124, pauli_randomize=False)
-    assert seq.cliffords == (0,)
+    assert seq.cliffords == b"\x00"
     assert seq.inverter == 0
     assert seq.expected_state == "uu"
 
@@ -286,7 +292,7 @@ def stepped_probabilities(seq, step_gate, n_max):
     """Sequence outcome from a gate callback acting on a (4, n_max + 1) block."""
     state = spin_fock([1.0, 0.0, 0.0, 0.0], n=0, n_max=n_max)
     words = clifford_table().gates
-    for c in seq.cliffords + (seq.inverter,):
+    for c in seq.cliffords + bytes((seq.inverter,)):
         for k in words[c]:
             state = step_gate(state, slerb.GENERATOR_PHASES[k])
     uu, ud, du, dd = np.sum(np.abs(state) ** 2, axis=1)
@@ -382,14 +388,14 @@ def per_gate_populations(props, seq):
     words = clifford_table().gates
     state = np.zeros((4, props.dim), dtype=complex)
     state[0, 0] = 1.0
-    for c in seq.cliffords + (seq.inverter,):
+    for c in seq.cliffords + bytes((seq.inverter,)):
         for k in words[c]:
             state = props.apply(state, slerb.GENERATOR_PHASES[k])
     return np.sum(np.abs(state) ** 2, axis=1)
 
 
 # an identity draw with an identity inverter compiles to no gate at all
-IDENTITY_ROW = slerb.SlerbSequence(cliffords=(0,), expected_state="uu")
+IDENTITY_ROW = slerb.SlerbSequence(cliffords=b"\x00", expected_state="uu")
 
 
 @pytest.mark.parametrize("gate", [
@@ -504,6 +510,75 @@ def test_full_model_dataset_follows_the_per_row_seed_tree():
             for p, (_, shot_seed) in zip(probs, tree)]
     assert np.array_equal(np.column_stack([data.n_survival, data.n_flip, data.n_leak]), rows)
     assert data.n_leak.sum() > 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**53 - 1, 2**128 + 7],
+                         ids=["0", "1", "2^32-1", "2^32", "2^53-1", "five-words"])
+def test_row_keys_equal_seed_sequence_states(seed):
+    # a seed of five words mixes its fifth into the pool after the first four
+    for stream in (0, 1):
+        keys = slerb._row_keys(seed, 1000, stream)
+        assert keys.dtype == np.uint64 and keys.shape == (1000, 2)
+        assert np.array_equal(keys, [
+            np.random.SeedSequence(seed, spawn_key=(r, stream)).generate_state(2, np.uint64)
+            for r in range(1000)])
+
+
+def per_row_seed_sequence_dataset(lengths, n_sequences, shots, model, seed, pauli_randomize):
+    """Oracle: row r builds its own Philox generators from
+    SeedSequence(seed, spawn_key=(r, 0)) for its draws and (r, 1) for its
+    shots.  Returns each row's (Clifford draws, expected state) and the
+    (rows, 3) shot counts."""
+    rows_n = [n for n in lengths for _ in range(n_sequences)]
+    draws, seqs = [], []
+    for r, n in enumerate(rows_n):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(r, 0))))
+        cliffords = rng.integers(0, 24, size=n).tolist()
+        state = "dd" if pauli_randomize and rng.integers(0, 2) else "uu"
+        draws.append((cliffords, state))
+        seqs.append(slerb.SlerbSequence(bytes(cliffords), state))
+    counts = [np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(r, 1))))
+              .multinomial(shots, p) for r, p in enumerate(slerb._probabilities(seqs, model))]
+    return draws, np.array(counts)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 + 5])
+@pytest.mark.parametrize("pauli_randomize", [True, False], ids=["pauli", "no-pauli"])
+@pytest.mark.parametrize("kind", ["parametric", "full"])
+def test_collect_dataset_equals_the_per_row_seed_sequence_loop(monkeypatch, kind,
+                                                                pauli_randomize, seed):
+    # the re-keyed generator starts every row where a new Philox would; at
+    # these rates and at a 500 Hz offset rows flip and leak
+    if kind == "parametric":
+        model, lengths, n_sequences = ParametricModel(3e-2, 1e-2), [2, 7, 50], 6
+    else:
+        model, lengths, n_sequences = FullScheduleModel(walsh_gate(500.0)), [1, 8, 32], 4
+    seen = []
+    batch = slerb._probabilities
+    monkeypatch.setattr(slerb, "_probabilities",
+                        lambda seqs, model: seen.extend(seqs) or batch(seqs, model))
+    data = collect_dataset(lengths, n_sequences, 100, model, seed, pauli_randomize)
+    monkeypatch.undo()
+    draws, counts = per_row_seed_sequence_dataset(lengths, n_sequences, 100, model, seed,
+                                                  pauli_randomize)
+    assert [(list(q.cliffords), q.expected_state) for q in seen] == draws
+    assert np.array_equal(np.column_stack([data.n_survival, data.n_flip, data.n_leak]), counts)
+    assert data.n_flip.sum() + data.n_leak.sum() > 0
+    assert {q.expected_state for q in seen} == ({"uu", "dd"} if pauli_randomize else {"uu"})
+
+
+@pytest.mark.parametrize("seed", [-1, True, False, 1.0, "1", None, np.int64(-3)])
+def test_collect_dataset_rejects_seeds_that_are_not_ints_from_zero(seed):
+    with pytest.raises(ParameterError, match="seed"):
+        collect_dataset([1, 2, 3], 2, 10, ParametricModel(1e-3, 1e-3), seed)
+
+
+def test_collect_dataset_takes_numpy_integer_seeds():
+    model = ParametricModel(3e-2, 1e-2)
+    plain = collect_dataset([2, 7, 50], 3, 100, model, 7)
+    for seed in (np.int64(7), np.uint32(7)):
+        assert np.array_equal(collect_dataset([2, 7, 50], 3, 100, model, seed).n_flip,
+                              plain.n_flip)
 
 
 def test_full_model_dataset_calls_no_linalg_routine(monkeypatch):
@@ -671,6 +746,25 @@ def test_truncation_is_flat_on_markovian_data():
                         model=ParametricModel(2e-3, 1e-3), seed=31)
     vals = np.array([fit_decays(d.truncated(m)).eps_2q for m in (150, 400, 900)])
     assert np.ptp(vals) < 0.1 * vals.mean()
+
+
+@pytest.mark.parametrize("rates", [(1.5e-4, 8e-5), (1e-3, 0.0), (2e-2, 1e-2), (0.1, 0.0),
+                                   (2e-4, 1e-4)])
+def test_eps_flip_is_the_initial_slope_of_the_flip_curve(rates):
+    # P_flip(N) = (L(N) - c(N)) / 2 extends to real N; its slope at N = 0,
+    # by central difference, is eps_flip at the fitted rates
+    fit = DecayFit(*rates)
+    if rates == (2e-4, 1e-4):
+        fit = fit_decays(exact_model_dataset(*rates, [2, 30, 100, 300, 800]))
+    b = 1.0 - 2.0 * fit.eps_leak
+    a = (1.0 - fit.eps_leak) * (1.0 - 2.0 * fit.eps_rb)
+
+    def p_flip(n):
+        return 0.5 * (0.5 * (1.0 + b**n) - a**n)
+
+    h = 1e-4
+    slope = (p_flip(h) - p_flip(-h)) / (2.0 * h)
+    assert fit.eps_flip == pytest.approx(slope, rel=1e-7, abs=0.0)
 
 
 def test_decay_fit_validation_and_eps2q():
